@@ -2,7 +2,8 @@
 
 Exit codes: 0 success/found, 1 proven negative (no splitting exists, a
 condition fails, a predicate is false), 2 input error, 3 resource budget
-exceeded.  All output is canonical JSON on stdout; diagnostics go to stderr.
+exceeded, 4 internal error (an unexpected exception; never a verdict).  All
+output is canonical JSON on stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -71,8 +72,11 @@ def _add_spec_flags(p):
                    help="require the weakly-stable window property")
 
 
+THREADS_HELP = "accepted for compatibility; has no effect"
+
+
 def _add_run_flags(p):
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
 
 
@@ -383,7 +387,7 @@ def build_parser():
     ho.set_defaults(fn=cmd_homology)
 
     su = sub.add_parser("suite", help="run the deterministic self-check battery")
-    su.add_argument("--threads", type=int, default=1)
+    su.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     su.set_defaults(fn=cmd_suite)
 
     return p
@@ -413,6 +417,9 @@ def main(argv=None):
     except ContractError as e:
         print("falsification: %s" % e, file=sys.stderr)
         return 1
+    except Exception as e:
+        print("internal error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        return 4
     sys.stdout.write(text)
     return code
 

@@ -41,8 +41,13 @@ def _as_document(data, expect_schema):
     return data
 
 
+def _is_int(x):
+    """JSON true/false load as bool, which Python counts as int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _int_list(xs, what):
-    if not isinstance(xs, list) or not all(isinstance(x, int) for x in xs):
+    if not isinstance(xs, list) or not all(_is_int(x) for x in xs):
         raise InputError("%s must be a list of integers" % what)
     return xs
 
@@ -57,7 +62,7 @@ def instance_dump(g: Graph, partition: VertexPartition | None = None):
 
 def instance_load(data):
     doc = _as_document(data, INSTANCE_SCHEMA)
-    if not isinstance(doc.get("n"), int) or doc["n"] < 0:
+    if not _is_int(doc.get("n")) or doc["n"] < 0:
         raise InputError("instance needs a nonnegative integer n")
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
@@ -112,20 +117,21 @@ def complex_load(data):
     facets = doc.get("facets")
     if not isinstance(facets, list):
         raise InputError("complex needs a list of facets")
-    cleaned = []
-    for f in facets:
-        if not isinstance(f, list) or not all(
-                isinstance(v, (int, str)) for v in f):
-            raise InputError("facet %r must list integer or string vertices"
-                             % (f,))
-        cleaned.append(tuple(f))
     vertices = doc.get("vertices")
-    return SimplicialComplex(cleaned, vertices=vertices)
+    if vertices is not None:
+        vertices = _labels(vertices, "vertex list")
+    return SimplicialComplex([_labels(f, "facet") for f in facets], vertices=vertices)
+
+
+def _labels(xs, what):
+    if not isinstance(xs, list) or not all(_is_int(v) or isinstance(v, str) for v in xs):
+        raise InputError("%s %r must list integer or string vertices" % (what, xs))
+    return tuple(xs)
 
 
 def _fraction_pair(x, what):
     if (not isinstance(x, list) or len(x) != 2
-            or not all(isinstance(v, int) for v in x) or x[1] == 0):
+            or not all(_is_int(v) for v in x) or x[1] == 0):
         raise InputError("%s must be a [numerator, denominator] pair" % what)
     return Fraction(x[0], x[1])
 
@@ -140,7 +146,7 @@ def points_load(data):
     doc = _as_document(data, POINTS_SCHEMA)
     dim = doc.get("dim")
     pts = doc.get("points")
-    if not isinstance(dim, int) or dim < 1 or not isinstance(pts, list):
+    if not _is_int(dim) or dim < 1 or not isinstance(pts, list):
         raise InputError("points document needs dim >= 1 and a point list")
     rows = []
     for p in pts:

@@ -1,45 +1,51 @@
-"""Exact backtracking search for splittings.
+"""Exact depth-first search for splittings.
 
-Vertices are processed in ascending label order and assigned to one of the q
-sets or left unused.  Pruning:
+Vertices are visited in ascending label order, one position per vertex.  Each
+position goes to one of the q sets, tried in order 0..q-1, or stays unused,
+tried last.  Solutions therefore come out in one fixed order, and the first is
+the witness whatever the budget.  The search is a single loop over an explicit
+stack, so no instance size runs into Python's recursion limit.
 
-  * quota deficits -- a block whose remaining vertices cannot fill the
-    per-set minimums kills the branch;
-  * uncovered budget -- flavors with a per-block cap on uncovered vertices
-    prune as soon as a block overspends;
+Every set keeps a candidate mask over the later positions: those that no
+member rules out, as a neighbour or as a label closer than the stability
+distance.  Admitting a vertex is one bit test; host-complex problems also
+intersect per-set facet masks.  Pruning:
+
+  * symmetry -- a vertex may only open the first empty set, so each
+    unordered family is visited exactly once, in canonical order;
   * per-block caps (geometric mode, exact-count searches);
   * balance -- when requested, branches whose size spread cannot return to
     within 1 are cut;
-  * admissibility -- graph adjacency plus label-distance stability, or facet
-    bitmask filters when only a host complex is given;
-  * symmetry -- a vertex may only open the first empty set, so each
-    unordered family is visited exactly once, in canonical order.
+  * quota deficits -- a block whose remaining vertices cannot fill the
+    per-set minimums kills the branch;
+  * forward checking -- a set whose candidates left in a block cannot fill
+    its own minimum there kills the branch.  Only the pairs a step can change
+    are checked: the blocks the new member rules positions out of, and every
+    set on the block of the decided position;
+  * uncovered budget -- flavors with a per-block cap on uncovered vertices
+    prune as soon as a block overspends.
 
-"exhausted_none" is only reported after full (symmetry-reduced) exhaustion;
-any budget cutoff is reported as "budget_exceeded", never as nonexistence.
-
-The tree is always split into subtrees at a fixed shallow depth and the
-subtrees are merged in fixed order, so verdict, witness, and node counts are
-identical for every thread count.
+Complete assignments are checked for balance, weak stability and, in
+geometric mode, a common point of the hulls.  Every visited node counts once
+against one budget shared by the whole search.  "exhausted_none" is only
+reported after full (symmetry-reduced) exhaustion; a budget cutoff is
+reported as "budget_exceeded", never as nonexistence.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
 from .errors import ContractError, InputError, ResourceBudget
 from .exactlp import convex_hulls_common_point
 from .geometry import PointConfiguration
 from .graphs import Graph, VertexPartition
-from .parallel import parallel_map
 from .splitting import (Splitting, SplittingSpec, certificate_for,
                         check_splitting, is_weakly_q_stable, leftover_cap,
                         required_min)
 
 DEFAULT_NODE_BUDGET = 5_000_000
-_SPLIT_DEPTH = 4
 
 
 @dataclass
@@ -52,7 +58,7 @@ class SearchProblem:
     points: PointConfiguration | None = None
     caps: list | None = None
     budget: int = DEFAULT_NODE_BUDGET
-    threads: int = 1
+    threads: int = 1  # accepted for compatibility; the search is sequential
 
     def __post_init__(self):
         if self.graph is None and self.host is None:
@@ -79,7 +85,6 @@ class SearchOutcome:
     splitting: Splitting | None = None
     certificate: object = None
     nodes: int = 0
-    elapsed: float = 0.0
     common_point: tuple | None = None
 
     def to_json(self):
@@ -96,233 +101,208 @@ class SearchOutcome:
 
 
 class _Ctx:
+    """Per-problem tables, indexed by position in label order."""
+
     def __init__(self, problem):
         p = problem
-        self.spec = p.spec
-        self.q = p.spec.q
-        self.partition = p.partition
-        self.order = sorted(p.partition.ground)
-        self.n = len(self.order)
-        if p.spec.stability >= 2 and not all(isinstance(v, int) for v in self.order):
+        spec = p.spec
+        self.q = q = spec.q
+        self.order = order = sorted(p.partition.ground)
+        self.n = n = len(order)
+        if spec.stability >= 2 and not all(isinstance(v, int) for v in order):
             raise InputError("stability needs integer labels")
-        self.block_of = [p.partition.block_of(v) for v in self.order]
-        self.mins = [required_min(p.spec.flavor, len(b), self.q)
-                     for b in p.partition.blocks]
-        cap = leftover_cap(p.spec.flavor, self.q)
-        self.unused_cap = [None if cap is None else cap for _ in p.partition.blocks]
+        self.block_of = block_of = [p.partition.block_of(v) for v in order]
+        self.mins = [required_min(spec.flavor, len(b), q) for b in p.partition.blocks]
+        self.unused_cap = leftover_cap(spec.flavor, q)
         self.caps = p.caps
-        self.balanced = p.spec.balanced
-        self.stability = p.spec.stability
-        self.graph = p.graph
-        self.adj = p.graph.adj if p.graph is not None else None
+        self.balanced = spec.balanced
+        self.weak = spec.weak_stability
         self.points = p.points if p.mode == "geometric" else None
-        self.weak = p.spec.weak_stability
-        # suffix counts: remaining[j][d] = vertices of block j at positions >= d
-        m = p.partition.m
-        self.remaining = [[0] * (self.n + 1) for _ in range(m)]
-        for d in range(self.n - 1, -1, -1):
-            for j in range(m):
-                self.remaining[j][d] = self.remaining[j][d + 1] + (self.block_of[d] == j)
+        self.block_mask = block_mask = [0] * p.partition.m
+        for d, j in enumerate(block_of):
+            block_mask[j] |= 1 << d
+        # later[d]: the later positions a set holding position d must skip
+        pos = {v: d for d, v in enumerate(order)}
+        later = [[] for _ in range(n)]
+        if p.graph is not None:
+            for a, b in p.graph.edges:
+                x, y = pos[a], pos[b]
+                later[min(x, y)].append(max(x, y))
+        if spec.stability >= 2:
+            for d in range(n):
+                e = d + 1
+                while e < n and order[e] - order[d] < spec.stability:
+                    later[d].append(e)
+                    e += 1
+        # keep[d]: what a set's candidate mask keeps when position d joins it;
+        # touch[d]: the blocks whose candidates that step can shrink
+        full = (1 << n) - 1
+        after = [full ^ ((2 << d) - 1) for d in range(n)]
+        self.keep, self.touch = [], []
+        for d, ps in enumerate(later):
+            kill = 0
+            for e in ps:
+                kill |= 1 << e
+            self.keep.append(after[d] & ~kill)
+            self.touch.append({block_of[e] for e in ps})
+        self.after_in_block = [block_mask[j] & a for j, a in zip(block_of, after)]
+        self.rem_after = [x.bit_count() for x in self.after_in_block]
         # facet bitmask filters when no graph is available
         self.vmask = None
         if p.graph is None:
             facets = p.host.facets
-            self.full_mask = (1 << len(facets)) - 1
-            self.vmask = {v: 0 for v in self.order}
+            self.full_facets = (1 << len(facets)) - 1
+            vmask = {v: 0 for v in order}
             for idx, f in enumerate(facets):
                 for v in f:
-                    self.vmask[v] |= 1 << idx
-        self.host = p.host
+                    vmask[v] |= 1 << idx
+            self.vmask = [vmask[v] for v in order]
 
 
-class _State:
-    def __init__(self, ctx):
-        q, m = ctx.q, ctx.partition.m
-        self.members = [[] for _ in range(q)]
-        self.counts = [[0] * m for _ in range(q)]
-        self.deficit = [q * ctx.mins[j] for j in range(m)]
-        self.unused = [0] * m
-        self.sizes = [0] * q
-        self.used_sets = 0
-        self.fmask = [ctx.full_mask] * q if ctx.vmask is not None else None
-        self.choices = []
+def _balance_ok(sizes, i, rest):
+    """Can the size spread still end within 1 after set i grows by one?"""
+    hi = lo = sizes[i] + 1
+    for x, s in enumerate(sizes):
+        if x != i:
+            if s > hi:
+                hi = s
+            if s < lo:
+                lo = s
+    return hi - (lo + rest) <= 1
 
 
-def _can_assign(ctx, st, i, v, j):
-    if i > st.used_sets:
-        return False  # symmetry: only the first empty set may open
-    if ctx.caps is not None and st.counts[i][j] >= ctx.caps[j]:
-        return False
-    mem = st.members[i]
-    if ctx.stability >= 2 and mem and v - mem[-1] < ctx.stability:
-        return False
-    if ctx.adj is not None:
-        av = ctx.adj[v]
-        if any(u in av for u in mem):
-            return False
-    else:
-        if not (st.fmask[i] & ctx.vmask[v]):
-            return False
-    if ctx.balanced:
-        rest = ctx.n - len(st.choices) - 1
-        hi = lo = st.sizes[i] + 1
-        for x in range(ctx.q):
-            if x != i:
-                s = st.sizes[x]
-                if s > hi:
-                    hi = s
-                if s < lo:
-                    lo = s
-        if hi - (lo + rest) > 1:
-            return False
-    return True
+def _starved(cand, counts, blocks, mins, block_mask):
+    """Does a set with these candidates and counts fall short in a block?"""
+    for j in blocks:
+        if (cand & block_mask[j]).bit_count() < mins[j] - counts[j]:
+            return True
+    return False
 
 
-def _apply(ctx, st, choice):
-    d = len(st.choices)
-    v = ctx.order[d]
-    j = ctx.block_of[d]
-    st.choices.append(choice)
-    if choice == ctx.q:
-        st.unused[j] += 1
-        return
-    i = choice
-    if not st.members[i]:
-        st.used_sets += 1
-    if st.counts[i][j] < ctx.mins[j]:
-        st.deficit[j] -= 1
-    st.counts[i][j] += 1
-    st.members[i].append(v)
-    st.sizes[i] += 1
-    if st.fmask is not None:
-        st.fmask[i] &= ctx.vmask[v]
-
-
-def _undo(ctx, st, saved_fmask):
-    choice = st.choices.pop()
-    d = len(st.choices)
-    v = ctx.order[d]
-    j = ctx.block_of[d]
-    if choice == ctx.q:
-        st.unused[j] -= 1
-        return
-    i = choice
-    st.members[i].pop()
-    st.sizes[i] -= 1
-    st.counts[i][j] -= 1
-    if st.counts[i][j] < ctx.mins[j]:
-        st.deficit[j] += 1
-    if not st.members[i]:
-        st.used_sets -= 1
-    if st.fmask is not None:
-        st.fmask[i] = saved_fmask
-
-
-class _BudgetHit(Exception):
-    pass
-
-
-class _Enough(Exception):
-    pass
-
-
-def _leaf_ok(ctx, st, solutions):
-    if any(d > 0 for d in st.deficit):
-        return
-    if ctx.balanced and max(st.sizes) - min(st.sizes) > 1:
-        return
-    sets = [tuple(m) for m in st.members]
+def _leaf(ctx, choice, deficit):
+    if any(x > 0 for x in deficit):
+        return None
+    members = [[] for _ in range(ctx.q)]
+    for v, c in zip(ctx.order, choice):
+        if c < ctx.q:
+            members[c].append(v)
+    sets = [tuple(m) for m in members]
+    if ctx.balanced and max(map(len, sets)) - min(map(len, sets)) > 1:
+        return None
     if ctx.weak is not None and is_weakly_q_stable(sets, ctx.weak) is not True:
-        return
+        return None
     point = None
     if ctx.points is not None:
         if any(not s for s in sets):
-            return
+            return None
         got = convex_hulls_common_point([ctx.points.subset(s) for s in sets])
         if got is None:
-            return
+            return None
         point = got[0]
-    solutions.append((sets, point))
-
-
-def _explore(ctx, st, stop_depth, sink_prefix, solutions, box, limit):
-    box[0] += 1
-    if box[0] > box[1]:
-        raise _BudgetHit()
-    d = len(st.choices)
-    if d == stop_depth:
-        if sink_prefix is not None:
-            sink_prefix(tuple(st.choices))
-        else:
-            _leaf_ok(ctx, st, solutions)
-            if len(solutions) >= limit:
-                raise _Enough()
-        return
-    j = ctx.block_of[d]
-    v = ctx.order[d]
-    rem_after = ctx.remaining[j][d + 1]
-    for i in range(ctx.q):
-        if not _can_assign(ctx, st, i, v, j):
-            continue
-        saved = st.fmask[i] if st.fmask is not None else None
-        _apply(ctx, st, i)
-        if st.deficit[j] <= rem_after:
-            _explore(ctx, st, stop_depth, sink_prefix, solutions, box, limit)
-        _undo(ctx, st, saved)
-    cap = ctx.unused_cap[j]
-    if cap is None or st.unused[j] < cap:
-        _apply(ctx, st, ctx.q)
-        if st.deficit[j] <= rem_after:
-            _explore(ctx, st, stop_depth, sink_prefix, solutions, box, limit)
-        _undo(ctx, st, None)
-
-
-def _run_subtree(ctx, prefix, budget, limit):
-    st = _State(ctx)
-    for choice in prefix:
-        _apply(ctx, st, choice)
-    solutions = []
-    box = [0, budget]
-    status = "done"
-    try:
-        _explore(ctx, st, ctx.n, None, solutions, box, limit)
-    except _BudgetHit:
-        status = "budget"
-    except _Enough:
-        pass
-    return status, solutions, box[0]
+    return sets, point
 
 
 def _search(problem, limit):
+    """Returns (status, solutions, nodes): status is found | none | budget,
+    solutions the first `limit` (or fewer) in search order, and nodes the
+    visited nodes, root included, never more than the budget."""
     ctx = _Ctx(problem)
-    split = min(_SPLIT_DEPTH, ctx.n)
-    prefixes = []
-    st = _State(ctx)
-    box = [0, problem.budget]
-    frontier_status = "done"
-    try:
-        _explore(ctx, st, split, prefixes.append, [], box, limit)
-    except _BudgetHit:
-        frontier_status = "budget"
-    frontier_nodes = box[0]
-    if frontier_status == "budget":
-        return "budget", [], frontier_nodes
-
-    results = parallel_map(
-        lambda pfx: _run_subtree(ctx, pfx, problem.budget, limit),
-        prefixes, problem.threads)
-
-    solutions, nodes, budget_hit = [], frontier_nodes, False
-    for status, sols, cnt in results:
-        if len(solutions) < limit:
-            nodes += cnt
-            if status == "budget":
-                budget_hit = True
-            solutions.extend(sols)
-    del solutions[limit:]
-    if solutions:
-        return "found", solutions, nodes
-    return ("budget" if budget_hit else "none"), [], nodes
+    q, n = ctx.q, ctx.n
+    mins, caps, block_of, block_mask = ctx.mins, ctx.caps, ctx.block_of, ctx.block_mask
+    keep, touch, rem_after = ctx.keep, ctx.touch, ctx.rem_after
+    after_in_block, unused_cap, vmask = ctx.after_in_block, ctx.unused_cap, ctx.vmask
+    balanced = ctx.balanced
+    cand = [(1 << n) - 1] * q
+    fmask = None if vmask is None else [ctx.full_facets] * q
+    counts = [[0] * len(mins) for _ in range(q)]
+    sizes = [0] * q
+    deficit = [q * x for x in mins]
+    unused = [0] * len(mins)
+    used = 0                 # sets holding a vertex; they are sets 0..used-1
+    choice = [-1] * n        # choice in force at each depth; q means unused
+    lone = [None] * n        # the one set that needs the vertex; -1 when two do
+    saved = [None] * n       # candidate and facet masks of the set extended at each depth
+    solutions = []
+    if problem.budget < 1:
+        return "budget", solutions, 0
+    nodes, d = 1, 0
+    while True:
+        if d == n:
+            found = _leaf(ctx, choice, deficit)
+            if found is not None:
+                solutions.append(found)
+                if len(solutions) >= limit:
+                    return "found", solutions, nodes
+            if d == 0:
+                break
+            d -= 1
+            continue
+        j = block_of[d]
+        c = choice[d]
+        if c == q:
+            unused[j] -= 1
+        elif c >= 0:
+            cnt = counts[c]
+            cnt[j] -= 1
+            if cnt[j] < mins[j]:
+                deficit[j] += 1
+            sizes[c] -= 1
+            if not sizes[c]:
+                used -= 1
+            cand[c], f = saved[d]
+            if fmask is not None:
+                fmask[c] = f
+        else:
+            # first arrival: which sets cannot afford to miss this vertex?
+            short = [x for x in range(q) if (cand[x] & after_in_block[d]).bit_count()
+                     < mins[j] - counts[x][j]]
+            lone[d] = short[0] if len(short) == 1 else (-1 if short else None)
+        must = lone[d]
+        c += 1
+        hi = used + 1 if used < q else q  # symmetry: only the first empty set may open
+        if must is not None:
+            c, hi = max(c, must), min(hi, must + 1)
+        while c < hi:
+            if (cand[c] >> d & 1 and (caps is None or counts[c][j] < caps[j])
+                    and (fmask is None or fmask[c] & vmask[d])
+                    and (not balanced or _balance_ok(sizes, c, n - d - 1))):
+                break
+            c += 1
+        else:
+            if c <= q and must is None and (unused_cap is None or unused[j] < unused_cap):
+                c = q
+            else:
+                c = q + 1
+        if c > q:
+            choice[d] = -1
+            if d == 0:
+                break
+            d -= 1
+            continue
+        choice[d] = c
+        if c == q:
+            unused[j] += 1
+            if deficit[j] > rem_after[d]:
+                continue
+        else:
+            cnt = counts[c]
+            if cnt[j] < mins[j]:
+                deficit[j] -= 1
+            cnt[j] += 1
+            if not sizes[c]:
+                used += 1
+            sizes[c] += 1
+            saved[d] = cand[c], None if fmask is None else fmask[c]
+            cand[c] &= keep[d]
+            if fmask is not None:
+                fmask[c] &= vmask[d]
+            if deficit[j] > rem_after[d] or _starved(cand[c], cnt, touch[d], mins, block_mask):
+                continue  # pruned: the next pass undoes choice[d] and tries the one after
+        if nodes == problem.budget:
+            return "budget", solutions, nodes
+        nodes += 1
+        d += 1
+    return ("found" if solutions else "none"), solutions, nodes
 
 
 def _verify(problem, sets):
@@ -332,18 +312,16 @@ def _verify(problem, sets):
 
 
 def find_splitting(problem: SearchProblem) -> SearchOutcome:
-    t0 = time.monotonic()
     status, solutions, nodes = _search(problem, 1)
-    elapsed = time.monotonic() - t0
     if status == "found":
         sets, point = solutions[0]
         cert = _verify(problem, sets)
         if not cert.ok:
             raise ContractError("search produced a splitting its own certificate rejects")
-        return SearchOutcome("found", Splitting(sets), cert, nodes, elapsed, point)
+        return SearchOutcome("found", Splitting(sets), cert, nodes, point)
     if status == "budget":
-        return SearchOutcome("budget_exceeded", None, None, nodes, elapsed)
-    return SearchOutcome("exhausted_none", None, None, nodes, elapsed)
+        return SearchOutcome("budget_exceeded", None, None, nodes)
+    return SearchOutcome("exhausted_none", None, None, nodes)
 
 
 def find_transversal_splitting(g, partition, q, budget=DEFAULT_NODE_BUDGET, threads=1):
@@ -367,13 +345,13 @@ def enumerate_splittings(problem: SearchProblem, limit) -> list:
     if limit == 0:
         return []
     status, solutions, nodes = _search(problem, limit)
-    if status == "budget" and len(solutions) < limit:
+    if status == "budget":
         raise ResourceBudget("node budget hit after %d splittings" % len(solutions))
     out = []
     for sets, point in solutions:
         cert = _verify(problem, sets)
         if not cert.ok:
             raise ContractError("enumerated splitting fails its certificate")
-        outcome = SearchOutcome("found", Splitting(sets), cert, nodes, 0.0, point)
+        outcome = SearchOutcome("found", Splitting(sets), cert, nodes, point)
         out.append(outcome)
     return out

@@ -32,8 +32,10 @@ from fairsplit.kneser import (KneserInstance, build_hypergraph,
 from fairsplit.serial import canonical_dumps
 from fairsplit.solver import (SearchProblem, find_splitting,
                               find_transversal_splitting)
-from fairsplit.splitting import Splitting, SplittingSpec, check_splitting
+from fairsplit.splitting import SplittingSpec, check_splitting
 from fairsplit.suite import run_suite, six_cycle_instance, two_triangles_instance
+
+from brute import brute_verdict
 
 
 @contextlib.contextmanager
@@ -337,50 +339,6 @@ def test_10_power_of_two_composition(capsys):
             assert check_splitting(path_graph(31), part, sp, spec).ok
 
 
-def _independent_label_sets(g, stability):
-    """Every independent set of g (as mask + label tuple) whose sorted labels
-    are pairwise at least `stability` apart; includes the empty set."""
-    verts = sorted(g.vertices)
-    pos = {v: i for i, v in enumerate(verts)}
-    nbr = [0] * g.n
-    for u, w in g.edges:
-        nbr[pos[u]] |= 1 << pos[w]
-        nbr[pos[w]] |= 1 << pos[u]
-    out = []
-    for mask in range(1 << g.n):
-        chosen = [i for i in range(g.n) if mask >> i & 1]
-        if any(nbr[i] & mask for i in chosen):
-            continue
-        labels = tuple(verts[i] for i in chosen)
-        if any(b - a < stability for a, b in zip(labels, labels[1:])):
-            continue
-        out.append((mask, labels))
-    return out
-
-
-def _brute_verdict(g, part, spec):
-    """Does any q-tuple of pairwise disjoint faces satisfy `spec`?
-
-    Families are visited with non-decreasing candidate index, so each
-    unordered family appears once; only the empty face may repeat.
-    """
-    candidates = _independent_label_sets(g, spec.stability)
-
-    def rec(start, used, chosen):
-        if len(chosen) == spec.q:
-            return check_splitting(g, part, Splitting(chosen), spec).ok
-        for i in range(start, len(candidates)):
-            mask, labels = candidates[i]
-            if mask & used:
-                continue
-            nxt = i if mask == 0 else i + 1
-            if rec(nxt, used | mask, chosen + [labels]):
-                return True
-        return False
-
-    return rec(0, 0, [])
-
-
 def test_11_solver_agrees_with_brute_force(capsys):
     with _stopwatch(capsys, 11, "solver verdicts equal brute force", 600):
         corpus = []
@@ -437,7 +395,7 @@ def test_11_solver_agrees_with_brute_force(capsys):
                                                graph=g))
             assert out.status in statuses, out.status
             statuses[out.status] += 1
-            assert (out.status == "found") == _brute_verdict(g, part, spec), \
+            assert (out.status == "found") == brute_verdict(g, part, spec), \
                 (g.n, g.edges, part.blocks, spec)
             if out.status == "found":
                 assert check_splitting(g, part, out.splitting, spec).ok

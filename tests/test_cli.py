@@ -250,3 +250,37 @@ def test_suite_output_thread_independent(capsys):
     main(["suite", "--threads", "4"])
     four = capsys.readouterr().out
     assert one == four
+
+
+def test_solve_long_path_splits(capsys, tmp_path):
+    # 1200 positions deep: the search must not depend on the recursion limit
+    n = 1200
+    path = write(tmp_path, "p1200.json", {
+        "schema": "instance/1", "n": n,
+        "edges": [[v, v + 1] for v in range(1, n)],
+        "partition": [list(range(1, n + 1))]})
+    code, doc, err = run(capsys, "solve", "--input", path, "--q", "2",
+                         "--flavor", "fair")
+    assert code == 0, err
+    assert doc["status"] == "found" and doc["certificate"]["ok"] is True
+    assert doc["splitting"] == [list(range(1, n, 2)), list(range(2, n + 1, 2))]
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch, cycle6):
+    import fairsplit.cli as cli
+
+    def crash(problem):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "find_splitting", crash)
+    code, doc, err = run(capsys, "solve", "--input", cycle6, "--q", "2")
+    assert code == 4 and doc is None
+    assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
+def test_json_booleans_are_not_integers(capsys, tmp_path):
+    path = write(tmp_path, "bool.json", {
+        "schema": "instance/1", "n": True, "edges": [], "partition": [[True]]})
+    code, doc, err = run(capsys, "solve", "--input", path, "--q", "1",
+                         "--flavor", "fair")
+    assert code == 2 and doc is None and "input error" in err

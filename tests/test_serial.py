@@ -47,6 +47,8 @@ def test_instance_load_validation():
                        "partition": [[1, 2]]})  # does not cover 3
     with pytest.raises(InputError):
         instance_load([1, 2])
+    with pytest.raises(InputError):  # JSON true is not the integer 1
+        instance_load({"schema": "instance/1", "n": 2, "edges": [[2, True]]})
 
 
 def test_splitting_round_trip():
@@ -98,6 +100,19 @@ def test_points_load_validation():
         points_load({"schema": "points/1", "dim": 2, "points": [[[1, 2]]]})
     with pytest.raises(InputError):
         points_load({"schema": "points/1", "dim": 1, "points": [[[1, 0]]]})
+    with pytest.raises(InputError):
+        points_load({"schema": "points/1", "dim": True, "points": [[[1, 1]]]})
+    with pytest.raises(InputError):
+        points_load({"schema": "points/1", "dim": 1, "points": [[[1, True]]]})
+
+
+def test_complex_load_validation():
+    with pytest.raises(InputError):
+        complex_load({"schema": "complex/1", "facets": [[True, 2]]})
+    with pytest.raises(InputError):
+        complex_load({"schema": "complex/1", "vertices": [False], "facets": []})
+    with pytest.raises(InputError):
+        complex_load({"schema": "complex/1", "vertices": [[1]], "facets": []})
 
 
 def test_load_file(tmp_path):

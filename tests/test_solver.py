@@ -2,7 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brute import brute_verdict
 from fairsplit.complexes import independence_complex
 from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.geometry import gale_alternating, stretched_moment_points
@@ -348,3 +351,63 @@ def test_budget_is_reported_not_silent():
     with pytest.raises(ResourceBudget):
         enumerate_splittings(SearchProblem(partition=part, spec=spec, graph=g,
                                            budget=5), limit=100)
+
+
+@pytest.mark.parametrize("seed,status", [(31, "found"), (22, "exhausted_none")])
+def test_budget_bounds_the_whole_search(seed, status):
+    # one node counter for the whole tree: a run finishes exactly when the
+    # budget covers the unbounded run's nodes, never visits more than the
+    # budget, and every run that finds returns the same witness
+    rng = random.Random(seed)
+    g = _random_graph(18, 0.25, rng)
+    part = _random_partition(18, 3, rng)
+    spec = SplittingSpec(q=3, flavor="fair")
+
+    def solve(budget):
+        return find_splitting(SearchProblem(partition=part, spec=spec, graph=g,
+                                            budget=budget))
+
+    full = solve(10 ** 6)
+    assert full.status == status and full.nodes > 100
+    total = full.nodes
+    for budget in sorted({0, 1, 2, 5, 50, total // 2, total - 1, total, total + 1}
+                         | set(range(3, total + 60, 41))):
+        out = solve(budget)
+        assert out.nodes <= budget
+        if budget < total:
+            assert out.status == "budget_exceeded" and out.nodes == budget
+            assert out.splitting is None
+        else:
+            assert out.status == status and out.nodes == total
+            assert out.splitting == full.splitting
+
+
+@st.composite
+def _small_instances(draw):
+    n = draw(st.integers(1, 9))
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    labels = draw(st.permutations(range(1, n + 1)))
+    m = draw(st.integers(1, min(3, n)))
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=m - 1,
+                                max_size=m - 1, unique=True))) if m > 1 else []
+    bounds = [0] + cuts + [n]
+    part = VertexPartition([labels[a:b] for a, b in zip(bounds, bounds[1:])], n)
+    spec = SplittingSpec(q=draw(st.integers(2, 3)),
+                         flavor=draw(st.sampled_from(["fair", "almost_fair",
+                                                      "transversal"])),
+                         balanced=draw(st.booleans()),
+                         stability=draw(st.integers(1, 2)))
+    return Graph(n, edges), part, spec
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_small_instances())
+def test_verdict_matches_brute_force_property(instance):
+    # guards the forward checking: a prune that cuts a solution shows up as
+    # a verdict the brute-force oracle contradicts
+    g, part, spec = instance
+    out = find_splitting(SearchProblem(partition=part, spec=spec, graph=g))
+    assert (out.status == "found") == brute_verdict(g, part, spec)
+    if out.status == "found":
+        assert check_splitting(g, part, out.splitting, spec).ok
