@@ -27,12 +27,19 @@ The two checks:
                        among the chain's unconstrained faces.  So the check
                        is a search for an inclusion chain of unconstrained
                        faces whose directions cover 1..q, done by a
-                       level-by-level DP over antichains of direction sets.
+                       level-by-level numpy DP that keeps, for every face,
+                       the set of direction masks its chains can carry as a
+                       2^q-bit bitset.
 
   verify_equivariance  d(pi F) = pi(d(F)) for slot permutations pi; the
                        adjacent transpositions generate the full symmetric
                        group, so checking them suffices, and small instances
                        are additionally checked against every permutation.
+
+Both checks read the directions of all faces from one numpy array indexed by
+face integers: the digits of a face read as a base-(q+1) number, vertex 0
+most significant, so integer order is the order of `all_faces`.  Violations
+are reported in that order, as a face-by-face loop would find them.
 """
 
 from __future__ import annotations
@@ -48,7 +55,6 @@ import numpy as np
 from .errors import InputError, ResourceBudget
 
 FACE_BUDGET = 10 ** 7
-_NUMPY_THRESHOLD = 150000
 
 
 @dataclass(frozen=True)
@@ -272,11 +278,96 @@ def _witness_chain(inst, top, need_mask):
     return got if got is not None else [top]
 
 
+def _enumeration_rank(digits, q):
+    """Position of a face in the order verify_zero_set reports in: by size,
+    then support (as a sorted tuple), then slot assignment, 0-based."""
+    n = len(digits)
+    support = [v for v, d in enumerate(digits) if d]
+    s = len(support)
+    rank = sum(math.comb(n, j) * q ** j for j in range(s))
+    comb_rank, prev = 0, -1
+    for i, v in enumerate(support):
+        comb_rank += sum(math.comb(n - 1 - u, s - 1 - i) for u in range(prev + 1, v))
+        prev = v
+    assign_rank = 0
+    for v in support:
+        assign_rank = assign_rank * q + digits[v] - 1
+    return rank + comb_rank * q ** s + assign_rank
+
+
+def _add_direction(masks, b, word_bits):
+    """{m | 2^b : m in X} for each row X of `masks`, a bitset over direction
+    masks (bit m of the row = mask m), stored as (rows, words)."""
+    shift = 1 << b
+    if shift < word_bits:
+        keep = sum(1 << p for p in range(word_bits) if p & shift)
+        keep = masks.dtype.type(keep)
+        return (masks & keep) | ((masks & ~keep) << masks.dtype.type(shift))
+    step = shift // word_bits
+    out = np.zeros_like(masks)
+    for w in range(masks.shape[1]):
+        if w & step:
+            out[:, w] = masks[:, w] | masks[:, w ^ step]
+    return out
+
+
+def _rainbow_faces(inst, enough):
+    """Digits of the unconstrained faces F that top an inclusion chain of
+    unconstrained faces whose directions cover 1..q, in enumeration order,
+    scanning levels until at least `enough` are known.
+
+    reach[F] is the set of masks of directions carried by chains of
+    unconstrained faces inside F (the empty chain included): the union of
+    reach over F's facets, closed under adding d(F) when F is unconstrained."""
+    q, n = inst.q, inst.n
+    base = q + 1
+    weights = _face_weights(n, base)
+    dirs = _directions_array(inst)
+    bits = 1 << q
+    if bits <= 64:
+        dtype = np.dtype("uint%d" % max(8, bits))
+        words = 1
+    else:
+        dtype, words = np.dtype(np.uint64), bits // 64
+    word_bits = min(bits, 64)
+    full_word, full_bit = divmod(bits - 1, word_bits)
+    ints = np.arange(dirs.size, dtype=np.int64)
+    level = np.zeros(dirs.size, dtype=np.int8)
+    for w in weights:
+        level += ints // w % base != 0
+    by_level = np.argsort(level, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(level, minlength=n + 1))))
+    reach = np.zeros((dirs.size, words), dtype=dtype)
+    found = []
+    for s in range(n + 1):
+        faces = by_level[starts[s]:starts[s + 1]]
+        acc = np.zeros((faces.size, words), dtype=dtype)
+        acc[:, 0] = 1
+        for w in weights:
+            digit = faces // w % base
+            sub = np.nonzero(digit)[0]
+            acc[sub] |= reach[faces[sub] - digit[sub] * w]
+        fdir = dirs[faces]
+        for d in range(1, q + 1):
+            rows = np.nonzero(fdir == d)[0]
+            if rows.size:
+                acc[rows] |= _add_direction(acc[rows], d - 1, word_bits)
+        reach[faces] = acc
+        hit = (fdir != 0) & (acc[:, full_word] >> dtype.type(full_bit) & dtype.type(1) != 0)
+        found += sorted((_face_digits(int(f), weights, base) for f in faces[hit]),
+                        key=lambda digits: _enumeration_rank(digits, q))
+        if len(found) >= enough:
+            break
+    return found
+
+
 def verify_zero_set(inst, budget=FACE_BUDGET, max_witnesses=1):
     """Search for an inclusion chain of unconstrained faces whose directions
     cover all of 1..q; an empty violations list proves the map's zero set
-    stays inside the constrained region."""
-    q, n = inst.q, inst.n
+    stays inside the constrained region.  Reports the first max_witnesses
+    violating faces in enumeration order (size, support, assignment), with
+    faces_processed counted up to the last one as a face-by-face scan would."""
+    q = inst.q
     if inst.face_count() > budget:
         raise ResourceBudget("instance has %d faces" % inst.face_count())
     levels = _levels_with_unconstrained(inst)
@@ -285,50 +376,16 @@ def verify_zero_set(inst, budget=FACE_BUDGET, max_witnesses=1):
     if len(levels) < q:
         report.short_circuit = True
         return report
-
+    enough = max(1, max_witnesses)
     full = (1 << q) - 1
-    prev_down = {}   # level s-1: digits -> antichain tuple of masks
-    prev_dir = {}    # level s-1: digits -> direction or None
-    processed = 0
-    for s in range(0, n + 1):
-        cur_down = {}
-        cur_dir = {}
-        for support in itertools.combinations(range(n), s):
-            for assign in itertools.product(range(1, q + 1), repeat=s):
-                digits = [0] * n
-                for v, a in zip(support, assign):
-                    digits[v] = a
-                digits = tuple(digits)
-                processed += 1
-                d = face_direction(inst, digits)
-                down = set()
-                for v in support:
-                    sub = list(digits)
-                    sub[v] = 0
-                    sub = tuple(sub)
-                    sd = prev_dir.get(sub)
-                    sdown = prev_down.get(sub, ())
-                    down.update(sdown)
-                    if sd is not None:
-                        bit = 1 << (sd - 1)
-                        down.add(bit)
-                        for msk in sdown:
-                            down.add(msk | bit)
-                if d is not None:
-                    need = full & ~(1 << (d - 1))
-                    if need == 0 or any(msk & need == need for msk in down):
-                        report.violations.append(
-                            [list(f) for f in _witness_chain(inst, digits, full)])
-                        if len(report.violations) >= max_witnesses:
-                            report.faces_processed = processed
-                            return report
-                down = [m for m in down
-                        if not any(m != o and m | o == o for o in down)]
-                if down:
-                    cur_down[digits] = tuple(down)
-                cur_dir[digits] = d
-        prev_down, prev_dir = cur_down, cur_dir
-    report.faces_processed = processed
+    found = _rainbow_faces(inst, enough)[:enough]
+    for digits in found:
+        report.violations.append(
+            [list(f) for f in _witness_chain(inst, digits, full)])
+    if len(found) == enough:
+        report.faces_processed = _enumeration_rank(found[-1], q) + 1
+    else:
+        report.faces_processed = inst.face_count()
     return report
 
 
@@ -380,86 +437,82 @@ def _all_slot_permutations(q):
     return out
 
 
+def _face_weights(n, base):
+    """Place value of each vertex's digit in a face integer."""
+    return [base ** (n - 1 - v) for v in range(n)]
+
+
+def _face_digits(face, weights, base):
+    return tuple(face // w % base for w in weights)
+
+
+def _digit_rows(lo, hi, weights, base):
+    """(n, hi - lo) matrix: row v holds digit v of the faces lo..hi-1."""
+    ints = np.arange(lo, hi, dtype=np.int64)
+    dtype = np.int8 if base <= 127 else np.int64
+    return np.stack([(ints // w % base).astype(dtype) for w in weights])
+
+
 def _directions_array(inst, chunk=1 << 20):
-    """dirs[face_int] in {0 = constrained, 1..q}; face ints are little-endian
-    base-(q+1) digit strings."""
+    """dirs[face_int] in {0 = constrained, 1..q}; the vectorised
+    face_direction."""
     q, k, t, n = inst.q, inst.k, inst.t, inst.n
     m = inst.face_count()
     base = q + 1
-    weights = [(base ** v) for v in range(n)]
-    dirs = np.zeros(m, dtype=np.int8)
+    weights = _face_weights(n, base)
+    dirs = np.zeros(m, dtype=np.int8 if q <= 127 else np.int64)
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
-        ints = np.arange(lo, hi, dtype=np.int64)
-        digs = [(ints // weights[v]) % base for v in range(n)]
-        counts = np.zeros((hi - lo, q), dtype=np.int16)
-        for v in range(n):
-            for j in range(1, q + 1):
-                counts[:, j - 1] += (digs[v] == j)
-        mx = counts.max(axis=1)
-        small = (counts <= k - 2).sum(axis=1)
-        constrained = (mx <= k - 1) & (small >= t - 1)
-        out = np.zeros(hi - lo, dtype=np.int8)
-        undecided = ~constrained
+        digs = _digit_rows(lo, hi, weights, base)
+        rows = np.arange(hi - lo)
+        counts = np.stack([(digs == j).sum(axis=0, dtype=np.int16)
+                           for j in range(base)], axis=1)  # column 0: unused
+        slots = counts[:, 1:]
+        mx = slots.max(axis=1)
+        undecided = ~((mx <= k - 1) & ((slots <= k - 2).sum(axis=1) >= t - 1))
+        out = dirs[lo:hi]
         for v in inst.vertex_order:
             if not undecided.any():
                 break
             cand = digs[v]
-            sel = np.take_along_axis(
-                counts, np.maximum(cand - 1, 0)[:, None].astype(np.int64), axis=1)[:, 0]
-            hit = undecided & (cand >= 1) & (sel == mx)
+            hit = undecided & (cand != 0) & (counts[rows, cand] == mx)
             out[hit] = cand[hit]
             undecided &= ~hit
-        dirs[lo:hi] = out
     return dirs
 
 
-def _verify_equivariance_numpy(inst, perms, report, chunk=1 << 20):
-    q, n = inst.q, inst.n
-    base = q + 1
-    weights = [(base ** v) for v in range(n)]
-    dirs = _directions_array(inst, chunk)
-    m = inst.face_count()
-    report.faces_processed = m
-    for perm in perms:
-        lut = np.array(perm, dtype=np.int64)
-        dlut = np.array(perm, dtype=np.int8)
-        for lo in range(0, m, chunk):
-            hi = min(lo + chunk, m)
-            ints = np.arange(lo, hi, dtype=np.int64)
+def _verify_equivariance_numpy(inst, perms, report, chunk=1 << 18):
+    """Compare d(pi F) with pi(d(F)) for every face and permutation.  Stops
+    at the fifth violation (faces in all_faces order, then permutations in
+    the given order); faces_processed counts the faces read up to it."""
+    n, base = inst.n, inst.q + 1
+    weights = _face_weights(n, base)
+    dirs = _directions_array(inst)
+    m = dirs.size
+    luts = [np.array(perm, dtype=np.int64) for perm in perms]
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        digs = _digit_rows(lo, hi, weights, base)
+        bad = np.zeros((len(perms), hi - lo), dtype=bool)
+        for row, lut in zip(bad, luts):
             image = np.zeros(hi - lo, dtype=np.int64)
-            for v in range(n):
-                digs = (ints // weights[v]) % base
-                image += lut[digs] * weights[v]
-            got = dirs[image]
-            want = dlut[dirs[lo:hi]]
-            bad = np.nonzero(got != want)[0]
-            for idx in bad[:5]:
-                f = int(ints[idx])
-                digits = tuple((f // weights[v]) % base for v in range(n))
-                report.violations.append({
-                    "face": list(digits), "perm": list(perm),
-                    "got": int(got[idx]), "want": int(want[idx])})
-            if bad.size:
+            for digit, w in zip(digs, weights):
+                image += lut[digit] * w
+            row[:] = dirs[image] != lut[dirs[lo:hi]]
+        if not bad.any():
+            continue
+        for f, i in zip(*np.nonzero(bad.T)):
+            digits = _face_digits(lo + int(f), weights, base)
+            image = permute_slots(digits, perms[i])
+            image_int = sum(d * w for d, w in zip(image, weights))
+            report.violations.append({
+                "face": list(digits), "perm": list(perms[i]),
+                "got": int(dirs[image_int]),
+                "want": int(perms[i][dirs[lo + int(f)]])})
+            if len(report.violations) >= 5:
+                report.faces_processed = lo + int(f) + 1
                 return
-    return
-
-
-def _verify_equivariance_python(inst, perms, report):
-    for digits in all_faces(inst):
-        report.faces_processed += 1
-        d0 = face_direction(inst, digits)
-        for perm in perms:
-            pd = permute_slots(digits, perm)
-            d1 = face_direction(inst, pd)
-            want = None if d0 is None else perm[d0]
-            if d1 != want:
-                report.violations.append({
-                    "face": list(digits), "perm": list(perm),
-                    "got": 0 if d1 is None else d1,
-                    "want": 0 if want is None else want})
-                if len(report.violations) >= 5:
-                    return
+    report.faces_processed = m
 
 
 def verify_equivariance(inst, full_group=None, budget=FACE_BUDGET):
@@ -474,10 +527,7 @@ def verify_equivariance(inst, full_group=None, budget=FACE_BUDGET):
     perms = _all_slot_permutations(inst.q) if full_group else _adjacent_transpositions(inst.q)
     report = EquivarianceReport(inst.q, inst.k, inst.t, inst.vertex_order,
                                 len(perms), full_group, 0)
-    if m >= _NUMPY_THRESHOLD:
-        _verify_equivariance_numpy(inst, perms, report)
-    else:
-        _verify_equivariance_python(inst, perms, report)
+    _verify_equivariance_numpy(inst, perms, report)
     return report
 
 
