@@ -1,25 +1,95 @@
 """Exact linear feasibility over the rationals.
 
-A single phase-1 simplex with Bland's rule decides {x >= 0 : Ax = b} with
-Fraction arithmetic, so every geometric predicate built on top of it is exact.
-No floating point anywhere.
+A single phase-1 simplex with Bland's rule decides {x >= 0 : Ax = b}.  The
+rational input is scaled by one positive common denominator to an integer
+tableau, which is pivoted without fractions (integer-preserving pivoting, as
+in Bareiss and Edmonds): every row other than the pivot row becomes
+(x*p - f*y) / den, where p is the pivot, f the row's entry in the entering
+column and den the previous pivot, and that division is always exact.  The
+integer tableau is always den times the rational one, so Bland's rule reads
+the same signs and ratios and takes the same pivots as a Fraction simplex
+would.  Fractions appear only in results.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError
 
 
-def _frac_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _phase1(rows, rhs, scale):
+    """Phase-1 simplex on integer rows that are `scale` (> 0) times the
+    rational system; some x >= 0 with Ax = b as Fractions, or None."""
+    m, n = len(rows), len(rows[0])
+
+    # Tableau rows: original columns, artificial identity, rhs; rhs >= 0.
+    tab = []
+    for i in range(m):
+        row = rows[i] + [0] * m + [rhs[i]]
+        if rhs[i] < 0:
+            row = [-x for x in row]
+        row[n + i] = scale
+        tab.append(row)
+    basis = [n + i for i in range(m)]
+
+    # Reduced costs for minimizing the artificial sum; artificials start at 0.
+    cost = [-sum(col) for col in zip(*tab)]
+    cost[n:n + m] = [0] * m
+
+    den = 1
+    while True:
+        enter = next((j for j in range(n + m) if cost[j] < 0), None)
+        if enter is None:
+            break
+        # Ratio test rhs/entry over positive entries, by cross-multiplication.
+        leave, best_num, best_den = None, 0, 1
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                lhs, rhs_i = tab[i][-1] * best_den, best_num * a
+                if leave is None or lhs < rhs_i or (lhs == rhs_i and basis[i] < basis[leave]):
+                    leave, best_num, best_den = i, tab[i][-1], a
+        if leave is None:
+            raise AssertionError("phase-1 objective cannot be unbounded")
+        prow = tab[leave]
+        p = prow[enter]
+        for i in range(m):
+            if i != leave:
+                row = tab[i]
+                f = row[enter]
+                if f:
+                    tab[i] = [(x * p - f * y) // den for x, y in zip(row, prow)]
+                elif p != den:
+                    tab[i] = [x * p // den for x in row]
+        f = cost[enter]
+        cost = [(x * p - f * y) // den for x, y in zip(cost, prow)]
+        den = p
+        basis[leave] = enter
+
+    if cost[-1] != 0:  # optimal artificial sum is -cost[-1] / den
+        return None
+    x = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = Fraction(tab[i][-1], den)
+    return x
+
+
+def _rational(c):
+    """c as an exact rational: ints and Fractions as they are, anything else
+    through Fraction."""
+    return c if type(c) is Fraction or type(c) is int else Fraction(c)
+
+
+def _scaled(values, scale):
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def feasible_nonneg_solution(a_rows, b):
     """Some x >= 0 with Ax = b, or None if the system is infeasible."""
-    a_rows = _frac_rows(a_rows)
+    a_rows = [[Fraction(x) for x in row] for row in a_rows]
     b = [Fraction(x) for x in b]
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
@@ -29,69 +99,9 @@ def feasible_nonneg_solution(a_rows, b):
         raise InputError("rhs length mismatch")
     if m == 0:
         return [Fraction(0)] * n
-
-    # Tableau rows: original columns, artificial identity, rhs; b >= 0.
-    rows = []
-    for i in range(m):
-        row = list(a_rows[i]) + [Fraction(0)] * m + [b[i]]
-        if b[i] < 0:
-            row = [-x for x in row]
-        row[n + i] = Fraction(1)
-        rows.append(row)
-    basis = [n + i for i in range(m)]
-
-    # Reduced costs for minimizing the artificial sum; artificials start at 0.
-    cost = [Fraction(0)] * (n + m + 1)
-    for row in rows:
-        for j in range(n + m + 1):
-            cost[j] -= row[j]
-    for i in range(m):
-        cost[n + i] = Fraction(0)
-
-    while True:
-        enter = next((j for j in range(n + m) if cost[j] < 0), None)
-        if enter is None:
-            break
-        leave, best = None, None
-        for i in range(m):
-            if rows[i][enter] > 0:
-                ratio = rows[i][-1] / rows[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
-        if leave is None:
-            raise AssertionError("phase-1 objective cannot be unbounded")
-        piv = rows[leave][enter]
-        rows[leave] = [x / piv for x in rows[leave]]
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, rows[leave])]
-        basis[leave] = enter
-
-    if -cost[-1] != 0:  # optimal artificial sum is -cost[-1]
-        return None
-    x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = rows[i][-1]
-    return x
-
-
-@dataclass
-class LPFeasibilityProblem:
-    """Ax = b, x >= 0 bundled for serialization and reuse."""
-
-    a_rows: list
-    b: list
-
-    def solve(self):
-        return feasible_nonneg_solution(self.a_rows, self.b)
-
-    def is_feasible(self):
-        return self.solve() is not None
+    scale = lcm(*(x.denominator for row in a_rows for x in row),
+                *(x.denominator for x in b))
+    return _phase1([_scaled(row, scale) for row in a_rows], _scaled(b, scale), scale)
 
 
 def convex_hulls_common_point(point_sets):
@@ -103,11 +113,14 @@ def convex_hulls_common_point(point_sets):
     """
     if not point_sets or any(not ps for ps in point_sets):
         raise InputError("need nonempty point sets")
-    sets = [[tuple(Fraction(c) for c in p) for p in ps] for ps in point_sets]
+    sets = [[tuple(map(_rational, p)) for p in ps] for ps in point_sets]
     dim = len(sets[0][0])
     if any(len(p) != dim for ps in sets for p in ps):
         raise InputError("points of mixed dimension")
 
+    # Every equation is multiplied by one common denominator of the coordinates.
+    scale = lcm(*(c.denominator for ps in sets for p in ps for c in p))
+    int_sets = [[_scaled(p, scale) for p in ps] for ps in sets]
     offsets, total = [], 0
     for ps in sets:
         offsets.append(total)
@@ -115,22 +128,20 @@ def convex_hulls_common_point(point_sets):
 
     rows, rhs = [], []
     for s, ps in enumerate(sets):
-        row = [Fraction(0)] * total
-        for i in range(len(ps)):
-            row[offsets[s] + i] = Fraction(1)
+        row = [0] * total
+        row[offsets[s]:offsets[s] + len(ps)] = [scale] * len(ps)
         rows.append(row)
-        rhs.append(Fraction(1))
+        rhs.append(scale)
+    first = list(zip(*int_sets[0]))
     for s in range(1, len(sets)):
-        for c in range(dim):
-            row = [Fraction(0)] * total
-            for i, p in enumerate(sets[0]):
-                row[offsets[0] + i] += p[c]
-            for i, p in enumerate(sets[s]):
-                row[offsets[s] + i] -= p[c]
+        for c, other in enumerate(zip(*int_sets[s])):
+            row = [0] * total
+            row[:len(first[c])] = first[c]
+            row[offsets[s]:offsets[s] + len(other)] = [-v for v in other]
             rows.append(row)
-            rhs.append(Fraction(0))
+            rhs.append(0)
 
-    x = feasible_nonneg_solution(rows, rhs)
+    x = _phase1(rows, rhs, scale)
     if x is None:
         return None
     weights = [x[offsets[s]:offsets[s] + len(ps)] for s, ps in enumerate(sets)]

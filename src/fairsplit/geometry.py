@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .errors import InputError, ResourceBudget
 from .exactlp import convex_hulls_common_point
@@ -98,42 +99,70 @@ def gale_alternating(s1, s2):
     return all(u != v for u, v in zip(side, side[1:]))
 
 
+def _family_count(n_points, q, max_total):
+    """len(list(_disjoint_families(n_points, q, max_total))): choose the t
+    labels used, then split them into q unordered nonempty classes."""
+    stirling = [1] + [0] * q  # S(t, k) for k = 0..q, starting at t = 0
+    count = 0
+    for t in range(1, min(n_points, max_total) + 1):
+        stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, q + 1)]
+        count += comb(n_points, t) * stirling[q]
+    return count
+
+
 def _disjoint_families(n_points, q, max_total):
     """Canonical families of q pairwise disjoint nonempty label subsets with
     at most max_total labels in total; canonical = classes ordered by first
-    label, so each unordered family appears once."""
-    out = []
+    label, so each unordered family appears once.
 
-    def rec(label, classes, total):
-        if label > n_points:
-            if all(classes):
-                out.append([tuple(c) for c in classes])
-            return
-        rec(label + 1, classes, total)
-        if total < max_total:
-            first_empty = next((i for i, c in enumerate(classes) if not c), q)
-            for i in range(min(first_empty + 1, q)):
-                classes[i].append(label)
-                rec(label + 1, classes, total + 1)
-                classes[i].pop()
-
-    rec(1, [[] for _ in range(q)], 0)
-    return out
+    Yields them in lexicographic order of the per-label choices, where
+    leaving a label out comes before putting it in class 0, 1, ...; a label
+    may open only the first empty class.
+    """
+    classes = [[] for _ in range(q)]
+    choice = [-2] * n_points  # per label: -2 untried, -1 left out, c >= 0 in class c
+    used = total = 0          # nonempty classes (always classes 0..used-1), labels placed
+    i = 0
+    while i >= 0:
+        if i == n_points:
+            if used == q:
+                yield [tuple(c) for c in classes]
+            i -= 1
+            continue
+        c = choice[i]
+        if c >= 0:
+            classes[c].pop()
+            total -= 1
+            if not classes[c]:
+                used -= 1
+        c += 1
+        if c >= 0 and (total >= max_total or c > min(used, q - 1)):
+            choice[i] = -2
+            i -= 1
+            continue
+        choice[i] = c
+        if c >= 0:
+            if not classes[c]:
+                used += 1
+            classes[c].append(i + 1)
+            total += 1
+        i += 1
 
 
 def strong_general_position_check(config, q, budget=200000):
     """True iff every family of q pairwise disjoint nonempty subsets with at
     most (q-1)(D+1) points in total has empty common hull intersection.
 
-    Returns (verdict, witness_family_or_None).
+    Returns (verdict, witness_family_or_None).  The families are counted
+    before any is built, so an over-budget check fails at once.
     """
     if q < 1:
         raise InputError("q must be positive")
     bound = (q - 1) * (config.dim + 1)
-    fams = _disjoint_families(len(config), q, bound)
-    if len(fams) > budget:
-        raise ResourceBudget("too many families to check: %d" % len(fams))
-    for fam in fams:
+    count = _family_count(len(config), q, bound)
+    if count > budget:
+        raise ResourceBudget("too many families to check: %d" % count)
+    for fam in _disjoint_families(len(config), q, bound):
         if hulls_intersect([config.subset(c) for c in fam]):
             return False, fam
     return True, None

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
-from .errors import ContractError, InputError, ResourceBudget
+from .errors import InputError, ResourceBudget
 from .exactlp import convex_hulls_common_point
 from .geometry import PointConfiguration
 from .graphs import Graph, VertexPartition
@@ -317,7 +317,8 @@ def find_splitting(problem: SearchProblem) -> SearchOutcome:
         sets, point = solutions[0]
         cert = _verify(problem, sets)
         if not cert.ok:
-            raise ContractError("search produced a splitting its own certificate rejects")
+            # a fault in the search, not a proven negative: the CLI reports it as internal
+            raise AssertionError("search produced a splitting its own certificate rejects")
         return SearchOutcome("found", Splitting(sets), cert, nodes, point)
     if status == "budget":
         return SearchOutcome("budget_exceeded", None, None, nodes)
@@ -351,7 +352,7 @@ def enumerate_splittings(problem: SearchProblem, limit) -> list:
     for sets, point in solutions:
         cert = _verify(problem, sets)
         if not cert.ok:
-            raise ContractError("enumerated splitting fails its certificate")
+            raise AssertionError("enumerated splitting fails its certificate")
         outcome = SearchOutcome("found", Splitting(sets), cert, nodes, point)
         out.append(outcome)
     return out

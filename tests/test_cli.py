@@ -278,6 +278,20 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch, cycle6):
     assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
+def test_self_rejected_certificate_is_internal_error(capsys, monkeypatch, cycle6):
+    # a witness the search's own certificate rejects is a fault, not exit 1
+    import types
+
+    import fairsplit.solver as solver
+
+    monkeypatch.setattr(solver, "check_splitting",
+                        lambda *args: types.SimpleNamespace(ok=False))
+    code, doc, err = run(capsys, "solve", "--input", cycle6, "--q", "2")
+    assert code == 4 and doc is None
+    assert err == ("internal error: AssertionError: search produced a splitting "
+                   "its own certificate rejects\n")
+
+
 def test_json_booleans_are_not_integers(capsys, tmp_path):
     path = write(tmp_path, "bool.json", {
         "schema": "instance/1", "n": True, "edges": [], "partition": [[True]]})

@@ -1,10 +1,12 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from fairsplit.errors import InputError, ResourceBudget
-from fairsplit.geometry import (PointConfiguration, gale_alternating,
+from fairsplit.geometry import (PointConfiguration, _disjoint_families,
+                                _family_count, gale_alternating,
                                 hulls_intersect, moment_points,
                                 stretched_moment_points,
                                 strong_general_position_check, tverberg_search)
@@ -116,6 +118,45 @@ def test_strong_general_position_budget():
     cfg = stretched_moment_points(8, d=2)
     with pytest.raises(ResourceBudget):
         strong_general_position_check(cfg, 3, budget=5)
+
+
+def _disjoint_families_reference(n_points, q, max_total):
+    out = []
+
+    def rec(label, classes, total):
+        if label > n_points:
+            if all(classes):
+                out.append([tuple(c) for c in classes])
+            return
+        rec(label + 1, classes, total)
+        if total < max_total:
+            first_empty = next((i for i, c in enumerate(classes) if not c), q)
+            for i in range(min(first_empty + 1, q)):
+                classes[i].append(label)
+                rec(label + 1, classes, total + 1)
+                classes[i].pop()
+
+    rec(1, [[] for _ in range(q)], 0)
+    return out
+
+
+def test_disjoint_families_order_and_count():
+    # the first family that meets decides the witness, so the order matters
+    for n in range(7):
+        for q in range(1, 4):
+            for max_total in range(8):
+                want = _disjoint_families_reference(n, q, max_total)
+                assert list(_disjoint_families(n, q, max_total)) == want
+                assert _family_count(n, q, max_total) == len(want)
+
+
+def test_strong_general_position_counts_before_building():
+    # 3,906,210 families: the budget must stop the check before any is built
+    cfg = moment_points(range(1, 21), dim=2)
+    start = time.perf_counter()
+    with pytest.raises(ResourceBudget, match="too many families to check: 3906210"):
+        strong_general_position_check(cfg, 3)
+    assert time.perf_counter() - start < 1
 
 
 def test_tverberg_radon_on_line():
