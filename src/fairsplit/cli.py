@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .compose import SplitterSpec, compose, power_of_two_splitting, solver_base_splitter
+from .compose import compose, power_of_two_splitting, solver_base_splitter
+from .complexes import FACE_BUDGET
 from .conditions import check_conditions
 from .constraint_map import (ConstraintMapInstance, verify_equivariance,
                              verify_zero_set)
@@ -19,17 +20,15 @@ from .errors import ContractError, InputError, ResourceBudget
 from .geometry import (gale_alternating, hulls_intersect, moment_points,
                        stretched_moment_points, strong_general_position_check,
                        tverberg_search)
-from .graphs import (FAMILIES, VertexPartition, consecutive_partition,
-                     generate_family, path_graph, single_block_partition)
+from .graphs import (FAMILIES, consecutive_partition, generate_family,
+                     path_graph, single_block_partition)
 from .homology import homology
 from .kneser import (KneserInstance, build_hypergraph, chromatic_formula,
                      chromatic_number, splitting_from_coloring)
 from .serial import (canonical_dumps, complex_load, instance_dump,
                      instance_load, load_file, points_dump, points_load,
                      splitting_dump, splitting_load)
-from .solver import (DEFAULT_NODE_BUDGET, SearchProblem,
-                     find_geometric_splitting, find_splitting,
-                     find_transversal_splitting)
+from .solver import DEFAULT_NODE_BUDGET, SearchProblem, find_splitting
 from .splitting import SplittingSpec, check_splitting
 
 
@@ -104,23 +103,15 @@ def cmd_solve(args):
     g, partition = _load_instance(args.input)
     spec = _spec_from_args(args, args.q)
     caps = _int_list(args.caps, "--caps") if args.caps else None
+    config = None
     if args.mode == "geometric":
         if not args.points:
             raise InputError("geometric mode needs --points FILE")
         config = load_file(args.points, points_load)
-        problem = SearchProblem(partition=partition, spec=spec, graph=g,
-                                mode="geometric", points=config, caps=caps,
-                                budget=args.budget, threads=args.threads)
-        out = find_geometric_splitting(problem)
-    elif spec.flavor == "transversal" and caps is None:
-        out = find_transversal_splitting(g, partition, args.q,
-                                         budget=args.budget,
-                                         threads=args.threads)
-    else:
-        problem = SearchProblem(partition=partition, spec=spec, graph=g,
-                                caps=caps, budget=args.budget,
-                                threads=args.threads)
-        out = find_splitting(problem)
+    problem = SearchProblem(partition=partition, spec=spec, graph=g,
+                            mode=args.mode, points=config, caps=caps,
+                            budget=args.budget)
+    out = find_splitting(problem)
     code = {"found": 0, "exhausted_none": 1, "budget_exceeded": 3}[out.status]
     return code, out.to_json()
 
@@ -213,16 +204,15 @@ def cmd_compose(args):
         partition = single_block_partition(n)
     if args.t is not None:
         splitting = power_of_two_splitting(n, partition, args.t,
-                                           budget=args.budget,
-                                           threads=args.threads)
+                                           budget=args.budget)
         q, stability = 2 ** args.t, 2 ** args.t
     else:
         if args.q1 is None or args.q2 is None:
             raise InputError("compose needs either --t or both --q1 and --q2")
         outer = solver_base_splitter(args.q1, args.s1 or args.q1,
-                                     budget=args.budget, threads=args.threads)
+                                     budget=args.budget)
         inner = solver_base_splitter(args.q2, args.s2 or args.q2,
-                                     budget=args.budget, threads=args.threads)
+                                     budget=args.budget)
         splitting, stability = compose(n, partition, outer, inner)
         q = args.q1 * args.q2
     spec = SplittingSpec(q=q, flavor="almost_fair", stability=stability)
@@ -253,7 +243,7 @@ def cmd_kneser_split(args):
     else:
         partition = single_block_partition(args.n)
     res = splitting_from_coloring(args.n, partition, args.q,
-                                  budget=args.budget, threads=args.threads,
+                                  budget=args.budget,
                                   check_chromatic=args.check_chromatic)
     doc = {"schema": "kneser_split/1", "status": res.status,
            "splitting": None if res.splitting is None else
@@ -274,7 +264,7 @@ def cmd_homology(args):
 
 def cmd_suite(args):
     from .suite import run_suite
-    doc = run_suite(threads=args.threads)
+    doc = run_suite()
     return (0 if doc["all_ok"] else 1), doc
 
 
@@ -346,7 +336,7 @@ def build_parser():
                                     "permutation of 0..n-1")
     ph.add_argument("--full-group", choices=["auto", "yes", "no"],
                     default="auto", dest="full_group")
-    ph.add_argument("--budget", type=int, default=10 ** 7)
+    ph.add_argument("--budget", type=int, default=FACE_BUDGET)
     ph.set_defaults(fn=cmd_phi_check)
 
     co = sub.add_parser("compose", help="product splittings of a path")

@@ -255,7 +255,6 @@ def constraint_subcomplex(k: SimplicialComplex, partition, caps, budget=FACE_BUD
         if all(sum(1 for v in f if v in set(b)) <= c
                for b, c in zip(partition.blocks, caps)):
             ok.append(f)
-    maximal = [f for f in ok if not any(f < g for g in ok)]
-    if not maximal and not ok:
+    if not ok:
         return SimplicialComplex([])
-    return SimplicialComplex(maximal if maximal else [()], vertices=k.vertices)
+    return SimplicialComplex(ok, vertices=k.vertices)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import ContractError, InputError
 from .graphs import VertexPartition, power_path
 from .splitting import Splitting, SplittingSpec, check_splitting
-from .solver import SearchProblem, find_splitting
+from .solver import DEFAULT_NODE_BUDGET, SearchProblem, find_splitting
 
 
 def floor_identity_check(a, b, c):
@@ -47,16 +47,15 @@ class SplitterSpec:
                              weak_stability=self.weak_stability)
 
 
-def solver_base_splitter(q, stability, budget=None, threads=1):
+def solver_base_splitter(q, stability, budget=DEFAULT_NODE_BUDGET):
     """The exhaustive solver as a base splitter: s-stable sets of the path
     are exactly the independent sets of the (s-1)-th path power."""
 
     def run(n, partition):
         g = power_path(n, stability - 1)
         spec = SplittingSpec(q=q, flavor="almost_fair", stability=stability)
-        kwargs = {} if budget is None else {"budget": budget}
         problem = SearchProblem(partition=partition, spec=spec, graph=g,
-                                threads=threads, **kwargs)
+                                budget=budget)
         out = find_splitting(problem)
         if out.status != "found":
             raise ContractError(
@@ -129,14 +128,14 @@ def compose(n, partition, outer: SplitterSpec, inner: SplitterSpec):
     return splitting, stability
 
 
-def power_of_two_splitting(n, partition, t, budget=None, threads=1):
+def power_of_two_splitting(n, partition, t, budget=DEFAULT_NODE_BUDGET):
     """2^t pairwise disjoint 2^t-stable sets forming an almost fair splitting
     of the path on n vertices, by iterating the q=2 exhaustive base."""
     if t < 1:
         raise InputError("need t >= 1")
     if any(len(b) < 2 ** t - 1 for b in partition.blocks):
         raise InputError("every block needs at least 2^t - 1 vertices")
-    base = solver_base_splitter(2, 2, budget=budget, threads=threads)
+    base = solver_base_splitter(2, 2, budget=budget)
     if t == 1:
         splitting = base.run(n, partition)
         _reverify("base splitter", n, partition, splitting, base.claimed_spec())

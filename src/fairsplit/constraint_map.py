@@ -52,9 +52,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .complexes import FACE_BUDGET
 from .errors import InputError, ResourceBudget
-
-FACE_BUDGET = 10 ** 7
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,13 @@ pivots are chosen by smallest absolute value to keep entries tame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .complexes import SimplicialComplex, vertex_key
+from .complexes import FACE_BUDGET, SimplicialComplex, vertex_key
 from .errors import InputError
 
 
-def _faces_by_dim(k: SimplicialComplex, budget=None):
-    faces = k.faces(budget) if budget else k.faces()
+def _faces_by_dim(k: SimplicialComplex, budget=FACE_BUDGET):
     by_dim = {}
-    for f in faces:
+    for f in k.faces(budget):
         t = tuple(sorted(f, key=vertex_key))
         by_dim.setdefault(len(t) - 1, []).append(t)
     for d in by_dim:
@@ -38,27 +35,6 @@ def boundary_matrix(faces_lower, faces_upper):
             sub = face[:i] + face[i + 1:]
             mat[index[sub]][c] = 1 if i % 2 == 0 else -1
     return mat
-
-
-def matmul(a, b):
-    if not a or not b:
-        return []
-    cols = len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-             for j in range(cols)] for i in range(len(a))]
-
-
-@dataclass
-class ChainComplexData:
-    """Boundary matrices per dimension, highest first composing to zero."""
-    matrices: list  # matrices[d] maps dimension d to d-1
-
-    def check_composition(self):
-        for d in range(1, len(self.matrices)):
-            prod = matmul(self.matrices[d - 1], self.matrices[d])
-            if any(any(x for x in row) for row in prod):
-                return False
-        return True
 
 
 def smith_diagonal(mat):
@@ -99,15 +75,17 @@ def smith_diagonal(mat):
                     dirty = True
         if dirty:
             continue
-        # pivot must divide everything below-right; otherwise mix a bad row in
+        # pivot must divide everything below-right; otherwise mix a bad row
+        # in.  A unit divides every integer, so a pivot of +-1 needs no scan.
         bad = None
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if a[i][j] % p:
-                    bad = i
+        if abs(p) != 1:
+            for i in range(top + 1, rows):
+                for j in range(top + 1, cols):
+                    if a[i][j] % p:
+                        bad = i
+                        break
+                if bad is not None:
                     break
-            if bad is not None:
-                break
         if bad is not None:
             for j in range(top, cols):
                 a[top][j] += a[bad][j]
@@ -121,7 +99,7 @@ def rank_of(mat):
     return len(smith_diagonal(mat))
 
 
-def homology(k: SimplicialComplex, max_dim=None, budget=None):
+def homology(k: SimplicialComplex, max_dim=None, budget=FACE_BUDGET):
     """Reduced integral homology: [(betti_d, [torsion orders]), ...] for
     d = 0 .. max_dim (default: the dimension of the complex)."""
     if k.is_void():
@@ -144,13 +122,3 @@ def homology(k: SimplicialComplex, max_dim=None, budget=None):
         torsion = sorted(x for x in above if x > 1)
         out.append((betti, torsion))
     return out
-
-
-def chain_complex(k: SimplicialComplex, budget=None):
-    """The augmented integer chain complex of k, top dimension first index."""
-    by_dim = _faces_by_dim(k, budget)
-    mats = []
-    for d in range(0, k.dim() + 1):
-        mats.append(boundary_matrix(by_dim.get(d - 1, []),
-                                    by_dim.get(d, [])))
-    return ChainComplexData(mats)

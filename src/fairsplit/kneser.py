@@ -24,7 +24,7 @@ from itertools import combinations
 from .errors import ContractError, InputError, ResourceBudget
 from .graphs import VertexPartition, path_graph, power_path
 from .splitting import Splitting, SplittingSpec, check_splitting, is_q_stable
-from .solver import SearchProblem, find_splitting
+from .solver import DEFAULT_NODE_BUDGET, SearchProblem, find_splitting
 
 VERTEX_BUDGET = 200000
 EDGE_BUDGET = 5_000_000
@@ -63,9 +63,6 @@ class Hypergraph:
     vertices: list  # k-subsets as tuples
     edges: list     # sorted tuples of vertex indices
 
-    def degree(self, i):
-        return sum(1 for e in self.edges if i in e)
-
 
 def build_hypergraph(inst: KneserInstance, vertex_budget=VERTEX_BUDGET,
                      edge_budget=EDGE_BUDGET):
@@ -96,14 +93,6 @@ def build_hypergraph(inst: KneserInstance, vertex_budget=VERTEX_BUDGET,
 def chromatic_formula(n, k, q):
     """ceil((n - q(k-1)) / (q-1)), the exact value for n >= qk."""
     return -((-(n - q * (k - 1))) // (q - 1))
-
-
-@dataclass
-class Coloring:
-    colors: list  # color per vertex index, 1-based colors
-
-    def count(self):
-        return max(self.colors) if self.colors else 0
 
 
 def is_proper(h: Hypergraph, colors):
@@ -260,7 +249,7 @@ class PipelineResult:
     details: dict = field(default_factory=dict)
 
 
-def _mono_edge_search(n_padded, padded_blocks, q, ks, budget, threads):
+def _mono_edge_search(n_padded, padded_blocks, q, ks, budget):
     """q pairwise disjoint q-stable k-sets with |S_i ∩ V'_j| = k_j - 1."""
     k = sum(kj - 1 for kj in ks)
     if k == 0:
@@ -270,8 +259,7 @@ def _mono_edge_search(n_padded, padded_blocks, q, ks, budget, threads):
     spec = SplittingSpec(q=q, flavor="almost_fair", stability=q)
     caps = [kj - 1 for kj in ks]
     problem = SearchProblem(partition=partition, spec=spec, graph=g,
-                            caps=caps, threads=threads,
-                            **({} if budget is None else {"budget": budget}))
+                            caps=caps, budget=budget)
     out = find_splitting(problem)
     if out.status == "budget_exceeded":
         raise ResourceBudget("monochromatic-edge search exceeded its budget")
@@ -341,7 +329,7 @@ def rebalance_q2(n_padded, padded_partition, s1, s2, pad_blocks):
     return Splitting(pair), removals
 
 
-def splitting_from_coloring(n, partition, q, budget=None, threads=1,
+def splitting_from_coloring(n, partition, q, budget=DEFAULT_NODE_BUDGET,
                             check_chromatic=False):
     """The full reduction on the path with vertices 1..n.
 
@@ -378,7 +366,7 @@ def splitting_from_coloring(n, partition, q, budget=None, threads=1,
             details["chi"] = chi
             details["chi_formula"] = chromatic_formula(n_padded, k, q)
 
-    mono = _mono_edge_search(n_padded, padded_blocks, q, ks, budget, threads)
+    mono = _mono_edge_search(n_padded, padded_blocks, q, ks, budget)
     if mono is None:
         return PipelineResult("falsification", details={
             **details,

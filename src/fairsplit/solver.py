@@ -1,5 +1,10 @@
 """Exact depth-first search for splittings.
 
+A `SearchProblem` states the instance, the spec and the budget; every search
+goes through it, either to `find_splitting` (the first solution) or to
+`enumerate_splittings` (the first `limit`).  Geometric mode caps each block
+at |V_j| // q vertices per set unless the problem gives its own caps.
+
 Vertices are visited in ascending label order, one position per vertex.  Each
 position goes to one of the q sets, tried in order 0..q-1, or stays unused,
 tried last.  Solutions therefore come out in one fixed order, and the first is
@@ -58,7 +63,6 @@ class SearchProblem:
     points: PointConfiguration | None = None
     caps: list | None = None
     budget: int = DEFAULT_NODE_BUDGET
-    threads: int = 1  # accepted for compatibility; the search is sequential
 
     def __post_init__(self):
         if self.graph is None and self.host is None:
@@ -75,6 +79,8 @@ class SearchProblem:
                 raise InputError("geometric mode needs a point configuration")
             if len(self.points) < max(ground):
                 raise InputError("need a point for every vertex label")
+            if self.caps is None:
+                self.caps = [len(b) // self.spec.q for b in self.partition.blocks]
         if self.caps is not None and len(self.caps) != self.partition.m:
             raise InputError("need one cap per block")
 
@@ -323,21 +329,6 @@ def find_splitting(problem: SearchProblem) -> SearchOutcome:
     if status == "budget":
         return SearchOutcome("budget_exceeded", None, None, nodes)
     return SearchOutcome("exhausted_none", None, None, nodes)
-
-
-def find_transversal_splitting(g, partition, q, budget=DEFAULT_NODE_BUDGET, threads=1):
-    spec = SplittingSpec(q=q, flavor="transversal")
-    problem = SearchProblem(partition=partition, spec=spec, graph=g,
-                            budget=budget, threads=threads)
-    return find_splitting(problem)
-
-
-def find_geometric_splitting(problem: SearchProblem) -> SearchOutcome:
-    if problem.mode != "geometric":
-        raise InputError("problem is not in geometric mode")
-    if problem.caps is None:
-        problem.caps = [len(b) // problem.spec.q for b in problem.partition.blocks]
-    return find_splitting(problem)
 
 
 def enumerate_splittings(problem: SearchProblem, limit) -> list:

@@ -1,8 +1,7 @@
 """Curated self-check battery behind the `suite` CLI command.
 
 Every entry is fast, exact, and deterministic; the emitted JSON contains no
-timings or other run-varying data, so two runs (any thread counts) must be
-byte-identical.
+timings or other run-varying data, so two runs must be byte-identical.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from .homology import homology
 from .complexes import independence_complex
 from .kneser import (KneserInstance, build_hypergraph, chromatic_formula,
                      chromatic_number, splitting_from_coloring)
-from .solver import (SearchProblem, enumerate_splittings, find_splitting,
-                     find_transversal_splitting)
+from .solver import SearchProblem, enumerate_splittings, find_splitting
 from .splitting import SplittingSpec, check_splitting
 
 
@@ -39,43 +37,42 @@ def two_triangles_instance():
     return g, partition
 
 
-def _entry_six_cycle(threads):
+def _entry_six_cycle():
     g, partition = six_cycle_instance()
     spec = SplittingSpec(q=2, flavor="almost_fair", balanced=True)
     problem = SearchProblem(partition=partition, spec=spec, graph=g,
-                            caps=[1, 1], threads=threads)
+                            caps=[1, 1])
     out = find_splitting(problem)
     ok = (out.status == "found" and out.certificate.ok
           and all(c == 1 for row in out.certificate.counts for c in row))
     return out.to_json(), ok
 
 
-def _entry_two_triangles(threads):
+def _entry_two_triangles():
     g, partition = two_triangles_instance()
     spec = SplittingSpec(q=2, flavor="almost_fair")
-    problem = SearchProblem(partition=partition, spec=spec, graph=g,
-                            threads=threads)
+    problem = SearchProblem(partition=partition, spec=spec, graph=g)
     out = find_splitting(problem)
     return out.to_json(), out.status == "exhausted_none"
 
 
-def _entry_enumerate(threads):
+def _entry_enumerate():
     g, partition = six_cycle_instance()
     spec = SplittingSpec(q=2, flavor="almost_fair")
-    problem = SearchProblem(partition=partition, spec=spec, graph=g,
-                            threads=threads)
+    problem = SearchProblem(partition=partition, spec=spec, graph=g)
     outs = enumerate_splittings(problem, 10 ** 6)
     return {"count": len(outs)}, len(outs) == 16
 
 
-def _entry_transversal(threads):
+def _entry_transversal():
     g = matching_graph(11)
     partition = consecutive_partition([5, 6])
-    out = find_transversal_splitting(g, partition, 3, threads=threads)
+    spec = SplittingSpec(q=3, flavor="transversal")
+    out = find_splitting(SearchProblem(partition=partition, spec=spec, graph=g))
     return out.to_json(), out.status == "found" and out.certificate.ok
 
 
-def _entry_constraint_map(threads):
+def _entry_constraint_map():
     rows = []
     ok = True
     for (q, k, t) in ((2, 2, 1), (3, 2, 2), (2, 3, 2)):
@@ -88,7 +85,7 @@ def _entry_constraint_map(threads):
     return {"instances": rows}, ok
 
 
-def _entry_geometry(threads):
+def _entry_geometry():
     from itertools import combinations
     config = moment_points([1, 2, 3, 4, 5, 6], d=1)
     mismatches = 0
@@ -102,7 +99,7 @@ def _entry_geometry(threads):
     return {"mismatches": mismatches}, mismatches == 0
 
 
-def _entry_tverberg(threads):
+def _entry_tverberg():
     three = moment_points([1, 2, 3], dim=1)
     hit = tverberg_search(three, 2)
     two = moment_points([1, 2], dim=1)
@@ -115,7 +112,7 @@ def _entry_tverberg(threads):
     return detail, ok
 
 
-def _entry_kneser_chi(threads):
+def _entry_kneser_chi():
     h = build_hypergraph(KneserInstance(5, 2, 2))
     chi, _ = chromatic_number(h)
     hs = build_hypergraph(KneserInstance(6, 2, 2, "path"))
@@ -125,9 +122,9 @@ def _entry_kneser_chi(threads):
     return detail, chi == 3 and chis == 4
 
 
-def _entry_kneser_split(threads):
+def _entry_kneser_split():
     part = consecutive_partition([4, 5])
-    res = splitting_from_coloring(9, part, 2, threads=threads)
+    res = splitting_from_coloring(9, part, 2)
     ok = res.status == "found" and res.certificate.ok
     detail = {"status": res.status,
               "sets": None if res.splitting is None else
@@ -135,9 +132,9 @@ def _entry_kneser_split(threads):
     return detail, ok
 
 
-def _entry_compose(threads):
+def _entry_compose():
     partition = single_block_partition(15)
-    splitting = power_of_two_splitting(15, partition, 2, threads=threads)
+    splitting = power_of_two_splitting(15, partition, 2)
     spec = SplittingSpec(q=4, flavor="almost_fair", stability=4)
     cert = check_splitting(path_graph(15), partition, splitting, spec)
     ok = cert.ok and len(splitting.sets) == 4
@@ -145,7 +142,7 @@ def _entry_compose(threads):
             "certificate": cert.to_json()}, ok
 
 
-def _entry_conditions(threads):
+def _entry_conditions():
     g, partition = six_cycle_instance()
     rep = check_conditions(g, partition, 2)
     all_false = not any(v["ok"] for v in rep.fragments.values())
@@ -155,7 +152,7 @@ def _entry_conditions(threads):
         all_false and rep2["transversal_size"]["ok"])
 
 
-def _entry_homology(threads):
+def _entry_homology():
     h = homology(independence_complex(cycle_graph(6)))
     detail = {"betti": [b for b, _ in h],
               "torsion": [list(t) for _, t in h]}
@@ -178,11 +175,11 @@ ENTRIES = [
 ]
 
 
-def run_suite(threads=1):
+def run_suite():
     results = []
     all_ok = True
     for name, fn in ENTRIES:
-        detail, ok = fn(threads)
+        detail, ok = fn()
         all_ok = all_ok and ok
         results.append({"name": name, "ok": ok, "detail": detail})
     return {"schema": "suite/1", "all_ok": all_ok, "results": results}

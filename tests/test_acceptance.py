@@ -13,6 +13,7 @@ import json
 import random
 import time
 
+from fairsplit.cli import main
 from fairsplit.compose import power_of_two_splitting
 from fairsplit.conditions import (path_deletion, path_union_cliques_shape,
                                   transversal_size)
@@ -30,8 +31,7 @@ from fairsplit.kneser import (KneserInstance, build_hypergraph,
                               chromatic_number, rebalance_q2,
                               splitting_from_coloring)
 from fairsplit.serial import canonical_dumps
-from fairsplit.solver import (SearchProblem, find_splitting,
-                              find_transversal_splitting)
+from fairsplit.solver import SearchProblem, find_splitting
 from fairsplit.splitting import SplittingSpec, check_splitting
 from fairsplit.suite import run_suite, six_cycle_instance, two_triangles_instance
 
@@ -263,7 +263,9 @@ def test_07_sparseness_hypotheses_imply_splittings(capsys):
             assert out.status == "found", (g.n, part.blocks, q)
             assert out.certificate.ok
         for g, part, q in transversal_cases:
-            out = find_transversal_splitting(g, part, q)
+            spec = SplittingSpec(q=q, flavor="transversal")
+            out = find_splitting(SearchProblem(partition=part, spec=spec,
+                                               graph=g))
             assert out.status == "found", (g.n, part.blocks, q)
             assert out.certificate.ok
 
@@ -404,9 +406,11 @@ def test_11_solver_agrees_with_brute_force(capsys):
 
 def test_12_suite_byte_identical_across_threads(capsys):
     with _stopwatch(capsys, 12, "suite byte-identical across threads", 600):
-        one = canonical_dumps(run_suite(threads=1))
-        four = canonical_dumps(run_suite(threads=4))
-        assert one == four
-        doc = json.loads(one)
+        direct = canonical_dumps(run_suite())
+        # the CLI accepts --threads and ignores it
+        for threads in ("1", "4"):
+            assert main(["suite", "--threads", threads]) == 0
+            assert capsys.readouterr().out == direct
+        doc = json.loads(direct)
         assert doc["all_ok"] is True
         assert len(doc["results"]) == 12

@@ -52,6 +52,26 @@ def test_solve_found(capsys, cycle6):
     assert all(c == [1, 1] for c in counts)
 
 
+def test_transversal_solve_honours_spec_flags(capsys, tmp_path):
+    # with or without --caps, a transversal solve keeps every spec flag
+    code, doc, _ = run(capsys, "generate", "--family", "path", "--n", "7",
+                       "--blocks", "7")
+    path = write(tmp_path, "p7.json", doc)
+    for caps in ([], ["--caps", "7"]):
+        solve = ["solve", "--input", path, "--q", "3", "--flavor", "transversal"]
+        code, doc, _ = run(capsys, *solve, "--stability", "3", *caps)
+        assert code == 0 and doc["certificate"]["ok"] is True
+        assert doc["splitting"] == [[1, 4, 7], [2, 5], [3, 6]]
+        assert doc["certificate"]["stability_ok"] == [True, True, True]
+        code, doc, _ = run(capsys, *solve, "--balanced", *caps)
+        assert code == 0 and doc["certificate"]["ok"] is True
+        assert doc["certificate"]["balanced_ok"] is True
+        assert sorted(map(len, doc["splitting"])) == [2, 2, 3]
+        code, doc, _ = run(capsys, *solve, "--weak", *caps)
+        assert code == 0 and doc["certificate"]["ok"] is True
+        assert doc["certificate"]["weak_verdict"] is True
+
+
 def test_solve_refuted(capsys, tmp_path):
     path = write(tmp_path, "hard.json", {
         "schema": "instance/1", "n": 8,

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
 import pytest
@@ -7,8 +8,100 @@ from fairsplit.complexes import (SimplicialComplex, cone, full_simplex,
                                  independence_complex, skeleton)
 from fairsplit.errors import InputError
 from fairsplit.graphs import Graph, cycle_graph
-from fairsplit.homology import (boundary_matrix, chain_complex, homology,
-                                matmul, rank_of, smith_diagonal)
+from fairsplit.homology import (_faces_by_dim, boundary_matrix, homology,
+                                rank_of, smith_diagonal)
+
+# ---------------------------------------------------------------------------
+# the dd = 0 oracle: consecutive boundary matrices multiply to zero
+
+
+def matmul(a, b):
+    if not a or not b:
+        return []
+    cols = len(b[0])
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+             for j in range(cols)] for i in range(len(a))]
+
+
+@dataclass
+class ChainComplexData:
+    """Boundary matrices per dimension, highest first composing to zero."""
+    matrices: list  # matrices[d] maps dimension d to d-1
+
+    def check_composition(self):
+        for d in range(1, len(self.matrices)):
+            prod = matmul(self.matrices[d - 1], self.matrices[d])
+            if any(any(x for x in row) for row in prod):
+                return False
+        return True
+
+
+def chain_complex(k: SimplicialComplex):
+    """The augmented integer chain complex of k, top dimension first index."""
+    by_dim = _faces_by_dim(k)
+    mats = []
+    for d in range(0, k.dim() + 1):
+        mats.append(boundary_matrix(by_dim.get(d - 1, []),
+                                    by_dim.get(d, [])))
+    return ChainComplexData(mats)
+
+
+# ---------------------------------------------------------------------------
+# reference Smith diagonal: rescans below-right for divisibility after every
+# pivot, the unit pivots included
+
+
+def _smith_diagonal_reference(mat):
+    a = [list(row) for row in mat]
+    rows, out = len(a), []
+    cols = len(a[0]) if a else 0
+    top = 0
+    while top < rows and top < cols:
+        best = None
+        for i in range(top, rows):
+            for j in range(top, cols):
+                if a[i][j] and (best is None
+                                or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        a[top], a[bi] = a[bi], a[top]
+        for row in a:
+            row[top], row[bj] = row[bj], row[top]
+        p = a[top][top]
+        dirty = False
+        for i in range(top + 1, rows):
+            if a[i][top]:
+                f = a[i][top] // p
+                for j in range(top, cols):
+                    a[i][j] -= f * a[top][j]
+                if a[i][top]:
+                    dirty = True
+        for j in range(top + 1, cols):
+            if a[top][j]:
+                f = a[top][j] // p
+                for i in range(top, rows):
+                    a[i][j] -= f * a[i][top]
+                if a[top][j]:
+                    dirty = True
+        if dirty:
+            continue
+        bad = None
+        for i in range(top + 1, rows):
+            for j in range(top + 1, cols):
+                if a[i][j] % p:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            for j in range(top, cols):
+                a[top][j] += a[bad][j]
+            continue
+        out.append(abs(p))
+        top += 1
+    return out
 
 
 def test_boundary_signs_with_augmentation():
@@ -48,6 +141,20 @@ def test_smith_diagonal_random_invariants():
             prod *= x
         assert prod == abs(det)
         assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+
+
+def test_smith_diagonal_matches_reference():
+    # entries in -3..3: unit pivots and non-unit ones (2, 3 and what
+    # elimination makes of them) both occur
+    rng = random.Random(43)
+    non_unit = 0
+    for _ in range(400):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        want = _smith_diagonal_reference(m)
+        assert smith_diagonal(m) == want, m
+        non_unit += any(x > 1 for x in want)
+    assert non_unit >= 20
 
 
 def test_rank_of():

@@ -10,6 +10,7 @@ from fairsplit.kneser import (KneserInstance, block_coloring, build_hypergraph,
                               chromatic_formula, chromatic_number, is_proper,
                               rebalance_q2, splitting_from_coloring,
                               stable_subsets)
+from fairsplit.solver import DEFAULT_NODE_BUDGET
 from fairsplit.splitting import SplittingSpec, check_splitting
 
 
@@ -139,7 +140,7 @@ def test_block_coloring_values():
 def test_block_coloring_matches_mono_edge_search():
     # the exhaustive search looks exactly for q disjoint last-color vertices
     verts, colors, blocks = block_coloring(2, [2, 2])
-    sets = kneser._mono_edge_search(6, blocks, 2, [2, 2], None, 1)
+    sets = kneser._mono_edge_search(6, blocks, 2, [2, 2], DEFAULT_NODE_BUDGET)
     assert sets is not None
     got = dict(zip(verts, colors))
     for s in sets:

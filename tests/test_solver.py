@@ -11,9 +11,7 @@ from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.geometry import gale_alternating, stretched_moment_points
 from fairsplit.graphs import (Graph, VertexPartition, cycle_graph, is_independent,
                               matching_graph, path_graph)
-from fairsplit.solver import (SearchProblem, enumerate_splittings,
-                              find_geometric_splitting, find_splitting,
-                              find_transversal_splitting)
+from fairsplit.solver import SearchProblem, enumerate_splittings, find_splitting
 from fairsplit.splitting import SplittingSpec, check_splitting
 
 # ---------------------------------------------------------------------------
@@ -219,26 +217,19 @@ def test_witness_survives_set_reordering():
     assert check_splitting(g, part, swapped, spec).ok
 
 
-def test_thread_count_does_not_change_result():
-    g = cycle_graph(10)
-    part = VertexPartition([(1, 2, 3, 4, 5), (6, 7, 8, 9, 10)], 10)
-    spec = SplittingSpec(q=2, flavor="fair", balanced=True)
-    outs = [find_splitting(SearchProblem(partition=part, spec=spec, graph=g,
-                                         threads=t))
-            for t in (1, 2, 5)]
-    docs = [o.to_json() for o in outs]
-    assert docs[0] == docs[1] == docs[2]
-    assert outs[0].nodes == outs[1].nodes
-
-
 # ---------------------------------------------------------------------------
 # transversals
+
+
+def _transversal(g, part, q):
+    spec = SplittingSpec(q=q, flavor="transversal")
+    return find_splitting(SearchProblem(partition=part, spec=spec, graph=g))
 
 
 def test_transversal_on_matching():
     g = matching_graph(11)
     part = VertexPartition([tuple(range(1, 6)), tuple(range(6, 12))], 11)
-    out = find_transversal_splitting(g, part, q=3)
+    out = _transversal(g, part, q=3)
     assert out.status == "found"
     for counts in out.certificate.counts:
         assert all(c >= 1 for c in counts)
@@ -247,7 +238,7 @@ def test_transversal_on_matching():
 def test_transversal_single_block_complete_graph():
     g = Graph(3, [(1, 2), (1, 3), (2, 3)])
     part = VertexPartition([(1, 2, 3)], 3)
-    out = find_transversal_splitting(g, part, q=3)
+    out = _transversal(g, part, q=3)
     assert out.status == "found"
     assert sorted(s[0] for s in out.splitting.sets) == [1, 2, 3]
 
@@ -256,7 +247,7 @@ def test_transversal_pigeonhole_refutation():
     # a singleton block cannot meet two disjoint sets
     g = Graph(4, [(1, 2), (1, 3), (1, 4)])
     part = VertexPartition([(1,), (2, 3, 4)], 4)
-    out = find_transversal_splitting(g, part, q=2)
+    out = _transversal(g, part, q=2)
     assert out.status == "exhausted_none"
 
 
@@ -296,7 +287,7 @@ def test_geometric_radon_split():
     g = Graph(4, [])
     part = VertexPartition([(1, 2, 3, 4)], 4)
     spec = SplittingSpec(q=2, flavor="almost_fair")
-    out = find_geometric_splitting(SearchProblem(
+    out = find_splitting(SearchProblem(
         partition=part, spec=spec, graph=g, mode="geometric", points=cfg))
     assert out.status == "found"
     assert out.common_point is not None
@@ -312,9 +303,18 @@ def test_geometric_mode_validation():
     spec = SplittingSpec(q=2, flavor="almost_fair")
     with pytest.raises(InputError):
         SearchProblem(partition=part, spec=spec, graph=g, mode="geometric")
-    probe = SearchProblem(partition=part, spec=spec, graph=g)
+    cfg = stretched_moment_points(3, d=1)
+    # geometric mode caps every block at |V_j| // q unless told otherwise
+    problem = SearchProblem(partition=part, spec=spec, graph=g,
+                            mode="geometric", points=cfg)
+    assert problem.caps == [1]
+    problem = SearchProblem(partition=part, spec=spec, graph=g,
+                            mode="geometric", points=cfg, caps=[2])
+    assert problem.caps == [2]
+    assert SearchProblem(partition=part, spec=spec, graph=g).caps is None
     with pytest.raises(InputError):
-        find_geometric_splitting(probe)
+        SearchProblem(partition=part, spec=spec, graph=g, mode="geometric",
+                      points=cfg, caps=[1, 1])
 
 
 def test_q1_degenerate():
