@@ -44,13 +44,18 @@ def smith_diagonal(mat):
     cols = len(a[0]) if a else 0
     top = 0
     while top < rows and top < cols:
-        # smallest-magnitude nonzero pivot
-        best = None
+        # smallest-magnitude nonzero pivot, the first in row-major order;
+        # nothing beats a unit, so the scan stops at the first one
+        best, small = None, 0
         for i in range(top, rows):
+            row = a[i]
             for j in range(top, cols):
-                if a[i][j] and (best is None
-                                or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+                if row[j] and (best is None or abs(row[j]) < small):
+                    best, small = (i, j), abs(row[j])
+                    if small == 1:
+                        break
+            if small == 1:
+                break
         if best is None:
             break
         bi, bj = best

@@ -4,7 +4,15 @@ reduction that turns a chromatic lower bound into a splitting of a path.
 KG^q(n, k) has the k-subsets of 1..n as vertices and a hyperedge for every q
 pairwise disjoint subsets.  The "path" stability filter keeps subsets whose
 elements pairwise differ by at least q; "cycle" additionally requires the
-wrap-around gap first + n - last to be at least q.
+wrap-around gap first + n - last to be at least q.  build_hypergraph counts
+the stable subsets in closed form and checks the vertex budget before it
+enumerates any.
+
+chromatic_number tries c = lower bound, lower bound + 1, ... with one
+iterative DSATUR search per c (Brélaz 1979).  The search keeps, for every
+vertex and color, how many hyperedges that color would make monochromatic,
+and updates those counts as vertices are colored and uncolored, so no node
+rescans a hyperedge list.  One node budget covers all the attempts.
 
 The reduction: given a path partitioned into blocks, pad each block with
 enough trailing path vertices to bring it to size q*k_j - 1, search for q
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
 from .errors import ContractError, InputError, ResourceBudget
 from .graphs import VertexPartition, path_graph, power_path
@@ -58,6 +67,19 @@ def stable_subsets(n, k, q, stability):
     return out
 
 
+def stable_subset_count(n, k, q, stability):
+    """len(stable_subsets(n, k, q, stability)) in closed form: choosing k
+    elements pairwise q apart on a path of n is choosing k of
+    n - (q-1)(k-1); on a cycle of n (k >= 2) it is n*C(m, k)/m with
+    m = n - (q-1)k."""
+    if stability == "none":
+        return comb(n, k)
+    if stability == "cycle" and k >= 2:
+        m = n - (q - 1) * k
+        return n * comb(m, k) // m if m > 0 else 0
+    return comb(max(n - (q - 1) * (k - 1), 0), k)
+
+
 @dataclass
 class Hypergraph:
     vertices: list  # k-subsets as tuples
@@ -66,9 +88,10 @@ class Hypergraph:
 
 def build_hypergraph(inst: KneserInstance, vertex_budget=VERTEX_BUDGET,
                      edge_budget=EDGE_BUDGET):
+    count = stable_subset_count(inst.n, inst.k, inst.q, inst.stability)
+    if count > vertex_budget:
+        raise ResourceBudget("%d vertices exceed the budget" % count)
     verts = stable_subsets(inst.n, inst.k, inst.q, inst.stability)
-    if len(verts) > vertex_budget:
-        raise ResourceBudget("%d vertices exceed the budget" % len(verts))
     masks = [sum(1 << v for v in c) for c in verts]
     edges = []
 
@@ -120,74 +143,119 @@ def _greedy_clique(h: Hypergraph):
 
 
 def _colorable(h: Hypergraph, c, precolored, budget):
-    """Decision search: proper coloring with colors 1..c extending the
-    precolored prefix, DSATUR-style branching.  Returns colors or None."""
+    """Decision search: a proper coloring with colors 1..c extending the
+    precolored vertices (whose colors are at most c), or None; returns
+    (colors, nodes visited).
+
+    DSATUR branching (Brélaz 1979) on one explicit stack.  The next vertex is
+    the first uncolored one with every color forbidden, else the one with the
+    most forbidden colors, then the highest degree, then the lowest index; its
+    colors are tried in ascending order up to one above the highest color used
+    so far.  A color is forbidden at w when some hyperedge through w has every
+    other member in that color.  hits[w][col] counts those hyperedges and
+    nforb[w] counts the colors with a nonzero count; painting or clearing a
+    vertex updates both for the hyperedges through it.  Raises ResourceBudget
+    once the search has visited more than `budget` nodes.
+    """
     nv = len(h.vertices)
-    edges_at = [[] for _ in range(nv)]
+    nbrs = [[] for _ in range(nv)]   # the other end of each 2-edge at v
+    wider = [[] for _ in range(nv)]  # the other members of each wider edge
     for e in h.edges:
         for i in e:
-            edges_at[i].append(e)
+            if len(e) == 2:
+                nbrs[i].append(e[1] if i == e[0] else e[0])
+            else:
+                wider[i].append(tuple(u for u in e if u != i))
+    degree = [len(a) + len(b) for a, b in zip(nbrs, wider)]
     colors = [0] * nv
-    for v, col in precolored:
-        if col > c:
-            return None
-        colors[v] = col
+    hits = [[0] * (c + 1) for _ in range(nv)]
+    nforb = [0] * nv
 
-    def forbidden(v):
-        """Colors that would complete a monochromatic hyperedge at v."""
-        out = set()
-        for e in edges_at[v]:
-            col = 0
-            for u in e:
-                if u == v:
-                    continue
-                cu = colors[u]
-                if cu == 0 or (col and cu != col):
-                    col = -1
-                    break
-                col = cu
-            if col > 0:
-                out.add(col)
+    def completed(v, col):
+        """For each hyperedge through v (colored col) with all members but
+        one in color col, that one member.  A 2-edge always gives its other
+        end.  The coloring stays proper, so no hyperedge is all col."""
+        if not wider[v]:
+            return nbrs[v]
+        out = list(nbrs[v])
+        for o in wider[v]:
+            missing = [u for u in o if colors[u] != col]
+            if len(missing) == 1:
+                out.append(missing[0])
         return out
 
-    nodes = [0]
+    def paint(v, col):
+        colors[v] = col
+        for w in completed(v, col):
+            row = hits[w]
+            if not row[col]:
+                nforb[w] += 1
+            row[col] += 1
 
-    def rec(uncolored, used):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise ResourceBudget("coloring node budget exceeded")
-        if not uncolored:
-            return True
-        best_v, best_forb = None, None
-        for v in uncolored:
-            f = forbidden(v)
-            if best_v is None or (len(f), len(edges_at[v]), -v) > (
-                    len(best_forb), len(edges_at[best_v]), -best_v):
-                best_v, best_forb = v, f
-            if len(f) >= c:
-                best_v, best_forb = v, f
-                break
-        if len(best_forb) >= c and len(best_forb) >= used + 1:
-            return False
-        rest = [u for u in uncolored if u != best_v]
-        for col in range(1, min(used + 1, c) + 1):
-            if col in best_forb:
-                continue
-            colors[best_v] = col
-            if rec(rest, max(used, col)):
-                return True
-            colors[best_v] = 0
-        return False
+    def clear(v, col):
+        for w in completed(v, col):
+            row = hits[w]
+            row[col] -= 1
+            if not row[col]:
+                nforb[w] -= 1
+        colors[v] = 0
 
-    used0 = max([col for _, col in precolored], default=0)
-    uncolored = [v for v in range(nv) if colors[v] == 0]
-    if rec(uncolored, used0):
-        return list(colors)
-    return None
+    for v, col in precolored:
+        paint(v, col)
+    used = max([col for _, col in precolored], default=0)
+    left = colors.count(0)
+    nodes = 0
+    stack = []  # [vertex, its current color or 0, colors used above it]
+    descend = True
+    while True:
+        if descend:
+            nodes += 1
+            if nodes > budget:
+                raise ResourceBudget("coloring node budget exceeded")
+            if not left:
+                return list(colors), nodes
+            best, bf, bd = -1, -1, -1
+            for v in range(nv):
+                if colors[v]:
+                    continue
+                f = nforb[v]
+                if f >= c:
+                    best, bf = v, f
+                    break
+                if f > bf or (f == bf and degree[v] > bd):
+                    best, bf, bd = v, f, degree[v]
+            if not (bf >= c and bf >= used + 1):
+                stack.append([best, 0, used])
+        if not stack:
+            return None, nodes
+        top = stack[-1]
+        v, col, above = top
+        if col:
+            clear(v, col)
+            left += 1
+        row = hits[v]
+        last = min(above + 1, c)
+        col += 1
+        while col <= last and row[col]:
+            col += 1
+        if col > last:
+            stack.pop()
+            descend = False
+            continue
+        paint(v, col)
+        left -= 1
+        top[1] = col
+        used = max(above, col)
+        descend = True
 
 
 def chromatic_number(h: Hypergraph, budget=20_000_000):
-    """Exact chromatic number with a verified witness coloring."""
+    """Exact chromatic number with a verified witness coloring.
+
+    Tries c = lb, lb + 1, ... in turn; the nodes of every attempt count
+    against the one `budget`, and ResourceBudget is raised once their total
+    exceeds it.
+    """
     nv = len(h.vertices)
     if nv == 0:
         return 0, []
@@ -201,9 +269,11 @@ def chromatic_number(h: Hypergraph, budget=20_000_000):
     else:
         lb = 2
         precolored = [(h.edges[0][0], 1)]
+    spent = 0
     for c in range(lb, nv + 1):
         pre = [(v, col) for v, col in precolored if col <= c]
-        witness = _colorable(h, c, pre, budget)
+        witness, nodes = _colorable(h, c, pre, budget - spent)
+        spent += nodes
         if witness is not None:
             if not is_proper(h, witness):
                 raise ContractError("witness coloring is not proper")

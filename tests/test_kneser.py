@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 from math import comb
 
@@ -6,12 +7,96 @@ import pytest
 import fairsplit.kneser as kneser
 from fairsplit.errors import ContractError, InputError, ResourceBudget
 from fairsplit.graphs import VertexPartition, path_graph
-from fairsplit.kneser import (KneserInstance, block_coloring, build_hypergraph,
-                              chromatic_formula, chromatic_number, is_proper,
-                              rebalance_q2, splitting_from_coloring,
-                              stable_subsets)
+from fairsplit.kneser import (Hypergraph, KneserInstance, block_coloring,
+                              build_hypergraph, chromatic_formula,
+                              chromatic_number, is_proper, rebalance_q2,
+                              splitting_from_coloring, stable_subsets)
 from fairsplit.solver import DEFAULT_NODE_BUDGET
 from fairsplit.splitting import SplittingSpec, check_splitting
+
+
+def _colorable_reference(h: Hypergraph, c, precolored, budget):
+    """The recursive search that kneser._colorable replaced, kept as its
+    reference: it recomputes every uncolored vertex's forbidden colors at
+    every node.  Returns (colors or None, nodes visited)."""
+    nv = len(h.vertices)
+    edges_at = [[] for _ in range(nv)]
+    for e in h.edges:
+        for i in e:
+            edges_at[i].append(e)
+    colors = [0] * nv
+    for v, col in precolored:
+        if col > c:
+            return None, 0
+        colors[v] = col
+
+    def forbidden(v):
+        """Colors that would complete a monochromatic hyperedge at v."""
+        out = set()
+        for e in edges_at[v]:
+            col = 0
+            for u in e:
+                if u == v:
+                    continue
+                cu = colors[u]
+                if cu == 0 or (col and cu != col):
+                    col = -1
+                    break
+                col = cu
+            if col > 0:
+                out.add(col)
+        return out
+
+    nodes = [0]
+
+    def rec(uncolored, used):
+        nodes[0] += 1
+        if nodes[0] > budget:
+            raise ResourceBudget("coloring node budget exceeded")
+        if not uncolored:
+            return True
+        best_v, best_forb = None, None
+        for v in uncolored:
+            f = forbidden(v)
+            if best_v is None or (len(f), len(edges_at[v]), -v) > (
+                    len(best_forb), len(edges_at[best_v]), -best_v):
+                best_v, best_forb = v, f
+            if len(f) >= c:
+                best_v, best_forb = v, f
+                break
+        if len(best_forb) >= c and len(best_forb) >= used + 1:
+            return False
+        rest = [u for u in uncolored if u != best_v]
+        for col in range(1, min(used + 1, c) + 1):
+            if col in best_forb:
+                continue
+            colors[best_v] = col
+            if rec(rest, max(used, col)):
+                return True
+            colors[best_v] = 0
+        return False
+
+    used0 = max([col for _, col in precolored], default=0)
+    uncolored = [v for v in range(nv) if colors[v] == 0]
+    if rec(uncolored, used0):
+        return list(colors), nodes[0]
+    return None, nodes[0]
+
+
+def _attempts(monkeypatch, h, colorable):
+    """chromatic_number(h) with `colorable` as its search: the result and
+    (c, colors, nodes) for every c it tried."""
+    calls = []
+
+    def record(h, c, precolored, budget):
+        got = colorable(h, c, precolored, budget)
+        calls.append((c,) + tuple(got))
+        return got
+
+    monkeypatch.setattr(kneser, "_colorable", record)
+    result = chromatic_number(h)
+    monkeypatch.undo()
+    return result, calls
 
 
 def test_instance_validation():
@@ -38,6 +123,24 @@ def test_stable_subsets_counts_and_colex():
     # the cycle filter additionally kills wraparound-close pairs like (1, 6)
     cyc = stable_subsets(6, 2, 2, "cycle")
     assert len(cyc) == 9 and (1, 6) not in cyc and (1, 6) in path
+
+
+def test_stable_subset_count_matches_enumeration():
+    for stability in ("none", "path", "cycle"):
+        for q in range(2, 5):
+            for n in range(1, 15):
+                for k in range(8):
+                    assert kneser.stable_subset_count(n, k, q, stability) == len(
+                        stable_subsets(n, k, q, stability)), (n, k, q, stability)
+
+
+def test_vertex_budget_checked_before_enumerating():
+    # C(21, 10) = 352,716 path-stable 10-subsets among C(30, 10) ~ 30M
+    start = time.perf_counter()
+    with pytest.raises(ResourceBudget) as err:
+        build_hypergraph(KneserInstance(30, 10, 2, "path"))
+    assert time.perf_counter() - start < 1
+    assert "352716 vertices exceed the budget" in str(err.value)
 
 
 def test_stable_subsets_degenerate():
@@ -122,6 +225,39 @@ def test_chromatic_budget():
     h = build_hypergraph(KneserInstance(7, 2, 2))
     with pytest.raises(ResourceBudget):
         chromatic_number(h, budget=2)
+
+
+def test_colorable_matches_reference(monkeypatch):
+    # same witness and the same node count for every c tried
+    insts = [KneserInstance(n, k, 2) for n in range(2, 10)
+             for k in range(1, n // 2 + 1)]
+    insts += [KneserInstance(n, k, 3, stability)
+              for stability in ("none", "path", "cycle")
+              for n in range(3, 10) for k in range(1, n // 3 + 1)]
+    insts += [KneserInstance(9, k, 2, stability)
+              for stability in ("path", "cycle") for k in (2, 3)]
+    for inst in insts:
+        h = build_hypergraph(inst)
+        want = _attempts(monkeypatch, h, _colorable_reference)
+        assert _attempts(monkeypatch, h, kneser._colorable) == want, inst
+
+
+def test_chromatic_budget_covers_every_attempt(monkeypatch):
+    # KG(9,3) tries c = 3, 4, 5 with 17, 2948 and 82 nodes: each attempt
+    # fits in a budget of 2948, all of them together need 3047
+    h = build_hypergraph(KneserInstance(9, 3, 2))
+    with pytest.raises(ResourceBudget):
+        chromatic_number(h, budget=2948)
+    assert chromatic_number(h, budget=3047)[0] == 5
+    _, calls = _attempts(monkeypatch, h, kneser._colorable)
+    assert [nodes for _, _, nodes in calls] == [17, 2948, 82]
+
+
+def test_chromatic_long_path_needs_no_recursion():
+    n = 1500
+    h = Hypergraph(list(range(n)), [(i, i + 1) for i in range(n - 1)])
+    chi, witness = chromatic_number(h)
+    assert chi == 2 and is_proper(h, witness) and len(witness) == n
 
 
 def test_block_coloring_values():

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairsplit.complexes import SimplicialComplex
 from fairsplit.errors import InputError
@@ -19,6 +21,31 @@ def test_canonical_dumps_is_stable():
     b = canonical_dumps({"a": [2, 3], "b": 1})
     assert a == b and a.endswith("\n")
     assert a.index('"a"') < a.index('"b"')
+
+
+_LEAVES = (st.text(max_size=8)
+           | st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f é€😀', max_size=8)
+           | st.integers() | st.integers(-2 ** 100, 2 ** 100)
+           | st.floats() | st.booleans() | st.none())
+_DOCUMENTS = st.recursive(
+    _LEAVES | st.lists(st.integers()) | st.lists(st.integers() | st.booleans()),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(max_size=8), inner)),
+    max_leaves=20)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_DOCUMENTS)
+def test_canonical_dumps_matches_json_dumps(doc):
+    assert canonical_dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_canonical_dumps_rejects_what_documents_never_hold():
+    # json.dumps would print {"1": 2}; documents only ever have str keys
+    for bad in ({1: 2}, {"a": {(1, 2): 3}}, [Fraction(1, 2)], {"a": {1, 2}},
+                [[set()]], object()):
+        with pytest.raises(TypeError):
+            canonical_dumps(bad)
 
 
 def test_instance_round_trip():
