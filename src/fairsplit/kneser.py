@@ -203,7 +203,6 @@ def _colorable(h: Hypergraph, c, precolored, budget):
     for v, col in precolored:
         paint(v, col)
     used = max([col for _, col in precolored], default=0)
-    left = colors.count(0)
     nodes = 0
     stack = []  # [vertex, its current color or 0, colors used above it]
     descend = True
@@ -212,8 +211,6 @@ def _colorable(h: Hypergraph, c, precolored, budget):
             nodes += 1
             if nodes > budget:
                 raise ResourceBudget("coloring node budget exceeded")
-            if not left:
-                return list(colors), nodes
             best, bf, bd = -1, -1, -1
             for v in range(nv):
                 if colors[v]:
@@ -224,6 +221,8 @@ def _colorable(h: Hypergraph, c, precolored, budget):
                     break
                 if f > bf or (f == bf and degree[v] > bd):
                     best, bf, bd = v, f, degree[v]
+            if best < 0:
+                return list(colors), nodes
             if not (bf >= c and bf >= used + 1):
                 stack.append([best, 0, used])
         if not stack:
@@ -232,7 +231,6 @@ def _colorable(h: Hypergraph, c, precolored, budget):
         v, col, above = top
         if col:
             clear(v, col)
-            left += 1
         row = hits[v]
         last = min(above + 1, c)
         col += 1
@@ -243,7 +241,6 @@ def _colorable(h: Hypergraph, c, precolored, budget):
             descend = False
             continue
         paint(v, col)
-        left -= 1
         top[1] = col
         used = max(above, col)
         descend = True
