@@ -113,37 +113,39 @@ def _path_edge_set(g: Graph, path):
 def _search_simple_path(g: Graph, accept, budget=PATH_SEARCH_BUDGET):
     """First simple path (as a vertex list, [] = delete nothing) whose edge
     deletion satisfies `accept`; None if none exists.  Deterministic order:
-    empty path, then DFS by ascending labels; reversals are skipped."""
+    empty path, then DFS by ascending labels; reversals are skipped.  The DFS
+    keeps one neighbour iterator per path vertex on an explicit stack, and
+    each path it goes on to extend counts one node against `budget`."""
     if accept(set()):
         return []
-    counter = [0]
+    nodes = 0
 
-    def extend(path, used, edges):
-        counter[0] += 1
-        if counter[0] > budget:
+    def neighbours(v):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
             raise ResourceBudget("simple-path search budget exceeded")
-        last = path[-1]
-        for w in sorted(g.adj[last]):
-            if w in used:
-                continue
-            e = (min(last, w), max(last, w))
-            path.append(w)
-            used.add(w)
-            edges.add(e)
-            if path[0] < path[-1] and accept(edges):
-                return list(path)
-            got = extend(path, used, edges)
-            if got is not None:
-                return got
-            path.pop()
-            used.discard(w)
-            edges.discard(e)
-        return None
+        return iter(sorted(g.adj[v]))
 
     for v in sorted(g.vertices):
-        got = extend([v], {v}, set())
-        if got is not None:
-            return got
+        path, used, edges = [v], {v}, set()
+        stack = [neighbours(v)]
+        while stack:
+            w = next((w for w in stack[-1] if w not in used), None)
+            last = path[-1]
+            if w is None:
+                stack.pop()
+                path.pop()
+                if path:
+                    used.discard(last)
+                    edges.discard((min(path[-1], last), max(path[-1], last)))
+                continue
+            path.append(w)
+            used.add(w)
+            edges.add((min(last, w), max(last, w)))
+            if path[0] < w and accept(edges):
+                return list(path)
+            stack.append(neighbours(w))
     return None
 
 

@@ -38,8 +38,13 @@ The two checks:
 
 Both checks read the directions of all faces from one numpy array indexed by
 face integers: the digits of a face read as a base-(q+1) number, vertex 0
-most significant, so integer order is the order of `all_faces`.  Violations
-are reported in that order, as a face-by-face loop would find them.
+most significant, so integer order is the order of `all_faces`.  That array
+is the C-order tensor of shape (q+1,)*n whose axis v is vertex v's digit.
+Slot sizes are sums of one-hot vectors broadcast along the axes, a tie at
+vertex v is settled on the slices of axis v, and the directions of the
+permuted faces are the tensor reindexed by the permutation along every axis;
+no digits are extracted.  Violations are reported in integer order, as a
+face-by-face loop would find them.
 """
 
 from __future__ import annotations
@@ -445,73 +450,63 @@ def _face_digits(face, weights, base):
     return tuple(face // w % base for w in weights)
 
 
-def _digit_rows(lo, hi, weights, base):
-    """(n, hi - lo) matrix: row v holds digit v of the faces lo..hi-1."""
-    ints = np.arange(lo, hi, dtype=np.int64)
-    dtype = np.int8 if base <= 127 else np.int64
-    return np.stack([(ints // w % base).astype(dtype) for w in weights])
-
-
-def _directions_array(inst, chunk=1 << 20):
+def _directions_array(inst):
     """dirs[face_int] in {0 = constrained, 1..q}; the vectorised
-    face_direction."""
+    face_direction, built as the tensor of shape (q+1,)*n and returned flat."""
     q, k, t, n = inst.q, inst.k, inst.t, inst.n
-    m = inst.face_count()
     base = q + 1
-    weights = _face_weights(n, base)
-    dirs = np.zeros(m, dtype=np.int8 if q <= 127 else np.int64)
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        digs = _digit_rows(lo, hi, weights, base)
-        rows = np.arange(hi - lo)
-        counts = np.stack([(digs == j).sum(axis=0, dtype=np.int16)
-                           for j in range(base)], axis=1)  # column 0: unused
-        slots = counts[:, 1:]
-        mx = slots.max(axis=1)
-        undecided = ~((mx <= k - 1) & ((slots <= k - 2).sum(axis=1) >= t - 1))
-        out = dirs[lo:hi]
-        for v in inst.vertex_order:
-            if not undecided.any():
-                break
-            cand = digs[v]
-            hit = undecided & (cand != 0) & (counts[rows, cand] == mx)
-            out[hit] = cand[hit]
-            undecided &= ~hit
-    return dirs
+    sizes = []  # sizes[j - 1][F]: how many vertices face F puts in slot j
+    for j in range(1, base):
+        unit = (np.arange(base) == j).astype(np.int8)
+        size = unit
+        for _ in range(n - 1):  # new axes in front keep each add contiguous
+            size = np.add.outer(unit, size)
+        sizes.append(size)
+    dirs = np.zeros((base,) * n, dtype=np.int8 if q <= 127 else np.int64)
+    top = np.zeros_like(sizes[0])
+    for size in sizes:
+        np.maximum(top, size, out=top)
+        dirs += size <= k - 2  # dirs counts the slots at k-2 or fewer for now
+    undecided = top > k - 1
+    undecided |= dirs < t - 1
+    dirs[...] = 0
+    tied = [np.equal(size, top, out=size.view(np.bool_)) for size in sizes]
+    del sizes, top
+    for v in inst.vertex_order:
+        if not undecided.any():
+            break
+        for j, is_max in enumerate(tied, 1):
+            at = (slice(None),) * v + (slice(j, j + 1),)  # vertex v in slot j
+            hit = undecided[at] & is_max[at]
+            np.copyto(dirs[at], j, where=hit)
+            undecided[at] ^= hit
+    return dirs.reshape(-1)
 
 
-def _verify_equivariance_numpy(inst, perms, report, chunk=1 << 18):
+def _verify_equivariance_numpy(inst, perms, report):
     """Compare d(pi F) with pi(d(F)) for every face and permutation.  Stops
     at the fifth violation (faces in all_faces order, then permutations in
     the given order); faces_processed counts the faces read up to it."""
     n, base = inst.n, inst.q + 1
     weights = _face_weights(n, base)
     dirs = _directions_array(inst)
-    m = dirs.size
-    luts = [np.array(perm, dtype=np.int64) for perm in perms]
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        digs = _digit_rows(lo, hi, weights, base)
-        bad = np.zeros((len(perms), hi - lo), dtype=bool)
-        for row, lut in zip(bad, luts):
-            image = np.zeros(hi - lo, dtype=np.int64)
-            for digit, w in zip(digs, weights):
-                image += lut[digit] * w
-            row[:] = dirs[image] != lut[dirs[lo:hi]]
-        if not bad.any():
-            continue
-        for f, i in zip(*np.nonzero(bad.T)):
-            digits = _face_digits(lo + int(f), weights, base)
-            image = permute_slots(digits, perms[i])
-            image_int = sum(d * w for d, w in zip(image, weights))
-            report.violations.append({
-                "face": list(digits), "perm": list(perms[i]),
-                "got": int(dirs[image_int]),
-                "want": int(perms[i][dirs[lo + int(f)]])})
-            if len(report.violations) >= 5:
-                report.faces_processed = lo + int(f) + 1
-                return
-    report.faces_processed = m
+    tensor = dirs.reshape((base,) * n)
+    found = []  # (face, permutation index, got, want): each one's first five
+    for i, perm in enumerate(perms):
+        lut = np.array(perm, dtype=dirs.dtype)
+        image = tensor
+        for axis in range(n):
+            image = np.take(image, lut, axis=axis)
+        image = image.reshape(-1)  # image[F] = dirs[pi F]
+        want = lut[dirs]
+        for f in np.flatnonzero(image != want)[:5]:
+            found.append((int(f), i, int(image[f]), int(want[f])))
+    found = sorted(found)[:5]
+    for f, i, got, want in found:
+        report.violations.append({
+            "face": list(_face_digits(f, weights, base)),
+            "perm": list(perms[i]), "got": got, "want": want})
+    report.faces_processed = found[-1][0] + 1 if len(found) == 5 else dirs.size
 
 
 def verify_equivariance(inst, full_group=None, budget=FACE_BUDGET):

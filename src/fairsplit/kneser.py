@@ -223,8 +223,7 @@ def _colorable(h: Hypergraph, c, precolored, budget):
                     best, bf, bd = v, f, degree[v]
             if best < 0:
                 return list(colors), nodes
-            if not (bf >= c and bf >= used + 1):
-                stack.append([best, 0, used])
+            stack.append([best, 0, used])
         if not stack:
             return None, nodes
         top = stack[-1]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .complexes import SimplicialComplex
-from .errors import InputError
+from .errors import InputError, ResourceBudget
 from .geometry import PointConfiguration
 from .graphs import Graph, VertexPartition
 from .splitting import Splitting
@@ -24,6 +24,10 @@ INSTANCE_SCHEMA = "instance/1"
 SPLITTING_SCHEMA = "splitting/1"
 COMPLEX_SCHEMA = "complex/1"
 POINTS_SCHEMA = "points/1"
+
+# The most vertices instance_load accepts: Graph(n) builds one adjacency set
+# per vertex (~0.2 KB each) before any search budget applies.
+INSTANCE_VERTEX_LIMIT = 100_000
 
 
 def canonical_dumps(obj):
@@ -125,6 +129,9 @@ def instance_load(data):
     doc = _as_document(data, INSTANCE_SCHEMA)
     if not _is_int(doc.get("n")) or doc["n"] < 0:
         raise InputError("instance needs a nonnegative integer n")
+    if doc["n"] > INSTANCE_VERTEX_LIMIT:
+        raise ResourceBudget("instance has %d vertices, more than the limit of %d"
+                             % (doc["n"], INSTANCE_VERTEX_LIMIT))
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise InputError("edges must be a list")

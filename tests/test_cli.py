@@ -286,6 +286,34 @@ def test_solve_long_path_splits(capsys, tmp_path):
     assert doc["splitting"] == [list(range(1, n, 2)), list(range(2, n + 1, 2))]
 
 
+def test_check_conditions_long_path(capsys, tmp_path):
+    # the simple-path search of path_deletion walks 1200 vertices deep
+    n = 1200
+    path = write(tmp_path, "p1200.json", {
+        "schema": "instance/1", "n": n,
+        "edges": [[v, v + 1] for v in range(1, n)],
+        "partition": [list(range(1, n + 1))]})
+    code, doc, err = run(capsys, "check-conditions", "--input", path, "--q", "2")
+    assert code == 0, err
+    assert doc["schema"] == "conditions/1"
+    deletion = doc["conditions"]["path_deletion"]
+    assert deletion["ok"] is True and deletion["path"] == list(range(1, n + 1))
+
+
+def test_huge_vertex_count_is_a_budget_exit(capsys, monkeypatch, tmp_path):
+    import fairsplit.serial as serial
+
+    def no_graph(n, edges):
+        raise AssertionError("Graph(%d) built" % n)
+
+    monkeypatch.setattr(serial, "Graph", no_graph)  # nothing of size n is built
+    path = write(tmp_path, "huge.json", {
+        "schema": "instance/1", "n": 10 ** 9, "edges": [], "partition": [[1]]})
+    code, doc, err = run(capsys, "solve", "--input", path, "--q", "2")
+    assert code == 3 and doc is None
+    assert "vertices" in err
+
+
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch, cycle6):
     import fairsplit.cli as cli
 

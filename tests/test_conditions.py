@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from fairsplit.conditions import (check_conditions, cliques_plus_isolated_shape,
+from fairsplit.conditions import (_search_simple_path, check_conditions,
+                                  cliques_plus_isolated_shape,
                                   is_prime, is_prime_power, long_path_shape,
                                   neighborhood_bound, path_deletion,
                                   path_union_cliques_shape, transversal_size,
@@ -90,6 +91,65 @@ def test_path_deletion_budget():
     part = consecutive_partition([6, 7])
     with pytest.raises(ResourceBudget):
         path_deletion(g, part, 4, budget=3)
+
+
+def _search_simple_path_recursive(g, accept):
+    """The recursive DFS the explicit-stack search replaced; returns the
+    path (or None) and the nodes it visited."""
+    if accept(set()):
+        return [], 0
+    counter = [0]
+
+    def extend(path, used, edges):
+        counter[0] += 1
+        last = path[-1]
+        for w in sorted(g.adj[last]):
+            if w in used:
+                continue
+            e = (min(last, w), max(last, w))
+            path.append(w)
+            used.add(w)
+            edges.add(e)
+            if path[0] < path[-1] and accept(edges):
+                return list(path)
+            got = extend(path, used, edges)
+            if got is not None:
+                return got
+            path.pop()
+            used.discard(w)
+            edges.discard(e)
+        return None
+
+    for v in sorted(g.vertices):
+        got = extend([v], {v}, set())
+        if got is not None:
+            return got, counter[0]
+    return None, counter[0]
+
+
+def test_simple_path_search_matches_recursive_reference():
+    rng = random.Random(6)
+    for trial in range(60):
+        n = rng.randint(1, 8)
+        edges = [(u, w) for u in range(1, n + 1) for w in range(u + 1, n + 1)
+                 if rng.random() < 0.4]
+        g = Graph(n, edges)
+        # accept one edge set in a few, by a fixed rule on its members
+        salt = rng.randrange(1000)
+        seen = []
+
+        def accept(removed, salt=salt, log=seen):
+            log.append(frozenset(removed))
+            return removed and hash((salt, tuple(sorted(removed)))) % 7 == 0
+
+        want, nodes = _search_simple_path_recursive(g, accept)
+        calls = list(seen)
+        seen.clear()
+        assert _search_simple_path(g, accept, budget=max(nodes, 1)) == want, trial
+        assert seen == calls, trial  # same edge sets, in the same order
+        if nodes:
+            with pytest.raises(ResourceBudget):
+                _search_simple_path(g, accept, budget=nodes - 1)
 
 
 def test_cliques_plus_isolated_shape():

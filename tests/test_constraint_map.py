@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,72 @@ def _verify_zero_set_python(inst, direction=face_direction, max_witnesses=1):
         prev_down, prev_dir = cur_down, cur_dir
     report.faces_processed = processed
     return report
+
+
+def _digit_rows(lo, hi, weights, base):
+    """(n, hi - lo) matrix: row v holds digit v of the faces lo..hi-1."""
+    ints = np.arange(lo, hi, dtype=np.int64)
+    dtype = np.int8 if base <= 127 else np.int64
+    return np.stack([(ints // w % base).astype(dtype) for w in weights])
+
+
+def _directions_array_chunked(inst, chunk=1 << 20):
+    """The digit-row version of _directions_array: slot counts per face from
+    its digits, then ties broken vertex by vertex in the vertex order."""
+    q, k, t, n = inst.q, inst.k, inst.t, inst.n
+    m = inst.face_count()
+    base = q + 1
+    weights = constraint_map._face_weights(n, base)
+    dirs = np.zeros(m, dtype=np.int8 if q <= 127 else np.int64)
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        digs = _digit_rows(lo, hi, weights, base)
+        rows = np.arange(hi - lo)
+        counts = np.stack([(digs == j).sum(axis=0, dtype=np.int16)
+                           for j in range(base)], axis=1)  # column 0: unused
+        slots = counts[:, 1:]
+        mx = slots.max(axis=1)
+        undecided = ~((mx <= k - 1) & ((slots <= k - 2).sum(axis=1) >= t - 1))
+        out = dirs[lo:hi]
+        for v in inst.vertex_order:
+            if not undecided.any():
+                break
+            cand = digs[v]
+            hit = undecided & (cand != 0) & (counts[rows, cand] == mx)
+            out[hit] = cand[hit]
+            undecided &= ~hit
+    return dirs
+
+
+def _verify_equivariance_chunked(inst, perms, report, chunk=1 << 18):
+    """The digit-row version of _verify_equivariance_numpy: each permuted
+    face's integer is summed from its permuted digits, chunk by chunk."""
+    n, base = inst.n, inst.q + 1
+    weights = constraint_map._face_weights(n, base)
+    dirs = constraint_map._directions_array(inst)
+    m = dirs.size
+    luts = [np.array(perm, dtype=np.int64) for perm in perms]
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        digs = _digit_rows(lo, hi, weights, base)
+        bad = np.zeros((len(perms), hi - lo), dtype=bool)
+        for row, lut in zip(bad, luts):
+            image = np.zeros(hi - lo, dtype=np.int64)
+            for digit, w in zip(digs, weights):
+                image += lut[digit] * w
+            row[:] = dirs[image] != lut[dirs[lo:hi]]
+        for f, i in zip(*np.nonzero(bad.T)):
+            digits = constraint_map._face_digits(lo + int(f), weights, base)
+            image = permute_slots(digits, perms[i])
+            image_int = sum(d * w for d, w in zip(image, weights))
+            report.violations.append({
+                "face": list(digits), "perm": list(perms[i]),
+                "got": int(dirs[image_int]),
+                "want": int(perms[i][dirs[lo + int(f)]])})
+            if len(report.violations) >= 5:
+                report.faces_processed = lo + int(f) + 1
+                return
+    report.faces_processed = m
 
 
 def _first_vertex_rule(inst, digits):
@@ -311,8 +378,48 @@ def test_directions_array_matches_face_direction():
         for order in [None] + random_vertex_orders(inst.n, 2, seed=q + k + t):
             inst = ConstraintMapInstance(q, k, t, vertex_order=order)
             want = [face_direction(inst, d) or 0 for d in all_faces(inst)]
-            got = constraint_map._directions_array(inst, chunk=1000)
+            got = constraint_map._directions_array(inst)
             assert got.tolist() == want, (q, k, t, order)
+
+
+@pytest.mark.parametrize("q,k,t", valid_parameter_triples(7))
+def test_directions_tensor_matches_chunked_reference(q, k, t):
+    n = q * k - t
+    for order in [None] + random_vertex_orders(n, 1, seed=7 * q + k + t):
+        inst = ConstraintMapInstance(q, k, t, vertex_order=order)
+        got = constraint_map._directions_array(inst)
+        want = _directions_array_chunked(inst, chunk=1 << 16)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want), (q, k, t, order)
+
+
+def test_single_vertex_ground_set():
+    # n = 1: the tensor has one axis, and each slice of it is one face
+    inst = ConstraintMapInstance(2, 1, 1)
+    assert inst.n == 1
+    dirs = constraint_map._directions_array(inst)
+    assert dirs.tolist() == [face_direction(inst, d) or 0 for d in all_faces(inst)]
+    perms = _all_slot_permutations(2)
+    reports = [EquivarianceReport(2, 1, 1, inst.vertex_order, len(perms), True, 0)
+               for _ in range(2)]
+    _verify_equivariance_numpy(inst, perms, reports[0])
+    _verify_equivariance_python(inst, perms, reports[1])
+    assert reports[0].to_json() == reports[1].to_json()
+    assert reports[0].ok and reports[0].faces_processed == 3
+    assert verify_zero_set(inst).to_json() == _verify_zero_set_python(inst).to_json()
+
+
+def test_fourteen_axis_tensor():
+    # q = 2, n = 14: 3^14 = 4,782,969 faces, the most axes the face budget
+    # allows, under a shuffled vertex order
+    order = random_vertex_orders(14, 1, seed=14)[0]
+    inst = ConstraintMapInstance(2, 8, 2, vertex_order=order)
+    assert inst.face_count() == 4782969
+    dirs = constraint_map._directions_array(inst)
+    assert np.array_equal(dirs, _directions_array_chunked(inst))
+    report = verify_equivariance(inst)
+    assert report.ok and report.faces_processed == 4782969
+    assert report.permutations_checked == 1 and not report.full_group
 
 
 def test_zero_set_matches_python_reference():
@@ -342,10 +449,30 @@ def test_equivariance_reports_a_wrong_rule_like_the_reference(monkeypatch, q, k,
     for perms in (_all_slot_permutations(q), _adjacent_transpositions(q)):
         reports = [EquivarianceReport(q, k, t, inst.vertex_order, len(perms), True, 0)
                    for _ in range(2)]
-        _verify_equivariance_numpy(inst, perms, reports[0], chunk=7)
+        _verify_equivariance_numpy(inst, perms, reports[0])
         _verify_equivariance_python(inst, perms, reports[1], _highest_tied_slot_rule)
         assert reports[0].to_json() == reports[1].to_json()
         assert len(reports[0].violations) == 5
+        chunked = EquivarianceReport(q, k, t, inst.vertex_order, len(perms), True, 0)
+        _verify_equivariance_chunked(inst, perms, chunked, chunk=7)
+        assert chunked.to_json() == reports[0].to_json()
+
+
+@pytest.mark.parametrize("q,k,t", [(q, k, t) for q, k, t in valid_parameter_triples(7)
+                                   if (q + 1) ** (q * k - t) <= 300000])
+def test_equivariance_tensor_matches_chunked_reference(q, k, t):
+    n = q * k - t
+    for order in [None] + random_vertex_orders(n, 1, seed=7 * q + k + t):
+        inst = ConstraintMapInstance(q, k, t, vertex_order=order)
+        groups = [_adjacent_transpositions(q)]
+        if math.factorial(q) * inst.face_count() <= 2_000_000:
+            groups.append(_all_slot_permutations(q))
+        for perms in groups:
+            reports = [EquivarianceReport(q, k, t, inst.vertex_order, len(perms), True, 0)
+                       for _ in range(2)]
+            _verify_equivariance_numpy(inst, perms, reports[0])
+            _verify_equivariance_chunked(inst, perms, reports[1], chunk=1 << 16)
+            assert reports[0].to_json() == reports[1].to_json(), (q, k, t, order)
 
 
 @pytest.mark.parametrize("q", [2, 3, 6, 7, 8])

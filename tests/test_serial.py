@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairsplit.complexes import SimplicialComplex
-from fairsplit.errors import InputError
+from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.geometry import moment_points
 from fairsplit.graphs import Graph, VertexPartition, cycle_graph
 from fairsplit.serial import (canonical_dumps, complex_dump, complex_load,
@@ -76,6 +76,22 @@ def test_instance_load_validation():
         instance_load([1, 2])
     with pytest.raises(InputError):  # JSON true is not the integer 1
         instance_load({"schema": "instance/1", "n": 2, "edges": [[2, True]]})
+
+
+def test_instance_vertex_limit_checked_before_building(monkeypatch):
+    import fairsplit.serial as serial
+
+    def no_graph(n, edges):
+        raise AssertionError("Graph(%d) built" % n)
+
+    monkeypatch.setattr(serial, "Graph", no_graph)
+    for n in (serial.INSTANCE_VERTEX_LIMIT + 1, 10 ** 9):
+        with pytest.raises(ResourceBudget):
+            instance_load({"schema": "instance/1", "n": n, "edges": []})
+    monkeypatch.undo()
+    g, _ = instance_load({"schema": "instance/1", "n": serial.INSTANCE_VERTEX_LIMIT,
+                          "edges": [[1, 2]]})
+    assert g.n == serial.INSTANCE_VERTEX_LIMIT
 
 
 def test_splitting_round_trip():
