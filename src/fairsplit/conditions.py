@@ -318,7 +318,7 @@ def check_conditions(g: Graph, partition: VertexPartition, q, n=None,
     with the vertex count."""
     if q < 2:
         raise InputError("need q >= 2")
-    if set(partition.ground) != set(g.vertices):
+    if not partition.covers(g.n):
         raise InputError("partition must cover the graph's vertex set")
     if n is None:
         n = max((g.n - 1) // (q - 1), 1)

@@ -170,24 +170,35 @@ def strong_general_position_check(config, q, budget=200000):
 
 def _set_partitions(n, q):
     """Partitions of labels 1..n into exactly q nonempty unordered parts, in
-    lexicographic restricted-growth order."""
+    lexicographic restricted-growth order.
+
+    code[i] is label i+1's part and opened[i] the number of parts code[:i]
+    uses.  Each step fills the positions after the last change with part 0,
+    yields when all q parts are used, and then raises the rightmost part
+    number that may still grow; no recursion, so n is not bounded by the
+    interpreter's recursion limit."""
     if n < q:
         return
     code = [0] * n
-
-    def rec(i, used):
-        if i == n:
-            if used == q:
-                parts = [[] for _ in range(q)]
-                for lbl, c in enumerate(code, start=1):
-                    parts[c].append(lbl)
-                yield [tuple(p) for p in parts]
+    opened = [0] * (n + 1)
+    i = 0
+    while True:
+        for k in range(i, n):
+            code[k] = 0
+            opened[k + 1] = opened[k] or 1
+        if opened[n] == q:
+            parts = [[] for _ in range(q)]
+            for lbl, c in enumerate(code, start=1):
+                parts[c].append(lbl)
+            yield [tuple(p) for p in parts]
+        i = n - 1
+        while i >= 0 and code[i] + 1 >= min(opened[i] + 1, q):
+            i -= 1
+        if i < 0:
             return
-        for c in range(min(used + 1, q)):
-            code[i] = c
-            yield from rec(i + 1, max(used, c + 1))
-
-    yield from rec(0, 0)
+        code[i] += 1
+        opened[i + 1] = max(opened[i], code[i] + 1)
+        i += 1
 
 
 def tverberg_search(config, q, target_dim=None, budget=500000):

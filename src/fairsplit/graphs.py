@@ -14,17 +14,20 @@ class Graph:
         if n < 0:
             raise InputError("vertex count must be nonnegative")
         self.n = n
-        self.adj = {v: set() for v in range(1, n + 1)}
         es = set()
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise InputError("edge endpoint out of range: (%s, %s)" % (u, v))
-            if u == v:
+            if u < v:
+                es.add((u, v))
+            elif v < u:
+                es.add((v, u))
+            else:
                 raise InputError("loop at vertex %d" % u)
-            a, b = min(u, v), max(u, v)
-            es.add((a, b))
-            self.adj[a].add(b)
-            self.adj[b].add(a)
+        adj = self.adj = {v: set() for v in range(1, n + 1)}
+        for a, b in es:
+            adj[a].add(b)
+            adj[b].add(a)
         self.edges = frozenset(es)
 
     @property
@@ -65,25 +68,28 @@ class VertexPartition:
 
     def __init__(self, blocks, n=None):
         self.blocks = [tuple(sorted(set(b))) for b in blocks]
-        seen = set()
-        for b in self.blocks:
+        index = self.block_index = {}  # label -> position of its block
+        for j, b in enumerate(self.blocks):
             if not b:
                 raise InputError("empty partition block")
             for v in b:
-                if v in seen:
+                if v in index:
                     raise InputError("vertex %d appears in two blocks" % v)
-                seen.add(v)
-        self.ground = frozenset(seen)
-        if n is not None and self.ground != set(range(1, n + 1)):
+                index[v] = j
+        self.ground = frozenset(index)
+        if n is not None and not self.covers(n):
             raise InputError("partition does not cover 1..%d exactly" % n)
-        self._block_of = {v: j for j, b in enumerate(self.blocks) for v in b}
 
     @property
     def m(self):
         return len(self.blocks)
 
     def block_of(self, v):
-        return self._block_of[v]
+        return self.block_index[v]
+
+    def covers(self, n):
+        """Is the ground set exactly 1..n?"""
+        return len(self.ground) == n and self.ground.issuperset(range(1, n + 1))
 
     def sizes(self):
         return [len(b) for b in self.blocks]
@@ -187,12 +193,19 @@ def generate_family(kind, **params):
         raise InputError("bad parameters for family %r: %s" % (kind, e))
 
 
+_NO_NEIGHBOURS = frozenset()
+
+
 def is_independent(g, s):
-    s = list(s)
-    for i, u in enumerate(s):
-        for v in s[i + 1:]:
-            if g.has_edge(u, v):
-                return False
+    """No edge inside s: each member's neighbours are tested against the
+    members before it, so every edge is looked at once, from its later end,
+    in O(sum of degrees) (labels outside the graph have no neighbours)."""
+    adj = g.adj
+    earlier = set()
+    for v in s:
+        if not adj.get(v, _NO_NEIGHBOURS).isdisjoint(earlier):
+            return False
+        earlier.add(v)
     return True
 
 

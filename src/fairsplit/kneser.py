@@ -407,7 +407,7 @@ def splitting_from_coloring(n, partition, q, budget=DEFAULT_NODE_BUDGET,
     """
     if q < 2:
         raise InputError("need q >= 2")
-    if set(partition.ground) != set(range(1, n + 1)):
+    if not partition.covers(n):
         raise InputError("partition must cover the path 1..%d" % n)
     ks = [len(b) // q + 1 for b in partition.blocks]
     ts = [q * kj - len(b) for kj, b in zip(ks, partition.blocks)]

@@ -35,6 +35,11 @@ geometric mode, a common point of the hulls.  Every visited node counts once
 against one budget shared by the whole search.  "exhausted_none" is only
 reported after full (symmetry-reduced) exhaustion; a budget cutoff is
 reported as "budget_exceeded", never as nonexistence.
+
+The per-problem tables come from one pass over the graph's edges and one
+sweep over the positions.  They keep n-bit masks per position, so they take
+O(n^2) bits on long instances.  The witness is then certified independently
+of these tables, in time linear in its members (see splitting.py).
 """
 
 from __future__ import annotations
@@ -67,13 +72,15 @@ class SearchProblem:
     def __post_init__(self):
         if self.graph is None and self.host is None:
             raise InputError("need a graph or a host complex")
-        ground = set(self.partition.ground)
-        if self.graph is not None and ground != set(self.graph.vertices):
+        ground = self.partition.ground
+        if self.graph is not None and not self.partition.covers(self.graph.n):
             raise InputError("partition must cover the graph's vertex set")
         if self.graph is None and ground != set(self.host.vertices):
             raise InputError("partition must cover the host's vertex set")
         if self.mode not in ("combinatorial", "geometric"):
             raise InputError("unknown mode %r" % (self.mode,))
+        if self.budget < 0:
+            raise InputError("budget must be nonnegative")
         if self.mode == "geometric":
             if self.points is None:
                 raise InputError("geometric mode needs a point configuration")
@@ -81,8 +88,11 @@ class SearchProblem:
                 raise InputError("need a point for every vertex label")
             if self.caps is None:
                 self.caps = [len(b) // self.spec.q for b in self.partition.blocks]
-        if self.caps is not None and len(self.caps) != self.partition.m:
-            raise InputError("need one cap per block")
+        if self.caps is not None:
+            if len(self.caps) != self.partition.m:
+                raise InputError("need one cap per block")
+            if any(c < 0 for c in self.caps):
+                raise InputError("caps must be nonnegative")
 
 
 @dataclass
@@ -112,50 +122,70 @@ class _Ctx:
     def __init__(self, problem):
         p = problem
         spec = p.spec
+        blocks = p.partition.blocks
         self.q = q = spec.q
-        self.order = order = sorted(p.partition.ground)
-        self.n = n = len(order)
-        if spec.stability >= 2 and not all(isinstance(v, int) for v in order):
-            raise InputError("stability needs integer labels")
-        self.block_of = block_of = [p.partition.block_of(v) for v in order]
-        self.mins = [required_min(spec.flavor, len(b), q) for b in p.partition.blocks]
+        g = p.graph
+        if g is not None:
+            # the partition covers exactly 1..n, so label v sits at position v - 1
+            self.order = order = range(1, g.n + 1)
+            n = g.n
+            block_of = [0] * n
+            for j, b in enumerate(blocks):
+                for v in b:
+                    block_of[v - 1] = j
+        else:
+            self.order = order = sorted(p.partition.ground)
+            if spec.stability >= 2 and not all(isinstance(v, int) for v in order):
+                raise InputError("stability needs integer labels")
+            n = len(order)
+            index = p.partition.block_index
+            block_of = [index[v] for v in order]
+        self.n = n
+        self.block_of = block_of
+        self.mins = [required_min(spec.flavor, len(b), q) for b in blocks]
         self.unused_cap = leftover_cap(spec.flavor, q)
         self.caps = p.caps
         self.balanced = spec.balanced
         self.weak = spec.weak_stability
         self.points = p.points if p.mode == "geometric" else None
-        self.block_mask = block_mask = [0] * p.partition.m
-        for d, j in enumerate(block_of):
-            block_mask[j] |= 1 << d
-        # later[d]: the later positions a set holding position d must skip
-        pos = {v: d for d, v in enumerate(order)}
-        later = [[] for _ in range(n)]
-        if p.graph is not None:
-            for a, b in p.graph.edges:
-                x, y = pos[a], pos[b]
-                later[min(x, y)].append(max(x, y))
+        # kill[d]: the later positions a set holding position d must skip;
+        # touch[d]: the blocks of those positions, where that step can starve a set
+        kill = [0] * n
+        touch = [[] for _ in range(n)]
+        if g is not None:
+            for a, b in g.edges:  # a < b, positions a - 1 < b - 1
+                kill[a - 1] |= 1 << (b - 1)
+                t, j = touch[a - 1], block_of[b - 1]
+                if j not in t:
+                    t.append(j)
         if spec.stability >= 2:
             for d in range(n):
-                e = d + 1
+                t, e = touch[d], d + 1
                 while e < n and order[e] - order[d] < spec.stability:
-                    later[d].append(e)
+                    kill[d] |= 1 << e
+                    if block_of[e] not in t:
+                        t.append(block_of[e])
                     e += 1
-        # keep[d]: what a set's candidate mask keeps when position d joins it;
-        # touch[d]: the blocks whose candidates that step can shrink
+        self.touch = touch
+        # one sweep from the right: keep[d] is what a set's candidate mask
+        # keeps when position d joins it, after_in_block[d] the later
+        # positions of d's block and rem_after[d] their number
         full = (1 << n) - 1
-        after = [full ^ ((2 << d) - 1) for d in range(n)]
-        self.keep, self.touch = [], []
-        for d, ps in enumerate(later):
-            kill = 0
-            for e in ps:
-                kill |= 1 << e
-            self.keep.append(after[d] & ~kill)
-            self.touch.append({block_of[e] for e in ps})
-        self.after_in_block = [block_mask[j] & a for j, a in zip(block_of, after)]
-        self.rem_after = [x.bit_count() for x in self.after_in_block]
+        keep = self.keep = [0] * n
+        after_in_block = self.after_in_block = [0] * n
+        rem_after = self.rem_after = [0] * n
+        block_mask = self.block_mask = [0] * len(blocks)
+        left = [0] * len(blocks)
+        for d in range(n - 1, -1, -1):
+            j = block_of[d]
+            keep[d] = (full ^ ((2 << d) - 1)) ^ kill[d]
+            after_in_block[d] = block_mask[j]
+            rem_after[d] = left[j]
+            block_mask[j] |= 1 << d
+            left[j] += 1
         # facet bitmask filters when no graph is available
         self.vmask = None
-        if p.graph is None:
+        if g is None:
             facets = p.host.facets
             self.full_facets = (1 << len(facets)) - 1
             vmask = {v: 0 for v in order}

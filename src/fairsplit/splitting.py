@@ -15,6 +15,11 @@ is weakly w-stable when, after order-preserving relabeling of its union onto
 1..(w-1)N+1, every window of w consecutive labels starting at 1 mod (w-1)
 meets every member exactly once; the test is three-valued because the union
 size can rule the relabeling out before anything is checked.
+
+The certificate (`certificate_for`, `check_splitting`) costs time linear in
+the members of the family: one pass through the partition's label -> block
+map gives the counts, the leftovers and disjointness, and graph independence
+looks at each edge inside a set once (O(sum of degrees)).
 """
 
 from __future__ import annotations
@@ -90,7 +95,11 @@ def leftover_cap(flavor, q):
 
 
 def is_q_stable(s, q):
-    """Any two labels differ by at least q (trivially true for q <= 1)."""
+    """Any two labels differ by at least q.  For q = 1 that only forbids a
+    repeated label, tested without arithmetic so that labels of any type
+    work; q < 1 always holds."""
+    if q <= 1:
+        return q < 1 or len(set(s)) == len(s)
     xs = sorted(s)
     return all(b - a >= q for a, b in zip(xs, xs[1:]))
 
@@ -166,38 +175,57 @@ class QuotaCertificate:
 
 def certificate_for(face_ok, partition, sets, spec):
     """Assemble a QuotaCertificate with an arbitrary admissibility predicate
-    in place of graph independence (used for searches over host complexes)."""
-    sets = [tuple(sorted(s)) for s in sets]
-    if len(sets) != spec.q:
-        raise InputError("expected %d sets, got %d" % (spec.q, len(sets)))
+    in place of graph independence (used for searches over host complexes).
 
-    cert = QuotaCertificate(q=spec.q, flavor=spec.flavor)
-    seen = set()
-    cert.disjoint_ok = True
-    for s in sets:
+    One pass over the members, through the partition's label -> block map,
+    gives the per-set block counts, the distinct covered labels per block and
+    any repeated or shared label; the cost is linear in the members plus
+    whatever face_ok costs (O(sum of degrees) for graph independence)."""
+    sets = [tuple(s) for s in sets]
+    q = spec.q
+    if len(sets) != q:
+        raise InputError("expected %d sets, got %d" % (q, len(sets)))
+
+    index = partition.block_index
+    sizes_of_blocks = partition.sizes()
+    m = len(sizes_of_blocks)
+    counts = []
+    hit = [0] * m          # distinct covered labels per block
+    holder = {}            # label -> the last set seen holding it
+    disjoint_ok = True
+    for i, s in enumerate(sets):
+        row = [0] * m
         for v in s:
-            if v in seen:
-                cert.disjoint_ok = False
-            seen.add(v)
+            last = holder.get(v)
+            if last == i:
+                disjoint_ok = False  # repeated inside this set: counted once
+                continue
+            holder[v] = i
+            j = index.get(v)
+            if last is not None:
+                disjoint_ok = False  # shared with an earlier set
+            elif j is not None:
+                hit[j] += 1
+            if j is not None:
+                row[j] += 1
+        counts.append(row)
 
-    cert.independence_ok = [face_ok(s) for s in sets]
-    cert.mins = [required_min(spec.flavor, len(b), spec.q) for b in partition.blocks]
-    cert.counts = [[len(set(s) & set(b)) for b in partition.blocks] for s in sets]
-    cert.quota_ok = all(cert.counts[i][j] >= cert.mins[j]
-                        for i in range(spec.q) for j in range(partition.m))
-
-    covered = set().union(*[set(s) for s in sets]) if sets else set()
-    cert.leftover = [len(set(b) - covered) for b in partition.blocks]
-    cap = leftover_cap(spec.flavor, spec.q)
-    cert.leftover_ok = cap is None or all(x <= cap for x in cert.leftover)
-
-    cert.sizes = [len(s) for s in sets]
-    if spec.balanced:
-        cert.balanced_ok = max(cert.sizes) - min(cert.sizes) <= 1
-    cert.stability_ok = [is_q_stable(s, spec.stability) for s in sets]
-    if spec.weak_stability is not None:
-        cert.weak_verdict = is_weakly_q_stable(sets, spec.weak_stability)
-
+    mins = [required_min(spec.flavor, size, q) for size in sizes_of_blocks]
+    leftover = [size - h for size, h in zip(sizes_of_blocks, hit)]
+    cap = leftover_cap(spec.flavor, q)
+    sizes = [len(s) for s in sets]
+    cert = QuotaCertificate(
+        q=q, flavor=spec.flavor, counts=counts, mins=mins,
+        quota_ok=all(c >= lo for row in counts for c, lo in zip(row, mins)),
+        independence_ok=[face_ok(s) for s in sets],
+        disjoint_ok=disjoint_ok,
+        leftover=leftover,
+        leftover_ok=cap is None or all(x <= cap for x in leftover),
+        sizes=sizes,
+        balanced_ok=(max(sizes) - min(sizes) <= 1) if spec.balanced else None,
+        stability_ok=[is_q_stable(s, spec.stability) for s in sets],
+        weak_verdict=(None if spec.weak_stability is None
+                      else is_weakly_q_stable(sets, spec.weak_stability)))
     cert.ok = (cert.disjoint_ok and all(cert.independence_ok) and cert.quota_ok
                and cert.leftover_ok and all(cert.stability_ok)
                and (cert.balanced_ok is not False)
@@ -208,9 +236,10 @@ def certificate_for(face_ok, partition, sets, spec):
 def check_splitting(g, partition, splitting, spec):
     """Pure measurement against a graph: never raises on a failing splitting,
     only on structurally impossible input (wrong q, vertices outside 1..n)."""
-    sets = splitting.sets if isinstance(splitting, Splitting) else [tuple(sorted(s)) for s in splitting]
+    sets = splitting.sets if isinstance(splitting, Splitting) else [tuple(s) for s in splitting]
+    n = g.n
     for s in sets:
-        for v in s:
-            if not (1 <= v <= g.n):
-                raise InputError("vertex %d outside 1..%d" % (v, g.n))
+        if s and (min(s) < 1 or max(s) > n):
+            v = next(v for v in sorted(s) if not 1 <= v <= n)
+            raise InputError("vertex %d outside 1..%d" % (v, n))
     return certificate_for(lambda s: is_independent(g, s), partition, sets, spec)

@@ -102,18 +102,33 @@ def _rotation_class(blocks, n):
     return best
 
 
+def _rotated_key(masks, r, n):
+    """The sorted block bitmasks of a partition rotated by r: two partitions
+    lie in one rotation class exactly when one's key at r = 0 is the
+    other's key at some r."""
+    full = (1 << n) - 1
+    return tuple(sorted(((m << r) | (m >> (n - r))) & full for m in masks))
+
+
 def test_02_every_odd_block_cycle_partition_splits(capsys):
     with _stopwatch(capsys, 2, "all odd-block cycle partitions split", 300):
         spec = SplittingSpec(q=2, flavor="almost_fair", balanced=True)
         reps_total = 0
         for n in range(3, 13):
             g = cycle_graph(n)
+            seen = set()  # rotated keys of every class met so far
             reps = set()
             raw = 0
             for blocks in _odd_block_partitions(n):
                 raw += 1
-                reps.add(_rotation_class(blocks, n))
+                masks = [sum(1 << (v - 1) for v in b) for b in blocks]
+                if _rotated_key(masks, 0, n) not in seen:
+                    # a new class: its old representative, computed once
+                    seen.update(_rotated_key(masks, r, n) for r in range(n))
+                    reps.add(_rotation_class(blocks, n))
             assert raw == _odd_block_count(n)
+            if n == 12:
+                assert len(reps) == 15772
             for blocks in sorted(reps):
                 part = VertexPartition([tuple(b) for b in blocks], n)
                 out = find_splitting(SearchProblem(partition=part, spec=spec,

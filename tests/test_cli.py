@@ -95,6 +95,14 @@ def test_solve_budget_exit(capsys, tmp_path):
     assert doc["status"] == "budget_exceeded"
 
 
+def test_solve_rejects_negative_caps_and_budget(capsys, cycle6):
+    for flag in ("--caps=-1,1", "--budget=-5"):
+        code, doc, err = run(capsys, "solve", "--input", cycle6, "--q", "2",
+                             "--flavor", "almost", flag)
+        assert code == 2 and doc is None, flag
+        assert "nonnegative" in err
+
+
 def test_generate_solve_verify_round_trip(capsys, tmp_path, cycle6):
     code, doc, _ = run(capsys, "solve", "--input", cycle6, "--q", "2",
                        "--flavor", "almost", "--balanced")

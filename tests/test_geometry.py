@@ -6,7 +6,8 @@ import pytest
 
 from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.geometry import (PointConfiguration, _disjoint_families,
-                                _family_count, gale_alternating,
+                                _family_count, _set_partitions,
+                                gale_alternating,
                                 hulls_intersect, moment_points,
                                 stretched_moment_points,
                                 strong_general_position_check, tverberg_search)
@@ -212,3 +213,36 @@ def test_everything_is_fractions():
     assert ok
     for p in cfg.points:
         assert all(isinstance(c, Fraction) for c in p)
+
+
+def _recursive_set_partitions(n, q):
+    """The former enumerator, recursing to depth n: the reference order."""
+    if n < q:
+        return
+    code = [0] * n
+
+    def rec(i, used):
+        if i == n:
+            if used == q:
+                parts = [[] for _ in range(q)]
+                for lbl, c in enumerate(code, start=1):
+                    parts[c].append(lbl)
+                yield [tuple(p) for p in parts]
+            return
+        for c in range(min(used + 1, q)):
+            code[i] = c
+            yield from rec(i + 1, max(used, c + 1))
+
+    yield from rec(0, 0)
+
+
+def test_set_partitions_match_recursive_order():
+    for n in range(0, 9):
+        for q in range(0, 5):
+            assert list(_set_partitions(n, q)) == list(_recursive_set_partitions(n, q))
+
+
+def test_set_partitions_need_no_recursion():
+    # the recursive enumerator raised RecursionError here
+    first = next(_set_partitions(1500, 2))
+    assert first == [tuple(range(1, 1500)), (1500,)]

@@ -341,6 +341,25 @@ def test_problem_validation():
                       mode="mystery")
 
 
+def test_negative_caps_and_budgets_are_input_errors():
+    # a negative cap would turn a malformed request into a claimed proven
+    # negative, and a negative budget cannot be reported exactly
+    part = VertexPartition([(1, 2), (3, 4)], 4)
+    spec = SplittingSpec(q=2, flavor="almost_fair")
+    with pytest.raises(InputError):
+        SearchProblem(partition=part, spec=spec, graph=path_graph(4), caps=[-1, 1])
+    with pytest.raises(InputError):
+        SearchProblem(partition=part, spec=spec, graph=path_graph(4), budget=-5)
+    # zero is a legal cap and a legal budget
+    out = find_splitting(SearchProblem(partition=part, spec=spec,
+                                       graph=path_graph(4), budget=0))
+    assert out.status == "budget_exceeded" and out.nodes == 0
+    lone = VertexPartition([(1,), (2, 3, 4)], 4)
+    out = find_splitting(SearchProblem(partition=lone, spec=spec,
+                                       graph=path_graph(4), caps=[0, 2]))
+    assert out.status == "found" and 1 not in out.splitting.covered()
+
+
 def test_budget_is_reported_not_silent():
     g = cycle_graph(12)
     part = VertexPartition([tuple(range(1, 13))], 12)

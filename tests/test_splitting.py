@@ -1,14 +1,92 @@
 """Quota arithmetic, stability predicates, and the splitting certificate."""
 
-import pytest
+import time
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fairsplit.complexes import SimplicialComplex
 from fairsplit.errors import InputError
-from fairsplit.graphs import (VertexPartition, consecutive_partition,
-                              cycle_graph, path_graph)
-from fairsplit.splitting import (Splitting, SplittingSpec, almost_fair_quota,
+from fairsplit.graphs import (Graph, VertexPartition, consecutive_partition,
+                              cycle_graph, is_independent, path_graph,
+                              single_block_partition)
+from fairsplit.splitting import (QuotaCertificate, Splitting, SplittingSpec,
+                                 almost_fair_quota, certificate_for,
                                  check_splitting, fair_quota, is_q_stable,
                                  is_weakly_q_stable, leftover_cap,
                                  required_min)
+
+# ---------------------------------------------------------------------------
+# reference certificate: the former set-based implementation, kept as the
+# oracle of the one-pass certificate
+
+
+def _pairwise_is_independent(g, s):
+    s = list(s)
+    for i, u in enumerate(s):
+        for v in s[i + 1:]:
+            if g.has_edge(u, v):
+                return False
+    return True
+
+
+def _reference_certificate_for(face_ok, partition, sets, spec):
+    sets = [tuple(sorted(s)) for s in sets]
+    if len(sets) != spec.q:
+        raise InputError("expected %d sets, got %d" % (spec.q, len(sets)))
+
+    cert = QuotaCertificate(q=spec.q, flavor=spec.flavor)
+    seen = set()
+    cert.disjoint_ok = True
+    for s in sets:
+        for v in s:
+            if v in seen:
+                cert.disjoint_ok = False
+            seen.add(v)
+
+    cert.independence_ok = [face_ok(s) for s in sets]
+    cert.mins = [required_min(spec.flavor, len(b), spec.q) for b in partition.blocks]
+    cert.counts = [[len(set(s) & set(b)) for b in partition.blocks] for s in sets]
+    cert.quota_ok = all(cert.counts[i][j] >= cert.mins[j]
+                        for i in range(spec.q) for j in range(partition.m))
+
+    covered = set().union(*[set(s) for s in sets]) if sets else set()
+    cert.leftover = [len(set(b) - covered) for b in partition.blocks]
+    cap = leftover_cap(spec.flavor, spec.q)
+    cert.leftover_ok = cap is None or all(x <= cap for x in cert.leftover)
+
+    cert.sizes = [len(s) for s in sets]
+    if spec.balanced:
+        cert.balanced_ok = max(cert.sizes) - min(cert.sizes) <= 1
+    cert.stability_ok = [is_q_stable(s, spec.stability) for s in sets]
+    if spec.weak_stability is not None:
+        cert.weak_verdict = is_weakly_q_stable(sets, spec.weak_stability)
+
+    cert.ok = (cert.disjoint_ok and all(cert.independence_ok) and cert.quota_ok
+               and cert.leftover_ok and all(cert.stability_ok)
+               and (cert.balanced_ok is not False)
+               and (spec.weak_stability is None or cert.weak_verdict is True))
+    return cert
+
+
+def _reference_check_splitting(g, partition, splitting, spec):
+    sets = splitting.sets if isinstance(splitting, Splitting) else [tuple(sorted(s)) for s in splitting]
+    for s in sets:
+        for v in s:
+            if not (1 <= v <= g.n):
+                raise InputError("vertex %d outside 1..%d" % (v, g.n))
+    return _reference_certificate_for(lambda s: _pairwise_is_independent(g, s),
+                                      partition, sets, spec)
+
+
+def _outcome(f, *args):
+    """The certificate document, or the type of the exception raised."""
+    try:
+        return f(*args).to_json()
+    except (InputError, TypeError) as e:
+        return type(e)
 
 
 def test_quota_values():
@@ -147,3 +225,77 @@ def test_transversal_flavor_has_no_leftover_cap():
     # each set meets each block once; seven vertices stay uncovered
     cert = check_splitting(g, partition, Splitting([(1, 5), (3, 7)]), spec)
     assert cert.ok and cert.leftover_ok
+
+
+# ---------------------------------------------------------------------------
+# the one-pass certificate against the reference
+
+
+@st.composite
+def _certificate_cases(draw):
+    """A random graph or string-labelled host complex, a partition of some of
+    its labels (plus labels it lacks), a family with repeated and shared
+    labels, and a spec with every flag drawn."""
+    n = draw(st.integers(1, 12))
+    host = draw(st.booleans())
+    pool = ["v%d" % i for i in range(1, n + 3)] if host else list(range(1, n + 3))
+    inside = pool[:n]  # labels the graph or complex has
+    if host:
+        facets = draw(st.lists(st.lists(st.sampled_from(inside), max_size=4),
+                               min_size=1, max_size=5))
+        face_ok = SimplicialComplex(facets, vertices=inside).is_face
+        graph = None
+    else:
+        pairs = list(combinations(inside, 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        graph = Graph(n, edges)
+        face_ok = None
+    m = draw(st.integers(0, 4))
+    slot = draw(st.lists(st.integers(-1, m - 1), min_size=len(pool),
+                         max_size=len(pool)))  # -1: outside the partition
+    blocks = [[v for v, j in zip(pool, slot) if j == b] for b in range(m)]
+    partition = VertexPartition([b for b in blocks if b])
+    q = draw(st.integers(1, 4))
+    sets = draw(st.lists(st.lists(st.sampled_from(inside), max_size=6),
+                         min_size=q, max_size=q))
+    if draw(st.booleans()):
+        sets = Splitting(sets)
+    spec = SplittingSpec(
+        q=q if draw(st.integers(0, 9)) else q + 1,  # sometimes the wrong q
+        flavor=draw(st.sampled_from(["fair", "almost_fair", "transversal"])),
+        balanced=draw(st.booleans()),
+        stability=draw(st.integers(1, 1 if host else 3)),
+        weak_stability=draw(st.sampled_from([None, 2, 3])))
+    return graph, face_ok, partition, sets, spec
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_certificate_cases())
+def test_certificate_matches_reference(case):
+    graph, face_ok, partition, sets, spec = case
+    if graph is not None:
+        got = _outcome(check_splitting, graph, partition, sets, spec)
+        assert got == _outcome(_reference_check_splitting, graph, partition, sets, spec)
+        family = sets.sets if isinstance(sets, Splitting) else sets
+        for s in family:
+            assert is_independent(graph, s) == _pairwise_is_independent(graph, s)
+    else:
+        family = sets.sets if isinstance(sets, Splitting) else sets
+        got = _outcome(certificate_for, face_ok, partition, family, spec)
+        assert got == _outcome(_reference_certificate_for, face_ok, partition,
+                               family, spec)
+
+
+def test_certificate_of_a_long_path_is_linear():
+    # the pairwise independence test took 11 s on an 8,000-vertex path
+    n = 20000
+    g, part = path_graph(n), single_block_partition(n)
+    spec = SplittingSpec(q=2, flavor="almost_fair", balanced=True, stability=2)
+    witness = Splitting([range(1, n + 1, 2), range(2, n + 1, 2)])
+    start = time.perf_counter()
+    cert = check_splitting(g, part, witness, spec)
+    assert time.perf_counter() - start < 2.0
+    assert cert.ok and cert.counts == [[10000], [10000]] and cert.leftover == [0]
+    broken = Splitting([range(1, n + 1, 2), list(range(2, n, 2)) + [n - 1]])
+    cert = check_splitting(g, part, broken, spec)
+    assert cert.independence_ok == [True, False] and not cert.disjoint_ok
