@@ -68,7 +68,7 @@ class VertexPartition:
 
     def __init__(self, blocks, n=None):
         self.blocks = [tuple(sorted(set(b))) for b in blocks]
-        index = self.block_index = {}  # label -> position of its block
+        index = self._block_of = {}  # label -> position of its block
         for j, b in enumerate(self.blocks):
             if not b:
                 raise InputError("empty partition block")
@@ -85,7 +85,7 @@ class VertexPartition:
         return len(self.blocks)
 
     def block_of(self, v):
-        return self.block_index[v]
+        return self._block_of[v]
 
     def covers(self, n):
         """Is the ground set exactly 1..n?"""

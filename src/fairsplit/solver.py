@@ -124,24 +124,12 @@ class _Ctx:
         spec = p.spec
         blocks = p.partition.blocks
         self.q = q = spec.q
-        g = p.graph
-        if g is not None:
-            # the partition covers exactly 1..n, so label v sits at position v - 1
-            self.order = order = range(1, g.n + 1)
-            n = g.n
-            block_of = [0] * n
-            for j, b in enumerate(blocks):
-                for v in b:
-                    block_of[v - 1] = j
-        else:
-            self.order = order = sorted(p.partition.ground)
-            if spec.stability >= 2 and not all(isinstance(v, int) for v in order):
-                raise InputError("stability needs integer labels")
-            n = len(order)
-            index = p.partition.block_index
-            block_of = [index[v] for v in order]
-        self.n = n
-        self.block_of = block_of
+        self.order = order = sorted(p.partition.ground)
+        self.n = n = len(order)
+        if spec.stability >= 2 and not all(isinstance(v, int) for v in order):
+            raise InputError("stability needs integer labels")
+        index = p.partition._block_of
+        self.block_of = block_of = [index[v] for v in order]
         self.mins = [required_min(spec.flavor, len(b), q) for b in blocks]
         self.unused_cap = leftover_cap(spec.flavor, q)
         self.caps = p.caps
@@ -152,20 +140,29 @@ class _Ctx:
         # touch[d]: the blocks of those positions, where that step can starve a set
         kill = [0] * n
         touch = [[] for _ in range(n)]
+        g = p.graph
         if g is not None:
-            for a, b in g.edges:  # a < b, positions a - 1 < b - 1
+            # the partition covers exactly 1..n, so label v sits at position v - 1
+            for a, b in g.edges:  # a < b
                 kill[a - 1] |= 1 << (b - 1)
-                t, j = touch[a - 1], block_of[b - 1]
-                if j not in t:
-                    t.append(j)
+                touch[a - 1].append(block_of[b - 1])
         if spec.stability >= 2:
             for d in range(n):
                 t, e = touch[d], d + 1
                 while e < n and order[e] - order[d] < spec.stability:
                     kill[d] |= 1 << e
-                    if block_of[e] not in t:
-                        t.append(block_of[e])
+                    t.append(block_of[e])
                     e += 1
+        # list each block once per position: seen[j] == d once j is in touch[d]
+        seen = [-1] * len(blocks)
+        for d, t in enumerate(touch):
+            if len(t) > 1:
+                u = []
+                for j in t:
+                    if seen[j] != d:
+                        seen[j] = d
+                        u.append(j)
+                touch[d] = u
         self.touch = touch
         # one sweep from the right: keep[d] is what a set's candidate mask
         # keeps when position d joins it, after_in_block[d] the later

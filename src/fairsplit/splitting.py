@@ -186,7 +186,7 @@ def certificate_for(face_ok, partition, sets, spec):
     if len(sets) != q:
         raise InputError("expected %d sets, got %d" % (q, len(sets)))
 
-    index = partition.block_index
+    index = partition._block_of
     sizes_of_blocks = partition.sizes()
     m = len(sizes_of_blocks)
     counts = []

@@ -11,7 +11,7 @@ from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.geometry import gale_alternating, stretched_moment_points
 from fairsplit.graphs import (Graph, VertexPartition, cycle_graph, is_independent,
                               matching_graph, path_graph)
-from fairsplit.solver import SearchProblem, enumerate_splittings, find_splitting
+from fairsplit.solver import SearchProblem, _Ctx, enumerate_splittings, find_splitting
 from fairsplit.splitting import SplittingSpec, check_splitting
 
 # ---------------------------------------------------------------------------
@@ -358,6 +358,29 @@ def test_negative_caps_and_budgets_are_input_errors():
     out = find_splitting(SearchProblem(partition=lone, spec=spec,
                                        graph=path_graph(4), caps=[0, 2]))
     assert out.status == "found" and 1 not in out.splitting.covered()
+
+
+def test_touch_tables_name_each_block_once():
+    # the hub of a star has a later neighbour in every block: its table
+    # lists each of the 20,000 blocks once, and once only when leaves share one
+    n = 20001
+    star = Graph(n, [(1, v) for v in range(2, n + 1)])
+    spec = SplittingSpec(q=2, flavor="almost_fair")
+    single = VertexPartition([(v,) for v in range(1, n + 1)], n)
+    ctx = _Ctx(SearchProblem(partition=single, spec=spec, graph=star))
+    assert sorted(ctx.touch[0]) == list(range(1, n))
+    assert not any(ctx.touch[1:])
+    n = 401
+    star = Graph(n, [(1, v) for v in range(2, n + 1)])
+    halves = VertexPartition([range(1, n + 1, 2), range(2, n + 1, 2)], n)
+    problem = SearchProblem(partition=halves, spec=spec, graph=star)
+    assert sorted(_Ctx(problem).touch[0]) == [0, 1]
+    assert find_splitting(problem).status == "found"
+    # an edge and the stability window both reach the next position
+    pairs = VertexPartition([(1, 2), (3, 4), (5, 6)], 6)
+    stable = SplittingSpec(q=2, flavor="almost_fair", stability=3)
+    ctx = _Ctx(SearchProblem(partition=pairs, spec=stable, graph=path_graph(6)))
+    assert ctx.touch == [[0, 1], [1], [1, 2], [2], [2], []]
 
 
 def test_budget_is_reported_not_silent():
