@@ -8,7 +8,8 @@ construction raises ResourceBudget instead of eating the machine.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial
 
 from .errors import InputError, ResourceBudget
 from .graphs import Graph
@@ -203,26 +204,38 @@ def deleted_join(k: SimplicialComplex, q, budget=FACE_BUDGET):
     return SimplicialComplex(facets, vertices=verts)
 
 
+def _maximal_chains(k: SimplicialComplex, budget=FACE_BUDGET):
+    """The maximal chains of nonempty faces, each listed from its facet down
+    to a vertex as sorted tuples: per facet, the orders of removing all but
+    one vertex, in lexicographic order of the sorted vertices.  A facet of
+    size s has s! such chains; their total is checked against `budget`
+    before any is built."""
+    facets = [sorted(f, key=vertex_key) for f in k.facets if f]
+    total = 0
+    for f in facets:
+        total += factorial(len(f))
+        if total > budget:
+            raise ResourceBudget("barycentric budget exceeded")
+    chains = []
+    for f in facets:
+        # permutations() is an explicit loop, so no facet size meets Python's
+        # recursion limit; dropping removed vertices keeps each face sorted
+        for removed in permutations(f, len(f) - 1):
+            face = f
+            chain = [tuple(face)]
+            for v in removed:
+                face = [u for u in face if u != v]
+                chain.append(tuple(face))
+            chains.append(chain)
+    return chains
+
+
 def barycentric_subdivision(k: SimplicialComplex, budget=FACE_BUDGET):
     """Vertices are the nonempty faces of k (as sorted tuples), facets the
     maximal chains under inclusion."""
     if k.is_void():
         return SimplicialComplex([])
-    chains = []
-
-    def grow(chain, top):
-        if len(chains) > budget:
-            raise ResourceBudget("barycentric budget exceeded")
-        if len(top) == 1:
-            chains.append([tuple(sorted(c, key=vertex_key)) for c in chain])
-            return
-        for v in sorted(top, key=vertex_key):
-            grow(chain + [top - {v}], top - {v})
-
-    for f in k.facets:
-        if not f:
-            continue
-        grow([f], set(f))
+    chains = _maximal_chains(k, budget)
     if not chains:  # only the empty face
         return SimplicialComplex([()])
     return SimplicialComplex(chains)

@@ -315,16 +315,15 @@ class PipelineResult:
     details: dict = field(default_factory=dict)
 
 
-def _mono_edge_search(n_padded, padded_blocks, q, ks, budget):
+def _mono_edge_search(padded_partition, q, ks, budget):
     """q pairwise disjoint q-stable k-sets with |S_i ∩ V'_j| = k_j - 1."""
     k = sum(kj - 1 for kj in ks)
     if k == 0:
         return [tuple() for _ in range(q)]
-    g = power_path(n_padded, q - 1)
-    partition = VertexPartition(padded_blocks, n_padded)
+    g = power_path(len(padded_partition.ground), q - 1)
     spec = SplittingSpec(q=q, flavor="almost_fair", stability=q)
     caps = [kj - 1 for kj in ks]
-    problem = SearchProblem(partition=partition, spec=spec, graph=g,
+    problem = SearchProblem(partition=padded_partition, spec=spec, graph=g,
                             caps=caps, budget=budget)
     out = find_splitting(problem)
     if out.status == "budget_exceeded":
@@ -432,7 +431,8 @@ def splitting_from_coloring(n, partition, q, budget=DEFAULT_NODE_BUDGET,
             details["chi"] = chi
             details["chi_formula"] = chromatic_formula(n_padded, k, q)
 
-    mono = _mono_edge_search(n_padded, padded_blocks, q, ks, budget)
+    padded_partition = VertexPartition(padded_blocks, n_padded)
+    mono = _mono_edge_search(padded_partition, q, ks, budget)
     if mono is None:
         return PipelineResult("falsification", details={
             **details,
@@ -440,7 +440,6 @@ def splitting_from_coloring(n, partition, q, budget=DEFAULT_NODE_BUDGET,
                     "size, refuting the chromatic hypothesis"})
     details["mono_edge"] = [list(s) for s in mono]
 
-    padded_partition = VertexPartition(padded_blocks, n_padded)
     if q == 2:
         splitting, removals = rebalance_q2(n_padded, padded_partition,
                                            mono[0], mono[1], pad_blocks)

@@ -96,8 +96,10 @@ def _as_document(data, expect_schema):
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, or an int over 4,300 digits
             raise InputError("invalid JSON: %s" % e) from None
+        except RecursionError:
+            raise InputError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise InputError("expected a JSON object")
     if data.get("schema") != expect_schema:
@@ -226,6 +228,6 @@ def load_file(path, loader):
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError("cannot read %s: %s" % (path, e)) from None
     return loader(text)

@@ -30,6 +30,19 @@ intersect per-set facet masks.  Pruning:
   * uncovered budget -- flavors with a per-block cap on uncovered vertices
     prune as soon as a block overspends.
 
+Below the leaves, a node calls no Python function and builds no list or
+tuple: it is a handful of list reads and bit operations.  At the first
+arrival at a position, each of the q sets below its minimum in the
+position's block costs one AND and one popcount against the block's later
+positions; a set at or above the minimum has no shortfall and a popcount is
+never negative, so its popcount is skipped, and the scan stops at the second
+short set (two sets that both need the vertex kill the branch).  Admitting
+the vertex to a set is one bit test, plus a cap test, a facet-mask test in
+host mode and a max/min over the q set sizes when balance is required.
+After a set takes the vertex, each touched block where that set is still
+below its minimum costs one more AND and popcount.  The masks a step
+replaces are kept in two flat per-depth lists.
+
 Complete assignments are checked for balance, weak stability and, in
 geometric mode, a common point of the hulls.  Every visited node counts once
 against one budget shared by the whole search.  "exhausted_none" is only
@@ -192,26 +205,6 @@ class _Ctx:
             self.vmask = [vmask[v] for v in order]
 
 
-def _balance_ok(sizes, i, rest):
-    """Can the size spread still end within 1 after set i grows by one?"""
-    hi = lo = sizes[i] + 1
-    for x, s in enumerate(sizes):
-        if x != i:
-            if s > hi:
-                hi = s
-            if s < lo:
-                lo = s
-    return hi - (lo + rest) <= 1
-
-
-def _starved(cand, counts, blocks, mins, block_mask):
-    """Does a set with these candidates and counts fall short in a block?"""
-    for j in blocks:
-        if (cand & block_mask[j]).bit_count() < mins[j] - counts[j]:
-            return True
-    return False
-
-
 def _leaf(ctx, choice, deficit):
     if any(x > 0 for x in deficit):
         return None
@@ -245,6 +238,7 @@ def _search(problem, limit):
     keep, touch, rem_after = ctx.keep, ctx.touch, ctx.rem_after
     after_in_block, unused_cap, vmask = ctx.after_in_block, ctx.unused_cap, ctx.vmask
     balanced = ctx.balanced
+    budget = problem.budget
     cand = [(1 << n) - 1] * q
     fmask = None if vmask is None else [ctx.full_facets] * q
     counts = [[0] * len(mins) for _ in range(q)]
@@ -254,9 +248,10 @@ def _search(problem, limit):
     used = 0                 # sets holding a vertex; they are sets 0..used-1
     choice = [-1] * n        # choice in force at each depth; q means unused
     lone = [None] * n        # the one set that needs the vertex; -1 when two do
-    saved = [None] * n       # candidate and facet masks of the set extended at each depth
+    saved_cand = [0] * n     # candidate mask of the set extended at each depth
+    saved_facets = [0] * n   # and its facet mask, in host mode
     solutions = []
-    if problem.budget < 1:
+    if budget < 1:
         return "budget", solutions, 0
     nodes, d = 1, 0
     while True:
@@ -282,24 +277,42 @@ def _search(problem, limit):
             sizes[c] -= 1
             if not sizes[c]:
                 used -= 1
-            cand[c], f = saved[d]
+            cand[c] = saved_cand[d]
             if fmask is not None:
-                fmask[c] = f
+                fmask[c] = saved_facets[d]
         else:
             # first arrival: which sets cannot afford to miss this vertex?
-            short = [x for x in range(q) if (cand[x] & after_in_block[d]).bit_count()
-                     < mins[j] - counts[x][j]]
-            lone[d] = short[0] if len(short) == 1 else (-1 if short else None)
+            # A set already at the block's minimum has no shortfall, and a
+            # popcount is never negative, so its popcount is skipped.
+            must = None
+            need, rest = mins[j], after_in_block[d]
+            for x in range(q):
+                short = need - counts[x][j]
+                if short > 0 and (cand[x] & rest).bit_count() < short:
+                    if must is not None:
+                        must = -1
+                        break
+                    must = x
+            lone[d] = must
         must = lone[d]
         c += 1
         hi = used + 1 if used < q else q  # symmetry: only the first empty set may open
         if must is not None:
-            c, hi = max(c, must), min(hi, must + 1)
+            if c < must:
+                c = must
+            if hi > must + 1:
+                hi = must + 1
         while c < hi:
             if (cand[c] >> d & 1 and (caps is None or counts[c][j] < caps[j])
-                    and (fmask is None or fmask[c] & vmask[d])
-                    and (not balanced or _balance_ok(sizes, c, n - d - 1))):
-                break
+                    and (fmask is None or fmask[c] & vmask[d])):
+                if not balanced:
+                    break
+                # balance: can the size spread still end within 1 once set c grows?
+                sizes[c] += 1
+                spread = max(sizes) - min(sizes)
+                sizes[c] -= 1
+                if spread - (n - d - 1) <= 1:
+                    break
             c += 1
         else:
             if c <= q and must is None and (unused_cap is None or unused[j] < unused_cap):
@@ -325,13 +338,24 @@ def _search(problem, limit):
             if not sizes[c]:
                 used += 1
             sizes[c] += 1
-            saved[d] = cand[c], None if fmask is None else fmask[c]
-            cand[c] &= keep[d]
+            saved_cand[d] = m = cand[c]
+            m &= keep[d]
+            cand[c] = m
             if fmask is not None:
+                saved_facets[d] = fmask[c]
                 fmask[c] &= vmask[d]
-            if deficit[j] > rem_after[d] or _starved(cand[c], cnt, touch[d], mins, block_mask):
+            if deficit[j] > rem_after[d]:
                 continue  # pruned: the next pass undoes choice[d] and tries the one after
-        if nodes == problem.budget:
+            # forward checking on the blocks this step touched
+            starved = False
+            for t in touch[d]:
+                short = mins[t] - cnt[t]
+                if short > 0 and (m & block_mask[t]).bit_count() < short:
+                    starved = True
+                    break
+            if starved:
+                continue
+        if nodes == budget:
             return "budget", solutions, nodes
         nodes += 1
         d += 1

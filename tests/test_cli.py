@@ -1,8 +1,18 @@
+import io
 import json
+import os
+import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fairsplit.serial as serial
 from fairsplit.cli import main
+from fairsplit.serial import INSTANCE_VERTEX_LIMIT
 
 
 def run(capsys, *argv):
@@ -354,3 +364,166 @@ def test_json_booleans_are_not_integers(capsys, tmp_path):
     code, doc, err = run(capsys, "solve", "--input", path, "--q", "1",
                          "--flavor", "fair")
     assert code == 2 and doc is None and "input error" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: whatever the documents and flags, solve and verify exit 0-3
+
+
+_JUNK = [-1, 0, True, False, None, "7", 2.5, [], {}]
+
+
+def _mostly(rng, good, one_in=30):
+    """The well-formed value, or once in a while a malformed one."""
+    return rng.choice(_JUNK) if rng.randrange(one_in) == 0 else good
+
+
+def _instance(rng):
+    """(n or None, the number of blocks, the instance file's text or bytes)."""
+    kind = rng.choice(["doc"] * 16 + ["huge", "text", "bytes", "deep"])
+    if kind == "text":
+        # cut off, a wrong top level, or a number too long to convert
+        return None, 1, rng.choice([
+            '{"schema": "instance/1", "n": 3', "[]", "null", "", '"instance/1"',
+            '{"schema": "instance/1", "n": ' + "9" * 5000 + "}"])
+    if kind == "bytes":
+        return None, 1, b'{"schema": "instance/1", "n": 2, "partition": [[1, 2]]}\xff'
+    if kind == "deep":
+        return None, 1, '{"schema": "instance/1", "n": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    if kind == "huge":
+        # just above the limit: refused before anything of size n is built
+        n = INSTANCE_VERTEX_LIMIT + rng.randint(1, 3)
+        return n, 1, json.dumps({"schema": "instance/1", "n": n, "edges": [[1, 2]],
+                                 "partition": [[1, 2]]})
+    n = rng.randint(0, 30)
+    p = rng.uniform(0, 0.3)
+    edges = [[u, v] for u in range(1, n + 1) for v in range(u + 1, n + 1)
+             if rng.random() < p]
+    if rng.randrange(10) == 0:
+        edges.append(rng.choice([[0, 1], [n, n + 1], [1, 1], [1, 2, 3], [True, 1]]))
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 3)))) if n > 1 else []
+    bounds = [0] + cuts + [n]
+    blocks = [labels[a:b] for a, b in zip(bounds, bounds[1:])]
+    if rng.randrange(8) == 0:
+        # overlapping, incomplete, empty or out-of-range partitions
+        change = rng.choice(["overlap", "drop", "empty", "outside"])
+        if change == "overlap" and n:
+            blocks.append([labels[0]])
+        elif change == "drop" and n:
+            blocks[-1] = blocks[-1][1:]
+        elif change == "empty":
+            blocks = rng.choice([[], [[]], blocks + [[]]])
+        else:
+            blocks[0] = blocks[0] + [n + 1]
+    doc = {"schema": _mostly(rng, "instance/1"), "n": _mostly(rng, n),
+           "edges": _mostly(rng, edges)}
+    if rng.randrange(10):
+        doc["partition"] = _mostly(rng, [_mostly(rng, b, 60) for b in blocks])
+    return n, len(blocks), json.dumps(doc)
+
+
+def _splitting_text(rng, n, q):
+    """Mostly q disjoint sets within 1..n, else overlapping or malformed."""
+    sets = [[] for _ in range(q)]
+    for v in range(1, n + 1):
+        i = rng.randint(0, q)
+        if i < q:
+            sets[i].append(v)
+    if rng.randrange(6) == 0:
+        extra = rng.choice([[1], [2, 2], [0], [n + 1], []])
+        if extra:
+            sets[0] = sets[0] + extra
+        else:
+            sets.append(extra)
+    return json.dumps({"schema": _mostly(rng, "splitting/1"),
+                       "sets": _mostly(rng, sets)})
+
+
+def _points_text(rng, n):
+    dim = rng.randint(1, 2)
+    pts = [[[rng.randint(-4, 4), rng.randint(1, 3)] for _ in range(dim)]
+           for _ in range(n - (rng.randrange(8) == 0))]
+    if pts and rng.randrange(10) == 0:
+        pts[0][0] = [1, 0]  # a zero denominator
+    return json.dumps({"schema": "points/1", "dim": dim, "points": pts})
+
+
+def _cli_run(rng):
+    """(n or None, {file name: contents}, argv naming those files)."""
+    n, m, text = _instance(rng)
+    files = {"instance.json": text}
+    command = rng.choice(["solve", "verify"])
+    argv = [command, "--input", "instance.json"]
+    if command == "solve":
+        argv += ["--q", str(_mostly(rng, rng.choice([1, 2, 2, 3, 3, 4]), 20)),
+                 "--budget", str(_mostly(rng, rng.randint(0, 10_000), 20))]
+        if rng.randrange(8) == 0:
+            argv += ["--mode", "geometric"]
+            if rng.randrange(5):
+                files["points.json"] = _points_text(rng, n or 0)
+                argv += ["--points", "points.json"]
+    else:
+        files["splitting.json"] = _splitting_text(rng, n or 0, rng.randint(1, 4))
+        argv += ["--splitting", "splitting.json"]
+    argv += ["--flavor", rng.choice(["fair", "almost", "transversal"]),
+             "--stability", str(_mostly(rng, rng.randint(1, 3), 20))]
+    argv += [flag for flag in ("--balanced", "--weak") if rng.random() < 0.5]
+    if command == "solve" and rng.random() < 0.5:
+        caps = [rng.randint(0, 4) if rng.randrange(20) else -1
+                for _ in range(m if rng.randrange(6) else rng.randint(1, 4))]
+        argv.append("--caps=" + ",".join(map(str, caps)))
+    return n, files, argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_cli_fuzz_exits_0_to_3(seed):
+    # one drawn seed drives every choice, so the malformed cases stay rare
+    # enough for most runs to reach the search or the certificate
+    n, files, argv = _cli_run(random.Random(seed))
+    real_graph = serial.Graph
+
+    def bounded_graph(n, edges):
+        assert n <= INSTANCE_VERTEX_LIMIT, "Graph(%d) built" % n
+        return real_graph(n, edges)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            mode = "wb" if isinstance(text, bytes) else "w"
+            with open(os.path.join(tmp, name), mode) as fh:
+                fh.write(text)
+        argv = [os.path.join(tmp, a) if a in files else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(serial, "Graph", bounded_graph), \
+                redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse refusing a flag
+                code = e.code
+    assert code in (0, 1, 2, 3), (str(files)[:300], argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    elif code != 3 or out.getvalue():  # a search cut by its budget reports it
+        assert json.loads(out.getvalue())
+    if n is not None and n > INSTANCE_VERTEX_LIMIT:
+        # the instance is read first, so only a flag argparse refuses comes earlier
+        assert code == 3 or "error: argument" in err.getvalue()
+
+
+def test_every_spec_flag_combination_exits_0_to_3(capsys, tmp_path, cycle6):
+    splitting = write(tmp_path, "s.json", {"schema": "splitting/1",
+                                           "sets": [[1, 3], [2, 4]]})
+    for flavor in ("fair", "almost", "transversal"):
+        for stability in ("1", "2", "3"):
+            for extra in ([], ["--balanced"], ["--weak"], ["--balanced", "--weak"]):
+                flags = ["--flavor", flavor, "--stability", stability] + extra
+                for caps in ([], ["--caps", "1,1"]):
+                    code, _, err = run(capsys, "solve", "--input", cycle6, "--q", "2",
+                                       "--budget", "10000", *flags, *caps)
+                    assert code in (0, 1, 3), (flags, caps, err)
+                code, _, err = run(capsys, "verify", "--input", cycle6,
+                                   "--splitting", splitting, *flags)
+                assert code in (0, 1), (flags, err)

@@ -1,14 +1,16 @@
 """Simplicial complex plumbing checked against direct subset enumeration."""
 
+import random
 from itertools import combinations
 
 import pytest
 
-from fairsplit.complexes import (SimplicialComplex, barycentric_subdivision,
+from fairsplit.complexes import (FACE_BUDGET, SimplicialComplex,
+                                 _maximal_chains, barycentric_subdivision,
                                  cone, constraint_subcomplex,
                                  deleted_join, deleted_join_faces,
                                  full_simplex, independence_complex, join,
-                                 skeleton, skeleton_join)
+                                 skeleton, skeleton_join, vertex_key)
 from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.graphs import Graph, VertexPartition, cycle_graph, path_graph
 from fairsplit.splitting import Splitting
@@ -55,7 +57,6 @@ def test_faces_budget():
 
 
 def test_independence_complex_matches_brute_force():
-    import random
     rng = random.Random(3)
     for trial in range(25):
         n = rng.randint(1, 6)
@@ -95,7 +96,6 @@ def test_join_and_cone():
 
 
 def test_deleted_join_faces_vs_brute_force():
-    import random
     rng = random.Random(5)
     for trial in range(15):
         n = rng.randint(1, 6)
@@ -157,3 +157,80 @@ def test_constraint_subcomplex_caps():
         f = set(f)
         assert len(f & {1, 2, 3}) <= 1 and len(f & {4, 5}) <= 2
     assert sigma.is_face((1, 4, 5)) and not sigma.is_face((1, 2))
+
+
+# ---------------------------------------------------------------------------
+# maximal chains against the recursive enumeration they replaced
+
+
+def _reference_chains(k, budget=FACE_BUDGET):
+    """Recursive: one call per face of each chain, so a facet of s vertices
+    needs recursion depth s; the budget is checked while enumerating."""
+    chains = []
+
+    def grow(chain, top):
+        if len(chains) > budget:
+            raise ResourceBudget("barycentric budget exceeded")
+        if len(top) == 1:
+            chains.append([tuple(sorted(c, key=vertex_key)) for c in chain])
+            return
+        for v in sorted(top, key=vertex_key):
+            grow(chain + [top - {v}], top - {v})
+
+    for f in k.facets:
+        if not f:
+            continue
+        grow([f], set(f))
+    return chains
+
+
+def _complexes_built_here():
+    """Every complex the tests in this file build, except the 24-vertex
+    simplex of test_faces_budget, which is too big to enumerate."""
+    seg = SimplicialComplex([(1, 2)])
+    out = [SimplicialComplex([(1, 2), (2,), (1, 2, 3), (3,)]),
+           SimplicialComplex([]), SimplicialComplex([()]),
+           full_simplex([1, 2, 3]), full_simplex([1, 2, 3, 4]),
+           skeleton(full_simplex([1, 2, 3, 4]), 1),
+           skeleton(full_simplex([1, 2, 3, 4]), -1),
+           seg, SimplicialComplex([("apex",)]),
+           join(seg, SimplicialComplex([("apex",)])), cone(seg),
+           join(seg, SimplicialComplex([(1,)])),
+           SimplicialComplex([(1,), (2,)]),
+           deleted_join(SimplicialComplex([(1,), (2,)]), 2),
+           SimplicialComplex([(1, 2), (2, 3), (1, 3)]),
+           independence_complex(path_graph(5)),
+           independence_complex(cycle_graph(6)),
+           skeleton_join([2, 2]),
+           constraint_subcomplex(full_simplex(range(1, 6)),
+                                 VertexPartition([(1, 2, 3), (4, 5)], 5), [1, 2])]
+    # the random graphs of the independence-complex and deleted-join tests
+    for seed, trials, most in ((3, 25, 9), (5, 15, 8)):
+        rng = random.Random(seed)
+        for _ in range(trials):
+            n = rng.randint(1, 6)
+            pool = list(combinations(range(1, n + 1), 2))
+            edges = rng.sample(pool, min(len(pool), rng.randint(0, most)))
+            out.append(independence_complex(Graph(n, edges)))
+    return out
+
+
+def test_maximal_chains_match_recursive_reference():
+    for k in _complexes_built_here():
+        assert _maximal_chains(k) == _reference_chains(k)
+        expect = (SimplicialComplex([]) if k.is_void() else
+                  SimplicialComplex(_reference_chains(k) or [()]))
+        assert barycentric_subdivision(k) == expect
+
+
+def test_barycentric_budget_counts_chains_first():
+    simplex = full_simplex([1, 2, 3, 4])
+    assert len(barycentric_subdivision(simplex, budget=24).facets) == 24
+    with pytest.raises(ResourceBudget):
+        barycentric_subdivision(simplex, budget=23)
+    with pytest.raises(ResourceBudget):
+        barycentric_subdivision(full_simplex(range(1, 25)), budget=1000)
+    # one 1,500-vertex facet: 1500! chains, refused before any is built
+    # (the recursive enumeration raised RecursionError here)
+    with pytest.raises(ResourceBudget):
+        barycentric_subdivision(full_simplex(range(1, 1501)), budget=10)

@@ -276,7 +276,8 @@ def test_block_coloring_values():
 def test_block_coloring_matches_mono_edge_search():
     # the exhaustive search looks exactly for q disjoint last-color vertices
     verts, colors, blocks = block_coloring(2, [2, 2])
-    sets = kneser._mono_edge_search(6, blocks, 2, [2, 2], DEFAULT_NODE_BUDGET)
+    sets = kneser._mono_edge_search(VertexPartition(blocks, 6), 2, [2, 2],
+                                    DEFAULT_NODE_BUDGET)
     assert sets is not None
     got = dict(zip(verts, colors))
     for s in sets:

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import brute_verdict
-from fairsplit.complexes import independence_complex
+from fairsplit.complexes import SimplicialComplex, independence_complex
 from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.geometry import gale_alternating, stretched_moment_points
 from fairsplit.graphs import (Graph, VertexPartition, cycle_graph, is_independent,
                               matching_graph, path_graph)
-from fairsplit.solver import SearchProblem, _Ctx, enumerate_splittings, find_splitting
+from fairsplit.solver import (SearchProblem, _Ctx, _leaf, _search,
+                             enumerate_splittings, find_splitting)
 from fairsplit.splitting import SplittingSpec, check_splitting
 
 # ---------------------------------------------------------------------------
@@ -453,3 +454,186 @@ def test_verdict_matches_brute_force_property(instance):
     assert (out.status == "found") == brute_verdict(g, part, spec)
     if out.status == "found":
         assert check_splitting(g, part, out.splitting, spec).ok
+
+
+# ---------------------------------------------------------------------------
+# differential test of the search loop against its earlier form, which keeps
+# the set-admission and forward-checking helpers as separate functions
+
+
+def _reference_balance_ok(sizes, i, rest):
+    """Can the size spread still end within 1 after set i grows by one?"""
+    hi = lo = sizes[i] + 1
+    for x, s in enumerate(sizes):
+        if x != i:
+            if s > hi:
+                hi = s
+            if s < lo:
+                lo = s
+    return hi - (lo + rest) <= 1
+
+
+def _reference_starved(cand, counts, blocks, mins, block_mask):
+    """Does a set with these candidates and counts fall short in a block?"""
+    for j in blocks:
+        if (cand & block_mask[j]).bit_count() < mins[j] - counts[j]:
+            return True
+    return False
+
+
+def _search_reference(problem, limit):
+    """The search loop as it was before the per-node work was inlined.
+
+    Returns (status, solutions, nodes): status is found | none | budget,
+    solutions the first `limit` (or fewer) in search order, and nodes the
+    visited nodes, root included, never more than the budget."""
+    ctx = _Ctx(problem)
+    q, n = ctx.q, ctx.n
+    mins, caps, block_of, block_mask = ctx.mins, ctx.caps, ctx.block_of, ctx.block_mask
+    keep, touch, rem_after = ctx.keep, ctx.touch, ctx.rem_after
+    after_in_block, unused_cap, vmask = ctx.after_in_block, ctx.unused_cap, ctx.vmask
+    balanced = ctx.balanced
+    cand = [(1 << n) - 1] * q
+    fmask = None if vmask is None else [ctx.full_facets] * q
+    counts = [[0] * len(mins) for _ in range(q)]
+    sizes = [0] * q
+    deficit = [q * x for x in mins]
+    unused = [0] * len(mins)
+    used = 0                 # sets holding a vertex; they are sets 0..used-1
+    choice = [-1] * n        # choice in force at each depth; q means unused
+    lone = [None] * n        # the one set that needs the vertex; -1 when two do
+    saved = [None] * n       # candidate and facet masks of the set extended at each depth
+    solutions = []
+    if problem.budget < 1:
+        return "budget", solutions, 0
+    nodes, d = 1, 0
+    while True:
+        if d == n:
+            found = _leaf(ctx, choice, deficit)
+            if found is not None:
+                solutions.append(found)
+                if len(solutions) >= limit:
+                    return "found", solutions, nodes
+            if d == 0:
+                break
+            d -= 1
+            continue
+        j = block_of[d]
+        c = choice[d]
+        if c == q:
+            unused[j] -= 1
+        elif c >= 0:
+            cnt = counts[c]
+            cnt[j] -= 1
+            if cnt[j] < mins[j]:
+                deficit[j] += 1
+            sizes[c] -= 1
+            if not sizes[c]:
+                used -= 1
+            cand[c], f = saved[d]
+            if fmask is not None:
+                fmask[c] = f
+        else:
+            # first arrival: which sets cannot afford to miss this vertex?
+            short = [x for x in range(q) if (cand[x] & after_in_block[d]).bit_count()
+                     < mins[j] - counts[x][j]]
+            lone[d] = short[0] if len(short) == 1 else (-1 if short else None)
+        must = lone[d]
+        c += 1
+        hi = used + 1 if used < q else q  # symmetry: only the first empty set may open
+        if must is not None:
+            c, hi = max(c, must), min(hi, must + 1)
+        while c < hi:
+            if (cand[c] >> d & 1 and (caps is None or counts[c][j] < caps[j])
+                    and (fmask is None or fmask[c] & vmask[d])
+                    and (not balanced or _reference_balance_ok(sizes, c, n - d - 1))):
+                break
+            c += 1
+        else:
+            if c <= q and must is None and (unused_cap is None or unused[j] < unused_cap):
+                c = q
+            else:
+                c = q + 1
+        if c > q:
+            choice[d] = -1
+            if d == 0:
+                break
+            d -= 1
+            continue
+        choice[d] = c
+        if c == q:
+            unused[j] += 1
+            if deficit[j] > rem_after[d]:
+                continue
+        else:
+            cnt = counts[c]
+            if cnt[j] < mins[j]:
+                deficit[j] -= 1
+            cnt[j] += 1
+            if not sizes[c]:
+                used += 1
+            sizes[c] += 1
+            saved[d] = cand[c], None if fmask is None else fmask[c]
+            cand[c] &= keep[d]
+            if fmask is not None:
+                fmask[c] &= vmask[d]
+            if deficit[j] > rem_after[d] or _reference_starved(cand[c], cnt, touch[d], mins, block_mask):
+                continue  # pruned: the next pass undoes choice[d] and tries the one after
+        if nodes == problem.budget:
+            return "budget", solutions, nodes
+        nodes += 1
+        d += 1
+    return ("found" if solutions else "none"), solutions, nodes
+
+
+def _random_search_problem(rng):
+    n = max(rng.randint(1, 12), rng.randint(1, 12))  # most cases near the top
+    g = _random_graph(n, rng.uniform(0, 0.5), rng)
+    part = _random_partition(n, rng.randint(1, min(4, n)), rng)
+    host = rng.choice([None, None, "int", "str"])
+    spec = SplittingSpec(q=rng.choice([1, 2, 2, 3, 3, 4]),
+                         flavor=rng.choice(["fair", "almost_fair", "transversal"]),
+                         balanced=rng.random() < 0.4,
+                         stability=1 if host == "str" else rng.choice([1, 1, 2, 3]),
+                         weak_stability=rng.choice([None, None, None, 2, 3]))
+    caps = None
+    if rng.random() < 0.3:
+        caps = [rng.randint(0, 3) for _ in part.blocks]
+    budget = rng.randint(1, 200)
+    if host is None:
+        problem = SearchProblem(partition=part, spec=spec, graph=g, caps=caps,
+                                budget=budget)
+    elif host == "int":
+        problem = SearchProblem(partition=part, spec=spec, host=independence_complex(g),
+                                caps=caps, budget=budget)
+    else:
+        # string labels sort as text, so the position order is not 1..n
+        k = independence_complex(g)
+        named = SimplicialComplex([[str(v) for v in f] for f in k.facets],
+                                  vertices=[str(v) for v in k.vertices])
+        blocks = [[str(v) for v in b] for b in part.blocks]
+        problem = SearchProblem(partition=VertexPartition(blocks), spec=spec,
+                                host=named, caps=caps, budget=budget)
+    return problem, rng.randint(1, 3)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_search_matches_reference_loop(seed):
+    # same status, same solutions in the same order, same node count: the
+    # two loops must visit the same tree, budget cut-offs included.  One
+    # drawn seed sets n, q and the budget from the weights written above,
+    # where drawing each would crowd the examples at the small end.
+    problem, limit = _random_search_problem(random.Random(seed))
+    assert _search(problem, limit) == _search_reference(problem, limit)
+
+
+def test_two_short_sets_cut_the_branch_at_once():
+    # 1 and 2 go to different sets and rule out 4 and 5, so at vertex 3
+    # both sets still need a vertex of the second block that only 3 can give:
+    # the branch dies there, without trying either set at 3
+    g = Graph(5, [(1, 4), (1, 5), (2, 4), (2, 5)])
+    part = VertexPartition([(1, 2), (3, 4, 5)], 5)
+    problem = SearchProblem(partition=part, spec=SplittingSpec(q=2, flavor="fair"),
+                            graph=g)
+    assert _search(problem, 1) == _search_reference(problem, 1) == ("none", [], 3)
