@@ -40,6 +40,17 @@ def _int_list(text, what="list"):
                          % (what, text)) from None
 
 
+def _blocks_partition(text, n):
+    """The consecutive partition of 1..n given by --blocks sizes, or one
+    block when the flag is absent."""
+    if not text:
+        return single_block_partition(n)
+    sizes = _int_list(text, "--blocks")
+    if sum(sizes) != n:
+        raise InputError("block sizes sum to %d, want %d" % (sum(sizes), n))
+    return consecutive_partition(sizes)
+
+
 def _sets_arg(text):
     """Semicolon-separated comma lists: "1,3;2,4" -> [{1,3},{2,4}]."""
     return [set(_int_list(part, "set")) for part in text.split(";")]
@@ -88,15 +99,7 @@ def cmd_generate(args):
     if args.r is not None:
         params["r"] = args.r
     g = generate_family(args.family, **params)
-    if args.blocks:
-        sizes = _int_list(args.blocks, "--blocks")
-        if sum(sizes) != g.n:
-            raise InputError("block sizes sum to %d but the graph has %d "
-                             "vertices" % (sum(sizes), g.n))
-        partition = consecutive_partition(sizes)
-    else:
-        partition = single_block_partition(g.n)
-    return 0, instance_dump(g, partition)
+    return 0, instance_dump(g, _blocks_partition(args.blocks, g.n))
 
 
 def cmd_solve(args):
@@ -195,13 +198,7 @@ def cmd_phi_check(args):
 
 def cmd_compose(args):
     n = args.n
-    if args.blocks:
-        sizes = _int_list(args.blocks, "--blocks")
-        if sum(sizes) != n:
-            raise InputError("block sizes sum to %d, want %d" % (sum(sizes), n))
-        partition = consecutive_partition(sizes)
-    else:
-        partition = single_block_partition(n)
+    partition = _blocks_partition(args.blocks, n)
     if args.t is not None:
         splitting = power_of_two_splitting(n, partition, args.t,
                                            budget=args.budget)
@@ -234,14 +231,7 @@ def cmd_kneser_chi(args):
 
 
 def cmd_kneser_split(args):
-    if args.blocks:
-        sizes = _int_list(args.blocks, "--blocks")
-        if sum(sizes) != args.n:
-            raise InputError("block sizes sum to %d, want %d"
-                             % (sum(sizes), args.n))
-        partition = consecutive_partition(sizes)
-    else:
-        partition = single_block_partition(args.n)
+    partition = _blocks_partition(args.blocks, args.n)
     res = splitting_from_coloring(args.n, partition, args.q,
                                   budget=args.budget,
                                   check_chromatic=args.check_chromatic)

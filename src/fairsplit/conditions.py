@@ -80,12 +80,18 @@ def neighborhood_bound(g: Graph, q, n):
             "worst_vertex": arg, "degree_ok": degree_ok, "size_ok": size_ok}
 
 
-def _neighborhood_ok_minus(g: Graph, removed, q):
-    """Neighborhood bound after deleting the edge set `removed`."""
+def _adjacency_minus(g: Graph, removed):
+    """g's adjacency sets with the edge set `removed` deleted."""
     adj = {v: set(g.adj[v]) for v in g.vertices}
     for u, w in removed:
         adj[u].discard(w)
         adj[w].discard(u)
+    return adj
+
+
+def _neighborhood_ok_minus(g: Graph, removed, q):
+    """Neighborhood bound after deleting the edge set `removed`."""
+    adj = _adjacency_minus(g, removed)
     for v in g.vertices:
         nb = adj[v]
         second = set()
@@ -149,6 +155,14 @@ def _search_simple_path(g: Graph, accept, budget=PATH_SEARCH_BUDGET):
     return None
 
 
+def _path_witness(g: Graph, accept, path, budget):
+    """The given path when deleting its edges satisfies `accept`, or with no
+    path given the first one the search finds; None when there is none."""
+    if path is not None:
+        return list(path) if accept(_path_edge_set(g, list(path))) else None
+    return _search_simple_path(g, accept, budget)
+
+
 def path_deletion(g: Graph, partition: VertexPartition, q, path=None,
                   budget=PATH_SEARCH_BUDGET):
     gates = {
@@ -159,13 +173,8 @@ def path_deletion(g: Graph, partition: VertexPartition, q, path=None,
     out = {"ok": False, "path": None, **gates}
     if not all(gates.values()):
         return out
-    if path is not None:
-        removed = _path_edge_set(g, list(path))
-        if _neighborhood_ok_minus(g, removed, q):
-            out.update(ok=True, path=list(path))
-        return out
-    found = _search_simple_path(
-        g, lambda removed: _neighborhood_ok_minus(g, removed, q), budget)
+    found = _path_witness(
+        g, lambda removed: _neighborhood_ok_minus(g, removed, q), path, budget)
     if found is not None:
         out.update(ok=True, path=found)
     return out
@@ -258,20 +267,12 @@ def path_union_cliques_shape(g: Graph, partition: VertexPartition, q,
         return out
 
     def accept(removed):
-        adj = {v: set(g.adj[v]) for v in g.vertices}
-        for u, w in removed:
-            adj[u].discard(w)
-            adj[w].discard(u)
+        adj = _adjacency_minus(g, removed)
         if q == 2:
             return all(not adj[v] for v in adj)
         return _is_disjoint_cliques(adj, g.vertices, q - 1)
 
-    if path is not None:
-        removed = _path_edge_set(g, list(path))
-        if accept(removed):
-            out.update(ok=True, path=list(path))
-        return out
-    found = _search_simple_path(g, accept, budget)
+    found = _path_witness(g, accept, path, budget)
     if found is not None:
         out.update(ok=True, path=found)
     return out

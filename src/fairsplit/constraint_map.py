@@ -26,25 +26,28 @@ The two checks:
                        combination vanishes iff every direction 1..q occurs
                        among the chain's unconstrained faces.  So the check
                        is a search for an inclusion chain of unconstrained
-                       faces whose directions cover 1..q, done by a
-                       level-by-level numpy DP that keeps, for every face,
-                       the set of direction masks its chains can carry as a
-                       2^q-bit bitset.
+                       faces whose directions cover 1..q, done by a numpy DP
+                       that keeps, for every face, the set of direction
+                       masks its chains can carry as a 2^q-bit bitset, and
+                       fills it in one support at a time.
 
   verify_equivariance  d(pi F) = pi(d(F)) for slot permutations pi; the
                        adjacent transpositions generate the full symmetric
                        group, so checking them suffices, and small instances
                        are additionally checked against every permutation.
 
-Both checks read the directions of all faces from one numpy array indexed by
-face integers: the digits of a face read as a base-(q+1) number, vertex 0
-most significant, so integer order is the order of `all_faces`.  That array
-is the C-order tensor of shape (q+1,)*n whose axis v is vertex v's digit.
-Slot sizes are sums of one-hot vectors broadcast along the axes, a tie at
-vertex v is settled on the slices of axis v, and the directions of the
-permuted faces are the tensor reindexed by the permutation along every axis;
-no digits are extracted.  Violations are reported in integer order, as a
-face-by-face loop would find them.
+Both checks read the directions of all faces from one numpy array: the
+C-order tensor of shape (q+1,)*n whose axis v is vertex v's digit, so C order
+is the order of `all_faces`.  Slot sizes are sums of one-hot vectors
+broadcast along the axes, a tie at vertex v is settled on the slices of axis
+v, and the directions of the permuted faces are the tensor reindexed by the
+permutation along every axis.  The faces with support S are one basic slice
+of the tensor (digits 1..q on the axes in S, digit 0 elsewhere), in
+slot-assignment order, and so are their facets for each vertex dropped from
+S; the zero-set DP visits supports by size and then in `combinations`
+order, which is the order it reports in.  No digits are extracted, and
+equivariance violations are reported in `all_faces` order, as a face-by-face
+loop would find them.
 """
 
 from __future__ import annotations
@@ -282,87 +285,84 @@ def _witness_chain(inst, top, need_mask):
     return got if got is not None else [top]
 
 
-def _enumeration_rank(digits, q):
-    """Position of a face in the order verify_zero_set reports in: by size,
-    then support (as a sorted tuple), then slot assignment, 0-based."""
-    n = len(digits)
-    support = [v for v, d in enumerate(digits) if d]
-    s = len(support)
-    rank = sum(math.comb(n, j) * q ** j for j in range(s))
-    comb_rank, prev = 0, -1
-    for i, v in enumerate(support):
-        comb_rank += sum(math.comb(n - 1 - u, s - 1 - i) for u in range(prev + 1, v))
-        prev = v
-    assign_rank = 0
-    for v in support:
-        assign_rank = assign_rank * q + digits[v] - 1
-    return rank + comb_rank * q ** s + assign_rank
+def _closure_tables(q):
+    """Tables that add a face's direction d to its bitset of direction masks
+    (bit m = mask m, in words of at most 64 bits): the masks without d,
+    acc & keep[d], move up by 2^(d-1), which is a shift by shift[d] inside a
+    word or the word permutation perm[d] across words.  Row 0, for
+    constrained faces, moves nothing."""
+    bits = 1 << q
+    word_bits = min(bits, 64)
+    words = bits // word_bits
+    keep = np.zeros((q + 1, words), dtype=np.dtype("uint%d" % max(8, word_bits)))
+    shift = np.zeros(q + 1, dtype=keep.dtype)
+    perm = np.tile(np.arange(words), (q + 1, 1))
+    for d in range(1, q + 1):
+        b = 1 << (d - 1)
+        for w in range(words):
+            keep[d, w] = sum(1 << p for p in range(word_bits)
+                             if not (w * word_bits + p) & b)
+        if b < word_bits:
+            shift[d] = b
+        else:
+            perm[d] ^= b // word_bits
+    return keep, shift, perm
 
 
-def _add_direction(masks, b, word_bits):
-    """{m | 2^b : m in X} for each row X of `masks`, a bitset over direction
-    masks (bit m of the row = mask m), stored as (rows, words)."""
-    shift = 1 << b
-    if shift < word_bits:
-        keep = sum(1 << p for p in range(word_bits) if p & shift)
-        keep = masks.dtype.type(keep)
-        return (masks & keep) | ((masks & ~keep) << masks.dtype.type(shift))
-    step = shift // word_bits
-    out = np.zeros_like(masks)
-    for w in range(masks.shape[1]):
-        if w & step:
-            out[:, w] = masks[:, w] | masks[:, w ^ step]
-    return out
+def _add_directions(acc, fdir, tables):
+    """acc[F] |= {m | 2^(d-1) : m in acc[F]} with d = fdir[F], in place."""
+    keep, shift, perm = tables
+    moved = acc & keep[fdir]
+    if perm.shape[1] > 1:
+        moved = np.take_along_axis(moved, perm[fdir], axis=-1)
+    acc |= moved << shift[fdir][..., None]
 
 
-def _rainbow_faces(inst, enough):
-    """Digits of the unconstrained faces F that top an inclusion chain of
-    unconstrained faces whose directions cover 1..q, in enumeration order,
-    scanning levels until at least `enough` are known.
+def _rainbow_faces(inst, start, enough):
+    """The first `enough` unconstrained faces F, in enumeration order, that
+    top an inclusion chain of unconstrained faces whose directions cover
+    1..q, and how many faces the enumeration reads up to the last of them
+    (all of them if fewer are found).
 
     reach[F] is the set of masks of directions carried by chains of
     unconstrained faces inside F (the empty chain included): the union of
-    reach over F's facets, closed under adding d(F) when F is unconstrained."""
+    reach over F's facets, closed under adding d(F) when F is unconstrained.
+    The faces with support S are the slice of the face tensor taking digits
+    1..q on the axes in S and digit 0 elsewhere, in assignment order; a facet
+    drops one vertex of S, so its slice broadcasts against S's.  Faces below
+    level `start` are all constrained, so their reach is the empty chain."""
     q, n = inst.q, inst.n
-    base = q + 1
-    weights = _face_weights(n, base)
-    dirs = _directions_array(inst)
-    bits = 1 << q
-    if bits <= 64:
-        dtype = np.dtype("uint%d" % max(8, bits))
-        words = 1
-    else:
-        dtype, words = np.dtype(np.uint64), bits // 64
-    word_bits = min(bits, 64)
-    full_word, full_bit = divmod(bits - 1, word_bits)
-    ints = np.arange(dirs.size, dtype=np.int64)
-    level = np.zeros(dirs.size, dtype=np.int8)
-    for w in weights:
-        level += ints // w % base != 0
-    by_level = np.argsort(level, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(np.bincount(level, minlength=n + 1))))
-    reach = np.zeros((dirs.size, words), dtype=dtype)
+    tables = _closure_tables(q)
+    dirs = _directions_array(inst).reshape((q + 1,) * n)
+    reach = np.zeros(dirs.shape + tables[0].shape[1:], dtype=tables[0].dtype)
+    reach[..., 0] = 1
+    top = reach.dtype.type(min(1 << q, 64) - 1)  # the full mask's bit
     found = []
-    for s in range(n + 1):
-        faces = by_level[starts[s]:starts[s + 1]]
-        acc = np.zeros((faces.size, words), dtype=dtype)
-        acc[:, 0] = 1
-        for w in weights:
-            digit = faces // w % base
-            sub = np.nonzero(digit)[0]
-            acc[sub] |= reach[faces[sub] - digit[sub] * w]
-        fdir = dirs[faces]
-        for d in range(1, q + 1):
-            rows = np.nonzero(fdir == d)[0]
-            if rows.size:
-                acc[rows] |= _add_direction(acc[rows], d - 1, word_bits)
-        reach[faces] = acc
-        hit = (fdir != 0) & (acc[:, full_word] >> dtype.type(full_bit) & dtype.type(1) != 0)
-        found += sorted((_face_digits(int(f), weights, base) for f in faces[hit]),
-                        key=lambda digits: _enumeration_rank(digits, q))
-        if len(found) >= enough:
-            break
-    return found
+    processed = sum(math.comb(n, s) * q ** s for s in range(start))
+    for s in range(start, n + 1):
+        for support in itertools.combinations(range(n), s):
+            at = [0] * n
+            for v in support:
+                at[v] = slice(1, None)
+            acc = reach[tuple(at)]
+            for v in support:
+                at[v] = slice(0, 1)
+                acc |= reach[tuple(at)]
+                at[v] = slice(1, None)
+            fdir = dirs[tuple(at)]
+            if fdir.any():
+                _add_directions(acc, fdir, tables)
+                # a constrained face's subfaces are all constrained, so
+                # only unconstrained faces can reach the full mask
+                for f in np.flatnonzero(acc[..., -1] >> top):
+                    digits = [0] * n
+                    for v, a in zip(support, np.unravel_index(f, (q,) * s)):
+                        digits[v] = int(a) + 1
+                    found.append(tuple(digits))
+                    if len(found) == enough:
+                        return found, processed + int(f) + 1
+            processed += q ** s
+    return found, processed
 
 
 def verify_zero_set(inst, budget=FACE_BUDGET, max_witnesses=1):
@@ -380,16 +380,11 @@ def verify_zero_set(inst, budget=FACE_BUDGET, max_witnesses=1):
     if len(levels) < q:
         report.short_circuit = True
         return report
-    enough = max(1, max_witnesses)
-    full = (1 << q) - 1
-    found = _rainbow_faces(inst, enough)[:enough]
+    found, report.faces_processed = _rainbow_faces(inst, levels[0],
+                                                   max(1, max_witnesses))
     for digits in found:
         report.violations.append(
-            [list(f) for f in _witness_chain(inst, digits, full)])
-    if len(found) == enough:
-        report.faces_processed = _enumeration_rank(found[-1], q) + 1
-    else:
-        report.faces_processed = inst.face_count()
+            [list(f) for f in _witness_chain(inst, digits, (1 << q) - 1)])
     return report
 
 
@@ -441,15 +436,6 @@ def _all_slot_permutations(q):
     return out
 
 
-def _face_weights(n, base):
-    """Place value of each vertex's digit in a face integer."""
-    return [base ** (n - 1 - v) for v in range(n)]
-
-
-def _face_digits(face, weights, base):
-    return tuple(face // w % base for w in weights)
-
-
 def _directions_array(inst):
     """dirs[face_int] in {0 = constrained, 1..q}; the vectorised
     face_direction, built as the tensor of shape (q+1,)*n and returned flat."""
@@ -487,15 +473,14 @@ def _verify_equivariance_numpy(inst, perms, report):
     """Compare d(pi F) with pi(d(F)) for every face and permutation.  Stops
     at the fifth violation (faces in all_faces order, then permutations in
     the given order); faces_processed counts the faces read up to it."""
-    n, base = inst.n, inst.q + 1
-    weights = _face_weights(n, base)
+    shape = (inst.q + 1,) * inst.n
     dirs = _directions_array(inst)
-    tensor = dirs.reshape((base,) * n)
+    tensor = dirs.reshape(shape)
     found = []  # (face, permutation index, got, want): each one's first five
     for i, perm in enumerate(perms):
         lut = np.array(perm, dtype=dirs.dtype)
         image = tensor
-        for axis in range(n):
+        for axis in range(inst.n):
             image = np.take(image, lut, axis=axis)
         image = image.reshape(-1)  # image[F] = dirs[pi F]
         want = lut[dirs]
@@ -504,7 +489,7 @@ def _verify_equivariance_numpy(inst, perms, report):
     found = sorted(found)[:5]
     for f, i, got, want in found:
         report.violations.append({
-            "face": list(_face_digits(f, weights, base)),
+            "face": [int(d) for d in np.unravel_index(f, shape)],
             "perm": list(perms[i]), "got": got, "want": want})
     report.faces_processed = found[-1][0] + 1 if len(found) == 5 else dirs.size
 

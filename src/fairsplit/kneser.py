@@ -6,7 +6,8 @@ pairwise disjoint subsets.  The "path" stability filter keeps subsets whose
 elements pairwise differ by at least q; "cycle" additionally requires the
 wrap-around gap first + n - last to be at least q.  build_hypergraph counts
 the stable subsets in closed form and checks the vertex budget before it
-enumerates any.
+enumerates any; its search for hyperedges charges every partial family it
+visits to the edge budget, and drops families that cannot be completed.
 
 chromatic_number tries c = lower bound, lower bound + 1, ... with one
 iterative DSATUR search per c (Brélaz 1979).  The search keeps, for every
@@ -88,28 +89,35 @@ class Hypergraph:
 
 def build_hypergraph(inst: KneserInstance, vertex_budget=VERTEX_BUDGET,
                      edge_budget=EDGE_BUDGET):
+    """The hyperedges in lexicographic order of vertex indices, by a
+    depth-first search over partial families on an explicit stack.  A family
+    is dropped when fewer elements are unused than its missing sets need, or
+    fewer candidate vertices are left than it misses; every family visited,
+    complete or not, is charged to edge_budget."""
     count = stable_subset_count(inst.n, inst.k, inst.q, inst.stability)
     if count > vertex_budget:
         raise ResourceBudget("%d vertices exceed the budget" % count)
     verts = stable_subsets(inst.n, inst.k, inst.q, inst.stability)
-    masks = [sum(1 << v for v in c) for c in verts]
-    edges = []
-
-    def grow(start, chosen, used):
-        if len(chosen) == inst.q:
-            edges.append(tuple(chosen))
-            if len(edges) > edge_budget:
-                raise ResourceBudget("edge budget exceeded")
-            return
-        for i in range(start, len(verts)):
-            if not masks[i] & used:
-                grow(i + 1, chosen + [i], used | masks[i])
-
     if inst.k == 0:
         # the empty set is disjoint from itself only vacuously; a hyperedge
         # needs q distinct vertices, and there is just one 0-subset
         return Hypergraph(verts, [])
-    grow(0, [], 0)
+    masks = [sum(1 << v for v in c) for c in verts]
+    edges = []
+    visited = 0
+    stack = [(0, (), 0)]  # next candidate, the family, the elements it uses
+    while stack:
+        start, chosen, used = stack.pop()
+        visited += 1
+        if visited > edge_budget:
+            raise ResourceBudget("edge budget exceeded")
+        need = inst.q - len(chosen)
+        if need == 0:
+            edges.append(chosen)
+        elif inst.n - used.bit_count() >= inst.k * need:
+            stack.extend(reversed([(i + 1, chosen + (i,), used | masks[i])
+                                   for i in range(start, len(verts) - need + 1)
+                                   if not masks[i] & used]))
     return Hypergraph(verts, edges)
 
 

@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, vertex_key
 from .errors import InputError, ResourceBudget
 from .geometry import PointConfiguration
 from .graphs import Graph, VertexPartition
@@ -177,7 +177,7 @@ def splitting_load(data):
 
 def complex_dump(k: SimplicialComplex):
     return {"schema": COMPLEX_SCHEMA, "vertices": list(k.vertices),
-            "facets": [list(f) for f in k.facets]}
+            "facets": [sorted(f, key=vertex_key) for f in k.facets]}
 
 
 def complex_load(data):

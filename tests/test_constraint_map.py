@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fairsplit import constraint_map
+from fairsplit import constraint_map, serial
 from fairsplit.constraint_map import (ConstraintMapInstance, EquivarianceReport,
                                       ZeroSetReport, _adjacent_transpositions,
                                       _all_slot_permutations,
@@ -94,6 +94,117 @@ def _verify_zero_set_python(inst, direction=face_direction, max_witnesses=1):
     return report
 
 
+# The face-integer zero-set DP that the support-slice DP replaced: faces are
+# base-(q+1) integers (vertex 0 most significant), levels come from an
+# argsort over every face, and each level's hits are sorted by enumeration
+# rank.
+
+def _face_weights(n, base):
+    """Place value of each vertex's digit in a face integer."""
+    return [base ** (n - 1 - v) for v in range(n)]
+
+
+def _face_digits(face, weights, base):
+    return tuple(face // w % base for w in weights)
+
+
+def _enumeration_rank(digits, q):
+    """Position of a face in the order verify_zero_set reports in: by size,
+    then support (as a sorted tuple), then slot assignment, 0-based."""
+    n = len(digits)
+    support = [v for v, d in enumerate(digits) if d]
+    s = len(support)
+    rank = sum(math.comb(n, j) * q ** j for j in range(s))
+    comb_rank, prev = 0, -1
+    for i, v in enumerate(support):
+        comb_rank += sum(math.comb(n - 1 - u, s - 1 - i) for u in range(prev + 1, v))
+        prev = v
+    assign_rank = 0
+    for v in support:
+        assign_rank = assign_rank * q + digits[v] - 1
+    return rank + comb_rank * q ** s + assign_rank
+
+
+def _add_direction(masks, b, word_bits):
+    """{m | 2^b : m in X} for each row X of `masks`, a bitset over direction
+    masks (bit m of the row = mask m), stored as (rows, words)."""
+    shift = 1 << b
+    if shift < word_bits:
+        keep = sum(1 << p for p in range(word_bits) if p & shift)
+        keep = masks.dtype.type(keep)
+        return (masks & keep) | ((masks & ~keep) << masks.dtype.type(shift))
+    step = shift // word_bits
+    out = np.zeros_like(masks)
+    for w in range(masks.shape[1]):
+        if w & step:
+            out[:, w] = masks[:, w] | masks[:, w ^ step]
+    return out
+
+
+def _rainbow_faces_by_integer(inst, enough):
+    q, n = inst.q, inst.n
+    base = q + 1
+    weights = _face_weights(n, base)
+    dirs = constraint_map._directions_array(inst)
+    bits = 1 << q
+    if bits <= 64:
+        dtype = np.dtype("uint%d" % max(8, bits))
+        words = 1
+    else:
+        dtype, words = np.dtype(np.uint64), bits // 64
+    word_bits = min(bits, 64)
+    full_word, full_bit = divmod(bits - 1, word_bits)
+    ints = np.arange(dirs.size, dtype=np.int64)
+    level = np.zeros(dirs.size, dtype=np.int8)
+    for w in weights:
+        level += ints // w % base != 0
+    by_level = np.argsort(level, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(level, minlength=n + 1))))
+    reach = np.zeros((dirs.size, words), dtype=dtype)
+    found = []
+    for s in range(n + 1):
+        faces = by_level[starts[s]:starts[s + 1]]
+        acc = np.zeros((faces.size, words), dtype=dtype)
+        acc[:, 0] = 1
+        for w in weights:
+            digit = faces // w % base
+            sub = np.nonzero(digit)[0]
+            acc[sub] |= reach[faces[sub] - digit[sub] * w]
+        fdir = dirs[faces]
+        for d in range(1, q + 1):
+            rows = np.nonzero(fdir == d)[0]
+            if rows.size:
+                acc[rows] |= _add_direction(acc[rows], d - 1, word_bits)
+        reach[faces] = acc
+        hit = (fdir != 0) & (acc[:, full_word] >> dtype.type(full_bit) & dtype.type(1) != 0)
+        found += sorted((_face_digits(int(f), weights, base) for f in faces[hit]),
+                        key=lambda digits: _enumeration_rank(digits, q))
+        if len(found) >= enough:
+            break
+    return found
+
+
+def _verify_zero_set_by_integer(inst, max_witnesses=1):
+    q = inst.q
+    levels = _levels_with_unconstrained(inst)
+    report = ZeroSetReport(inst.q, inst.k, inst.t, inst.vertex_order,
+                           len(levels), False, 0)
+    if len(levels) < q:
+        report.short_circuit = True
+        return report
+    enough = max(1, max_witnesses)
+    full = (1 << q) - 1
+    found = _rainbow_faces_by_integer(inst, enough)[:enough]
+    for digits in found:
+        report.violations.append(
+            [list(f) for f in _witness_chain(inst, digits, full)])
+    if len(found) == enough:
+        report.faces_processed = _enumeration_rank(found[-1], q) + 1
+    else:
+        report.faces_processed = inst.face_count()
+    return report
+
+
 def _digit_rows(lo, hi, weights, base):
     """(n, hi - lo) matrix: row v holds digit v of the faces lo..hi-1."""
     ints = np.arange(lo, hi, dtype=np.int64)
@@ -107,7 +218,7 @@ def _directions_array_chunked(inst, chunk=1 << 20):
     q, k, t, n = inst.q, inst.k, inst.t, inst.n
     m = inst.face_count()
     base = q + 1
-    weights = constraint_map._face_weights(n, base)
+    weights = _face_weights(n, base)
     dirs = np.zeros(m, dtype=np.int8 if q <= 127 else np.int64)
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
@@ -133,7 +244,7 @@ def _verify_equivariance_chunked(inst, perms, report, chunk=1 << 18):
     """The digit-row version of _verify_equivariance_numpy: each permuted
     face's integer is summed from its permuted digits, chunk by chunk."""
     n, base = inst.n, inst.q + 1
-    weights = constraint_map._face_weights(n, base)
+    weights = _face_weights(n, base)
     dirs = constraint_map._directions_array(inst)
     m = dirs.size
     luts = [np.array(perm, dtype=np.int64) for perm in perms]
@@ -147,7 +258,7 @@ def _verify_equivariance_chunked(inst, perms, report, chunk=1 << 18):
                 image += lut[digit] * w
             row[:] = dirs[image] != lut[dirs[lo:hi]]
         for f, i in zip(*np.nonzero(bad.T)):
-            digits = constraint_map._face_digits(lo + int(f), weights, base)
+            digits = _face_digits(lo + int(f), weights, base)
             image = permute_slots(digits, perms[i])
             image_int = sum(d * w for d, w in zip(image, weights))
             report.violations.append({
@@ -477,19 +588,60 @@ def test_equivariance_tensor_matches_chunked_reference(q, k, t):
 
 @pytest.mark.parametrize("q", [2, 3, 6, 7, 8])
 def test_add_direction_matches_set_semantics(q):
+    # q >= 7 needs several 64-bit words per bitset, so directions 7 and up
+    # move whole words; no instance within the face budget reaches that path
     bits = 1 << q
+    keep, shift, perm = tables = constraint_map._closure_tables(q)
     word_bits = min(bits, 64)
-    dtype = np.dtype("uint%d" % max(8, word_bits))
+    assert keep.shape == perm.shape == (q + 1, max(1, bits // 64))
     rng = np.random.default_rng(q)
     sets = [set(rng.choice(bits, size=min(5, bits), replace=False).tolist())
-            for _ in range(4)]
-    rows = np.zeros((len(sets), max(1, bits // 64)), dtype=dtype)
-    for row, masks in zip(rows, sets):
+            for _ in range(3 * (q + 1))]
+    fdir = np.arange(len(sets)) % (q + 1)  # every direction, and 0, three times
+    acc = np.zeros((len(sets), keep.shape[1]), dtype=keep.dtype)
+    for row, masks in zip(acc, sets):
         for m in masks:
-            row[m // word_bits] |= dtype.type(1 << m % word_bits)
-    for b in range(q):
-        out = constraint_map._add_direction(rows, b, word_bits)
-        for row, masks in zip(out, sets):
-            got = {w * word_bits + p for w in range(row.size)
-                   for p in range(word_bits) if int(row[w]) >> p & 1}
-            assert got == {m | 1 << b for m in masks}, (q, b)
+            row[m // word_bits] |= keep.dtype.type(1 << m % word_bits)
+    constraint_map._add_directions(acc, fdir, tables)
+    for row, masks, d in zip(acc, sets, fdir):
+        got = {w * word_bits + p for w in range(row.size)
+               for p in range(word_bits) if int(row[w]) >> p & 1}
+        want = masks | {m | 1 << (d - 1) for m in masks} if d else masks
+        assert got == want, (q, d)
+
+
+ORDERS_PER_TRIPLE = 4
+
+
+@pytest.mark.parametrize("q,k,t", valid_parameter_triples(7))
+def test_zero_set_matches_integer_reference(q, k, t):
+    n = q * k - t
+    for order in [None] + random_vertex_orders(n, ORDERS_PER_TRIPLE - 1, seed=q * k + t):
+        inst = ConstraintMapInstance(q, k, t, vertex_order=order)
+        for witnesses in (1, 3, 1000):
+            got = serial.canonical_dumps(verify_zero_set(inst, max_witnesses=witnesses).to_json())
+            want = serial.canonical_dumps(
+                _verify_zero_set_by_integer(inst, max_witnesses=witnesses).to_json())
+            assert got == want, (q, k, t, order, witnesses)
+
+
+@pytest.mark.parametrize("rule", [_first_vertex_rule, _highest_tied_slot_rule])
+@pytest.mark.parametrize("q,k,t", [(q, k, t) for q, k, t in valid_parameter_triples(7)
+                                   if (q + 1) ** (q * k - t) <= 20000])
+def test_zero_set_wrong_rule_matches_integer_reference(monkeypatch, rule, q, k, t):
+    inst = ConstraintMapInstance(q, k, t)
+    _use_rule(monkeypatch, inst, rule)
+    for witnesses in (1, 3, 1000):
+        got = serial.canonical_dumps(verify_zero_set(inst, max_witnesses=witnesses).to_json())
+        want = serial.canonical_dumps(
+            _verify_zero_set_by_integer(inst, max_witnesses=witnesses).to_json())
+        assert got == want, (q, k, t, witnesses)
+
+
+def test_zero_set_thirteen_axes_matches_integer_reference():
+    # q = 2, n = 13: 2^13 support slices over 3^13 faces
+    order = random_vertex_orders(13, 1, seed=13)[0]
+    inst = ConstraintMapInstance(2, 7, 1, vertex_order=order)
+    for witnesses in (1, 1000):
+        got = verify_zero_set(inst, max_witnesses=witnesses).to_json()
+        assert got == _verify_zero_set_by_integer(inst, max_witnesses=witnesses).to_json()

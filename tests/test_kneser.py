@@ -168,6 +168,32 @@ def test_build_hypergraph_budgets():
         build_hypergraph(KneserInstance(8, 2, 2), edge_budget=5)
 
 
+def test_build_hypergraph_matches_brute_force_order():
+    for stability in ("none", "path", "cycle"):
+        for q in (2, 3):
+            for n in range(1, 9):
+                for k in range(1, 4):
+                    h = build_hypergraph(KneserInstance(n, k, q, stability))
+                    want = [e for e in combinations(range(len(h.vertices)), q)
+                            if len(set().union(*(h.vertices[i] for i in e))) == q * k]
+                    assert h.edges == want, (n, k, q, stability)
+
+
+def test_build_hypergraph_drops_families_that_cannot_complete():
+    # ten disjoint pairs need 20 elements: the search stops at the root
+    h = build_hypergraph(KneserInstance(19, 2, 10), edge_budget=1)
+    assert len(h.vertices) == 171 and h.edges == []
+    # k = 1, q = n: one hyperedge, reached through one family per size
+    h = build_hypergraph(KneserInstance(60, 1, 60), edge_budget=61)
+    assert h.edges == [tuple(range(60))]
+
+
+def test_build_hypergraph_budget_counts_visited_families():
+    # 61 families are visited for a single hyperedge
+    with pytest.raises(ResourceBudget):
+        build_hypergraph(KneserInstance(60, 1, 60), edge_budget=60)
+
+
 def test_chromatic_formula_values():
     assert chromatic_formula(5, 2, 2) == 3
     assert chromatic_formula(8, 2, 2) == 6

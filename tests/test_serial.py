@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +124,22 @@ def test_complex_round_trip():
     assert complex_load(complex_dump(k)) == k
     with pytest.raises(InputError):
         complex_load({"schema": "complex/1", "facets": [[1.5]]})
+
+
+def test_complex_dump_bytes_ignore_hash_seed():
+    code = ("from fairsplit.complexes import SimplicialComplex\n"
+            "from fairsplit.serial import canonical_dumps, complex_dump\n"
+            "k = SimplicialComplex([('x', 'b', 'q', 'a', 'm'), ('z', 'y'), (9, 17, 1)])\n"
+            "print(canonical_dumps(complex_dump(k)))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, text=True).stdout)
+    assert outs[0] == outs[1]
+    facets = json.loads(outs[0])["facets"]
+    assert ["a", "b", "m", "q", "x"] in facets and [1, 9, 17] in facets
 
 
 def test_complex_ghost_vertices_survive():
