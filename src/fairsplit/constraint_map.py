@@ -38,16 +38,26 @@ The two checks:
 
 Both checks read the directions of all faces from one numpy array: the
 C-order tensor of shape (q+1,)*n whose axis v is vertex v's digit, so C order
-is the order of `all_faces`.  Slot sizes are sums of one-hot vectors
-broadcast along the axes, a tie at vertex v is settled on the slices of axis
-v, and the directions of the permuted faces are the tensor reindexed by the
-permutation along every axis.  The faces with support S are one basic slice
-of the tensor (digits 1..q on the axes in S, digit 0 elsewhere), in
-slot-assignment order, and so are their facets for each vertex dropped from
-S; the zero-set DP visits supports by size and then in `combinations`
-order, which is the order it reports in.  No digits are extracted, and
-equivariance violations are reported in `all_faces` order, as a face-by-face
-loop would find them.
+is the order of `all_faces`.  A face's direction is the slot of its first
+vertex in the vertex order when that slot is a largest one; otherwise the
+face without that vertex has the same largest slots, and so the same
+direction under the rule read before the constraint.  So the tensor grows
+one leading axis per vertex, from the last in the vertex order to the
+first, and a transposed copy puts its axes in vertex order 0..n-1 (see
+_directions_array).  The directions of the permuted faces are the tensor
+reindexed by the permutation along every axis.  The faces with support S
+are one basic slice of the tensor (digits 1..q on the axes in S, digit 0
+elsewhere), in slot-assignment order, and so are their facets for each
+vertex dropped from S; the zero-set DP visits supports by size and then in
+`combinations` order, which is the order it reports in.  No digits are
+extracted, and equivariance violations are reported in `all_faces` order,
+as a face-by-face loop would find them.
+
+Memory, in bytes per face: the int8 direction tensor is 1, and building it
+peaks at 1 + (2q+3)/(q+1), at most 3.34.  The equivariance check then keeps
+at most three int8 tensors alive, 3 bytes per face.  The zero-set DP adds
+its reach bitsets, max(1, 2^q/8) bytes per face, and temporaries on one
+support slice.
 """
 
 from __future__ import annotations
@@ -295,7 +305,7 @@ def _closure_tables(q):
     word_bits = min(bits, 64)
     words = bits // word_bits
     keep = np.zeros((q + 1, words), dtype=np.dtype("uint%d" % max(8, word_bits)))
-    shift = np.zeros(q + 1, dtype=keep.dtype)
+    shift = np.zeros(q + 1, dtype=np.uint8)
     perm = np.tile(np.arange(words), (q + 1, 1))
     for d in range(1, q + 1):
         b = 1 << (d - 1)
@@ -312,10 +322,12 @@ def _closure_tables(q):
 def _add_directions(acc, fdir, tables):
     """acc[F] |= {m | 2^(d-1) : m in acc[F]} with d = fdir[F], in place."""
     keep, shift, perm = tables
-    moved = acc & keep[fdir]
+    moved = keep[fdir]
+    moved &= acc
     if perm.shape[1] > 1:
         moved = np.take_along_axis(moved, perm[fdir], axis=-1)
-    acc |= moved << shift[fdir][..., None]
+    moved <<= shift[fdir][..., None]
+    acc |= moved
 
 
 def _rainbow_faces(inst, start, enough):
@@ -352,15 +364,18 @@ def _rainbow_faces(inst, start, enough):
             fdir = dirs[tuple(at)]
             if fdir.any():
                 _add_directions(acc, fdir, tables)
-                # a constrained face's subfaces are all constrained, so
-                # only unconstrained faces can reach the full mask
-                for f in np.flatnonzero(acc[..., -1] >> top):
-                    digits = [0] * n
-                    for v, a in zip(support, np.unravel_index(f, (q,) * s)):
-                        digits[v] = int(a) + 1
-                    found.append(tuple(digits))
-                    if len(found) == enough:
-                        return found, processed + int(f) + 1
+                # a constrained face's subfaces are all constrained, so only
+                # unconstrained faces can reach the full mask, and a chain
+                # covering 1..q holds q of them, of distinct sizes from level
+                # `start` up
+                if s >= start + q - 1:
+                    for f in np.flatnonzero(acc[..., -1] >> top):
+                        digits = [0] * n
+                        for v, a in zip(support, np.unravel_index(f, (q,) * s)):
+                            digits[v] = int(a) + 1
+                        found.append(tuple(digits))
+                        if len(found) == enough:
+                            return found, processed + int(f) + 1
             processed += q ** s
     return found, processed
 
@@ -438,54 +453,71 @@ def _all_slot_permutations(q):
 
 def _directions_array(inst):
     """dirs[face_int] in {0 = constrained, 1..q}; the vectorised
-    face_direction, built as the tensor of shape (q+1,)*n and returned flat."""
+    face_direction, built as the tensor of shape (q+1,)*n and returned flat.
+
+    Step m puts the axis of vertex vertex_order[n - 1 - m] in front of the
+    directions of the faces G of the vertices after it in the order, read
+    before the constraint (0 for the empty face).  size[j - 1][G] = 1 +
+    (vertices of G in slot j) is slot j's size once the new vertex joins it,
+    the same tensor whichever vertex that is, since the axes are symmetric.
+    Slot j is then a largest slot iff size[j - 1] >= G's largest slot, and
+    the face (j, G) takes direction j; otherwise it takes G's.  The
+    constrained faces are read off the last step's tensors and zeroed, and
+    one transposed copy puts the axes in vertex order 0..n-1.  At most two
+    (q+1)^n tensors are alive at once, or one and two q/(q+1) as large."""
     q, k, t, n = inst.q, inst.k, inst.t, inst.n
     base = q + 1
-    sizes = []  # sizes[j - 1][F]: how many vertices face F puts in slot j
-    for j in range(1, base):
-        unit = (np.arange(base) == j).astype(np.int8)
-        size = unit
-        for _ in range(n - 1):  # new axes in front keep each add contiguous
-            size = np.add.outer(unit, size)
-        sizes.append(size)
-    dirs = np.zeros((base,) * n, dtype=np.int8 if q <= 127 else np.int64)
-    top = np.zeros_like(sizes[0])
-    for size in sizes:
-        np.maximum(top, size, out=top)
-        dirs += size <= k - 2  # dirs counts the slots at k-2 or fewer for now
-    undecided = top > k - 1
-    undecided |= dirs < t - 1
-    dirs[...] = 0
-    tied = [np.equal(size, top, out=size.view(np.bool_)) for size in sizes]
-    del sizes, top
-    for v in inst.vertex_order:
-        if not undecided.any():
-            break
-        for j, is_max in enumerate(tied, 1):
-            at = (slice(None),) * v + (slice(j, j + 1),)  # vertex v in slot j
-            hit = undecided[at] & is_max[at]
-            np.copyto(dirs[at], j, where=hit)
-            undecided[at] ^= hit
-    return dirs.reshape(-1)
+    dtype = np.int8 if q <= 127 else np.int64
+    slots = np.arange(1, base, dtype=dtype)[:, None]
+    unit = np.eye(q, base, 1, dtype=dtype)[:, :, None]
+    size = np.ones((q, 1), dtype=dtype)
+    dirs = np.zeros(1, dtype=dtype)  # the empty face has no largest slot
+    for step in range(n):
+        if step:  # the new axis in front keeps the add contiguous
+            size = (unit + size[:, None, :]).reshape(q, -1)
+        largest = size.max(axis=0)
+        largest -= 1
+        wins = size >= largest
+        if step == n - 1:
+            # (0, G) is constrained iff G's slots are at most k-1 and t-1 of
+            # them at most k-2; (j, G) iff also size[j - 1] <= k-1, and then
+            # slot j is at k-2 or fewer only if size[j - 1] <= k-2
+            small = np.sum(size <= k - 1, axis=0, dtype=dtype)
+            fits = largest <= k - 1
+            unused = fits & (small >= t - 1)
+            limit = np.where(unused, dtype(k - 2), dtype(0))
+            np.putmask(limit, fits & (small >= t), k - 1)
+            del small, fits, largest
+        dirs = np.tile(dirs, base)
+        np.copyto(dirs.reshape(base, -1)[1:], slots, where=wins)
+    by_digit = dirs.reshape(base, -1)
+    np.putmask(by_digit[0], unused, 0)
+    np.putmask(by_digit[1:], np.less_equal(size, limit, out=wins), 0)
+    del size, wins
+    axes = [0] * n
+    for i, v in enumerate(inst.vertex_order):
+        axes[v] = i
+    return np.ascontiguousarray(dirs.reshape((base,) * n).transpose(axes)).reshape(-1)
 
 
 def _verify_equivariance_numpy(inst, perms, report):
-    """Compare d(pi F) with pi(d(F)) for every face and permutation.  Stops
-    at the fifth violation (faces in all_faces order, then permutations in
-    the given order); faces_processed counts the faces read up to it."""
+    """Compare d(pi F) with pi(d(F)) for every face and permutation, as
+    pi^-1 d(pi F) against d(F): the directions are mapped by pi^-1 before the
+    reindexing, so at most three (q+1)^n tensors are alive.  Stops at the
+    fifth violation (faces in all_faces order, then permutations in the
+    given order); faces_processed counts the faces read up to it."""
     shape = (inst.q + 1,) * inst.n
     dirs = _directions_array(inst)
     tensor = dirs.reshape(shape)
     found = []  # (face, permutation index, got, want): each one's first five
     for i, perm in enumerate(perms):
         lut = np.array(perm, dtype=dirs.dtype)
-        image = tensor
+        image = np.argsort(lut).astype(dirs.dtype)[tensor]  # pi^-1 d(F)
         for axis in range(inst.n):
             image = np.take(image, lut, axis=axis)
-        image = image.reshape(-1)  # image[F] = dirs[pi F]
-        want = lut[dirs]
-        for f in np.flatnonzero(image != want)[:5]:
-            found.append((int(f), i, int(image[f]), int(want[f])))
+        image = image.reshape(-1)  # image[F] = pi^-1 d(pi F)
+        for f in np.flatnonzero(image != dirs)[:5]:
+            found.append((int(f), i, perm[image[f]], perm[dirs[f]]))
     found = sorted(found)[:5]
     for f, i, got, want in found:
         report.violations.append({

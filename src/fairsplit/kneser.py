@@ -32,7 +32,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ContractError, InputError, ResourceBudget
-from .graphs import VertexPartition, path_graph, power_path
+from .graphs import Graph, VertexPartition, path_graph
 from .splitting import Splitting, SplittingSpec, check_splitting, is_q_stable
 from .solver import DEFAULT_NODE_BUDGET, SearchProblem, find_splitting
 
@@ -324,11 +324,13 @@ class PipelineResult:
 
 
 def _mono_edge_search(padded_partition, q, ks, budget):
-    """q pairwise disjoint q-stable k-sets with |S_i ∩ V'_j| = k_j - 1."""
+    """q pairwise disjoint q-stable k-sets with |S_i ∩ V'_j| = k_j - 1.
+    The search runs on the edgeless graph: q-stability already keeps apart
+    every pair that the (q-1)-th power of the path joins."""
     k = sum(kj - 1 for kj in ks)
     if k == 0:
         return [tuple() for _ in range(q)]
-    g = power_path(len(padded_partition.ground), q - 1)
+    g = Graph(len(padded_partition.ground), ())
     spec = SplittingSpec(q=q, flavor="almost_fair", stability=q)
     caps = [kj - 1 for kj in ks]
     problem = SearchProblem(partition=padded_partition, spec=spec, graph=g,

@@ -6,10 +6,12 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairsplit.constraint_map as constraint_map
 import fairsplit.serial as serial
 from fairsplit.cli import main
 from fairsplit.serial import INSTANCE_VERTEX_LIMIT
@@ -222,6 +224,41 @@ def test_phi_check(capsys):
     assert code == 0 and doc["ok"] is True
     assert doc["zero_set"]["ok"] is True
     assert doc["equivariance"]["ok"] is True
+
+
+ZERO_SET_KEYS = {"schema", "q", "k", "t", "vertex_order",
+                 "levels_with_unconstrained", "short_circuit",
+                 "faces_processed", "violations", "ok"}
+EQUIVARIANCE_KEYS = {"schema", "q", "k", "t", "vertex_order",
+                     "permutations_checked", "full_group", "faces_processed",
+                     "violations", "ok"}
+
+
+def _largest_slot_rule(inst, digits):
+    """Breaks both checks: the largest slot number in use."""
+    ok, _ = constraint_map.is_constrained_face(digits, inst.q, inst.k, inst.t)
+    return None if ok else max(digits)
+
+
+def test_phi_check_report_keys(capsys):
+    # the fields docs/schemas.md lists under phi_check/1
+    code, doc, _ = run(capsys, "phi-check", "--q", "2", "--k", "2", "--t", "1")
+    assert code == 0 and set(doc) == {"schema", "ok", "zero_set", "equivariance"}
+    assert set(doc["zero_set"]) == ZERO_SET_KEYS
+    assert set(doc["equivariance"]) == EQUIVARIANCE_KEYS
+    inst = constraint_map.ConstraintMapInstance(2, 2, 1)
+    dirs = np.array([_largest_slot_rule(inst, d) or 0
+                     for d in constraint_map.all_faces(inst)], dtype=np.int8)
+    with mock.patch.object(constraint_map, "_directions_array", lambda inst: dirs), \
+            mock.patch.object(constraint_map, "face_direction", _largest_slot_rule):
+        code, doc, _ = run(capsys, "phi-check", "--q", "2", "--k", "2", "--t", "1")
+    zs, eq = doc["zero_set"], doc["equivariance"]
+    assert code == 1 and set(zs) == ZERO_SET_KEYS and set(eq) == EQUIVARIANCE_KEYS
+    assert zs["violations"] == [{"chain": [[1, 1, 0], [1, 1, 2]]}]
+    assert 1 <= len(eq["violations"]) <= 5
+    assert all(set(v) == {"face", "perm", "got", "want"} for v in eq["violations"])
+    assert eq["violations"][0] == {"face": [1, 1, 2], "perm": [0, 2, 1],
+                                   "got": 2, "want": 1}
 
 
 def test_phi_check_bad_parameters(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -238,6 +239,40 @@ def _directions_array_chunked(inst, chunk=1 << 20):
             out[hit] = cand[hit]
             undecided &= ~hit
     return dirs
+
+
+def _directions_array_by_slot_sizes(inst):
+    """The slot-size version of _directions_array: all q slot-size tensors
+    of shape (q+1,)*n at once, then ties settled vertex by vertex in the
+    vertex order on the slices of that vertex's axis."""
+    q, k, t, n = inst.q, inst.k, inst.t, inst.n
+    base = q + 1
+    sizes = []  # sizes[j - 1][F]: how many vertices face F puts in slot j
+    for j in range(1, base):
+        unit = (np.arange(base) == j).astype(np.int8)
+        size = unit
+        for _ in range(n - 1):
+            size = np.add.outer(unit, size)
+        sizes.append(size)
+    dirs = np.zeros((base,) * n, dtype=np.int8 if q <= 127 else np.int64)
+    top = np.zeros_like(sizes[0])
+    for size in sizes:
+        np.maximum(top, size, out=top)
+        dirs += size <= k - 2  # dirs counts the slots at k-2 or fewer for now
+    undecided = top > k - 1
+    undecided |= dirs < t - 1
+    dirs[...] = 0
+    tied = [np.equal(size, top, out=size.view(np.bool_)) for size in sizes]
+    del sizes, top
+    for v in inst.vertex_order:
+        if not undecided.any():
+            break
+        for j, is_max in enumerate(tied, 1):
+            at = (slice(None),) * v + (slice(j, j + 1),)  # vertex v in slot j
+            hit = undecided[at] & is_max[at]
+            np.copyto(dirs[at], j, where=hit)
+            undecided[at] ^= hit
+    return dirs.reshape(-1)
 
 
 def _verify_equivariance_chunked(inst, perms, report, chunk=1 << 18):
@@ -502,6 +537,53 @@ def test_directions_tensor_matches_chunked_reference(q, k, t):
         want = _directions_array_chunked(inst, chunk=1 << 16)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want), (q, k, t, order)
+
+
+@pytest.mark.parametrize("q,k,t", valid_parameter_triples(7) + [(2, 7, 1)])
+def test_directions_tensor_matches_slot_size_reference(q, k, t):
+    # valid_parameter_triples(7) holds (7, 2, 7), with 2.1M faces, and the
+    # n = 1 triple (2, 1, 1); (2, 7, 1) has 13 axes.  The reversed order
+    # sends every tie to the last vertex of its slots
+    n = q * k - t
+    orders = [None, tuple(reversed(range(n)))]
+    orders += random_vertex_orders(n, 1, seed=11 * q + k + t)
+    for order in orders:
+        inst = ConstraintMapInstance(q, k, t, vertex_order=order)
+        got = constraint_map._directions_array(inst)
+        want = _directions_array_by_slot_sizes(inst)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want), (q, k, t, order)
+
+
+def _peak_bytes_per_face(fn, inst):
+    """Peak bytes numpy and Python allocate during fn(inst), per face."""
+    fn(inst)  # first-call allocations (tables, imports) are not per face
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(inst)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak / inst.face_count()
+
+
+def test_peak_bytes_per_face():
+    # numpy reports its buffers to tracemalloc.  The direction tensor costs
+    # at most two int8 (q+1)^n tensors at once (the slot-size build held
+    # q + 4 bytes per face, 11 at q = 7), and so does the equivariance
+    # check.  The zero-set DP adds its 2^q-bit reach bitsets: 4 bytes per
+    # face at q = 5, plus the closure's temporaries on one support slice.
+    inst = ConstraintMapInstance(7, 1, 1, vertex_order=(3, 0, 5, 1, 4, 2))
+    assert _peak_bytes_per_face(constraint_map._directions_array, inst) < 4
+    assert _peak_bytes_per_face(verify_equivariance, inst) < 4
+    inst = ConstraintMapInstance(5, 2, 3, vertex_order=(6, 2, 0, 4, 1, 5, 3))
+    assert not verify_zero_set(inst).short_circuit
+    assert _peak_bytes_per_face(verify_zero_set, inst) < 7.5
 
 
 def test_single_vertex_ground_set():

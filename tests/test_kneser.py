@@ -6,12 +6,13 @@ import pytest
 
 import fairsplit.kneser as kneser
 from fairsplit.errors import ContractError, InputError, ResourceBudget
-from fairsplit.graphs import VertexPartition, path_graph
+from fairsplit.graphs import (VertexPartition, consecutive_partition, path_graph,
+                              power_path)
 from fairsplit.kneser import (Hypergraph, KneserInstance, block_coloring,
                               build_hypergraph, chromatic_formula,
                               chromatic_number, is_proper, rebalance_q2,
                               splitting_from_coloring, stable_subsets)
-from fairsplit.solver import DEFAULT_NODE_BUDGET
+from fairsplit.solver import DEFAULT_NODE_BUDGET, SearchProblem, find_splitting
 from fairsplit.splitting import SplittingSpec, check_splitting
 
 
@@ -308,6 +309,42 @@ def test_block_coloring_matches_mono_edge_search():
     got = dict(zip(verts, colors))
     for s in sets:
         assert got[tuple(sorted(s))] == 3
+
+
+def _compositions(n):
+    for cuts in range(n):
+        for pos in combinations(range(1, n), cuts):
+            yield [b - a for a, b in zip((0,) + pos, pos + (n,))]
+
+
+def _mono_edge_search_on_power_path(padded_partition, q, ks):
+    """The monochromatic-edge search on the (q-1)-th power of the padded
+    path, which joins exactly the pairs that q-stability keeps apart."""
+    spec = SplittingSpec(q=q, flavor="almost_fair", stability=q)
+    g = power_path(len(padded_partition.ground), q - 1)
+    out = find_splitting(SearchProblem(partition=padded_partition, spec=spec,
+                                       graph=g, caps=[kj - 1 for kj in ks],
+                                       budget=DEFAULT_NODE_BUDGET))
+    assert out.status == "found"
+    return out.splitting.sets
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_mono_edge_search_matches_power_path_search(q):
+    # the pipeline searches the edgeless graph; q-stability alone must give
+    # the witness that the power-path graph gave, on every composition
+    for n in range(1, 11):
+        for sizes in _compositions(n):
+            part = consecutive_partition(sizes)
+            res = splitting_from_coloring(n, part, q)
+            d = res.details
+            if d["k"] == 0:
+                continue
+            padded = VertexPartition([tuple(b) + tuple(pad) for b, pad
+                                      in zip(part.blocks, d["pad_blocks"])],
+                                     d["n_padded"])
+            want = _mono_edge_search_on_power_path(padded, q, d["ks"])
+            assert d["mono_edge"] == [list(s) for s in want], (q, sizes)
 
 
 def test_pipeline_consecutive_blocks():
