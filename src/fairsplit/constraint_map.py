@@ -37,20 +37,20 @@ The two checks:
                        are additionally checked against every permutation.
 
 Both checks read the directions of all faces from one numpy array: the
-C-order tensor of shape (q+1,)*n whose axis v is vertex v's digit, so C order
-is the order of `all_faces`.  A face's direction is the slot of its first
-vertex in the vertex order when that slot is a largest one; otherwise the
-face without that vertex has the same largest slots, and so the same
-direction under the rule read before the constraint.  So the tensor grows
-one leading axis per vertex, from the last in the vertex order to the
-first, and a transposed copy puts its axes in vertex order 0..n-1 (see
-_directions_array).  The directions of the permuted faces are the tensor
-reindexed by the permutation along every axis.  The faces with support S
-are one basic slice of the tensor (digits 1..q on the axes in S, digit 0
-elsewhere), in slot-assignment order, and so are their facets for each
-vertex dropped from S; the zero-set DP visits supports by size and then in
-`combinations` order, which is the order it reports in.  No digits are
-extracted, and equivariance violations are reported in `all_faces` order,
+C-order tensor of shape (q+1,)*n whose axis v is vertex v's digit, so C
+order is the order of itertools.product(range(q + 1), repeat=n).  A face's
+direction is the slot of its first vertex in the vertex order when that slot
+is a largest one; otherwise the face without that vertex has the same
+largest slots, and so the same direction under the rule read before the
+constraint.  So the tensor grows one leading axis per vertex, from the last
+in the vertex order to the first, and a transposed copy puts its axes in
+vertex order 0..n-1 (see _directions_array).  The directions of the permuted
+faces are the tensor reindexed by the permutation along every axis.  The
+faces with support S are one basic slice of the tensor (digits 1..q on the
+axes in S, digit 0 elsewhere), in slot-assignment order, and so are their
+facets for each vertex dropped from S; the zero-set DP visits supports by
+size and then in `combinations` order, which is the order it reports in.  No
+digits are extracted, and equivariance violations are reported in C order,
 as a face-by-face loop would find them.
 
 Memory, in bytes per face: the int8 direction tensor is 1, and building it
@@ -64,9 +64,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -104,105 +102,6 @@ class ConstraintMapInstance:
 
     def face_count(self):
         return (self.q + 1) ** self.n
-
-
-def slot_sizes(digits, q):
-    counts = [0] * q
-    for d in digits:
-        if d:
-            counts[d - 1] += 1
-    return counts
-
-
-def is_constrained_face(digits, q, k, t):
-    """Membership in the constrained region, with a reason string."""
-    counts = slot_sizes(digits, q)
-    big = [j + 1 for j, c in enumerate(counts) if c > k - 1]
-    if big:
-        return False, "slot %d has %d > k-1 vertices" % (big[0], counts[big[0] - 1])
-    small = sum(1 for c in counts if c <= k - 2)
-    if small < t - 1:
-        return False, "only %d slots at k-2 or fewer (need %d)" % (small, t - 1)
-    return True, "all slots <= k-1 and %d slots <= k-2" % small
-
-
-def constrained_size_bound(q, k, t):
-    """Max total size of a constrained face: q(k-1) - (t-1)."""
-    return q * (k - 1) - t + 1
-
-
-def face_direction(inst, digits):
-    """Direction in 1..q for unconstrained faces, None for constrained ones
-    (the empty face is constrained for every valid instance)."""
-    q, k, t = inst.q, inst.k, inst.t
-    counts = slot_sizes(digits, q)
-    ok, _ = is_constrained_face(digits, q, k, t)
-    if ok:
-        return None
-    m = max(counts)
-    tied = {j + 1 for j, c in enumerate(counts) if c == m}
-    if len(tied) == 1:
-        return tied.pop()
-    for v in inst.vertex_order:
-        if digits[v] in tied:
-            return digits[v]
-    raise AssertionError("unconstrained face has a nonempty maximal slot")
-
-
-def slot_vector(q, j):
-    """Projection of e_j onto the zero-sum hyperplane of R^q."""
-    return tuple(Fraction(-1, q) + (1 if i == j else 0) for i in range(q))
-
-
-def vertex_value(inst, digits):
-    """Value at the subdivision vertex sitting at this face's barycenter."""
-    d = face_direction(inst, digits)
-    if d is None:
-        return tuple(Fraction(0) for _ in range(inst.q))
-    return slot_vector(inst.q, d - 1)
-
-
-def is_subface(sub, sup):
-    return all(a == 0 or a == b for a, b in zip(sub, sup))
-
-
-def evaluate(inst, weighted_chain):
-    """Value of the interpolated map at sum(w_F * barycenter(F)) for an
-    inclusion chain of faces with positive weights summing to 1."""
-    chain = [(tuple(d), Fraction(w)) for d, w in weighted_chain]
-    if not chain:
-        raise InputError("empty chain")
-    if any(len(d) != inst.n for d, _ in chain):
-        raise InputError("face has wrong ground set size")
-    if any(w <= 0 for _, w in chain):
-        raise InputError("weights must be positive")
-    if sum(w for _, w in chain) != 1:
-        raise InputError("weights must sum to 1")
-    chain.sort(key=lambda fw: sum(1 for x in fw[0] if x))
-    for (a, _), (b, _) in zip(chain, chain[1:]):
-        if a == b or not is_subface(a, b):
-            raise InputError("faces do not form a strict inclusion chain")
-    out = [Fraction(0)] * inst.q
-    for digits, w in chain:
-        val = vertex_value(inst, digits)
-        out = [acc + w * x for acc, x in zip(out, val)]
-    return tuple(out)
-
-
-def all_faces(inst):
-    return itertools.product(range(inst.q + 1), repeat=inst.n)
-
-
-def build_map(inst, budget=FACE_BUDGET):
-    """Materialized direction assignment {digits: direction-or-None}."""
-    if inst.face_count() > budget:
-        raise ResourceBudget("instance has %d faces" % inst.face_count())
-    return {digits: face_direction(inst, digits) for digits in all_faces(inst)}
-
-
-def permute_slots(digits, perm):
-    """perm maps slot j to perm[j] (1-based, perm[0] = 0 fixed)."""
-    return tuple(perm[d] for d in digits)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +164,10 @@ def is_constrained_face_counts(counts, q, k, t):
     return sum(1 for c in counts if c <= k - 2) >= t - 1
 
 
-def _witness_chain(inst, top, need_mask):
+def _witness_chain(dirs, top, need_mask):
     """Reconstruct an explicit rainbow chain below `top` covering need_mask,
-    by depth-first descent; used only to decorate violations."""
-    q = inst.q
+    by depth-first descent, reading each face's direction from the tensor
+    (0 = constrained); used only to decorate violations."""
 
     def rec(digits, need, acc):
         if need == 0:
@@ -278,10 +177,10 @@ def _witness_chain(inst, top, need_mask):
             sub = list(digits)
             sub[v] = 0
             sub = tuple(sub)
-            d = face_direction(inst, sub)
+            d = int(dirs[sub])
             nxt = acc
             nd = need
-            if d is not None and need & (1 << (d - 1)):
+            if d and need & (1 << (d - 1)):
                 nxt = [sub] + acc
                 nd = need & ~(1 << (d - 1))
             got = rec(sub, nd, nxt)
@@ -289,7 +188,7 @@ def _witness_chain(inst, top, need_mask):
                 return got
         return None
 
-    d_top = face_direction(inst, top)
+    d_top = int(dirs[top])
     need = need_mask & ~(1 << (d_top - 1))
     got = rec(top, need, [top])
     return got if got is not None else [top]
@@ -330,7 +229,7 @@ def _add_directions(acc, fdir, tables):
     acc |= moved
 
 
-def _rainbow_faces(inst, start, enough):
+def _rainbow_faces(inst, dirs, start, enough):
     """The first `enough` unconstrained faces F, in enumeration order, that
     top an inclusion chain of unconstrained faces whose directions cover
     1..q, and how many faces the enumeration reads up to the last of them
@@ -342,10 +241,10 @@ def _rainbow_faces(inst, start, enough):
     The faces with support S are the slice of the face tensor taking digits
     1..q on the axes in S and digit 0 elsewhere, in assignment order; a facet
     drops one vertex of S, so its slice broadcasts against S's.  Faces below
-    level `start` are all constrained, so their reach is the empty chain."""
+    level `start` are all constrained, so their reach is the empty chain.
+    `dirs` is the direction tensor, of shape (q+1,)*n."""
     q, n = inst.q, inst.n
     tables = _closure_tables(q)
-    dirs = _directions_array(inst).reshape((q + 1,) * n)
     reach = np.zeros(dirs.shape + tables[0].shape[1:], dtype=tables[0].dtype)
     reach[..., 0] = 1
     top = reach.dtype.type(min(1 << q, 64) - 1)  # the full mask's bit
@@ -395,11 +294,12 @@ def verify_zero_set(inst, budget=FACE_BUDGET, max_witnesses=1):
     if len(levels) < q:
         report.short_circuit = True
         return report
-    found, report.faces_processed = _rainbow_faces(inst, levels[0],
+    dirs = _directions_array(inst).reshape((q + 1,) * inst.n)
+    found, report.faces_processed = _rainbow_faces(inst, dirs, levels[0],
                                                    max(1, max_witnesses))
     for digits in found:
         report.violations.append(
-            [list(f) for f in _witness_chain(inst, digits, (1 << q) - 1)])
+            [list(f) for f in _witness_chain(dirs, digits, (1 << q) - 1)])
     return report
 
 
@@ -452,8 +352,9 @@ def _all_slot_permutations(q):
 
 
 def _directions_array(inst):
-    """dirs[face_int] in {0 = constrained, 1..q}; the vectorised
-    face_direction, built as the tensor of shape (q+1,)*n and returned flat.
+    """dirs[face_int] in {0 = constrained, 1..q}: the direction rule of the
+    module docstring, built as the tensor of shape (q+1,)*n and returned flat
+    (face_int is the face's position in C order).
 
     Step m puts the axis of vertex vertex_order[n - 1 - m] in front of the
     directions of the faces G of the vertices after it in the order, read
@@ -504,8 +405,8 @@ def _verify_equivariance_numpy(inst, perms, report):
     """Compare d(pi F) with pi(d(F)) for every face and permutation, as
     pi^-1 d(pi F) against d(F): the directions are mapped by pi^-1 before the
     reindexing, so at most three (q+1)^n tensors are alive.  Stops at the
-    fifth violation (faces in all_faces order, then permutations in the
-    given order); faces_processed counts the faces read up to it."""
+    fifth violation (faces in C order, then permutations in the given
+    order); faces_processed counts the faces read up to it."""
     shape = (inst.q + 1,) * inst.n
     dirs = _directions_array(inst)
     tensor = dirs.reshape(shape)
@@ -540,27 +441,3 @@ def verify_equivariance(inst, full_group=None, budget=FACE_BUDGET):
                                 len(perms), full_group, 0)
     _verify_equivariance_numpy(inst, perms, report)
     return report
-
-
-def valid_parameter_triples(max_ground):
-    """All (q, k, t) with q >= 2, 1 <= t <= q, k >= min(t, 2) and ground set
-    size qk - t between 1 and max_ground."""
-    out = set()
-    for q in range(2, max_ground + 2):
-        for t in range(1, q + 1):
-            k = min(t, 2)
-            while q * k - t <= max_ground:
-                if q * k - t >= 1:
-                    out.add((q, k, t))
-                k += 1
-    return sorted(out)
-
-
-def random_vertex_orders(n, count, seed):
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        order = list(range(n))
-        rng.shuffle(order)
-        out.append(tuple(order))
-    return out

@@ -87,23 +87,6 @@ def _scaled(values, scale):
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
-def feasible_nonneg_solution(a_rows, b):
-    """Some x >= 0 with Ax = b, or None if the system is infeasible."""
-    a_rows = [[Fraction(x) for x in row] for row in a_rows]
-    b = [Fraction(x) for x in b]
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    if any(len(r) != n for r in a_rows):
-        raise InputError("ragged constraint matrix")
-    if len(b) != m:
-        raise InputError("rhs length mismatch")
-    if m == 0:
-        return [Fraction(0)] * n
-    scale = lcm(*(x.denominator for row in a_rows for x in row),
-                *(x.denominator for x in b))
-    return _phase1([_scaled(row, scale) for row in a_rows], _scaled(b, scale), scale)
-
-
 def convex_hulls_common_point(point_sets):
     """A point in the intersection of the convex hulls of the given nonempty
     point sets, as (point, weights per set), or None.

@@ -37,9 +37,6 @@ class Graph:
     def has_edge(self, u, v):
         return (min(u, v), max(u, v)) in self.edges
 
-    def neighbors(self, v):
-        return self.adj[v]
-
     def degree(self, v):
         return len(self.adj[v])
 
@@ -51,10 +48,6 @@ class Graph:
         out.discard(v)
         out -= self.adj[v]
         return out
-
-    def relabel(self, perm):
-        """New graph with vertex v renamed perm[v]; perm maps 1..n onto 1..n."""
-        return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges])
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -93,9 +86,6 @@ class VertexPartition:
 
     def sizes(self):
         return [len(b) for b in self.blocks]
-
-    def relabel(self, perm):
-        return VertexPartition([[perm[v] for v in b] for b in self.blocks])
 
     def __eq__(self, other):
         return isinstance(other, VertexPartition) and self.blocks == other.blocks
@@ -207,8 +197,3 @@ def is_independent(g, s):
             return False
         earlier.add(v)
     return True
-
-
-def degree_profile(g):
-    """Per vertex: (|N(v)|, |N^2(v)|) with N^2 the distance-two neighborhood."""
-    return {v: (g.degree(v), len(g.second_neighborhood(v))) for v in g.vertices}

@@ -100,10 +100,6 @@ def smith_diagonal(mat):
     return out
 
 
-def rank_of(mat):
-    return len(smith_diagonal(mat))
-
-
 def homology(k: SimplicialComplex, max_dim=None, budget=FACE_BUDGET):
     """Reduced integral homology: [(betti_d, [torsion orders]), ...] for
     d = 0 .. max_dim (default: the dimension of the complex)."""

@@ -286,33 +286,7 @@ def chromatic_number(h: Hypergraph, budget=20_000_000):
 
 
 # ---------------------------------------------------------------------------
-# the coloring C(S) and the splitting pipeline
-
-
-def block_coloring(q, ks):
-    """The coloring C(S) of the q-stable k-sets of a path split into
-    consecutive blocks of sizes q*k_j - 1: C(S) is the first block holding at
-    least k_j elements of S, else m + 1."""
-    if any(kj < 1 for kj in ks):
-        raise InputError("block parameters must be positive")
-    sizes = [q * kj - 1 for kj in ks]
-    n = sum(sizes)
-    k = sum(kj - 1 for kj in ks)
-    blocks, start = [], 1
-    for s in sizes:
-        blocks.append(tuple(range(start, start + s)))
-        start += s
-    verts = stable_subsets(n, k, q, "path")
-    colors = []
-    for s in verts:
-        sset = set(s)
-        color = len(ks) + 1
-        for j, b in enumerate(blocks):
-            if len(sset & set(b)) >= ks[j]:
-                color = j + 1
-                break
-        colors.append(color)
-    return verts, colors, blocks
+# the splitting pipeline
 
 
 @dataclass

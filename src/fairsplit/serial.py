@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .complexes import SimplicialComplex, vertex_key
+from .complexes import SimplicialComplex
 from .errors import InputError, ResourceBudget
 from .geometry import PointConfiguration
 from .graphs import Graph, VertexPartition
@@ -173,11 +173,6 @@ def splitting_load(data):
         seen |= set(s)
         out.append(tuple(s))
     return Splitting(out)
-
-
-def complex_dump(k: SimplicialComplex):
-    return {"schema": COMPLEX_SCHEMA, "vertices": list(k.vertices),
-            "facets": [sorted(f, key=vertex_key) for f in k.facets]}
 
 
 def complex_load(data):

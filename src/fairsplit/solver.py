@@ -51,8 +51,10 @@ reported as "budget_exceeded", never as nonexistence.
 
 The per-problem tables come from one pass over the graph's edges and one
 sweep over the positions.  They keep n-bit masks per position, so they take
-O(n^2) bits on long instances.  The witness is then certified independently
-of these tables, in time linear in its members (see splitting.py).
+O(n^2) bits on long instances: a problem whose two n-bit tables would exceed
+TABLE_BIT_LIMIT raises ResourceBudget before any mask is built.  The witness
+is then certified independently of these tables, in time linear in its
+members (see splitting.py).
 """
 
 from __future__ import annotations
@@ -69,6 +71,12 @@ from .splitting import (Splitting, SplittingSpec, certificate_for,
                         required_min)
 
 DEFAULT_NODE_BUDGET = 5_000_000
+
+# keep and after_in_block hold an n-bit int per position, 2 * n^2 bits in
+# all, and the kill masks beside them add up to n^2 more.  4e9 bits (500 MB)
+# admits up to 44,721 positions: a q = 2 path on 40,000 vertices solves at a
+# 663 MB peak RSS, and one on 100,000 would need about 4 GB.
+TABLE_BIT_LIMIT = 4 * 10 ** 9
 
 
 @dataclass
@@ -139,6 +147,9 @@ class _Ctx:
         self.q = q = spec.q
         self.order = order = sorted(p.partition.ground)
         self.n = n = len(order)
+        if 2 * n * n > TABLE_BIT_LIMIT:
+            raise ResourceBudget("search tables need 2 * %d^2 bits, over the limit of %d"
+                                 % (n, TABLE_BIT_LIMIT))
         if spec.stability >= 2 and not all(isinstance(v, int) for v in order):
             raise InputError("stability needs integer labels")
         index = p.partition._block_of

@@ -58,12 +58,6 @@ class Splitting:
     def q(self):
         return len(self.sets)
 
-    def covered(self):
-        out = set()
-        for s in self.sets:
-            out.update(s)
-        return out
-
     def __eq__(self, other):
         return isinstance(other, Splitting) and self.sets == other.sets
 

@@ -1,0 +1,131 @@
+"""Constructions and references that several test modules share.
+
+No command of the package needs them, so they live with the tests: complex
+constructions (simplices, skeleta, joins, cones), the scalar constraint-map
+rule the vectorised one is checked against, the parameter triples and vertex
+orders the constraint-map tests sweep, and small graph and splitting helpers.
+"""
+
+import itertools
+import random
+from itertools import combinations
+
+from fairsplit.complexes import SimplicialComplex, vertex_key
+from fairsplit.errors import InputError
+from fairsplit.graphs import Graph
+
+# ---------------------------------------------------------------------------
+# complex constructions
+
+
+def full_simplex(vertices):
+    vertices = list(vertices)
+    return SimplicialComplex([vertices] if vertices else [()])
+
+
+def skeleton(k: SimplicialComplex, dim):
+    """Faces of dimension <= dim; dim = -1 keeps only the empty face."""
+    if dim < -1:
+        raise InputError("skeleton dimension must be >= -1")
+    if k.is_void():
+        return SimplicialComplex([])
+    if dim == -1:
+        return SimplicialComplex([()], vertices=k.vertices)
+    size = dim + 1
+    facets = set()
+    for f in k.facets:
+        if len(f) <= size:
+            facets.add(f)
+        else:
+            facets.update(frozenset(c) for c in combinations(sorted(f, key=vertex_key), size))
+    return SimplicialComplex(facets, vertices=k.vertices)
+
+
+def join(k: SimplicialComplex, l: SimplicialComplex):
+    """Simplicial join; vertices are tagged (1, v) / (2, w) only when the two
+    vertex sets collide, otherwise original labels are kept."""
+    if k.is_void() or l.is_void():
+        return SimplicialComplex([])
+    collide = set(k.vertices) & set(l.vertices)
+    tag1 = (lambda v: (1, v)) if collide else (lambda v: v)
+    tag2 = (lambda v: (2, v)) if collide else (lambda v: v)
+    facets = [{tag1(v) for v in f} | {tag2(w) for w in g}
+              for f in k.facets for g in l.facets]
+    verts = {tag1(v) for v in k.vertices} | {tag2(w) for w in l.vertices}
+    return SimplicialComplex(facets, vertices=verts)
+
+
+def cone(k: SimplicialComplex, apex="apex"):
+    if apex in k.vertices:
+        raise InputError("apex already a vertex")
+    return join(k, SimplicialComplex([[apex]]))
+
+
+# ---------------------------------------------------------------------------
+# the scalar constraint-map rule, face by face
+
+
+def all_faces(inst):
+    """Every face of the deleted join as a digit tuple, in C order."""
+    return itertools.product(range(inst.q + 1), repeat=inst.n)
+
+
+def slot_sizes(digits, q):
+    counts = [0] * q
+    for d in digits:
+        if d:
+            counts[d - 1] += 1
+    return counts
+
+
+def is_constrained_face(digits, q, k, t):
+    """Membership in the constrained region, with a reason string."""
+    counts = slot_sizes(digits, q)
+    big = [j + 1 for j, c in enumerate(counts) if c > k - 1]
+    if big:
+        return False, "slot %d has %d > k-1 vertices" % (big[0], counts[big[0] - 1])
+    small = sum(1 for c in counts if c <= k - 2)
+    if small < t - 1:
+        return False, "only %d slots at k-2 or fewer (need %d)" % (small, t - 1)
+    return True, "all slots <= k-1 and %d slots <= k-2" % small
+
+
+def valid_parameter_triples(max_ground):
+    """All (q, k, t) with q >= 2, 1 <= t <= q, k >= min(t, 2) and ground set
+    size qk - t between 1 and max_ground."""
+    out = set()
+    for q in range(2, max_ground + 2):
+        for t in range(1, q + 1):
+            k = min(t, 2)
+            while q * k - t <= max_ground:
+                if q * k - t >= 1:
+                    out.add((q, k, t))
+                k += 1
+    return sorted(out)
+
+
+def random_vertex_orders(n, count, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        order = list(range(n))
+        rng.shuffle(order)
+        out.append(tuple(order))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# graphs and splittings
+
+
+def relabel(g: Graph, perm):
+    """New graph with vertex v renamed perm[v]; perm maps 1..n onto 1..n."""
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def covered(s):
+    """The vertices the sets of splitting s use."""
+    out = set()
+    for part in s.sets:
+        out.update(part)
+    return out

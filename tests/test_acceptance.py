@@ -8,6 +8,7 @@ arithmetic is exact; nothing here has a tolerance.
 """
 
 import contextlib
+import hashlib
 import itertools
 import json
 import random
@@ -18,8 +19,6 @@ from fairsplit.compose import power_of_two_splitting
 from fairsplit.conditions import (path_deletion, path_union_cliques_shape,
                                   transversal_size)
 from fairsplit.constraint_map import (ConstraintMapInstance,
-                                      random_vertex_orders,
-                                      valid_parameter_triples,
                                       verify_equivariance, verify_zero_set)
 from fairsplit.geometry import (gale_alternating, hulls_intersect,
                                 moment_points, strong_general_position_check,
@@ -36,6 +35,7 @@ from fairsplit.splitting import SplittingSpec, check_splitting
 from fairsplit.suite import run_suite, six_cycle_instance, two_triangles_instance
 
 from brute import brute_verdict
+from shared import random_vertex_orders, valid_parameter_triples
 
 
 @contextlib.contextmanager
@@ -419,9 +419,15 @@ def test_11_solver_agrees_with_brute_force(capsys):
         assert statuses["found"] >= 3 and statuses["exhausted_none"] >= 3
 
 
+SUITE_SHA256 = "8e76f32e865ee6a772cc7cbf96a51e9dd9ba5cef906a328483bc82e90b500c2b"
+
+
 def test_12_suite_byte_identical_across_threads(capsys):
     with _stopwatch(capsys, 12, "suite byte-identical across threads", 600):
         direct = canonical_dumps(run_suite())
+        # the bytes of the suite document, pinned: any verdict or field that
+        # moves shows here
+        assert hashlib.sha256(direct.encode()).hexdigest() == SUITE_SHA256
         # the CLI accepts --threads and ignores it
         for threads in ("1", "4"):
             assert main(["suite", "--threads", threads]) == 0

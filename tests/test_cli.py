@@ -3,6 +3,7 @@ import json
 import os
 import random
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -15,6 +16,9 @@ import fairsplit.constraint_map as constraint_map
 import fairsplit.serial as serial
 from fairsplit.cli import main
 from fairsplit.serial import INSTANCE_VERTEX_LIMIT
+from fairsplit.solver import TABLE_BIT_LIMIT
+
+from shared import all_faces, is_constrained_face
 
 
 def run(capsys, *argv):
@@ -219,6 +223,30 @@ def test_geometry_sgp(capsys, tmp_path):
     assert code == 0 and doc["value"] is True and doc["witness"] is None
 
 
+def test_solve_refuses_quadratic_tables_before_building_them(tmp_path, capsys):
+    # the solver's masks on a q = 2 path of the most vertices an instance may
+    # have would take about 4 GB; the 40,000-vertex path stays admitted
+    n = INSTANCE_VERTEX_LIMIT
+    assert 2 * 40_000 ** 2 <= TABLE_BIT_LIMIT < 2 * n * n
+    path = write(tmp_path, "path.json", {
+        "schema": "instance/1", "n": n,
+        "edges": [[v, v + 1] for v in range(1, n)],
+        "partition": [list(range(1, n + 1))]})
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        code = main(["solve", "--input", path, "--q", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    out = capsys.readouterr()
+    assert code == 3 and out.out == "" and "search tables" in out.err
+    assert peak < 150 * 2 ** 20, peak
+
+
 def test_phi_check(capsys):
     code, doc, _ = run(capsys, "phi-check", "--q", "2", "--k", "2", "--t", "1")
     assert code == 0 and doc["ok"] is True
@@ -236,7 +264,7 @@ EQUIVARIANCE_KEYS = {"schema", "q", "k", "t", "vertex_order",
 
 def _largest_slot_rule(inst, digits):
     """Breaks both checks: the largest slot number in use."""
-    ok, _ = constraint_map.is_constrained_face(digits, inst.q, inst.k, inst.t)
+    ok, _ = is_constrained_face(digits, inst.q, inst.k, inst.t)
     return None if ok else max(digits)
 
 
@@ -247,10 +275,9 @@ def test_phi_check_report_keys(capsys):
     assert set(doc["zero_set"]) == ZERO_SET_KEYS
     assert set(doc["equivariance"]) == EQUIVARIANCE_KEYS
     inst = constraint_map.ConstraintMapInstance(2, 2, 1)
-    dirs = np.array([_largest_slot_rule(inst, d) or 0
-                     for d in constraint_map.all_faces(inst)], dtype=np.int8)
-    with mock.patch.object(constraint_map, "_directions_array", lambda inst: dirs), \
-            mock.patch.object(constraint_map, "face_direction", _largest_slot_rule):
+    dirs = np.array([_largest_slot_rule(inst, d) or 0 for d in all_faces(inst)],
+                    dtype=np.int8)
+    with mock.patch.object(constraint_map, "_directions_array", lambda inst: dirs):
         code, doc, _ = run(capsys, "phi-check", "--q", "2", "--k", "2", "--t", "1")
     zs, eq = doc["zero_set"], doc["equivariance"]
     assert code == 1 and set(zs) == ZERO_SET_KEYS and set(eq) == EQUIVARIANCE_KEYS

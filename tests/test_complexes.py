@@ -1,19 +1,149 @@
 """Simplicial complex plumbing checked against direct subset enumeration."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 
 from fairsplit.complexes import (FACE_BUDGET, SimplicialComplex,
-                                 _maximal_chains, barycentric_subdivision,
-                                 cone, constraint_subcomplex,
-                                 deleted_join, deleted_join_faces,
-                                 full_simplex, independence_complex, join,
-                                 skeleton, skeleton_join, vertex_key)
+                                 _face_key, independence_complex, vertex_key)
 from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.graphs import Graph, VertexPartition, cycle_graph, path_graph
-from fairsplit.splitting import Splitting
+
+from shared import cone, full_simplex, join, skeleton
+
+# ---------------------------------------------------------------------------
+# constructions only these tests use: face counts, deleted joins,
+# barycentric subdivisions and block-constrained subcomplexes
+
+
+def face_count(k, budget=FACE_BUDGET):
+    return len(k.faces(budget))
+
+
+def f_vector(k, budget=FACE_BUDGET):
+    """Counts of nonempty faces by dimension 0, 1, ..."""
+    if k.is_void():
+        return []
+    out = [0] * (k.dim() + 1)
+    for f in k.faces(budget):
+        if f:
+            out[len(f) - 1] += 1
+    return out
+
+
+def euler_characteristic(k, budget=FACE_BUDGET):
+    return sum((-1) ** d * c for d, c in enumerate(f_vector(k, budget)))
+
+
+def deleted_join_faces(k: SimplicialComplex, q, budget=FACE_BUDGET):
+    """All faces of the q-fold deleted join, as q-tuples of pairwise disjoint
+    faces of k (the empty tuple component is allowed)."""
+    if q < 1:
+        raise InputError("q must be positive")
+    faces = sorted(k.faces(budget), key=_face_key)
+    out = [()]
+    for _ in range(q):
+        nxt = []
+        for partial in out:
+            used = set().union(*partial) if partial else set()
+            for f in faces:
+                if not (f & used):
+                    nxt.append(partial + (f,))
+                    if len(nxt) > budget:
+                        raise ResourceBudget("deleted join face budget exceeded")
+        out = nxt
+    return out
+
+
+def deleted_join(k: SimplicialComplex, q, budget=FACE_BUDGET):
+    """The q-fold deleted join as a complex on tagged vertices (i, v), i=1..q.
+
+    A face is a disjoint union of q faces of k placed in distinct copies; the
+    facets are computed by a local maximality test over all faces.
+    """
+    tuples = deleted_join_faces(k, q, budget)
+    facets = []
+    for tup in tuples:
+        used = set().union(*tup) if any(tup) else set()
+        free = [v for v in k.vertices if v not in used]
+        if any(k.is_face(tup[i] | {v}) for v in free for i in range(q)):
+            continue
+        facets.append({(i + 1, v) for i in range(q) for v in tup[i]})
+    verts = {(i + 1, v) for i in range(q) for v in k.vertices}
+    return SimplicialComplex(facets, vertices=verts)
+
+
+def _maximal_chains(k: SimplicialComplex, budget=FACE_BUDGET):
+    """The maximal chains of nonempty faces, each listed from its facet down
+    to a vertex as sorted tuples: per facet, the orders of removing all but
+    one vertex, in lexicographic order of the sorted vertices.  A facet of
+    size s has s! such chains; their total is checked against `budget`
+    before any is built."""
+    facets = [sorted(f, key=vertex_key) for f in k.facets if f]
+    total = 0
+    for f in facets:
+        total += factorial(len(f))
+        if total > budget:
+            raise ResourceBudget("barycentric budget exceeded")
+    chains = []
+    for f in facets:
+        # permutations() is an explicit loop, so no facet size meets Python's
+        # recursion limit; dropping removed vertices keeps each face sorted
+        for removed in permutations(f, len(f) - 1):
+            face = f
+            chain = [tuple(face)]
+            for v in removed:
+                face = [u for u in face if u != v]
+                chain.append(tuple(face))
+            chains.append(chain)
+    return chains
+
+
+def barycentric_subdivision(k: SimplicialComplex, budget=FACE_BUDGET):
+    """Vertices are the nonempty faces of k (as sorted tuples), facets the
+    maximal chains under inclusion."""
+    if k.is_void():
+        return SimplicialComplex([])
+    chains = _maximal_chains(k, budget)
+    if not chains:  # only the empty face
+        return SimplicialComplex([()])
+    return SimplicialComplex(chains)
+
+
+def skeleton_join(ks):
+    """Join over j of the (k_j - 1)-skeleton of a simplex on 2 k_j + 1
+    vertices, on globally numbered vertices 1, 2, ...; faces are exactly the
+    sets with at most k_j vertices in the j-th block.  Its dimension is
+    sum(k_j) - 1."""
+    ks = list(ks)
+    if not ks or any(k < 1 for k in ks):
+        raise InputError("need positive block parameters")
+    out = None
+    start = 1
+    for kj in ks:
+        block = list(range(start, start + 2 * kj + 1))
+        start += 2 * kj + 1
+        piece = skeleton(full_simplex(block), kj - 1)
+        out = piece if out is None else join(out, piece)
+    return out
+
+
+def constraint_subcomplex(k: SimplicialComplex, partition, caps, budget=FACE_BUDGET):
+    """Faces of k with at most caps[j] vertices in partition block j."""
+    if len(caps) != partition.m:
+        raise InputError("need one cap per block")
+    ok = []
+    for f in k.faces(budget):
+        if all(sum(1 for v in f if v in set(b)) <= c
+               for b, c in zip(partition.blocks, caps)):
+            ok.append(f)
+    if not ok:
+        return SimplicialComplex([])
+    return SimplicialComplex(ok, vertices=k.vertices)
+
+
 
 
 def brute_independent_sets(g):
@@ -46,9 +176,9 @@ def test_void_vs_empty():
 
 def test_faces_and_f_vector():
     k = full_simplex([1, 2, 3])
-    assert k.face_count() == 8  # includes the empty face
-    assert k.f_vector() == [3, 3, 1]
-    assert k.euler_characteristic() == 1
+    assert face_count(k) == 8  # includes the empty face
+    assert f_vector(k) == [3, 3, 1]
+    assert euler_characteristic(k) == 1
 
 
 def test_faces_budget():
@@ -138,7 +268,7 @@ def test_barycentric_preserves_euler():
               SimplicialComplex([(1, 2), (2, 3), (1, 3)]),
               independence_complex(path_graph(5))):
         bd = barycentric_subdivision(k)
-        assert bd.euler_characteristic() == k.euler_characteristic()
+        assert euler_characteristic(bd) == euler_characteristic(k)
 
 
 def test_skeleton_join_dimension():

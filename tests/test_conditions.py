@@ -9,10 +9,16 @@ from fairsplit.conditions import (_search_simple_path, check_conditions,
                                   path_union_cliques_shape, transversal_size,
                                   worst_neighborhood)
 from fairsplit.errors import InputError, ResourceBudget
-from fairsplit.graphs import (Graph, cliques_plus_isolated,
+from fairsplit.graphs import (Graph, VertexPartition, cliques_plus_isolated,
                               consecutive_partition, cycle_graph,
                               matching_graph, path_graph, path_union_cliques,
                               power_path)
+
+from shared import relabel
+
+
+def relabel_partition(part, perm):
+    return VertexPartition([[perm[v] for v in b] for b in part.blocks])
 
 
 def test_primality_helpers():
@@ -267,11 +273,11 @@ def test_shape_checks_are_label_invariant():
         images = list(range(1, g.n + 1))
         rng.shuffle(images)
         perm = {v: images[v - 1] for v in range(1, g.n + 1)}
-        hp = part.relabel(perm)
-        assert path_union_cliques_shape(g.relabel(perm), hp, 3)["ok"]
+        hp = relabel_partition(part, perm)
+        assert path_union_cliques_shape(relabel(g, perm), hp, 3)["ok"]
         assert cliques_plus_isolated_shape(
-            cliques_plus_isolated(3, 3).relabel(perm), 3)["ok"]
-        assert long_path_shape(path_graph(7).relabel(perm), 4, 2)["ok"]
+            relabel(cliques_plus_isolated(3, 3), perm), 3)["ok"]
+        assert long_path_shape(relabel(path_graph(7), perm), 4, 2)["ok"]
 
 
 def test_power_path_instances_pass_neighborhood_gate():

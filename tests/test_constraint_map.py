@@ -7,26 +7,125 @@ import numpy as np
 import pytest
 
 from fairsplit import constraint_map, serial
+from fairsplit.complexes import FACE_BUDGET
 from fairsplit.constraint_map import (ConstraintMapInstance, EquivarianceReport,
                                       ZeroSetReport, _adjacent_transpositions,
                                       _all_slot_permutations,
                                       _levels_with_unconstrained,
                                       _verify_equivariance_numpy,
-                                      _witness_chain, all_faces,
-                                      build_map, constrained_size_bound,
-                                      evaluate, face_direction,
-                                      is_constrained_face, permute_slots,
-                                      random_vertex_orders, slot_sizes,
-                                      slot_vector,
-                                      valid_parameter_triples,
-                                      verify_equivariance, verify_zero_set,
-                                      vertex_value)
+                                      _witness_chain, verify_equivariance,
+                                      verify_zero_set)
 from fairsplit.errors import InputError, ResourceBudget
+
+from shared import (all_faces, is_constrained_face, random_vertex_orders,
+                    slot_sizes, valid_parameter_triples)
+
+# The scalar direction rule, the map's values at subdivision vertices and on
+# chains, and the face-by-face direction table: the references that
+# _directions_array and the two checks are compared with.
+
+
+def constrained_size_bound(q, k, t):
+    """Max total size of a constrained face: q(k-1) - (t-1)."""
+    return q * (k - 1) - t + 1
+
+
+def face_direction(inst, digits):
+    """Direction in 1..q for unconstrained faces, None for constrained ones
+    (the empty face is constrained for every valid instance)."""
+    q, k, t = inst.q, inst.k, inst.t
+    counts = slot_sizes(digits, q)
+    ok, _ = is_constrained_face(digits, q, k, t)
+    if ok:
+        return None
+    m = max(counts)
+    tied = {j + 1 for j, c in enumerate(counts) if c == m}
+    if len(tied) == 1:
+        return tied.pop()
+    for v in inst.vertex_order:
+        if digits[v] in tied:
+            return digits[v]
+    raise AssertionError("unconstrained face has a nonempty maximal slot")
+
+
+def slot_vector(q, j):
+    """Projection of e_j onto the zero-sum hyperplane of R^q."""
+    return tuple(Fraction(-1, q) + (1 if i == j else 0) for i in range(q))
+
+
+def vertex_value(inst, digits):
+    """Value at the subdivision vertex sitting at this face's barycenter."""
+    d = face_direction(inst, digits)
+    if d is None:
+        return tuple(Fraction(0) for _ in range(inst.q))
+    return slot_vector(inst.q, d - 1)
+
+
+def is_subface(sub, sup):
+    return all(a == 0 or a == b for a, b in zip(sub, sup))
+
+
+def evaluate(inst, weighted_chain):
+    """Value of the interpolated map at sum(w_F * barycenter(F)) for an
+    inclusion chain of faces with positive weights summing to 1."""
+    chain = [(tuple(d), Fraction(w)) for d, w in weighted_chain]
+    if not chain:
+        raise InputError("empty chain")
+    if any(len(d) != inst.n for d, _ in chain):
+        raise InputError("face has wrong ground set size")
+    if any(w <= 0 for _, w in chain):
+        raise InputError("weights must be positive")
+    if sum(w for _, w in chain) != 1:
+        raise InputError("weights must sum to 1")
+    chain.sort(key=lambda fw: sum(1 for x in fw[0] if x))
+    for (a, _), (b, _) in zip(chain, chain[1:]):
+        if a == b or not is_subface(a, b):
+            raise InputError("faces do not form a strict inclusion chain")
+    out = [Fraction(0)] * inst.q
+    for digits, w in chain:
+        val = vertex_value(inst, digits)
+        out = [acc + w * x for acc, x in zip(out, val)]
+    return tuple(out)
+
+
+def build_map(inst, budget=FACE_BUDGET):
+    """Materialized direction assignment {digits: direction-or-None}."""
+    if inst.face_count() > budget:
+        raise ResourceBudget("instance has %d faces" % inst.face_count())
+    return {digits: face_direction(inst, digits) for digits in all_faces(inst)}
+
+
+def permute_slots(digits, perm):
+    """perm maps slot j to perm[j] (1-based, perm[0] = 0 fixed)."""
+    return tuple(perm[d] for d in digits)
 
 
 # Face-by-face references for the vectorised checks.  Each takes the
 # direction rule as an argument, so a deliberately wrong rule can be fed to
 # both sides.
+
+def _witness_chain_reference(inst, top, need_mask, direction=face_direction):
+    """_witness_chain's descent, reading each direction from the rule."""
+
+    def rec(digits, need, acc):
+        if need == 0:
+            return acc
+        for v in [v for v, d in enumerate(digits) if d]:
+            sub = digits[:v] + (0,) + digits[v + 1:]
+            d = direction(inst, sub)
+            nxt, nd = acc, need
+            if d is not None and need & (1 << (d - 1)):
+                nxt = [sub] + acc
+                nd = need & ~(1 << (d - 1))
+            got = rec(sub, nd, nxt)
+            if got is not None:
+                return got
+        return None
+
+    need = need_mask & ~(1 << (direction(inst, top) - 1))
+    got = rec(top, need, [top])
+    return got if got is not None else [top]
+
 
 def _verify_equivariance_python(inst, perms, report, direction=face_direction):
     for digits in all_faces(inst):
@@ -81,7 +180,8 @@ def _verify_zero_set_python(inst, direction=face_direction, max_witnesses=1):
                     need = full & ~(1 << (d - 1))
                     if need == 0 or any(msk & need == need for msk in down):
                         report.violations.append(
-                            [list(f) for f in _witness_chain(inst, digits, full)])
+                            [list(f) for f in _witness_chain_reference(
+                                inst, digits, full, direction)])
                         if len(report.violations) >= max_witnesses:
                             report.faces_processed = processed
                             return report
@@ -196,9 +296,10 @@ def _verify_zero_set_by_integer(inst, max_witnesses=1):
     enough = max(1, max_witnesses)
     full = (1 << q) - 1
     found = _rainbow_faces_by_integer(inst, enough)[:enough]
+    dirs = constraint_map._directions_array(inst).reshape((q + 1,) * inst.n)
     for digits in found:
         report.violations.append(
-            [list(f) for f in _witness_chain(inst, digits, full)])
+            [list(f) for f in _witness_chain(dirs, digits, full)])
     if len(found) == enough:
         report.faces_processed = _enumeration_rank(found[-1], q) + 1
     else:
@@ -324,7 +425,6 @@ def _highest_tied_slot_rule(inst, digits):
 def _use_rule(monkeypatch, inst, rule):
     dirs = np.array([rule(inst, d) or 0 for d in all_faces(inst)], dtype=np.int8)
     monkeypatch.setattr(constraint_map, "_directions_array", lambda inst: dirs)
-    monkeypatch.setattr(constraint_map, "face_direction", rule)
 
 
 def test_instance_validation():

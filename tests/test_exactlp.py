@@ -1,17 +1,29 @@
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairsplit import exactlp, geometry, solver
 from fairsplit.errors import InputError
-from fairsplit.exactlp import convex_hulls_common_point, feasible_nonneg_solution
+from fairsplit.exactlp import convex_hulls_common_point
 from fairsplit.geometry import moment_points
 
 
 def _frac_rows(rows):
     return [[Fraction(x) for x in row] for row in rows]
+
+
+def feasible_nonneg_solution(a_rows, b):
+    """Some x >= 0 with Ax = b, or None: exactlp's phase 1 on the system
+    scaled to integers by one common denominator (needs a row)."""
+    a_rows = _frac_rows(a_rows)
+    b = [Fraction(x) for x in b]
+    scale = lcm(*(x.denominator for row in a_rows for x in row),
+                *(x.denominator for x in b))
+    return exactlp._phase1([exactlp._scaled(row, scale) for row in a_rows],
+                           exactlp._scaled(b, scale), scale)
 
 
 def _fraction_simplex_reference(a_rows, b):

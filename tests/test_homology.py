@@ -4,12 +4,18 @@ from itertools import combinations
 
 import pytest
 
-from fairsplit.complexes import (SimplicialComplex, cone, full_simplex,
-                                 independence_complex, skeleton)
+from fairsplit.complexes import SimplicialComplex, independence_complex
 from fairsplit.errors import InputError
 from fairsplit.graphs import Graph, cycle_graph
 from fairsplit.homology import (_faces_by_dim, boundary_matrix, homology,
-                                rank_of, smith_diagonal)
+                                smith_diagonal)
+
+from shared import cone, full_simplex, skeleton
+
+
+def rank_of(mat):
+    return len(smith_diagonal(mat))
+
 
 # ---------------------------------------------------------------------------
 # the dd = 0 oracle: consecutive boundary matrices multiply to zero

@@ -8,7 +8,7 @@ import fairsplit.kneser as kneser
 from fairsplit.errors import ContractError, InputError, ResourceBudget
 from fairsplit.graphs import (VertexPartition, consecutive_partition, path_graph,
                               power_path)
-from fairsplit.kneser import (Hypergraph, KneserInstance, block_coloring,
+from fairsplit.kneser import (Hypergraph, KneserInstance,
                               build_hypergraph, chromatic_formula,
                               chromatic_number, is_proper, rebalance_q2,
                               splitting_from_coloring, stable_subsets)
@@ -285,6 +285,32 @@ def test_chromatic_long_path_needs_no_recursion():
     h = Hypergraph(list(range(n)), [(i, i + 1) for i in range(n - 1)])
     chi, witness = chromatic_number(h)
     assert chi == 2 and is_proper(h, witness) and len(witness) == n
+
+
+def block_coloring(q, ks):
+    """The coloring C(S) of the q-stable k-sets of a path split into
+    consecutive blocks of sizes q*k_j - 1: C(S) is the first block holding at
+    least k_j elements of S, else m + 1."""
+    if any(kj < 1 for kj in ks):
+        raise InputError("block parameters must be positive")
+    sizes = [q * kj - 1 for kj in ks]
+    n = sum(sizes)
+    k = sum(kj - 1 for kj in ks)
+    blocks, start = [], 1
+    for s in sizes:
+        blocks.append(tuple(range(start, start + s)))
+        start += s
+    verts = stable_subsets(n, k, q, "path")
+    colors = []
+    for s in verts:
+        sset = set(s)
+        color = len(ks) + 1
+        for j, b in enumerate(blocks):
+            if len(sset & set(b)) >= ks[j]:
+                color = j + 1
+                break
+        colors.append(color)
+    return verts, colors, blocks
 
 
 def test_block_coloring_values():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import brute_verdict
+from shared import covered
 from fairsplit.complexes import SimplicialComplex, independence_complex
 from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.geometry import gale_alternating, stretched_moment_points
@@ -358,7 +359,7 @@ def test_negative_caps_and_budgets_are_input_errors():
     lone = VertexPartition([(1,), (2, 3, 4)], 4)
     out = find_splitting(SearchProblem(partition=lone, spec=spec,
                                        graph=path_graph(4), caps=[0, 2]))
-    assert out.status == "found" and 1 not in out.splitting.covered()
+    assert out.status == "found" and 1 not in covered(out.splitting)
 
 
 def test_touch_tables_name_each_block_once():

@@ -18,6 +18,8 @@ from fairsplit.splitting import (QuotaCertificate, Splitting, SplittingSpec,
                                  is_weakly_q_stable, leftover_cap,
                                  required_min)
 
+from shared import covered
+
 # ---------------------------------------------------------------------------
 # reference certificate: the former set-based implementation, kept as the
 # oracle of the one-pass certificate
@@ -147,7 +149,7 @@ def test_splitting_normalizes():
     s = Splitting([[3, 1], [2]])
     assert s.sets == [(1, 3), (2,)]
     assert s.q == 2
-    assert s.covered() == {1, 2, 3}
+    assert covered(s) == {1, 2, 3}
 
 
 def test_spec_validation():
