@@ -59,10 +59,6 @@ class SimplicialComplex:
             raise InputError("void complex has no dimension")
         return max(len(f) for f in self.facets) - 1
 
-    def is_face(self, s):
-        s = frozenset(s)
-        return any(s <= f for f in self.facets)
-
     def faces(self, budget=FACE_BUDGET):
         """All faces including the empty one (unless void), as frozensets."""
         seen = set()

@@ -104,6 +104,18 @@ class ConstraintMapInstance:
         return (self.q + 1) ** self.n
 
 
+def _check_face_budget(inst, budget):
+    """Raise ResourceBudget when the (q+1)^n faces exceed budget.  The power
+    is built one factor at a time and abandoned once past the budget, so a
+    huge instance costs at most n multiplications of numbers near budget."""
+    faces = 1
+    for _ in range(inst.n):  # n >= 1
+        faces *= inst.q + 1
+        if faces > budget:
+            raise ResourceBudget("instance has more faces than the face budget of %d"
+                                 % budget)
+
+
 # ---------------------------------------------------------------------------
 # zero-set verification
 
@@ -286,8 +298,7 @@ def verify_zero_set(inst, budget=FACE_BUDGET, max_witnesses=1):
     violating faces in enumeration order (size, support, assignment), with
     faces_processed counted up to the last one as a face-by-face scan would."""
     q = inst.q
-    if inst.face_count() > budget:
-        raise ResourceBudget("instance has %d faces" % inst.face_count())
+    _check_face_budget(inst, budget)
     levels = _levels_with_unconstrained(inst)
     report = ZeroSetReport(inst.q, inst.k, inst.t, inst.vertex_order,
                            len(levels), False, 0)
@@ -431,9 +442,8 @@ def verify_equivariance(inst, full_group=None, budget=FACE_BUDGET):
     """Check d(pi F) = pi d(F).  Adjacent transpositions generate the whole
     slot-permutation group, so they are always checked; the full group is
     checked too when the instance is small (or on request)."""
+    _check_face_budget(inst, budget)
     m = inst.face_count()
-    if m > budget:
-        raise ResourceBudget("instance has %d faces" % m)
     if full_group is None:
         full_group = math.factorial(inst.q) * m <= 2_000_000
     perms = _all_slot_permutations(inst.q) if full_group else _adjacent_transpositions(inst.q)

@@ -13,8 +13,7 @@ stack, so no instance size runs into Python's recursion limit.
 
 Every set keeps a candidate mask over the later positions: those that no
 member rules out, as a neighbour or as a label closer than the stability
-distance.  Admitting a vertex is one bit test; host-complex problems also
-intersect per-set facet masks.  Pruning:
+distance.  Admitting a vertex is one bit test.  Pruning:
 
   * symmetry -- a vertex may only open the first empty set, so each
     unordered family is visited exactly once, in canonical order;
@@ -37,11 +36,11 @@ position's block costs one AND and one popcount against the block's later
 positions; a set at or above the minimum has no shortfall and a popcount is
 never negative, so its popcount is skipped, and the scan stops at the second
 short set (two sets that both need the vertex kill the branch).  Admitting
-the vertex to a set is one bit test, plus a cap test, a facet-mask test in
-host mode and a max/min over the q set sizes when balance is required.
+the vertex to a set is one bit test, plus a cap test and a max/min over the
+q set sizes when balance is required.
 After a set takes the vertex, each touched block where that set is still
-below its minimum costs one more AND and popcount.  The masks a step
-replaces are kept in two flat per-depth lists.
+below its minimum costs one more AND and popcount.  The mask a step
+replaces is kept in one flat per-depth list.
 
 Complete assignments are checked for balance, weak stability and, in
 geometric mode, a common point of the hulls.  Every visited node counts once
@@ -61,14 +60,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex
 from .errors import InputError, ResourceBudget
 from .exactlp import convex_hulls_common_point
 from .geometry import PointConfiguration
 from .graphs import Graph, VertexPartition
-from .splitting import (Splitting, SplittingSpec, certificate_for,
-                        check_splitting, is_weakly_q_stable, leftover_cap,
-                        required_min)
+from .splitting import (Splitting, SplittingSpec, check_splitting,
+                        is_weakly_q_stable, leftover_cap, required_min)
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -83,21 +80,15 @@ TABLE_BIT_LIMIT = 4 * 10 ** 9
 class SearchProblem:
     partition: VertexPartition
     spec: SplittingSpec
-    graph: Graph | None = None
-    host: SimplicialComplex | None = None
+    graph: Graph
     mode: str = "combinatorial"
     points: PointConfiguration | None = None
     caps: list | None = None
     budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
-        if self.graph is None and self.host is None:
-            raise InputError("need a graph or a host complex")
-        ground = self.partition.ground
-        if self.graph is not None and not self.partition.covers(self.graph.n):
+        if not self.partition.covers(self.graph.n):
             raise InputError("partition must cover the graph's vertex set")
-        if self.graph is None and ground != set(self.host.vertices):
-            raise InputError("partition must cover the host's vertex set")
         if self.mode not in ("combinatorial", "geometric"):
             raise InputError("unknown mode %r" % (self.mode,))
         if self.budget < 0:
@@ -105,7 +96,7 @@ class SearchProblem:
         if self.mode == "geometric":
             if self.points is None:
                 raise InputError("geometric mode needs a point configuration")
-            if len(self.points) < max(ground):
+            if len(self.points) < self.graph.n:
                 raise InputError("need a point for every vertex label")
             if self.caps is None:
                 self.caps = [len(b) // self.spec.q for b in self.partition.blocks]
@@ -138,22 +129,20 @@ class SearchOutcome:
 
 
 class _Ctx:
-    """Per-problem tables, indexed by position in label order."""
+    """Per-problem tables, indexed by position: the partition covers exactly
+    1..n, so label v sits at position v - 1."""
 
     def __init__(self, problem):
         p = problem
         spec = p.spec
         blocks = p.partition.blocks
         self.q = q = spec.q
-        self.order = order = sorted(p.partition.ground)
-        self.n = n = len(order)
+        self.n = n = p.graph.n
         if 2 * n * n > TABLE_BIT_LIMIT:
             raise ResourceBudget("search tables need 2 * %d^2 bits, over the limit of %d"
                                  % (n, TABLE_BIT_LIMIT))
-        if spec.stability >= 2 and not all(isinstance(v, int) for v in order):
-            raise InputError("stability needs integer labels")
         index = p.partition._block_of
-        self.block_of = block_of = [index[v] for v in order]
+        self.block_of = block_of = [index[v] for v in range(1, n + 1)]
         self.mins = [required_min(spec.flavor, len(b), q) for b in blocks]
         self.unused_cap = leftover_cap(spec.flavor, q)
         self.caps = p.caps
@@ -164,16 +153,13 @@ class _Ctx:
         # touch[d]: the blocks of those positions, where that step can starve a set
         kill = [0] * n
         touch = [[] for _ in range(n)]
-        g = p.graph
-        if g is not None:
-            # the partition covers exactly 1..n, so label v sits at position v - 1
-            for a, b in g.edges:  # a < b
-                kill[a - 1] |= 1 << (b - 1)
-                touch[a - 1].append(block_of[b - 1])
+        for a, b in p.graph.edges:  # a < b
+            kill[a - 1] |= 1 << (b - 1)
+            touch[a - 1].append(block_of[b - 1])
         if spec.stability >= 2:
             for d in range(n):
                 t, e = touch[d], d + 1
-                while e < n and order[e] - order[d] < spec.stability:
+                while e < n and e - d < spec.stability:
                     kill[d] |= 1 << e
                     t.append(block_of[e])
                     e += 1
@@ -204,23 +190,13 @@ class _Ctx:
             rem_after[d] = left[j]
             block_mask[j] |= 1 << d
             left[j] += 1
-        # facet bitmask filters when no graph is available
-        self.vmask = None
-        if g is None:
-            facets = p.host.facets
-            self.full_facets = (1 << len(facets)) - 1
-            vmask = {v: 0 for v in order}
-            for idx, f in enumerate(facets):
-                for v in f:
-                    vmask[v] |= 1 << idx
-            self.vmask = [vmask[v] for v in order]
 
 
 def _leaf(ctx, choice, deficit):
     if any(x > 0 for x in deficit):
         return None
     members = [[] for _ in range(ctx.q)]
-    for v, c in zip(ctx.order, choice):
+    for v, c in enumerate(choice, 1):
         if c < ctx.q:
             members[c].append(v)
     sets = [tuple(m) for m in members]
@@ -247,11 +223,10 @@ def _search(problem, limit):
     q, n = ctx.q, ctx.n
     mins, caps, block_of, block_mask = ctx.mins, ctx.caps, ctx.block_of, ctx.block_mask
     keep, touch, rem_after = ctx.keep, ctx.touch, ctx.rem_after
-    after_in_block, unused_cap, vmask = ctx.after_in_block, ctx.unused_cap, ctx.vmask
+    after_in_block, unused_cap = ctx.after_in_block, ctx.unused_cap
     balanced = ctx.balanced
     budget = problem.budget
     cand = [(1 << n) - 1] * q
-    fmask = None if vmask is None else [ctx.full_facets] * q
     counts = [[0] * len(mins) for _ in range(q)]
     sizes = [0] * q
     deficit = [q * x for x in mins]
@@ -260,7 +235,6 @@ def _search(problem, limit):
     choice = [-1] * n        # choice in force at each depth; q means unused
     lone = [None] * n        # the one set that needs the vertex; -1 when two do
     saved_cand = [0] * n     # candidate mask of the set extended at each depth
-    saved_facets = [0] * n   # and its facet mask, in host mode
     solutions = []
     if budget < 1:
         return "budget", solutions, 0
@@ -289,8 +263,6 @@ def _search(problem, limit):
             if not sizes[c]:
                 used -= 1
             cand[c] = saved_cand[d]
-            if fmask is not None:
-                fmask[c] = saved_facets[d]
         else:
             # first arrival: which sets cannot afford to miss this vertex?
             # A set already at the block's minimum has no shortfall, and a
@@ -314,8 +286,7 @@ def _search(problem, limit):
             if hi > must + 1:
                 hi = must + 1
         while c < hi:
-            if (cand[c] >> d & 1 and (caps is None or counts[c][j] < caps[j])
-                    and (fmask is None or fmask[c] & vmask[d])):
+            if cand[c] >> d & 1 and (caps is None or counts[c][j] < caps[j]):
                 if not balanced:
                     break
                 # balance: can the size spread still end within 1 once set c grows?
@@ -352,9 +323,6 @@ def _search(problem, limit):
             saved_cand[d] = m = cand[c]
             m &= keep[d]
             cand[c] = m
-            if fmask is not None:
-                saved_facets[d] = fmask[c]
-                fmask[c] &= vmask[d]
             if deficit[j] > rem_after[d]:
                 continue  # pruned: the next pass undoes choice[d] and tries the one after
             # forward checking on the blocks this step touched
@@ -373,17 +341,11 @@ def _search(problem, limit):
     return ("found" if solutions else "none"), solutions, nodes
 
 
-def _verify(problem, sets):
-    if problem.graph is not None:
-        return check_splitting(problem.graph, problem.partition, sets, problem.spec)
-    return certificate_for(problem.host.is_face, problem.partition, sets, problem.spec)
-
-
 def find_splitting(problem: SearchProblem) -> SearchOutcome:
     status, solutions, nodes = _search(problem, 1)
     if status == "found":
         sets, point = solutions[0]
-        cert = _verify(problem, sets)
+        cert = check_splitting(problem.graph, problem.partition, sets, problem.spec)
         if not cert.ok:
             # a fault in the search, not a proven negative: the CLI reports it as internal
             raise AssertionError("search produced a splitting its own certificate rejects")
@@ -403,7 +365,7 @@ def enumerate_splittings(problem: SearchProblem, limit) -> list:
         raise ResourceBudget("node budget hit after %d splittings" % len(solutions))
     out = []
     for sets, point in solutions:
-        cert = _verify(problem, sets)
+        cert = check_splitting(problem.graph, problem.partition, sets, problem.spec)
         if not cert.ok:
             raise AssertionError("enumerated splitting fails its certificate")
         outcome = SearchOutcome("found", Splitting(sets), cert, nodes, point)

@@ -169,7 +169,7 @@ class QuotaCertificate:
 
 def certificate_for(face_ok, partition, sets, spec):
     """Assemble a QuotaCertificate with an arbitrary admissibility predicate
-    in place of graph independence (used for searches over host complexes).
+    face_ok in place of graph independence.
 
     One pass over the members, through the partition's label -> block map,
     gives the per-set block counts, the distinct covered labels per block and

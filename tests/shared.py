@@ -1,7 +1,7 @@
 """Constructions and references that several test modules share.
 
 No command of the package needs them, so they live with the tests: complex
-constructions (simplices, skeleta, joins, cones), the scalar constraint-map
+constructions (simplices, skeleta, joins, cones) and the face test, the scalar constraint-map
 rule the vectorised one is checked against, the parameter triples and vertex
 orders the constraint-map tests sweep, and small graph and splitting helpers.
 """
@@ -16,6 +16,12 @@ from fairsplit.graphs import Graph
 
 # ---------------------------------------------------------------------------
 # complex constructions
+
+
+def is_face(k: SimplicialComplex, s):
+    """Does s lie in some facet of k?"""
+    s = frozenset(s)
+    return any(s <= f for f in k.facets)
 
 
 def full_simplex(vertices):

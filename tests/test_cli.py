@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import fairsplit.constraint_map as constraint_map
 import fairsplit.serial as serial
 from fairsplit.cli import main
+from fairsplit.complexes import FACE_BUDGET
 from fairsplit.serial import INSTANCE_VERTEX_LIMIT
 from fairsplit.solver import TABLE_BIT_LIMIT
 
@@ -291,6 +292,14 @@ def test_phi_check_report_keys(capsys):
 def test_phi_check_bad_parameters(capsys):
     code, doc, err = run(capsys, "phi-check", "--q", "1", "--k", "2", "--t", "1")
     assert code == 2 and "input error" in err
+
+
+def test_phi_check_over_the_face_budget_is_a_budget_exit(capsys):
+    # (q+1)^n = 5001^4999 has over 18,000 digits, too many to format: the
+    # budget check stops multiplying once past the budget and names the budget
+    code, doc, err = run(capsys, "phi-check", "--q", "5000", "--k", "1", "--t", "1")
+    assert code == 3 and doc is None
+    assert "face budget of %d" % FACE_BUDGET in err
 
 
 def test_compose_power_of_two(capsys):

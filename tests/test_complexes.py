@@ -11,7 +11,7 @@ from fairsplit.complexes import (FACE_BUDGET, SimplicialComplex,
 from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.graphs import Graph, VertexPartition, cycle_graph, path_graph
 
-from shared import cone, full_simplex, join, skeleton
+from shared import cone, full_simplex, is_face, join, skeleton
 
 # ---------------------------------------------------------------------------
 # constructions only these tests use: face counts, deleted joins,
@@ -68,7 +68,7 @@ def deleted_join(k: SimplicialComplex, q, budget=FACE_BUDGET):
     for tup in tuples:
         used = set().union(*tup) if any(tup) else set()
         free = [v for v in k.vertices if v not in used]
-        if any(k.is_face(tup[i] | {v}) for v in free for i in range(q)):
+        if any(is_face(k, tup[i] | {v}) for v in free for i in range(q)):
             continue
         facets.append({(i + 1, v) for i in range(q) for v in tup[i]})
     verts = {(i + 1, v) for i in range(q) for v in k.vertices}
@@ -160,7 +160,7 @@ def test_facets_form_antichain():
     k = SimplicialComplex([(1, 2), (2,), (1, 2, 3), (3,)])
     assert k.facets == (frozenset({1, 2, 3}),)
     assert k.dim() == 2
-    assert k.is_face((2, 3)) and not k.is_face((1, 4))
+    assert is_face(k, (2, 3)) and not is_face(k, (1, 4))
 
 
 def test_void_vs_empty():
@@ -286,7 +286,7 @@ def test_constraint_subcomplex_caps():
     for f in sigma.faces():
         f = set(f)
         assert len(f & {1, 2, 3}) <= 1 and len(f & {4, 5}) <= 2
-    assert sigma.is_face((1, 4, 5)) and not sigma.is_face((1, 2))
+    assert is_face(sigma, (1, 4, 5)) and not is_face(sigma, (1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -564,6 +564,14 @@ def test_zero_set_budget_and_json():
     assert doc["ok"] is True and doc["violations"] == []
 
 
+def test_face_budget_is_exact_for_both_checks():
+    inst = ConstraintMapInstance(3, 3, 2)  # 4^7 = 16,384 faces
+    for check in (verify_zero_set, verify_equivariance):
+        assert check(inst, budget=16384).ok
+        with pytest.raises(ResourceBudget, match="face budget of 16383"):
+            check(inst, budget=16383)
+
+
 def test_zero_set_random_orders():
     for order in random_vertex_orders(4, 3, seed=7):
         inst = ConstraintMapInstance(3, 2, 2, vertex_order=order)

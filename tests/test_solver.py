@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from brute import brute_verdict
 from shared import covered
-from fairsplit.complexes import SimplicialComplex, independence_complex
 from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.geometry import gale_alternating, stretched_moment_points
 from fairsplit.graphs import (Graph, VertexPartition, cycle_graph, is_independent,
@@ -254,7 +253,7 @@ def test_transversal_pigeonhole_refutation():
 
 
 # ---------------------------------------------------------------------------
-# stability, hosts, geometry, degenerate q
+# stability, geometry, degenerate q
 
 
 def test_stability_constraint():
@@ -269,19 +268,6 @@ def test_stability_constraint():
     tight = SplittingSpec(q=2, flavor="almost_fair", stability=3)
     out = find_splitting(SearchProblem(partition=part, spec=tight, graph=g))
     assert out.status == "exhausted_none"
-
-
-def test_host_complex_matches_graph():
-    rng = random.Random(24)
-    for _ in range(6):
-        n = rng.randint(3, 6)
-        g = _random_graph(n, 0.4, rng)
-        part = _random_partition(n, rng.randint(1, 2), rng)
-        spec = SplittingSpec(q=2, flavor="almost_fair")
-        via_graph = find_splitting(SearchProblem(partition=part, spec=spec, graph=g))
-        via_host = find_splitting(SearchProblem(partition=part, spec=spec,
-                                                host=independence_complex(g)))
-        assert via_graph.status == via_host.status
 
 
 def test_geometric_radon_split():
@@ -331,8 +317,8 @@ def test_q1_degenerate():
 def test_problem_validation():
     part = VertexPartition([(1, 2)], 2)
     spec = SplittingSpec(q=2, flavor="fair")
-    with pytest.raises(InputError):
-        SearchProblem(partition=part, spec=spec)  # no graph, no host
+    with pytest.raises(TypeError):
+        SearchProblem(partition=part, spec=spec)  # the graph is required
     with pytest.raises(InputError):
         SearchProblem(partition=part, spec=spec, graph=path_graph(3))
     with pytest.raises(InputError):
@@ -492,10 +478,9 @@ def _search_reference(problem, limit):
     q, n = ctx.q, ctx.n
     mins, caps, block_of, block_mask = ctx.mins, ctx.caps, ctx.block_of, ctx.block_mask
     keep, touch, rem_after = ctx.keep, ctx.touch, ctx.rem_after
-    after_in_block, unused_cap, vmask = ctx.after_in_block, ctx.unused_cap, ctx.vmask
+    after_in_block, unused_cap = ctx.after_in_block, ctx.unused_cap
     balanced = ctx.balanced
     cand = [(1 << n) - 1] * q
-    fmask = None if vmask is None else [ctx.full_facets] * q
     counts = [[0] * len(mins) for _ in range(q)]
     sizes = [0] * q
     deficit = [q * x for x in mins]
@@ -503,7 +488,7 @@ def _search_reference(problem, limit):
     used = 0                 # sets holding a vertex; they are sets 0..used-1
     choice = [-1] * n        # choice in force at each depth; q means unused
     lone = [None] * n        # the one set that needs the vertex; -1 when two do
-    saved = [None] * n       # candidate and facet masks of the set extended at each depth
+    saved = [None] * n       # candidate mask of the set extended at each depth
     solutions = []
     if problem.budget < 1:
         return "budget", solutions, 0
@@ -531,9 +516,7 @@ def _search_reference(problem, limit):
             sizes[c] -= 1
             if not sizes[c]:
                 used -= 1
-            cand[c], f = saved[d]
-            if fmask is not None:
-                fmask[c] = f
+            cand[c] = saved[d]
         else:
             # first arrival: which sets cannot afford to miss this vertex?
             short = [x for x in range(q) if (cand[x] & after_in_block[d]).bit_count()
@@ -546,7 +529,6 @@ def _search_reference(problem, limit):
             c, hi = max(c, must), min(hi, must + 1)
         while c < hi:
             if (cand[c] >> d & 1 and (caps is None or counts[c][j] < caps[j])
-                    and (fmask is None or fmask[c] & vmask[d])
                     and (not balanced or _reference_balance_ok(sizes, c, n - d - 1))):
                 break
             c += 1
@@ -574,10 +556,8 @@ def _search_reference(problem, limit):
             if not sizes[c]:
                 used += 1
             sizes[c] += 1
-            saved[d] = cand[c], None if fmask is None else fmask[c]
+            saved[d] = cand[c]
             cand[c] &= keep[d]
-            if fmask is not None:
-                fmask[c] &= vmask[d]
             if deficit[j] > rem_after[d] or _reference_starved(cand[c], cnt, touch[d], mins, block_mask):
                 continue  # pruned: the next pass undoes choice[d] and tries the one after
         if nodes == problem.budget:
@@ -591,30 +571,16 @@ def _random_search_problem(rng):
     n = max(rng.randint(1, 12), rng.randint(1, 12))  # most cases near the top
     g = _random_graph(n, rng.uniform(0, 0.5), rng)
     part = _random_partition(n, rng.randint(1, min(4, n)), rng)
-    host = rng.choice([None, None, "int", "str"])
     spec = SplittingSpec(q=rng.choice([1, 2, 2, 3, 3, 4]),
                          flavor=rng.choice(["fair", "almost_fair", "transversal"]),
                          balanced=rng.random() < 0.4,
-                         stability=1 if host == "str" else rng.choice([1, 1, 2, 3]),
+                         stability=rng.choice([1, 1, 2, 3]),
                          weak_stability=rng.choice([None, None, None, 2, 3]))
     caps = None
     if rng.random() < 0.3:
         caps = [rng.randint(0, 3) for _ in part.blocks]
     budget = rng.randint(1, 200)
-    if host is None:
-        problem = SearchProblem(partition=part, spec=spec, graph=g, caps=caps,
-                                budget=budget)
-    elif host == "int":
-        problem = SearchProblem(partition=part, spec=spec, host=independence_complex(g),
-                                caps=caps, budget=budget)
-    else:
-        # string labels sort as text, so the position order is not 1..n
-        k = independence_complex(g)
-        named = SimplicialComplex([[str(v) for v in f] for f in k.facets],
-                                  vertices=[str(v) for v in k.vertices])
-        blocks = [[str(v) for v in b] for b in part.blocks]
-        problem = SearchProblem(partition=VertexPartition(blocks), spec=spec,
-                                host=named, caps=caps, budget=budget)
+    problem = SearchProblem(partition=part, spec=spec, graph=g, caps=caps, budget=budget)
     return problem, rng.randint(1, 3)
 
 

@@ -1,6 +1,7 @@
 """Quota arithmetic, stability predicates, and the splitting certificate."""
 
 import time
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -18,7 +19,7 @@ from fairsplit.splitting import (QuotaCertificate, Splitting, SplittingSpec,
                                  is_weakly_q_stable, leftover_cap,
                                  required_min)
 
-from shared import covered
+from shared import covered, is_face
 
 # ---------------------------------------------------------------------------
 # reference certificate: the former set-based implementation, kept as the
@@ -245,7 +246,7 @@ def _certificate_cases(draw):
     if host:
         facets = draw(st.lists(st.lists(st.sampled_from(inside), max_size=4),
                                min_size=1, max_size=5))
-        face_ok = SimplicialComplex(facets, vertices=inside).is_face
+        face_ok = partial(is_face, SimplicialComplex(facets, vertices=inside))
         graph = None
     else:
         pairs = list(combinations(inside, 2))
