@@ -25,7 +25,7 @@ from .graphs import (FAMILIES, consecutive_partition, generate_family,
 from .homology import homology
 from .kneser import (KneserInstance, build_hypergraph, chromatic_formula,
                      chromatic_number, splitting_from_coloring)
-from .serial import (canonical_dumps, complex_load, instance_dump,
+from .serial import (canonical_dumps, check_size, complex_load, instance_dump,
                      instance_load, load_file, points_dump, points_load,
                      splitting_dump, splitting_load)
 from .solver import DEFAULT_NODE_BUDGET, SearchProblem, find_splitting
@@ -56,12 +56,10 @@ def _sets_arg(text):
     return [set(_int_list(part, "set")) for part in text.split(";")]
 
 
-def _load_instance(path, need_partition=True):
+def _load_instance(path):
     g, partition = load_file(path, instance_load)
     if partition is None:
-        if need_partition:
-            raise InputError("instance %s has no partition" % path)
-        partition = single_block_partition(g.n)
+        raise InputError("instance %s has no partition" % path)
     return g, partition
 
 
@@ -93,9 +91,9 @@ def _add_run_flags(p):
 def cmd_generate(args):
     params = {}
     if args.n is not None:
-        params["n"] = args.n
+        params["n"] = check_size("--n", args.n)
     if args.q is not None:
-        params["q"] = args.q
+        params["q"] = check_size("--q", args.q)
     if args.r is not None:
         params["r"] = args.r
     g = generate_family(args.family, **params)
@@ -104,7 +102,7 @@ def cmd_generate(args):
 
 def cmd_solve(args):
     g, partition = _load_instance(args.input)
-    spec = _spec_from_args(args, args.q)
+    spec = _spec_from_args(args, check_size("--q", args.q))
     caps = _int_list(args.caps, "--caps") if args.caps else None
     config = None
     if args.mode == "geometric":
@@ -112,8 +110,7 @@ def cmd_solve(args):
             raise InputError("geometric mode needs --points FILE")
         config = load_file(args.points, points_load)
     problem = SearchProblem(partition=partition, spec=spec, graph=g,
-                            mode=args.mode, points=config, caps=caps,
-                            budget=args.budget)
+                            points=config, caps=caps, budget=args.budget)
     out = find_splitting(problem)
     code = {"found": 0, "exhausted_none": 1, "budget_exceeded": 3}[out.status]
     return code, out.to_json()
@@ -185,6 +182,7 @@ def cmd_geometry(args):
 
 
 def cmd_phi_check(args):
+    check_size("ground set vertices", args.q * args.k - args.t)
     order = _int_list(args.order, "--order") if args.order else None
     inst = ConstraintMapInstance(args.q, args.k, args.t, vertex_order=order)
     zs = verify_zero_set(inst, budget=args.budget)
@@ -197,7 +195,7 @@ def cmd_phi_check(args):
 
 
 def cmd_compose(args):
-    n = args.n
+    n = check_size("--n", args.n)
     partition = _blocks_partition(args.blocks, n)
     if args.t is not None:
         splitting = power_of_two_splitting(n, partition, args.t,
@@ -231,7 +229,7 @@ def cmd_kneser_chi(args):
 
 
 def cmd_kneser_split(args):
-    partition = _blocks_partition(args.blocks, args.n)
+    partition = _blocks_partition(args.blocks, check_size("--n", args.n))
     res = splitting_from_coloring(args.n, partition, args.q,
                                   budget=args.budget,
                                   check_chromatic=args.check_chromatic)

@@ -23,6 +23,11 @@ The six conditions:
     prime q, blocks >= q-1.
   * transversal_size    -- prime power q, neighborhood bound everywhere, and
     every block of size >= 2q-1; yields q disjoint independent transversals.
+
+Each rule is coded once: neighborhood_values gives 2|N(v)| + |N2(v)| per
+vertex of an adjacency map, for worst_neighborhood and for path deletion
+(on the graph minus the path), and _is_disjoint_cliques is the clique test
+of both clique shapes, q = 2 included.
 """
 
 from __future__ import annotations
@@ -62,14 +67,22 @@ def is_prime_power(n):
     return False
 
 
+def neighborhood_values(adj):
+    """(2|N(v)| + |N2(v)|, v) for every vertex v of the adjacency map, in its
+    order; N2(v) holds the vertices at distance exactly two from v."""
+    for v, nb in adj.items():
+        second = set()
+        for u in nb:
+            second |= adj[u]
+        second -= nb
+        second.discard(v)
+        yield 2 * len(nb) + len(second), v
+
+
 def worst_neighborhood(g: Graph):
-    """(max over v of 2|N(v)| + |N2(v)|, a vertex attaining it)."""
-    worst, arg = -1, None
-    for v in g.vertices:
-        val = 2 * g.degree(v) + len(g.second_neighborhood(v))
-        if val > worst:
-            worst, arg = val, v
-    return worst, arg
+    """(max over v of 2|N(v)| + |N2(v)|, the first vertex attaining it)."""
+    return max(neighborhood_values(g.adj), key=lambda pair: pair[0],
+               default=(-1, None))
 
 
 def neighborhood_bound(g: Graph, q, n):
@@ -87,21 +100,6 @@ def _adjacency_minus(g: Graph, removed):
         adj[u].discard(w)
         adj[w].discard(u)
     return adj
-
-
-def _neighborhood_ok_minus(g: Graph, removed, q):
-    """Neighborhood bound after deleting the edge set `removed`."""
-    adj = _adjacency_minus(g, removed)
-    for v in g.vertices:
-        nb = adj[v]
-        second = set()
-        for u in nb:
-            second |= adj[u]
-        second -= nb
-        second.discard(v)
-        if 2 * len(nb) + len(second) >= q:
-            return False
-    return True
 
 
 def _path_edge_set(g: Graph, path):
@@ -173,16 +171,20 @@ def path_deletion(g: Graph, partition: VertexPartition, q, path=None,
     out = {"ok": False, "path": None, **gates}
     if not all(gates.values()):
         return out
-    found = _path_witness(
-        g, lambda removed: _neighborhood_ok_minus(g, removed, q), path, budget)
+
+    def accept(removed):
+        return all(val < q for val, _ in
+                   neighborhood_values(_adjacency_minus(g, removed)))
+
+    found = _path_witness(g, accept, path, budget)
     if found is not None:
         out.update(ok=True, path=found)
     return out
 
 
-def _components(adj, vertices):
+def _components(adj):
     seen, comps = set(), []
-    for v in sorted(vertices):
+    for v in sorted(adj):
         if v in seen:
             continue
         comp, stack = [], [v]
@@ -198,40 +200,25 @@ def _components(adj, vertices):
     return comps
 
 
-def _is_disjoint_cliques(adj, vertices, size):
-    """Every nontrivial component a complete graph on `size` vertices.
-    Isolated vertices are allowed (they carry no edges)."""
-    for comp in _components(adj, vertices):
-        if len(comp) == 1:
-            continue
-        if len(comp) != size:
-            return False
-        for v in comp:
-            if len(adj[v]) != size - 1:
-                return False
-    return True
+def _is_disjoint_cliques(adj, size):
+    """Every component an isolated vertex or a complete graph on `size`
+    vertices.  Degrees are checked first, which is cheap and usually decides:
+    a vertex with an edge needs degree size-1 (so for size 1 the graph must
+    be edgeless), and then a component of `size` vertices is complete."""
+    if any(nb and len(nb) != size - 1 for nb in adj.values()):
+        return False
+    return all(len(c) in (1, size) for c in _components(adj))
 
 
 def cliques_plus_isolated_shape(g: Graph, q):
-    """Disjoint union of n cliques of size q-1 and one isolated vertex."""
+    """Disjoint union of n >= 1 cliques of size q-1 and one isolated vertex."""
     out = {"ok": False, "n": None, "prime": is_prime(q)}
-    if q < 2:
-        return out
-    comps = _components(g.adj, g.vertices)
-    if q == 2:
-        # size-1 cliques are themselves isolated vertices; the shape is any
-        # edgeless graph on n + 1 >= 2 vertices
-        if g.n >= 2 and not g.edges:
-            out.update(ok=True, n=g.n - 1)
-        return out
-    isolated = [c for c in comps if len(c) == 1]
-    cliques = [c for c in comps if len(c) > 1]
-    if len(isolated) != 1 or not cliques:
-        return out
-    for c in cliques:
-        if len(c) != q - 1 or any(len(g.adj[v]) != q - 2 for v in c):
-            return out
-    out.update(ok=True, n=len(cliques))
+    n, rem = divmod(g.n - 1, q - 1) if q >= 2 else (0, 1)
+    # n cliques of size q-1 hold n * C(q-1, 2) edges, which leaves exactly
+    # one vertex isolated (for q = 2 the cliques are isolated vertices too)
+    if (rem == 0 and n >= 1 and len(g.edges) == n * (q - 1) * (q - 2) // 2
+            and _is_disjoint_cliques(g.adj, q - 1)):
+        out.update(ok=True, n=n)
     return out
 
 
@@ -245,7 +232,7 @@ def long_path_shape(g: Graph, q, n):
     else:
         shape = (len(g.edges) == g.n - 1
                  and degs[:2] == [1, 1] and all(d == 2 for d in degs[2:])
-                 and len(_components(g.adj, g.vertices)) == 1)
+                 and len(_components(g.adj)) == 1)
     out["is_path"] = shape
     out["ok"] = shape and out["prime_power_ge4"] and out["size_ok"]
     return out
@@ -267,10 +254,7 @@ def path_union_cliques_shape(g: Graph, partition: VertexPartition, q,
         return out
 
     def accept(removed):
-        adj = _adjacency_minus(g, removed)
-        if q == 2:
-            return all(not adj[v] for v in adj)
-        return _is_disjoint_cliques(adj, g.vertices, q - 1)
+        return _is_disjoint_cliques(_adjacency_minus(g, removed), q - 1)
 
     found = _path_witness(g, accept, path, budget)
     if found is not None:

@@ -29,7 +29,11 @@ The two checks:
                        faces whose directions cover 1..q, done by a numpy DP
                        that keeps, for every face, the set of direction
                        masks its chains can carry as a 2^q-bit bitset, and
-                       fills it in one support at a time.
+                       fills it in one support at a time.  Every face of
+                       fewer than k vertices is constrained, and every level
+                       from k to n holds an unconstrained face, so the DP
+                       starts at level k; with fewer than q such levels no
+                       chain can carry q directions (the short circuit).
 
   verify_equivariance  d(pi F) = pi(d(F)) for slot permutations pi; the
                        adjacent transpositions generate the full symmetric
@@ -146,34 +150,6 @@ class ZeroSetReport:
             "violations": [{"chain": [list(f) for f in chain]} for chain in self.violations],
             "ok": self.ok,
         }
-
-
-def _levels_with_unconstrained(inst):
-    """Levels s (face sizes) at which some slot-size vector fails the
-    constrained-region test; computed over compositions, not faces."""
-    q, k, t, n = inst.q, inst.k, inst.t, inst.n
-    levels = []
-    for s in range(1, n + 1):
-        found = False
-        for cuts in itertools.combinations(range(s + q - 1), q - 1):
-            counts = []
-            prev = -1
-            for c in cuts:
-                counts.append(c - prev - 1)
-                prev = c
-            counts.append(s + q - 2 - prev)
-            if not is_constrained_face_counts(counts, q, k, t):
-                found = True
-                break
-        if found:
-            levels.append(s)
-    return levels
-
-
-def is_constrained_face_counts(counts, q, k, t):
-    if any(c > k - 1 for c in counts):
-        return False
-    return sum(1 for c in counts if c <= k - 2) >= t - 1
 
 
 def _witness_chain(dirs, top, need_mask):
@@ -297,16 +273,20 @@ def verify_zero_set(inst, budget=FACE_BUDGET, max_witnesses=1):
     stays inside the constrained region.  Reports the first max_witnesses
     violating faces in enumeration order (size, support, assignment), with
     faces_processed counted up to the last one as a face-by-face scan would."""
-    q = inst.q
+    q, k = inst.q, inst.k
     _check_face_budget(inst, budget)
-    levels = _levels_with_unconstrained(inst)
-    report = ZeroSetReport(inst.q, inst.k, inst.t, inst.vertex_order,
-                           len(levels), False, 0)
-    if len(levels) < q:
+    # the levels (face sizes) holding an unconstrained face are k..n: a face
+    # of k or more vertices can put k of them in one slot, and a smaller one
+    # could only leave the region with q-t+2 slots of k-1 vertices each,
+    # which takes 2(k-1) >= k vertices when k >= 2 (and k = 1 forces t = 1,
+    # which would need q+1 slots)
+    report = ZeroSetReport(inst.q, k, inst.t, inst.vertex_order,
+                           inst.n - k + 1, False, 0)
+    if report.levels_with_unconstrained < q:
         report.short_circuit = True
         return report
     dirs = _directions_array(inst).reshape((q + 1,) * inst.n)
-    found, report.faces_processed = _rainbow_faces(inst, dirs, levels[0],
+    found, report.faces_processed = _rainbow_faces(inst, dirs, k,
                                                    max(1, max_witnesses))
     for digits in found:
         report.violations.append(

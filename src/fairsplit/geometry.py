@@ -6,7 +6,8 @@ floating point, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -16,21 +17,15 @@ from .exactlp import convex_hulls_common_point
 
 @dataclass
 class PointConfiguration:
-    """Ordered rational points, optionally remembering moment-curve params."""
+    """Ordered rational points."""
 
     points: list  # list of tuples of Fractions
-    params: list | None = None
-    base: Fraction | None = None
 
     def __post_init__(self):
         self.points = [tuple(Fraction(c) for c in p) for p in self.points]
         dims = {len(p) for p in self.points}
         if len(dims) > 1:
             raise InputError("points of mixed dimension")
-        if self.params is not None:
-            self.params = [Fraction(t) for t in self.params]
-            if any(a >= b for a, b in zip(self.params, self.params[1:])):
-                raise InputError("moment parameters must be strictly increasing")
 
     @property
     def dim(self):
@@ -44,10 +39,27 @@ class PointConfiguration:
         return [self.points[i - 1] for i in labels]
 
 
+def _power_prints(m, e):
+    """Does m^e (m >= 0, e >= 1) have at most L decimal digits, L being the
+    interpreter's int digit limit?  With b = m.bit_length(), 2^(e(b-1)) <=
+    m^e < 2^(eb), and 2^(3L) < 10^L < 2^(4L), so the bit lengths decide
+    unless 3L < eb and e(b-1) < 4L; only then, at under 8L bits, is the
+    power computed and compared."""
+    limit = sys.get_int_max_str_digits()
+    b = m.bit_length()
+    if limit == 0 or e * b <= 3 * limit:
+        return True
+    if e * (b - 1) >= 4 * limit:
+        return False
+    return m ** e < 10 ** limit
+
+
 def moment_points(params, d=None, dim=None):
     """Points (t, t^2, ..., t^dim) for strictly increasing rational params.
 
-    Either d (ambient dimension 2d) or an explicit target dimension.
+    Either d (ambient dimension 2d) or an explicit target dimension.  The
+    params are read one at a time; one whose numerator or denominator to the
+    dim-th power would not print raises ResourceBudget before the next.
     """
     if (d is None) == (dim is None):
         raise InputError("give exactly one of d or dim")
@@ -55,9 +67,17 @@ def moment_points(params, d=None, dim=None):
         dim = 2 * d
     if dim < 1:
         raise InputError("dimension must be positive")
-    params = [Fraction(t) for t in params]
-    pts = [tuple(t ** e for e in range(1, dim + 1)) for t in params]
-    return PointConfiguration(pts, params=params)
+    ts = []
+    for t in params:
+        t = Fraction(t)
+        if ts and t <= ts[-1]:
+            raise InputError("moment parameters must be strictly increasing")
+        if not _power_prints(max(abs(t.numerator), t.denominator), dim):
+            raise ResourceBudget("parameter %d's coordinates have too many "
+                                 "digits to print" % (len(ts) + 1))
+        ts.append(t)
+    pts = [tuple(t ** e for e in range(1, dim + 1)) for t in ts]
+    return PointConfiguration(pts)
 
 
 def stretched_moment_points(n, d=None, dim=None, base=2):
@@ -72,10 +92,14 @@ def stretched_moment_points(n, d=None, dim=None, base=2):
     base = Fraction(base)
     if base <= 1:
         raise InputError("base must exceed 1")
-    params = [base ** (2 ** i) for i in range(1, n + 1)]
-    config = moment_points(params, d=d, dim=dim)
-    config.base = base
-    return config
+
+    def params():  # B^(2^i) by repeated squaring, one at a time
+        t = base
+        for _ in range(n):
+            t *= t
+            yield t
+
+    return moment_points(params(), d=d, dim=dim)
 
 
 def hulls_intersect(point_sets):

@@ -40,15 +40,6 @@ class Graph:
     def degree(self, v):
         return len(self.adj[v])
 
-    def second_neighborhood(self, v):
-        """Vertices at distance exactly two from v."""
-        out = set()
-        for u in self.adj[v]:
-            out |= self.adj[u]
-        out.discard(v)
-        out -= self.adj[v]
-        return out
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 

@@ -28,11 +28,12 @@ pipeline reports as a falsification instead of crashing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from .errors import ContractError, InputError, ResourceBudget
 from .graphs import Graph, VertexPartition, path_graph
+from .serial import check_size
 from .splitting import Splitting, SplittingSpec, check_splitting, is_q_stable
 from .solver import DEFAULT_NODE_BUDGET, SearchProblem, find_splitting
 
@@ -384,9 +385,11 @@ def splitting_from_coloring(n, partition, q, budget=DEFAULT_NODE_BUDGET,
 
     Pads every block to size q*k_j - 1 with fresh trailing path vertices
     (block order ascending), finds a monochromatic last-color hyperedge by
-    exhaustive search, strips the padding, and for q = 2 rebalances.  The
-    output is re-verified as an almost fair splitting by q-stable sets; for
-    q = 2 it is additionally balanced.
+    exhaustive search, strips the padding (the labels above n), and for
+    q = 2 rebalances.  A padded path over the instance vertex limit raises
+    ResourceBudget before any pad is built.  The output is re-verified as an
+    almost fair splitting by q-stable sets; for q = 2 it is additionally
+    balanced.
     """
     if q < 2:
         raise InputError("need q >= 2")
@@ -394,15 +397,11 @@ def splitting_from_coloring(n, partition, q, budget=DEFAULT_NODE_BUDGET,
         raise InputError("partition must cover the path 1..%d" % n)
     ks = [len(b) // q + 1 for b in partition.blocks]
     ts = [q * kj - len(b) for kj, b in zip(ks, partition.blocks)]
-    pad_blocks = []
-    nxt = n + 1
-    padded_blocks = []
-    for j, b in enumerate(partition.blocks):
-        pad = tuple(range(nxt, nxt + ts[j] - 1))
-        nxt += ts[j] - 1
-        pad_blocks.append(pad)
-        padded_blocks.append(tuple(b) + pad)
-    n_padded = nxt - 1
+    # block j's pads are the labels ends[j]+1..ends[j+1]
+    ends = list(accumulate((t - 1 for t in ts), initial=n))
+    n_padded = check_size("padded path vertices", ends[-1])
+    pad_blocks = [tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:])]
+    padded_blocks = [tuple(b) + pad for b, pad in zip(partition.blocks, pad_blocks)]
     k = sum(kj - 1 for kj in ks)
     details = {"ks": ks, "ts": ts, "k": k, "n_padded": n_padded,
                "pad_blocks": [list(b) for b in pad_blocks]}
@@ -428,13 +427,9 @@ def splitting_from_coloring(n, partition, q, budget=DEFAULT_NODE_BUDGET,
         splitting, removals = rebalance_q2(n_padded, padded_partition,
                                            mono[0], mono[1], pad_blocks)
         details["removals"] = removals
-        ell = [len(set(s) & set().union(*pad_blocks)) if pad_blocks else 0
-               for s in mono]
-        details["ell"] = sorted(ell)
+        details["ell"] = sorted(sum(1 for v in s if v > n) for s in mono)
     else:
-        pad_union = set().union(*pad_blocks) if pad_blocks else set()
-        splitting = Splitting([tuple(v for v in s if v not in pad_union)
-                               for s in mono])
+        splitting = Splitting([tuple(v for v in s if v <= n) for s in mono])
 
     spec = SplittingSpec(q=q, flavor="almost_fair", balanced=(q == 2),
                          stability=q)

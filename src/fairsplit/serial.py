@@ -26,8 +26,18 @@ COMPLEX_SCHEMA = "complex/1"
 POINTS_SCHEMA = "points/1"
 
 # The most vertices instance_load accepts: Graph(n) builds one adjacency set
-# per vertex (~0.2 KB each) before any search budget applies.
+# per vertex (~0.2 KB each) before any search budget applies.  The CLI's
+# size flags and the Kneser reduction's padded path share it (check_size).
 INSTANCE_VERTEX_LIMIT = 100_000
+
+
+def check_size(what, value):
+    """The size `value`, or ResourceBudget when it is over
+    INSTANCE_VERTEX_LIMIT; called before anything of that size is built."""
+    if value > INSTANCE_VERTEX_LIMIT:
+        raise ResourceBudget("%s: %d, more than the limit of %d"
+                             % (what, value, INSTANCE_VERTEX_LIMIT))
+    return value
 
 
 def canonical_dumps(obj):
@@ -131,9 +141,7 @@ def instance_load(data):
     doc = _as_document(data, INSTANCE_SCHEMA)
     if not _is_int(doc.get("n")) or doc["n"] < 0:
         raise InputError("instance needs a nonnegative integer n")
-    if doc["n"] > INSTANCE_VERTEX_LIMIT:
-        raise ResourceBudget("instance has %d vertices, more than the limit of %d"
-                             % (doc["n"], INSTANCE_VERTEX_LIMIT))
+    check_size("instance vertices", doc["n"])
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise InputError("edges must be a list")

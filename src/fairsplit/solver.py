@@ -2,8 +2,9 @@
 
 A `SearchProblem` states the instance, the spec and the budget; every search
 goes through it, either to `find_splitting` (the first solution) or to
-`enumerate_splittings` (the first `limit`).  Geometric mode caps each block
-at |V_j| // q vertices per set unless the problem gives its own caps.
+`enumerate_splittings` (the first `limit`).  A problem with points is a
+geometric search: it caps each block at |V_j| // q vertices per set unless
+it gives its own caps.
 
 Vertices are visited in ascending label order, one position per vertex.  Each
 position goes to one of the q sets, tried in order 0..q-1, or stays unused,
@@ -81,21 +82,16 @@ class SearchProblem:
     partition: VertexPartition
     spec: SplittingSpec
     graph: Graph
-    mode: str = "combinatorial"
-    points: PointConfiguration | None = None
+    points: PointConfiguration | None = None  # given exactly in geometric mode
     caps: list | None = None
     budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
         if not self.partition.covers(self.graph.n):
             raise InputError("partition must cover the graph's vertex set")
-        if self.mode not in ("combinatorial", "geometric"):
-            raise InputError("unknown mode %r" % (self.mode,))
         if self.budget < 0:
             raise InputError("budget must be nonnegative")
-        if self.mode == "geometric":
-            if self.points is None:
-                raise InputError("geometric mode needs a point configuration")
+        if self.points is not None:
             if len(self.points) < self.graph.n:
                 raise InputError("need a point for every vertex label")
             if self.caps is None:
@@ -148,7 +144,7 @@ class _Ctx:
         self.caps = p.caps
         self.balanced = spec.balanced
         self.weak = spec.weak_stability
-        self.points = p.points if p.mode == "geometric" else None
+        self.points = p.points
         # kill[d]: the later positions a set holding position d must skip;
         # touch[d]: the blocks of those positions, where that step can starve a set
         kill = [0] * n

@@ -129,6 +129,16 @@ def relabel(g: Graph, perm):
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+def second_neighborhood(g: Graph, v):
+    """Vertices at distance exactly two from v."""
+    out = set()
+    for u in g.adj[v]:
+        out |= g.adj[u]
+    out.discard(v)
+    out -= g.adj[v]
+    return out
+
+
 def covered(s):
     """The vertices the sets of splitting s use."""
     out = set()

@@ -248,6 +248,48 @@ def test_solve_refuses_quadratic_tables_before_building_them(tmp_path, capsys):
     assert peak < 150 * 2 ** 20, peak
 
 
+SIZE_REFUSALS = [
+    # (argv, what the refusal names); each is refused by arithmetic alone
+    (["solve", "--input", "PATH6", "--q", "3000000"], "--q"),
+    (["kneser-split", "--n", "6", "--blocks", "3,3", "--q", "3000000"],
+     "padded path"),
+    (["kneser-split", "--n", "300000000", "--q", "2"], "--n"),
+    (["phi-check", "--q", "300000000", "--k", "1", "--t", "1"], "ground set"),
+    (["generate", "--family", "path", "--n", "300000000"], "--n"),
+    (["generate", "--family", "cliques_plus_isolated", "--n", "1",
+      "--q", "3000000"], "--q"),
+    (["compose", "--n", "300000000", "--t", "1"], "--n"),
+    (["geometry", "--op", "stretched", "--n", "13", "--dim", "2"], "digits"),
+    (["geometry", "--op", "stretched", "--n", "40", "--d", "1"], "digits"),
+    (["geometry", "--op", "moment", "--params", "1,10", "--dim", "4400"],
+     "digits"),
+]
+
+
+@pytest.mark.parametrize("argv,named", SIZE_REFUSALS,
+                         ids=["%s-%d" % (argv[0], i)
+                              for i, (argv, _) in enumerate(SIZE_REFUSALS)])
+def test_size_flags_exit_3_before_building_anything(tmp_path, capsys, argv, named):
+    path6 = write(tmp_path, "p6.json", {
+        "schema": "instance/1", "n": 6,
+        "edges": [[v, v + 1] for v in range(1, 6)], "partition": [[1, 2, 3, 4, 5, 6]]})
+    argv = [path6 if a == "PATH6" else a for a in argv]
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    out = capsys.readouterr()
+    assert code == 3 and out.out == "", out.err
+    assert named in out.err and "Traceback" not in out.err
+    assert peak < 50 * 2 ** 20, peak
+
+
 def test_phi_check(capsys):
     code, doc, _ = run(capsys, "phi-check", "--q", "2", "--k", "2", "--t", "1")
     assert code == 0 and doc["ok"] is True

@@ -1,10 +1,20 @@
+import tracemalloc
+
 import pytest
 
-from fairsplit.compose import (SplitterSpec, compose, floor_identity_check,
-                               power_of_two_splitting, solver_base_splitter)
+from fairsplit.compose import (SplitterSpec, compose, power_of_two_splitting,
+                               solver_base_splitter)
 from fairsplit.errors import ContractError, InputError
 from fairsplit.graphs import VertexPartition, consecutive_partition, power_path
 from fairsplit.splitting import Splitting, SplittingSpec, check_splitting
+
+
+def floor_identity_check(a, b, c):
+    """floor(floor(a/b)/c) == floor(a/(b*c)) for integers a >= 0, b, c >= 1:
+    the fact that chains the per-block quotas of a composition."""
+    if b < 1 or c < 1 or a < 0:
+        raise InputError("need a >= 0 and b, c >= 1")
+    return (a // b) // c == a // (b * c)
 
 
 def test_floor_identity_exhaustive():
@@ -123,6 +133,16 @@ def test_power_of_two_validation():
     with pytest.raises(InputError):
         # block of size 2 < 2^2 - 1
         power_of_two_splitting(6, consecutive_partition([2, 4]), 2)
+    assert len(power_of_two_splitting(6, consecutive_partition([3, 3]), 2).sets) == 4
+    # a huge t is refused from the blocks' bit lengths, without building 2^t
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError):
+            power_of_two_splitting(6, consecutive_partition([3, 3]), 10 ** 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 def test_power_of_two_single_block():

@@ -2,19 +2,20 @@ import random
 
 import pytest
 
-from fairsplit.conditions import (_search_simple_path, check_conditions,
+from fairsplit.conditions import (_adjacency_minus, _is_disjoint_cliques,
+                                  _search_simple_path, check_conditions,
                                   cliques_plus_isolated_shape,
                                   is_prime, is_prime_power, long_path_shape,
-                                  neighborhood_bound, path_deletion,
-                                  path_union_cliques_shape, transversal_size,
-                                  worst_neighborhood)
+                                  neighborhood_bound, neighborhood_values,
+                                  path_deletion, path_union_cliques_shape,
+                                  transversal_size, worst_neighborhood)
 from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.graphs import (Graph, VertexPartition, cliques_plus_isolated,
                               consecutive_partition, cycle_graph,
                               matching_graph, path_graph, path_union_cliques,
                               power_path)
 
-from shared import relabel
+from shared import relabel, second_neighborhood
 
 
 def relabel_partition(part, perm):
@@ -36,6 +37,90 @@ def test_worst_neighborhood():
     # a matching has no distance-two pairs
     assert worst_neighborhood(matching_graph(6))[0] == 2
     assert worst_neighborhood(Graph(3, []))[0] == 0
+
+
+def _random_graph(rng, n, p):
+    return Graph(n, [(u, v) for u in range(1, n + 1)
+                     for v in range(u + 1, n + 1) if rng.random() < p])
+
+
+def test_neighborhood_values_match_second_neighborhood_reference():
+    rng = random.Random(14)
+    for trial in range(300):
+        g = _random_graph(rng, rng.randint(0, 14), rng.choice([0.1, 0.2, 0.4, 0.7]))
+        want = [(2 * g.degree(v) + len(second_neighborhood(g, v)), v)
+                for v in g.vertices]
+        assert list(neighborhood_values(g.adj)) == want, trial
+        # with some edges deleted: the map the path-deletion test reads
+        removed = set(rng.sample(sorted(g.edges), len(g.edges) // 2))
+        rest = Graph(g.n, g.edges - removed)
+        want = [(2 * rest.degree(v) + len(second_neighborhood(rest, v)), v)
+                for v in rest.vertices]
+        assert list(neighborhood_values(_adjacency_minus(g, removed))) == want
+        # the first vertex of largest value, as the loop it replaced chose
+        worst, arg = -1, None
+        for val, v in want:
+            if val > worst:
+                worst, arg = val, v
+        assert worst_neighborhood(rest) == (worst, arg)
+
+
+def _is_disjoint_cliques_reference(g, size):
+    """Components first, then degrees: every component of more than one
+    vertex has `size` vertices of degree size-1."""
+    seen = set()
+    for v in g.vertices:
+        if v in seen or not g.adj[v]:
+            continue
+        comp, stack = {v}, [v]
+        while stack:
+            for w in g.adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        if len(comp) != size or any(g.degree(u) != size - 1 for u in comp):
+            return False
+    return True
+
+
+def test_disjoint_cliques_matches_component_reference():
+    rng = random.Random(41)
+    graphs = [_random_graph(rng, rng.randint(0, 10), rng.choice([0.1, 0.3, 0.6]))
+              for _ in range(300)]
+    graphs += [cliques_plus_isolated(n, q) for n in (1, 2, 3) for q in (2, 3, 4, 5)]
+    graphs += [Graph(7, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (6, 7)])]
+    for g in graphs:
+        for size in range(1, 6):
+            assert (_is_disjoint_cliques(g.adj, size)
+                    == _is_disjoint_cliques_reference(g, size)), (g.edges, size)
+
+
+def test_cliques_plus_isolated_shape_matches_component_count():
+    # the shape is one isolated vertex and n >= 1 components that are
+    # (q-1)-cliques, or for q = 2 any edgeless graph on n + 1 >= 2 vertices
+    rng = random.Random(5)
+    graphs = [_random_graph(rng, rng.randint(0, 9), rng.choice([0.1, 0.3, 0.6]))
+              for _ in range(200)]
+    for n in (1, 2, 3):
+        for q in (2, 3, 4):
+            g = cliques_plus_isolated(n, q)
+            perm = list(range(1, g.n + 1))
+            rng.shuffle(perm)
+            graphs += [g, relabel(g, dict(zip(g.vertices, perm))),
+                       Graph(g.n + 1, g.edges), Graph(g.n, set(list(g.edges)[1:]))]
+    for g in graphs:
+        isolated = sum(1 for v in g.vertices if not g.adj[v])
+        for q in range(2, 6):
+            got = cliques_plus_isolated_shape(g, q)
+            if q == 2:
+                want = g.n >= 2 and not g.edges
+            else:
+                cliques = (g.n - isolated) // (q - 1)
+                want = (isolated == 1 and cliques >= 1
+                        and _is_disjoint_cliques_reference(g, q - 1))
+            assert got["ok"] == want, (g.edges, g.n, q)
+            assert got["n"] == ((g.n - 1) // (q - 1) if want else None)
 
 
 def test_neighborhood_bound():

@@ -11,7 +11,6 @@ from fairsplit.complexes import FACE_BUDGET
 from fairsplit.constraint_map import (ConstraintMapInstance, EquivarianceReport,
                                       ZeroSetReport, _adjacent_transpositions,
                                       _all_slot_permutations,
-                                      _levels_with_unconstrained,
                                       _verify_equivariance_numpy,
                                       _witness_chain, verify_equivariance,
                                       verify_zero_set)
@@ -28,6 +27,23 @@ from shared import (all_faces, is_constrained_face, random_vertex_orders,
 def constrained_size_bound(q, k, t):
     """Max total size of a constrained face: q(k-1) - (t-1)."""
     return q * (k - 1) - t + 1
+
+
+def _levels_with_unconstrained(inst):
+    """Levels s (face sizes) at which some slot-size vector fails the
+    constrained-region test, found by walking every composition of s into q
+    parts: the reference for the closed form verify_zero_set reads."""
+    q, k, t, n = inst.q, inst.k, inst.t, inst.n
+    levels = []
+    for s in range(1, n + 1):
+        for cuts in itertools.combinations(range(s + q - 1), q - 1):
+            bounds = (-1,) + cuts + (s + q - 1,)
+            counts = [b - a - 1 for a, b in zip(bounds, bounds[1:])]
+            if (max(counts) > k - 1
+                    or sum(1 for c in counts if c <= k - 2) < t - 1):
+                levels.append(s)
+                break
+    return levels
 
 
 def face_direction(inst, digits):
@@ -554,6 +570,22 @@ def test_zero_set_short_circuit():
     report = verify_zero_set(ConstraintMapInstance(2, 2, 2))
     assert report.short_circuit and report.ok
     assert report.levels_with_unconstrained == 1
+
+
+def test_unconstrained_levels_closed_form_matches_composition_walk():
+    # every valid (q, k, t) with q <= 8, k <= 7 and n <= 40: the levels
+    # holding an unconstrained face are the interval k..n
+    triples = [(q, k, t) for q, k, t in valid_parameter_triples(40)
+               if q <= 8 and k <= 7]
+    assert len(triples) == 193
+    for q, k, t in triples:
+        inst = ConstraintMapInstance(q, k, t)
+        levels = _levels_with_unconstrained(inst)
+        assert levels == list(range(k, inst.n + 1)), (q, k, t)
+    for q, k, t in [(2, 1, 1), (2, 2, 2), (3, 2, 2), (3, 3, 2)]:
+        inst = ConstraintMapInstance(q, k, t)
+        assert (verify_zero_set(inst).levels_with_unconstrained
+                == len(_levels_with_unconstrained(inst)))
 
 
 def test_zero_set_budget_and_json():

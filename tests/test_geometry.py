@@ -42,9 +42,27 @@ def test_moment_points_rational_params():
 
 def test_stretched_parameters():
     cfg = stretched_moment_points(4, d=1)
-    assert cfg.params == [4, 16, 256, 65536]
-    assert cfg.base == 2
+    assert [p[0] for p in cfg.points] == [4, 16, 256, 65536]
     assert cfg.points[2] == (256, 65536)
+
+
+def test_coordinates_past_the_digit_limit_are_refused_before_computing():
+    # the interpreter prints ints of at most 4,300 digits by default
+    assert len(str(moment_points([10], dim=4299).points[0][-1])) == 4300
+    for t in (10, -10, Fraction(1, 10)):
+        with pytest.raises(ResourceBudget):
+            moment_points([t], dim=4300)
+    assert moment_points([-1, 0, 1], dim=10 ** 4).points[0][-1] == 1
+    # B^(2^n) for n = 10^9 is never built: the squares stop at the first
+    # parameter whose dim-th power cannot print
+    start = time.perf_counter()
+    for n, dim in ((13, 2), (40, 1), (10 ** 9, 1)):
+        with pytest.raises(ResourceBudget):
+            stretched_moment_points(n, dim=dim)
+    assert time.perf_counter() - start < 1
+    assert stretched_moment_points(12, dim=1).points[-1] == (2 ** 4096,)
+    with pytest.raises(InputError):  # the order is still checked
+        moment_points([2, 1], dim=1)
 
 
 def test_stretched_base_validation():

@@ -7,7 +7,7 @@ from fairsplit.graphs import (Graph, VertexPartition, cliques_plus_isolated,
                               matching_graph, path_graph, path_union_cliques,
                               power_path, single_block_partition)
 
-from shared import relabel
+from shared import relabel, second_neighborhood
 
 
 def neighbors(g, v):
@@ -16,7 +16,7 @@ def neighbors(g, v):
 
 def degree_profile(g):
     """Per vertex: (|N(v)|, |N^2(v)|) with N^2 the distance-two neighborhood."""
-    return {v: (g.degree(v), len(g.second_neighborhood(v))) for v in g.vertices}
+    return {v: (g.degree(v), len(second_neighborhood(g, v))) for v in g.vertices}
 
 
 def test_graph_basics():
@@ -39,10 +39,10 @@ def test_graph_rejects_bad_edges():
 
 def test_second_neighborhood_is_distance_exactly_two():
     p = path_graph(5)
-    assert p.second_neighborhood(3) == {1, 5}
-    assert p.second_neighborhood(1) == {3}
+    assert second_neighborhood(p, 3) == {1, 5}
+    assert second_neighborhood(p, 1) == {3}
     m = matching_graph(4)
-    assert m.second_neighborhood(1) == set()
+    assert second_neighborhood(m, 1) == set()
 
 
 def test_degree_profile():

@@ -371,6 +371,15 @@ def test_mono_edge_search_matches_power_path_search(q):
                                      d["n_padded"])
             want = _mono_edge_search_on_power_path(padded, q, d["ks"])
             assert d["mono_edge"] == [list(s) for s in want], (q, sizes)
+            # the pads are the labels above n, and stripping removes them
+            pads = {v for pad in d["pad_blocks"] for v in pad}
+            assert pads == set(range(n + 1, d["n_padded"] + 1))
+            if q == 2:
+                assert d["ell"] == sorted(len(pads.intersection(s))
+                                          for s in d["mono_edge"])
+            else:
+                assert res.splitting.sets == [tuple(v for v in s if v not in pads)
+                                              for s in d["mono_edge"]]
 
 
 def test_pipeline_consecutive_blocks():

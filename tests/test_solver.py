@@ -276,7 +276,7 @@ def test_geometric_radon_split():
     part = VertexPartition([(1, 2, 3, 4)], 4)
     spec = SplittingSpec(q=2, flavor="almost_fair")
     out = find_splitting(SearchProblem(
-        partition=part, spec=spec, graph=g, mode="geometric", points=cfg))
+        partition=part, spec=spec, graph=g, points=cfg))
     assert out.status == "found"
     assert out.common_point is not None
     s1, s2 = out.splitting.sets
@@ -289,19 +289,19 @@ def test_geometric_mode_validation():
     g = Graph(3, [])
     part = VertexPartition([(1, 2, 3)], 3)
     spec = SplittingSpec(q=2, flavor="almost_fair")
-    with pytest.raises(InputError):
-        SearchProblem(partition=part, spec=spec, graph=g, mode="geometric")
+    with pytest.raises(InputError):  # a point for every vertex label
+        SearchProblem(partition=part, spec=spec, graph=g,
+                      points=stretched_moment_points(2, d=1))
     cfg = stretched_moment_points(3, d=1)
-    # geometric mode caps every block at |V_j| // q unless told otherwise
-    problem = SearchProblem(partition=part, spec=spec, graph=g,
-                            mode="geometric", points=cfg)
+    # a search with points caps every block at |V_j| // q unless told otherwise
+    problem = SearchProblem(partition=part, spec=spec, graph=g, points=cfg)
     assert problem.caps == [1]
     problem = SearchProblem(partition=part, spec=spec, graph=g,
-                            mode="geometric", points=cfg, caps=[2])
+                            points=cfg, caps=[2])
     assert problem.caps == [2]
     assert SearchProblem(partition=part, spec=spec, graph=g).caps is None
     with pytest.raises(InputError):
-        SearchProblem(partition=part, spec=spec, graph=g, mode="geometric",
+        SearchProblem(partition=part, spec=spec, graph=g,
                       points=cfg, caps=[1, 1])
 
 
@@ -324,9 +324,9 @@ def test_problem_validation():
     with pytest.raises(InputError):
         SearchProblem(partition=part, spec=spec, graph=path_graph(2),
                       caps=[1, 1])  # one cap per block
-    with pytest.raises(InputError):
+    with pytest.raises(TypeError):  # points alone make a search geometric
         SearchProblem(partition=part, spec=spec, graph=path_graph(2),
-                      mode="mystery")
+                      mode="geometric")
 
 
 def test_negative_caps_and_budgets_are_input_errors():
