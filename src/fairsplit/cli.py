@@ -16,7 +16,7 @@ from .complexes import FACE_BUDGET
 from .conditions import check_conditions
 from .constraint_map import (ConstraintMapInstance, verify_equivariance,
                              verify_zero_set)
-from .errors import ContractError, InputError, ResourceBudget
+from .errors import ContractError, InputError, ResourceBudget, check_size
 from .geometry import (gale_alternating, hulls_intersect, moment_points,
                        stretched_moment_points, strong_general_position_check,
                        tverberg_search)
@@ -25,7 +25,7 @@ from .graphs import (FAMILIES, consecutive_partition, generate_family,
 from .homology import homology
 from .kneser import (KneserInstance, build_hypergraph, chromatic_formula,
                      chromatic_number, splitting_from_coloring)
-from .serial import (canonical_dumps, check_size, complex_load, instance_dump,
+from .serial import (canonical_dumps, complex_load, instance_dump,
                      instance_load, load_file, points_dump, points_load,
                      splitting_dump, splitting_load)
 from .solver import DEFAULT_NODE_BUDGET, SearchProblem, find_splitting

@@ -64,7 +64,31 @@ def _reverify(stage, n, partition, splitting, spec):
     cert = check_splitting(g, partition, splitting, spec)
     if not cert.ok:
         raise ContractError("%s violated its contract: %s" % (stage, cert.to_json()))
-    return cert
+
+
+def _split_sets(partition, sets, inner: SplitterSpec):
+    """Split each of `sets`, as a shorter path in traversal order, with
+    `inner`; re-verify each run and yield its pieces in the path's labels."""
+    for t, big in enumerate(sets):
+        if inner.q == 1:
+            yield tuple(big)
+            continue
+        ordered = sorted(big)
+        pos = {v: i + 1 for i, v in enumerate(ordered)}
+        sub_blocks = []
+        for j, b in enumerate(partition.blocks):
+            hit = [pos[v] for v in b if v in pos]
+            if len(hit) < inner.q - 1:
+                raise ContractError(
+                    "outer set %d meets block %d in %d < q2-1 vertices"
+                    % (t + 1, j + 1, len(hit)))
+            sub_blocks.append(hit)
+        sub_partition = VertexPartition(sub_blocks, len(ordered))
+        small = inner.run(len(ordered), sub_partition)
+        _reverify("inner splitter on outer set %d" % (t + 1),
+                  len(ordered), sub_partition, small, inner.claimed_spec())
+        for piece in small.sets:
+            yield tuple(ordered[i - 1] for i in piece)
 
 
 def compose(n, partition, outer: SplitterSpec, inner: SplitterSpec):
@@ -81,37 +105,12 @@ def compose(n, partition, outer: SplitterSpec, inner: SplitterSpec):
 
     top = outer.run(n, partition)
     _reverify("outer splitter", n, partition, top, outer.claimed_spec())
-
-    final = []
-    for t, big in enumerate(top.sets):
-        if inner.q == 1:
-            final.append(tuple(big))
-            continue
-        ordered = sorted(big)
-        sub_blocks, sub_sizes = [], []
-        pos = {v: i + 1 for i, v in enumerate(ordered)}
-        for j, b in enumerate(partition.blocks):
-            hit = [pos[v] for v in b if v in pos]
-            if len(hit) < inner.q - 1:
-                raise ContractError(
-                    "outer set %d meets block %d in %d < q2-1 vertices"
-                    % (t + 1, j + 1, len(hit)))
-            sub_blocks.append(hit)
-            sub_sizes.append(len(hit))
-        sub_partition = VertexPartition(sub_blocks, len(ordered))
-        small = inner.run(len(ordered), sub_partition)
-        _reverify("inner splitter on outer set %d" % (t + 1),
-                  len(ordered), sub_partition, small, inner.claimed_spec())
-        for piece in small.sets:
-            final.append(tuple(ordered[i - 1] for i in piece))
+    splitting = Splitting(_split_sets(partition, top.sets, inner))
 
     if outer.weak_stability is not None:
         stability = (inner.stability - 1) * (outer.weak_stability - 1) + 1
     else:
         stability = inner.stability * outer.stability
-    splitting = Splitting(final)
-
-    # composed re-verification on the original path
     spec = SplittingSpec(q=q, flavor="almost_fair", stability=stability)
     _reverify("composition", n, partition, splitting, spec)
     return splitting, stability
@@ -119,30 +118,20 @@ def compose(n, partition, outer: SplitterSpec, inner: SplitterSpec):
 
 def power_of_two_splitting(n, partition, t, budget=DEFAULT_NODE_BUDGET):
     """2^t pairwise disjoint 2^t-stable sets forming an almost fair splitting
-    of the path on n vertices, by iterating the q=2 exhaustive base."""
+    of the path on n vertices: the q=2 exhaustive base splits the path, then
+    splits each set of every level L < t in two; level L's 2^L sets are
+    re-verified once, as 2^L-stable."""
     if t < 1:
         raise InputError("need t >= 1")
     # |V_j| + 1 < 2^t, read from the bit length so a huge t builds no 2^t
     if any((len(b) + 1).bit_length() <= t for b in partition.blocks):
         raise InputError("every block needs at least 2^t - 1 vertices")
     base = solver_base_splitter(2, 2, budget=budget)
-    if t == 1:
-        splitting = base.run(n, partition)
-        _reverify("base splitter", n, partition, splitting, base.claimed_spec())
-        return splitting
-
-    def make_runner(level):
-        """Splitter for q = 2^level, s = 2^level."""
-        if level == 1:
-            return base
-
-        def run(nn, pp):
-            splitting, _ = compose(nn, pp, make_runner(level - 1), base)
-            return splitting
-
-        return SplitterSpec(q=2 ** level, stability=2 ** level, run=run)
-
-    splitting, stability = compose(n, partition, make_runner(t - 1), base)
-    if stability != 2 ** t:
-        raise ContractError("expected stability %d, got %d" % (2 ** t, stability))
+    splitting = base.run(n, partition)
+    _reverify("base splitter", n, partition, splitting, base.claimed_spec())
+    for level in range(2, t + 1):
+        splitting = Splitting(_split_sets(partition, splitting.sets, base))
+        spec = SplittingSpec(q=2 ** level, flavor="almost_fair",
+                             stability=2 ** level)
+        _reverify("level %d" % level, n, partition, splitting, spec)
     return splitting

@@ -1,9 +1,15 @@
-"""Shared exception types.
+"""Shared exception types, and the size limits that raise ResourceBudget.
 
 InputError        malformed instance data (CLI exit code 2)
 ResourceBudget    a face/node/size budget was exceeded (CLI exit code 3)
 ContractError     a pluggable component violated its stated guarantee
 """
+
+# The most vertices and edges an instance may have, checked (check_size)
+# before a graph or point list that large is built: Graph(n) builds one
+# adjacency set per vertex (~0.2 KB each) and about 390 bytes per edge.
+INSTANCE_VERTEX_LIMIT = 100_000
+INSTANCE_EDGE_LIMIT = 1_000_000
 
 
 class InputError(ValueError):
@@ -16,3 +22,12 @@ class ResourceBudget(RuntimeError):
 
 class ContractError(AssertionError):
     pass
+
+
+def check_size(what, value, limit=INSTANCE_VERTEX_LIMIT):
+    """The size `value`, or ResourceBudget when it is over `limit`; called
+    before anything of that size is built."""
+    if value > limit:
+        raise ResourceBudget("%s: %d, more than the limit of %d"
+                             % (what, value, limit))
+    return value

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import InputError, ResourceBudget
+from .errors import InputError, ResourceBudget, check_size
 from .exactlp import convex_hulls_common_point
 
 
@@ -58,8 +58,10 @@ def moment_points(params, d=None, dim=None):
     """Points (t, t^2, ..., t^dim) for strictly increasing rational params.
 
     Either d (ambient dimension 2d) or an explicit target dimension.  The
-    params are read one at a time; one whose numerator or denominator to the
-    dim-th power would not print raises ResourceBudget before the next.
+    params are read one at a time; ResourceBudget is raised, before any
+    point is built, as soon as the params read times dim passes
+    INSTANCE_VERTEX_LIMIT coordinates, or at a param whose numerator or
+    denominator to the dim-th power would not print.
     """
     if (d is None) == (dim is None):
         raise InputError("give exactly one of d or dim")
@@ -69,6 +71,7 @@ def moment_points(params, d=None, dim=None):
         raise InputError("dimension must be positive")
     ts = []
     for t in params:
+        check_size("moment coordinates", (len(ts) + 1) * dim)
         t = Fraction(t)
         if ts and t <= ts[-1]:
             raise InputError("moment parameters must be strictly increasing")
@@ -134,14 +137,16 @@ def _family_count(n_points, q, max_total):
     return count
 
 
-def _disjoint_families(n_points, q, max_total):
+def _disjoint_families(n_points, q, max_total, min_total=0):
     """Canonical families of q pairwise disjoint nonempty label subsets with
     at most max_total labels in total; canonical = classes ordered by first
     label, so each unordered family appears once.
 
     Yields them in lexicographic order of the per-label choices, where
     leaving a label out comes before putting it in class 0, 1, ...; a label
-    may open only the first empty class.
+    may open only the first empty class.  A label is left out only while
+    the labels after it can still bring the total up to min_total <= n_points;
+    min_total = max_total = n_points gives the partitions into q parts.
     """
     classes = [[] for _ in range(q)]
     choice = [-2] * n_points  # per label: -2 untried, -1 left out, c >= 0 in class c
@@ -160,6 +165,8 @@ def _disjoint_families(n_points, q, max_total):
             if not classes[c]:
                 used -= 1
         c += 1
+        if c < 0 and total + n_points - 1 - i < min_total:
+            c = 0
         if c >= 0 and (total >= max_total or c > min(used, q - 1)):
             choice[i] = -2
             i -= 1
@@ -192,39 +199,6 @@ def strong_general_position_check(config, q, budget=200000):
     return True, None
 
 
-def _set_partitions(n, q):
-    """Partitions of labels 1..n into exactly q nonempty unordered parts, in
-    lexicographic restricted-growth order.
-
-    code[i] is label i+1's part and opened[i] the number of parts code[:i]
-    uses.  Each step fills the positions after the last change with part 0,
-    yields when all q parts are used, and then raises the rightmost part
-    number that may still grow; no recursion, so n is not bounded by the
-    interpreter's recursion limit."""
-    if n < q:
-        return
-    code = [0] * n
-    opened = [0] * (n + 1)
-    i = 0
-    while True:
-        for k in range(i, n):
-            code[k] = 0
-            opened[k + 1] = opened[k] or 1
-        if opened[n] == q:
-            parts = [[] for _ in range(q)]
-            for lbl, c in enumerate(code, start=1):
-                parts[c].append(lbl)
-            yield [tuple(p) for p in parts]
-        i = n - 1
-        while i >= 0 and code[i] + 1 >= min(opened[i] + 1, q):
-            i -= 1
-        if i < 0:
-            return
-        code[i] += 1
-        opened[i + 1] = max(opened[i], code[i] + 1)
-        i += 1
-
-
 def tverberg_search(config, q, target_dim=None, budget=500000):
     """First partition of all the labels into q nonempty parts whose convex
     hulls share a point, as (parts, common_point); None when no partition
@@ -233,7 +207,8 @@ def tverberg_search(config, q, target_dim=None, budget=500000):
         raise InputError("configuration lives in dimension %d, not %d"
                          % (config.dim, target_dim))
     seen = 0
-    for parts in _set_partitions(len(config), q):
+    n = len(config)
+    for parts in _disjoint_families(n, q, n, n):
         seen += 1
         if seen > budget:
             raise ResourceBudget("partition budget exceeded")

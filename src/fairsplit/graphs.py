@@ -6,7 +6,9 @@ traversal order, which is what the stability notions refer to.
 
 from __future__ import annotations
 
-from .errors import InputError
+from math import comb
+
+from .errors import INSTANCE_EDGE_LIMIT, InputError, check_size
 
 
 class Graph:
@@ -68,9 +70,6 @@ class VertexPartition:
     def m(self):
         return len(self.blocks)
 
-    def block_of(self, v):
-        return self._block_of[v]
-
     def covers(self, n):
         """Is the ground set exactly 1..n?"""
         return len(self.ground) == n and self.ground.issuperset(range(1, n + 1))
@@ -118,15 +117,32 @@ def power_path(n, r):
                      for j in range(i + 1, min(i + r, n) + 1)])
 
 
-def cliques_plus_isolated(n, q):
-    """Disjoint union of n cliques of size q-1 and one isolated vertex."""
+def _power_path_edges(n, r):
+    """len(power_path(n, r).edges): n - d label pairs at each distance
+    d <= min(r, n - 1)."""
+    d = max(min(r, n - 1), 0)
+    return d * (2 * n - d - 1) // 2
+
+
+def _cliques_size(n, q, path=False):
+    """(vertices, edges) of n disjoint (q-1)-cliques plus one more vertex,
+    with `path` also a path through all of them; checks the parameters."""
     if n < 1 or q < 2:
         raise InputError("need n >= 1 and q >= 2")
+    if path and q >= 3 and n < 2:
+        raise InputError("cliques would overlap path edges; need n >= 2 for q >= 3")
+    size = (q - 1) * n + 1
+    return size, n * comb(q - 1, 2) + (size - 1 if path else 0)
+
+
+def cliques_plus_isolated(n, q):
+    """Disjoint union of n cliques of size q-1 and one isolated vertex."""
+    size, _ = _cliques_size(n, q)
     edges = []
     for c in range(n):
         block = range(c * (q - 1) + 1, (c + 1) * (q - 1) + 1)
         edges += [(u, v) for u in block for v in block if u < v]
-    return Graph(n * (q - 1) + 1, edges)
+    return Graph(size, edges)
 
 
 def path_union_cliques(n, q):
@@ -137,11 +153,7 @@ def path_union_cliques(n, q):
     are at label distance n and share no path edge.  Requires n >= 2 when the
     cliques have any edges (q >= 3).
     """
-    if n < 1 or q < 2:
-        raise InputError("need n >= 1 and q >= 2")
-    if q >= 3 and n < 2:
-        raise InputError("cliques would overlap path edges; need n >= 2 for q >= 3")
-    size = (q - 1) * n + 1
+    size, _ = _cliques_size(n, q, path=True)
     edges = [(i, i + 1) for i in range(1, size)]
     for c in range(1, n + 1):
         members = [c + i * n for i in range(q - 1)]
@@ -154,22 +166,33 @@ def matching_graph(n):
     return Graph(n, [(i, i + 1) for i in range(1, n, 2)])
 
 
+# kind -> (builder, size); size gives the builder's (vertices, edges) by
+# arithmetic, so that generate_family can refuse a family before building it
 FAMILIES = {
-    "path": lambda n, **kw: path_graph(n),
-    "cycle": lambda n, **kw: cycle_graph(n),
-    "power_path": lambda n, r, **kw: power_path(n, r),
-    "cliques_plus_isolated": lambda n, q, **kw: cliques_plus_isolated(n, q),
-    "path_union_cliques": lambda n, q, **kw: path_union_cliques(n, q),
-    "edgeless": lambda n, **kw: Graph(n, []),
-    "matching": lambda n, **kw: matching_graph(n),
+    "path": (lambda n, **kw: path_graph(n), lambda n, **kw: (n, n - 1)),
+    "cycle": (lambda n, **kw: cycle_graph(n), lambda n, **kw: (n, n)),
+    "power_path": (lambda n, r, **kw: power_path(n, r),
+                   lambda n, r, **kw: (n, _power_path_edges(n, r))),
+    "cliques_plus_isolated": (lambda n, q, **kw: cliques_plus_isolated(n, q),
+                              lambda n, q, **kw: _cliques_size(n, q)),
+    "path_union_cliques": (lambda n, q, **kw: path_union_cliques(n, q),
+                           lambda n, q, **kw: _cliques_size(n, q, path=True)),
+    "edgeless": (lambda n, **kw: Graph(n, []), lambda n, **kw: (n, 0)),
+    "matching": (lambda n, **kw: matching_graph(n), lambda n, **kw: (n, n // 2)),
 }
 
 
 def generate_family(kind, **params):
+    """The family's graph, once its vertex and edge counts, computed by
+    arithmetic, pass the instance limits (ResourceBudget otherwise)."""
     if kind not in FAMILIES:
         raise InputError("unknown family %r (have %s)" % (kind, sorted(FAMILIES)))
+    build, size = FAMILIES[kind]
     try:
-        return FAMILIES[kind](**params)
+        vertices, edges = size(**params)
+        check_size("generated vertices", vertices)
+        check_size("generated edges", edges, INSTANCE_EDGE_LIMIT)
+        return build(**params)
     except TypeError as e:
         raise InputError("bad parameters for family %r: %s" % (kind, e))
 

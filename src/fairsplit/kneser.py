@@ -31,9 +31,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 from math import comb
 
-from .errors import ContractError, InputError, ResourceBudget
+from .errors import ContractError, InputError, ResourceBudget, check_size
 from .graphs import Graph, VertexPartition, path_graph
-from .serial import check_size
 from .splitting import Splitting, SplittingSpec, check_splitting, is_q_stable
 from .solver import DEFAULT_NODE_BUDGET, SearchProblem, find_splitting
 
@@ -56,15 +55,17 @@ class KneserInstance:
 
 
 def stable_subsets(n, k, q, stability):
-    """k-subsets of 1..n passing the stability filter, in colex order."""
-    out = []
-    for c in combinations(range(1, n + 1), k):
-        if stability in ("path", "cycle"):
-            if any(b - a < q for a, b in zip(c, c[1:])):
-                continue
-        if stability == "cycle" and len(c) >= 2 and c[0] + n - c[-1] < q:
-            continue
-        out.append(c)
+    """k-subsets of 1..n passing the stability filter, in colex order: the
+    path-stable ones are c_i + (q-1)(i-1) for the k-subsets c of
+    1..n - (q-1)(k-1), and the cycle-stable ones those with first + n - last
+    >= q."""
+    if stability == "none":
+        out = list(combinations(range(1, n + 1), k))
+    else:
+        out = [tuple(x + (q - 1) * i for i, x in enumerate(c))
+               for c in combinations(range(1, n - (q - 1) * (k - 1) + 1), k)]
+        if stability == "cycle":
+            out = [c for c in out if len(c) < 2 or c[0] + n - c[-1] >= q]
     out.sort(key=lambda c: tuple(reversed(c)))
     return out
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .complexes import SimplicialComplex
-from .errors import InputError, ResourceBudget
+from .errors import INSTANCE_EDGE_LIMIT, InputError, check_size
 from .geometry import PointConfiguration
 from .graphs import Graph, VertexPartition
 from .splitting import Splitting
@@ -24,20 +24,6 @@ INSTANCE_SCHEMA = "instance/1"
 SPLITTING_SCHEMA = "splitting/1"
 COMPLEX_SCHEMA = "complex/1"
 POINTS_SCHEMA = "points/1"
-
-# The most vertices instance_load accepts: Graph(n) builds one adjacency set
-# per vertex (~0.2 KB each) before any search budget applies.  The CLI's
-# size flags and the Kneser reduction's padded path share it (check_size).
-INSTANCE_VERTEX_LIMIT = 100_000
-
-
-def check_size(what, value):
-    """The size `value`, or ResourceBudget when it is over
-    INSTANCE_VERTEX_LIMIT; called before anything of that size is built."""
-    if value > INSTANCE_VERTEX_LIMIT:
-        raise ResourceBudget("%s: %d, more than the limit of %d"
-                             % (what, value, INSTANCE_VERTEX_LIMIT))
-    return value
 
 
 def canonical_dumps(obj):
@@ -145,6 +131,7 @@ def instance_load(data):
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise InputError("edges must be a list")
+    check_size("instance edges", len(edges), INSTANCE_EDGE_LIMIT)
     pairs = []
     for e in edges:
         e = _int_list(e, "edge")

@@ -54,10 +54,6 @@ class Splitting:
     def __init__(self, sets):
         self.sets = [tuple(sorted(set(s))) for s in sets]
 
-    @property
-    def q(self):
-        return len(self.sets)
-
     def __eq__(self, other):
         return isinstance(other, Splitting) and self.sets == other.sets
 

@@ -16,7 +16,7 @@ import fairsplit.constraint_map as constraint_map
 import fairsplit.serial as serial
 from fairsplit.cli import main
 from fairsplit.complexes import FACE_BUDGET
-from fairsplit.serial import INSTANCE_VERTEX_LIMIT
+from fairsplit.errors import INSTANCE_VERTEX_LIMIT
 from fairsplit.solver import TABLE_BIT_LIMIT
 
 from shared import all_faces, is_constrained_face
@@ -263,6 +263,18 @@ SIZE_REFUSALS = [
     (["geometry", "--op", "stretched", "--n", "40", "--d", "1"], "digits"),
     (["geometry", "--op", "moment", "--params", "1,10", "--dim", "4400"],
      "digits"),
+    # dense families: the edges, and the vertices, counted before any is built
+    (["generate", "--family", "path_union_cliques", "--n", "300", "--q", "300"],
+     "generated edges: 13455000"),
+    (["generate", "--family", "power_path", "--n", "100000", "--r", "100000"],
+     "generated edges: 4999950000"),
+    (["generate", "--family", "cliques_plus_isolated", "--n", "1",
+      "--q", "20000"], "generated edges: 199970001"),
+    (["generate", "--family", "cliques_plus_isolated", "--n", "1000",
+      "--q", "1000"], "generated vertices: 999001"),
+    # powers of -1, 0 and 1 always print: the coordinates are counted instead
+    (["geometry", "--op", "moment", "--params", "0,1", "--dim", "100000000"],
+     "moment coordinates"),
 ]
 
 

@@ -2,8 +2,8 @@ import tracemalloc
 
 import pytest
 
-from fairsplit.compose import (SplitterSpec, compose, power_of_two_splitting,
-                               solver_base_splitter)
+from fairsplit.compose import (SplitterSpec, _reverify, compose,
+                               power_of_two_splitting, solver_base_splitter)
 from fairsplit.errors import ContractError, InputError
 from fairsplit.graphs import VertexPartition, consecutive_partition, power_path
 from fairsplit.splitting import Splitting, SplittingSpec, check_splitting
@@ -150,3 +150,68 @@ def test_power_of_two_single_block():
     splitting = power_of_two_splitting(15, part, 2)
     spec = SplittingSpec(q=4, flavor="almost_fair", stability=4)
     assert check_splitting(power_path(15, 3), part, splitting, spec).ok
+
+
+def _compose_reference(n, partition, outer, inner):
+    """compose before its per-set loop moved into _split_sets, for strong
+    outer stability."""
+    q = outer.q * inner.q
+    top = outer.run(n, partition)
+    _reverify("outer splitter", n, partition, top, outer.claimed_spec())
+    final = []
+    for big in top.sets:
+        ordered = sorted(big)
+        pos = {v: i + 1 for i, v in enumerate(ordered)}
+        sub_partition = VertexPartition(
+            [[pos[v] for v in b if v in pos] for b in partition.blocks],
+            len(ordered))
+        small = inner.run(len(ordered), sub_partition)
+        _reverify("inner splitter", len(ordered), sub_partition, small,
+                  inner.claimed_spec())
+        final += [tuple(ordered[i - 1] for i in piece) for piece in small.sets]
+    splitting = Splitting(final)
+    stability = inner.stability * outer.stability
+    spec = SplittingSpec(q=q, flavor="almost_fair", stability=stability)
+    _reverify("composition", n, partition, splitting, spec)
+    return splitting, stability
+
+
+def _power_of_two_reference(n, partition, t):
+    """The nested composition that power_of_two_splitting's loop replaced:
+    level t composes the splitter of level t - 1 with the q=2 base."""
+    base = solver_base_splitter(2, 2)
+    if t == 1:
+        splitting = base.run(n, partition)
+        _reverify("base splitter", n, partition, splitting, base.claimed_spec())
+        return splitting
+
+    def make_runner(level):
+        if level == 1:
+            return base
+
+        def run(nn, pp):
+            return _compose_reference(nn, pp, make_runner(level - 1), base)[0]
+
+        return SplitterSpec(q=2 ** level, stability=2 ** level, run=run)
+
+    splitting, stability = _compose_reference(n, partition,
+                                              make_runner(t - 1), base)
+    assert stability == 2 ** t
+    return splitting
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_power_of_two_loop_matches_nested_composition(t):
+    shapes = [[2 ** t - 1], [2 ** t + 2], [2 ** t - 1, 2 ** t + 3],
+              [2 ** t + 1, 2 ** t, 2 ** t + 5]]
+    for sizes in shapes:
+        part = consecutive_partition(sizes)
+        n = sum(sizes)
+        got = power_of_two_splitting(n, part, t)
+        assert got.sets == _power_of_two_reference(n, part, t).sets, sizes
+    # interleaved blocks, so every set meets each block in scattered labels
+    n = 3 * 2 ** t
+    part = VertexPartition([range(1, n + 1, 3), range(2, n + 1, 3),
+                            range(3, n + 1, 3)], n)
+    assert (power_of_two_splitting(n, part, t).sets
+            == _power_of_two_reference(n, part, t).sets)

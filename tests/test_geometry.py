@@ -6,8 +6,7 @@ import pytest
 
 from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.geometry import (PointConfiguration, _disjoint_families,
-                                _family_count, _set_partitions,
-                                gale_alternating,
+                                _family_count, gale_alternating,
                                 hulls_intersect, moment_points,
                                 stretched_moment_points,
                                 strong_general_position_check, tverberg_search)
@@ -133,6 +132,19 @@ def test_strong_general_position_violated():
     assert hulls_intersect([cfg.subset(witness[0]), cfg.subset(witness[1])])
 
 
+def test_moment_points_counts_coordinates_before_building_any():
+    # powers of 0 and 1 always print, so only the count stops them; the
+    # third parameter is never read
+    def params():
+        yield 0
+        yield 1
+        raise AssertionError("read a parameter past the coordinate limit")
+
+    with pytest.raises(ResourceBudget, match="moment coordinates: 120000"):
+        moment_points(params(), dim=60000)
+    assert len(moment_points([0, 1], dim=50000).points) == 2
+
+
 def test_strong_general_position_budget():
     cfg = stretched_moment_points(8, d=2)
     with pytest.raises(ResourceBudget):
@@ -160,13 +172,19 @@ def _disjoint_families_reference(n_points, q, max_total):
 
 
 def test_disjoint_families_order_and_count():
-    # the first family that meets decides the witness, so the order matters
+    # the first family that meets decides the witness, so the order matters;
+    # min_total only drops the families with fewer labels
     for n in range(7):
         for q in range(1, 4):
             for max_total in range(8):
                 want = _disjoint_families_reference(n, q, max_total)
                 assert list(_disjoint_families(n, q, max_total)) == want
                 assert _family_count(n, q, max_total) == len(want)
+                for min_total in range(n + 1):
+                    got = list(_disjoint_families(n, q, max_total, min_total))
+                    assert got == [f for f in want
+                                   if sum(map(len, f)) >= min_total], \
+                        (n, q, max_total, min_total)
 
 
 def test_strong_general_position_counts_before_building():
@@ -255,12 +273,14 @@ def _recursive_set_partitions(n, q):
 
 
 def test_set_partitions_match_recursive_order():
+    # tverberg_search's partitions: the family walk with every label placed
     for n in range(0, 9):
         for q in range(0, 5):
-            assert list(_set_partitions(n, q)) == list(_recursive_set_partitions(n, q))
+            assert (list(_disjoint_families(n, q, n, n))
+                    == list(_recursive_set_partitions(n, q)))
 
 
 def test_set_partitions_need_no_recursion():
     # the recursive enumerator raised RecursionError here
-    first = next(_set_partitions(1500, 2))
+    first = next(_disjoint_families(1500, 2, 1500, 1500))
     assert first == [tuple(range(1, 1500)), (1500,)]

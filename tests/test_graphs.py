@@ -1,6 +1,6 @@
 import pytest
 
-from fairsplit.errors import InputError
+from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.graphs import (Graph, VertexPartition, cliques_plus_isolated,
                               consecutive_partition, cycle_graph,
                               generate_family, is_independent,
@@ -91,10 +91,32 @@ def test_generate_family_dispatch():
         generate_family("power_path", n=3)  # missing r
 
 
+def test_generated_families_are_sized_before_they_are_built():
+    import fairsplit.graphs as graphs
+
+    # the arithmetic counts are the built graphs' counts
+    for kind, params in [("path", dict(n=1)), ("path", dict(n=7)),
+                         ("cycle", dict(n=5)), ("power_path", dict(n=9, r=0)),
+                         ("power_path", dict(n=9, r=3)),
+                         ("power_path", dict(n=9, r=20)),
+                         ("cliques_plus_isolated", dict(n=3, q=2)),
+                         ("cliques_plus_isolated", dict(n=3, q=5)),
+                         ("path_union_cliques", dict(n=1, q=2)),
+                         ("path_union_cliques", dict(n=4, q=5)),
+                         ("edgeless", dict(n=4)), ("matching", dict(n=7))]:
+        g = generate_family(kind, **params)
+        assert graphs.FAMILIES[kind][1](**params) == (g.n, len(g.edges)), kind
+    with pytest.raises(ResourceBudget, match="generated vertices: 101001"):
+        generate_family("path_union_cliques", n=1000, q=102)
+    # a parameter error is still reported as one, however large the family
+    with pytest.raises(InputError, match="overlap"):
+        generate_family("path_union_cliques", n=1, q=20000)
+
+
 def test_partition_validation():
     p = VertexPartition([(3, 1), (2,)], 3)
     assert p.blocks[0] == (1, 3)
-    assert p.block_of(2) == 1
+    assert p._block_of[2] == 1
     assert p.sizes() == [2, 1]
     with pytest.raises(InputError):
         VertexPartition([(1, 2), (2, 3)], 3)

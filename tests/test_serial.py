@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairsplit.complexes import SimplicialComplex, vertex_key
-from fairsplit.errors import InputError, ResourceBudget
+from fairsplit.errors import (INSTANCE_EDGE_LIMIT, INSTANCE_VERTEX_LIMIT,
+                              InputError, ResourceBudget)
 from fairsplit.geometry import moment_points
 from fairsplit.graphs import Graph, VertexPartition, cycle_graph
 from fairsplit.serial import (COMPLEX_SCHEMA, canonical_dumps, complex_load,
@@ -95,13 +96,33 @@ def test_instance_vertex_limit_checked_before_building(monkeypatch):
         raise AssertionError("Graph(%d) built" % n)
 
     monkeypatch.setattr(serial, "Graph", no_graph)
-    for n in (serial.INSTANCE_VERTEX_LIMIT + 1, 10 ** 9):
+    for n in (INSTANCE_VERTEX_LIMIT + 1, 10 ** 9):
         with pytest.raises(ResourceBudget):
             instance_load({"schema": "instance/1", "n": n, "edges": []})
     monkeypatch.undo()
-    g, _ = instance_load({"schema": "instance/1", "n": serial.INSTANCE_VERTEX_LIMIT,
+    g, _ = instance_load({"schema": "instance/1", "n": INSTANCE_VERTEX_LIMIT,
                           "edges": [[1, 2]]})
-    assert g.n == serial.INSTANCE_VERTEX_LIMIT
+    assert g.n == INSTANCE_VERTEX_LIMIT
+
+
+def test_instance_edge_limit_checked_before_building(monkeypatch):
+    import fairsplit.serial as serial
+
+    def no_graph(n, edges):
+        raise AssertionError("Graph(%d) built" % n)
+
+    monkeypatch.setattr(serial, "Graph", no_graph)
+    edge = [1, 2]  # one list, so the over-long edge list stays small
+    with pytest.raises(ResourceBudget, match="instance edges: 1000001"):
+        instance_load({"schema": "instance/1", "n": 2,
+                       "edges": [edge] * (INSTANCE_EDGE_LIMIT + 1)})
+    monkeypatch.undo()
+    # at the limit the list is read, here with the limit lowered to 3
+    monkeypatch.setattr(serial, "INSTANCE_EDGE_LIMIT", 3)
+    with pytest.raises(ResourceBudget, match="instance edges: 4"):
+        instance_load({"schema": "instance/1", "n": 2, "edges": [edge] * 4})
+    g, _ = instance_load({"schema": "instance/1", "n": 2, "edges": [edge] * 3})
+    assert g.edges == {(1, 2)}
 
 
 def test_splitting_round_trip():

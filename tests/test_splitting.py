@@ -149,7 +149,7 @@ def test_weakly_stable_q3():
 def test_splitting_normalizes():
     s = Splitting([[3, 1], [2]])
     assert s.sets == [(1, 3), (2,)]
-    assert s.q == 2
+    assert len(s.sets) == 2
     assert covered(s) == {1, 2, 3}
 
 
