@@ -80,11 +80,7 @@ def _add_spec_flags(p):
                    help="require the weakly-stable window property")
 
 
-THREADS_HELP = "accepted for compatibility; has no effect"
-
-
-def _add_run_flags(p):
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
+def _add_budget_flag(p):
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
 
 
@@ -104,11 +100,7 @@ def cmd_solve(args):
     g, partition = _load_instance(args.input)
     spec = _spec_from_args(args, check_size("--q", args.q))
     caps = _int_list(args.caps, "--caps") if args.caps else None
-    config = None
-    if args.mode == "geometric":
-        if not args.points:
-            raise InputError("geometric mode needs --points FILE")
-        config = load_file(args.points, points_load)
+    config = load_file(args.points, points_load) if args.points else None
     problem = SearchProblem(partition=partition, spec=spec, graph=g,
                             points=config, caps=caps, budget=args.budget)
     out = find_splitting(problem)
@@ -186,8 +178,7 @@ def cmd_phi_check(args):
     order = _int_list(args.order, "--order") if args.order else None
     inst = ConstraintMapInstance(args.q, args.k, args.t, vertex_order=order)
     zs = verify_zero_set(inst, budget=args.budget)
-    full = {"auto": None, "yes": True, "no": False}[args.full_group]
-    eq = verify_equivariance(inst, full_group=full, budget=args.budget)
+    eq = verify_equivariance(inst, budget=args.budget)
     ok = zs.ok and eq.ok
     return (0 if ok else 1), {"schema": "phi_check/1", "ok": ok,
                               "zero_set": zs.to_json(),
@@ -276,12 +267,10 @@ def build_parser():
     s = sub.add_parser("solve", help="search for a splitting")
     s.add_argument("--input", required=True)
     s.add_argument("--q", type=int, required=True)
-    s.add_argument("--mode", choices=["combinatorial", "geometric"],
-                   default="combinatorial")
-    s.add_argument("--points", help="points JSON for geometric mode")
+    s.add_argument("--points", help="points JSON; searches geometrically")
     s.add_argument("--caps", help="per-block upper bound on |S_i ∩ V_j|")
     _add_spec_flags(s)
-    _add_run_flags(s)
+    _add_budget_flag(s)
     s.set_defaults(fn=cmd_solve)
 
     v = sub.add_parser("verify", help="re-check a splitting against an instance")
@@ -322,8 +311,6 @@ def build_parser():
     ph.add_argument("--t", type=int, required=True)
     ph.add_argument("--order", help="vertex order as a comma-separated "
                                     "permutation of 0..n-1")
-    ph.add_argument("--full-group", choices=["auto", "yes", "no"],
-                    default="auto", dest="full_group")
     ph.add_argument("--budget", type=int, default=FACE_BUDGET)
     ph.set_defaults(fn=cmd_phi_check)
 
@@ -335,7 +322,7 @@ def build_parser():
     co.add_argument("--q2", type=int)
     co.add_argument("--s1", type=int)
     co.add_argument("--s2", type=int)
-    _add_run_flags(co)
+    _add_budget_flag(co)
     co.set_defaults(fn=cmd_compose)
 
     kc = sub.add_parser("kneser-chi", help="exact chromatic number of a "
@@ -355,7 +342,7 @@ def build_parser():
     ks.add_argument("--q", type=int, required=True)
     ks.add_argument("--check-chromatic", action="store_true",
                     dest="check_chromatic")
-    _add_run_flags(ks)
+    _add_budget_flag(ks)
     ks.set_defaults(fn=cmd_kneser_split)
 
     ho = sub.add_parser("homology", help="reduced integral homology of a "
@@ -365,7 +352,6 @@ def build_parser():
     ho.set_defaults(fn=cmd_homology)
 
     su = sub.add_parser("suite", help="run the deterministic self-check battery")
-    su.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     su.set_defaults(fn=cmd_suite)
 
     return p

@@ -83,22 +83,48 @@ class SimplicialComplex:
         return "SimplicialComplex(%d vertices, %d facets)" % (len(self.vertices), len(self.facets))
 
 
+def _bits(mask):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def independence_complex(g: Graph):
-    """Facets are the maximal independent sets (Bron--Kerbosch with pivot)."""
-    out = []
-    non_adj = {v: set(g.vertices) - g.adj[v] - {v} for v in g.vertices}
+    """Facets are the maximal independent sets: Bron--Kerbosch with pivoting
+    on vertex bitmasks (bit v is vertex v), driven by an explicit stack so
+    that no graph depends on the recursion limit.
 
-    def expand(r, p, x):
-        if not p and not x:
-            out.append(frozenset(r))
-            return
-        pivot = max(p | x, key=lambda u: len(p & non_adj[u]))
-        for v in sorted(p - non_adj[pivot]):
-            expand(r | {v}, p & non_adj[v], x & non_adj[v])
-            p = p - {v}
-            x = x | {v}
-
+    A frame is [r, p, x, todo]: the independent set r, the vertices p that
+    may still join it, the vertices x that would extend it but were already
+    tried, and todo, the members of p outside the pivot's non-neighbours
+    that are left to branch on, lowest first."""
     if g.n == 0:
         return SimplicialComplex([()])
-    expand(set(), set(g.vertices), set())
+    everyone = (1 << (g.n + 1)) - 2
+    non_adj = [0] * (g.n + 1)
+    for v in g.vertices:
+        non_adj[v] = everyone & ~sum(1 << u for u in g.adj[v]) & ~(1 << v)
+
+    def frame(r, p, x):
+        pivot = max(_bits(p | x), key=lambda u: (p & non_adj[u]).bit_count())
+        return [r, p, x, p & ~non_adj[pivot]]
+
+    out = []
+    stack = [frame(0, everyone, 0)]
+    while stack:
+        top = stack[-1]
+        r, p, x, todo = top
+        if not todo:
+            stack.pop()
+            continue
+        low = todo & -todo
+        top[1], top[2], top[3] = p ^ low, x | low, todo ^ low
+        v = low.bit_length() - 1
+        p, x = p & non_adj[v], x & non_adj[v]
+        if p:
+            stack.append(frame(r | low, p, x))
+        elif not x:
+            out.append(tuple(_bits(r | low)))
     return SimplicialComplex(out, vertices=g.vertices)

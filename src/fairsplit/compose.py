@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, ResourceBudget
 from .graphs import VertexPartition, power_path
 from .splitting import Splitting, SplittingSpec, check_splitting
 from .solver import DEFAULT_NODE_BUDGET, SearchProblem, find_splitting
@@ -50,6 +50,10 @@ def solver_base_splitter(q, stability, budget=DEFAULT_NODE_BUDGET):
         problem = SearchProblem(partition=partition, spec=spec, graph=g,
                                 budget=budget)
         out = find_splitting(problem)
+        if out.status == "budget_exceeded":
+            raise ResourceBudget(
+                "base splitter (q=%d, s=%d) ran out of its budget of %d nodes "
+                "on the path on %d vertices" % (q, stability, budget, n))
         if out.status != "found":
             raise ContractError(
                 "base splitter (q=%d, s=%d) could not split the path on %d "

@@ -61,7 +61,9 @@ Memory, in bytes per face: the int8 direction tensor is 1, and building it
 peaks at 1 + (2q+3)/(q+1), at most 3.34.  The equivariance check then keeps
 at most three int8 tensors alive, 3 bytes per face.  The zero-set DP adds
 its reach bitsets, max(1, 2^q/8) bytes per face, and temporaries on one
-support slice.
+support slice.  Before the tensor is built, the faces times the check's
+bound (5 for equivariance, 4 plus twice the reach for the zero set) are
+held to errors.MEMORY_LIMIT.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexes import FACE_BUDGET
-from .errors import InputError, ResourceBudget
+from .errors import MEMORY_LIMIT, InputError, ResourceBudget
 
 
 @dataclass(frozen=True)
@@ -108,16 +110,32 @@ class ConstraintMapInstance:
         return (self.q + 1) ** self.n
 
 
-def _check_face_budget(inst, budget):
-    """Raise ResourceBudget when the (q+1)^n faces exceed budget.  The power
-    is built one factor at a time and abandoned once past the budget, so a
-    huge instance costs at most n multiplications of numbers near budget."""
+# bytes per face that bound each check's peak under tracemalloc: the tensor
+# build's 3.34 or the equivariance check's three int8 tensors, plus numpy's
+# temporaries (4.0 in all at q = 2, n = 11); the zero set adds its reach
+# bitsets and the closure's temporaries on one support slice
+_EQUIVARIANCE_BYTES_PER_FACE = 5
+
+
+def _zero_set_bytes_per_face(q):
+    return 4 + 2 * max(1, (1 << q) // 8)
+
+
+def _check_face_budget(inst, budget, bytes_per_face):
+    """Raise ResourceBudget when the (q+1)^n faces exceed budget, or when
+    they take more than MEMORY_LIMIT at bytes_per_face each.  The power is
+    built one factor at a time and abandoned once past the budget, so a huge
+    instance costs at most n multiplications of numbers near budget."""
     faces = 1
     for _ in range(inst.n):  # n >= 1
         faces *= inst.q + 1
         if faces > budget:
             raise ResourceBudget("instance has more faces than the face budget of %d"
                                  % budget)
+    if faces * bytes_per_face > MEMORY_LIMIT:
+        raise ResourceBudget("%d^%d faces at %d bytes each pass the memory "
+                             "limit of %d bytes" % (inst.q + 1, inst.n,
+                                                    bytes_per_face, MEMORY_LIMIT))
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +292,18 @@ def verify_zero_set(inst, budget=FACE_BUDGET, max_witnesses=1):
     violating faces in enumeration order (size, support, assignment), with
     faces_processed counted up to the last one as a face-by-face scan would."""
     q, k = inst.q, inst.k
-    _check_face_budget(inst, budget)
     # the levels (face sizes) holding an unconstrained face are k..n: a face
     # of k or more vertices can put k of them in one slot, and a smaller one
     # could only leave the region with q-t+2 slots of k-1 vertices each,
     # which takes 2(k-1) >= k vertices when k >= 2 (and k = 1 forces t = 1,
     # which would need q+1 slots)
-    report = ZeroSetReport(inst.q, k, inst.t, inst.vertex_order,
-                           inst.n - k + 1, False, 0)
-    if report.levels_with_unconstrained < q:
-        report.short_circuit = True
+    levels = inst.n - k + 1
+    report = ZeroSetReport(inst.q, k, inst.t, inst.vertex_order, levels,
+                           levels < q, 0)
+    # the short circuit builds nothing
+    _check_face_budget(inst, budget,
+                       0 if report.short_circuit else _zero_set_bytes_per_face(q))
+    if report.short_circuit:
         return report
     dirs = _directions_array(inst).reshape((q + 1,) * inst.n)
     found, report.faces_processed = _rainbow_faces(inst, dirs, k,
@@ -418,14 +438,13 @@ def _verify_equivariance_numpy(inst, perms, report):
     report.faces_processed = found[-1][0] + 1 if len(found) == 5 else dirs.size
 
 
-def verify_equivariance(inst, full_group=None, budget=FACE_BUDGET):
+def verify_equivariance(inst, budget=FACE_BUDGET):
     """Check d(pi F) = pi d(F).  Adjacent transpositions generate the whole
-    slot-permutation group, so they are always checked; the full group is
-    checked too when the instance is small (or on request)."""
-    _check_face_budget(inst, budget)
-    m = inst.face_count()
-    if full_group is None:
-        full_group = math.factorial(inst.q) * m <= 2_000_000
+    slot-permutation group, so checking them suffices; small instances
+    (q! (q+1)^n <= 2,000,000) are checked against every permutation
+    instead."""
+    _check_face_budget(inst, budget, _EQUIVARIANCE_BYTES_PER_FACE)
+    full_group = math.factorial(inst.q) * inst.face_count() <= 2_000_000
     perms = _all_slot_permutations(inst.q) if full_group else _adjacent_transpositions(inst.q)
     report = EquivarianceReport(inst.q, inst.k, inst.t, inst.vertex_order,
                                 len(perms), full_group, 0)

@@ -197,17 +197,14 @@ def generate_family(kind, **params):
         raise InputError("bad parameters for family %r: %s" % (kind, e))
 
 
-_NO_NEIGHBOURS = frozenset()
-
-
 def is_independent(g, s):
-    """No edge inside s: each member's neighbours are tested against the
-    members before it, so every edge is looked at once, from its later end,
-    in O(sum of degrees) (labels outside the graph have no neighbours)."""
+    """No edge inside s, a set of g's vertices: each member's neighbours are
+    tested against the members before it, so every edge is looked at once,
+    from its later end, in O(sum of degrees)."""
     adj = g.adj
     earlier = set()
     for v in s:
-        if not adj.get(v, _NO_NEIGHBOURS).isdisjoint(earlier):
+        if not adj[v].isdisjoint(earlier):
             return False
         earlier.add(v)
     return True

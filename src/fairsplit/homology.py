@@ -5,13 +5,20 @@ pivots are chosen by smallest absolute value to keep entries tame.
 
 from __future__ import annotations
 
-from .complexes import FACE_BUDGET, SimplicialComplex, vertex_key
-from .errors import InputError
+from .complexes import SimplicialComplex, vertex_key
+from .errors import MEMORY_LIMIT, InputError, ResourceBudget
+
+# A dense boundary matrix is a list of rows, each a list of small cached
+# ints, and smith_diagonal works on a copy: two 8-byte pointers per entry.
+# Each row also costs as much as _ROW_ENTRIES more entries: its list header,
+# and the index of the lower faces while the matrix is filled.
+_BYTES_PER_ENTRY = 16
+_ROW_ENTRIES = 9
 
 
-def _faces_by_dim(k: SimplicialComplex, budget=FACE_BUDGET):
+def _faces_by_dim(k: SimplicialComplex):
     by_dim = {}
-    for f in k.faces(budget):
+    for f in k.faces():
         t = tuple(sorted(f, key=vertex_key))
         by_dim.setdefault(len(t) - 1, []).append(t)
     for d in by_dim:
@@ -100,20 +107,26 @@ def smith_diagonal(mat):
     return out
 
 
-def homology(k: SimplicialComplex, max_dim=None, budget=FACE_BUDGET):
+def homology(k: SimplicialComplex, max_dim=None):
     """Reduced integral homology: [(betti_d, [torsion orders]), ...] for
-    d = 0 .. max_dim (default: the dimension of the complex)."""
+    d = 0 .. max_dim (default: the dimension of the complex).  Only the
+    boundary maps of dimensions 0 .. max_dim + 1 are built, and each is sized
+    against MEMORY_LIMIT before any of them is."""
     if k.is_void():
         raise InputError("homology of the void complex is undefined here")
-    by_dim = _faces_by_dim(k, budget)
+    by_dim = _faces_by_dim(k)
     top = k.dim()
     if max_dim is None:
         max_dim = max(top, 0)
-    snf = {}
-    for d in range(0, top + 1):
-        lower = by_dim.get(d - 1, [])
-        upper = by_dim.get(d, [])
-        snf[d] = smith_diagonal(boundary_matrix(lower, upper)) if upper else []
+    dims = [d for d in range(0, min(top, max_dim + 1) + 1) if by_dim.get(d)]
+    for d in dims:
+        rows, cols = len(by_dim.get(d - 1, [])), len(by_dim[d])
+        if rows * (cols + _ROW_ENTRIES) * _BYTES_PER_ENTRY > MEMORY_LIMIT:
+            raise ResourceBudget(
+                "the %d x %d boundary matrix of dimension %d passes the memory "
+                "limit of %d bytes" % (rows, cols, d, MEMORY_LIMIT))
+    snf = {d: smith_diagonal(boundary_matrix(by_dim.get(d - 1, []), by_dim[d]))
+           for d in dims}
     out = []
     for d in range(0, max_dim + 1):
         n_d = len(by_dim.get(d, []))

@@ -52,7 +52,7 @@ reported as "budget_exceeded", never as nonexistence.
 The per-problem tables come from one pass over the graph's edges and one
 sweep over the positions.  They keep n-bit masks per position, so they take
 O(n^2) bits on long instances: a problem whose two n-bit tables would exceed
-TABLE_BIT_LIMIT raises ResourceBudget before any mask is built.  The witness
+errors.MEMORY_LIMIT raises ResourceBudget before any mask is built.  The witness
 is then certified independently of these tables, in time linear in its
 members (see splitting.py).
 """
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, ResourceBudget
+from .errors import MEMORY_LIMIT, InputError, ResourceBudget
 from .exactlp import convex_hulls_common_point
 from .geometry import PointConfiguration
 from .graphs import Graph, VertexPartition
@@ -69,12 +69,6 @@ from .splitting import (Splitting, SplittingSpec, check_splitting,
                         is_weakly_q_stable, leftover_cap, required_min)
 
 DEFAULT_NODE_BUDGET = 5_000_000
-
-# keep and after_in_block hold an n-bit int per position, 2 * n^2 bits in
-# all, and the kill masks beside them add up to n^2 more.  4e9 bits (500 MB)
-# admits up to 44,721 positions: a q = 2 path on 40,000 vertices solves at a
-# 663 MB peak RSS, and one on 100,000 would need about 4 GB.
-TABLE_BIT_LIMIT = 4 * 10 ** 9
 
 
 @dataclass
@@ -134,9 +128,14 @@ class _Ctx:
         blocks = p.partition.blocks
         self.q = q = spec.q
         self.n = n = p.graph.n
-        if 2 * n * n > TABLE_BIT_LIMIT:
-            raise ResourceBudget("search tables need 2 * %d^2 bits, over the limit of %d"
-                                 % (n, TABLE_BIT_LIMIT))
+        # keep and after_in_block hold an n-bit int per position, 2 * n^2
+        # bits or n^2 / 4 bytes in all, and the kill masks beside them add
+        # n^2 bits more.  MEMORY_LIMIT (500 MB) admits up to 44,721
+        # positions: a q = 2 path on 40,000 vertices solves at a 663 MB peak
+        # RSS, and one on 100,000 would need about 4 GB.
+        if n * n > 4 * MEMORY_LIMIT:
+            raise ResourceBudget("search tables need %d^2 / 4 bytes, over the "
+                                 "memory limit of %d" % (n, MEMORY_LIMIT))
         index = p.partition._block_of
         self.block_of = block_of = [index[v] for v in range(1, n + 1)]
         self.mins = [required_min(spec.flavor, len(b), q) for b in blocks]

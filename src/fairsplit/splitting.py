@@ -16,10 +16,10 @@ is weakly w-stable when, after order-preserving relabeling of its union onto
 meets every member exactly once; the test is three-valued because the union
 size can rule the relabeling out before anything is checked.
 
-The certificate (`certificate_for`, `check_splitting`) costs time linear in
-the members of the family: one pass through the partition's label -> block
-map gives the counts, the leftovers and disjointness, and graph independence
-looks at each edge inside a set once (O(sum of degrees)).
+The certificate (`check_splitting`) costs time linear in the members of the
+family: one pass through the partition's label -> block map gives the
+counts, the leftovers and disjointness, and graph independence looks at
+each edge inside a set once (O(sum of degrees)).
 """
 
 from __future__ import annotations
@@ -163,15 +163,17 @@ class QuotaCertificate:
         }
 
 
-def certificate_for(face_ok, partition, sets, spec):
-    """Assemble a QuotaCertificate with an arbitrary admissibility predicate
-    face_ok in place of graph independence.
-
-    One pass over the members, through the partition's label -> block map,
-    gives the per-set block counts, the distinct covered labels per block and
-    any repeated or shared label; the cost is linear in the members plus
-    whatever face_ok costs (O(sum of degrees) for graph independence)."""
-    sets = [tuple(s) for s in sets]
+def check_splitting(g, partition, splitting, spec):
+    """Pure measurement against a graph: never raises on a failing splitting,
+    only on structurally impossible input (wrong q, vertices outside 1..n).
+    One pass over the members gives the counts, leftovers and disjointness
+    (see the module docstring)."""
+    sets = splitting.sets if isinstance(splitting, Splitting) else [tuple(s) for s in splitting]
+    n = g.n
+    for s in sets:
+        if s and (min(s) < 1 or max(s) > n):
+            v = next(v for v in sorted(s) if not 1 <= v <= n)
+            raise InputError("vertex %d outside 1..%d" % (v, n))
     q = spec.q
     if len(sets) != q:
         raise InputError("expected %d sets, got %d" % (q, len(sets)))
@@ -207,7 +209,7 @@ def certificate_for(face_ok, partition, sets, spec):
     cert = QuotaCertificate(
         q=q, flavor=spec.flavor, counts=counts, mins=mins,
         quota_ok=all(c >= lo for row in counts for c, lo in zip(row, mins)),
-        independence_ok=[face_ok(s) for s in sets],
+        independence_ok=[is_independent(g, s) for s in sets],
         disjoint_ok=disjoint_ok,
         leftover=leftover,
         leftover_ok=cap is None or all(x <= cap for x in leftover),
@@ -221,15 +223,3 @@ def certificate_for(face_ok, partition, sets, spec):
                and (cert.balanced_ok is not False)
                and (spec.weak_stability is None or cert.weak_verdict is True))
     return cert
-
-
-def check_splitting(g, partition, splitting, spec):
-    """Pure measurement against a graph: never raises on a failing splitting,
-    only on structurally impossible input (wrong q, vertices outside 1..n)."""
-    sets = splitting.sets if isinstance(splitting, Splitting) else [tuple(s) for s in splitting]
-    n = g.n
-    for s in sets:
-        if s and (min(s) < 1 or max(s) > n):
-            v = next(v for v in sorted(s) if not 1 <= v <= n)
-            raise InputError("vertex %d outside 1..%d" % (v, n))
-    return certificate_for(lambda s: is_independent(g, s), partition, sets, spec)

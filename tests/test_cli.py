@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairsplit.constraint_map as constraint_map
+import fairsplit.homology as homology_module
 import fairsplit.serial as serial
 from fairsplit.cli import main
-from fairsplit.complexes import FACE_BUDGET
-from fairsplit.errors import INSTANCE_VERTEX_LIMIT
-from fairsplit.solver import TABLE_BIT_LIMIT
+from fairsplit.complexes import FACE_BUDGET, independence_complex
+from fairsplit.errors import INSTANCE_VERTEX_LIMIT, MEMORY_LIMIT
+from fairsplit.graphs import cycle_graph
 
 from shared import all_faces, is_constrained_face
 
@@ -228,7 +229,7 @@ def test_solve_refuses_quadratic_tables_before_building_them(tmp_path, capsys):
     # the solver's masks on a q = 2 path of the most vertices an instance may
     # have would take about 4 GB; the 40,000-vertex path stays admitted
     n = INSTANCE_VERTEX_LIMIT
-    assert 2 * 40_000 ** 2 <= TABLE_BIT_LIMIT < 2 * n * n
+    assert 40_000 ** 2 / 4 <= MEMORY_LIMIT < n * n / 4
     path = write(tmp_path, "path.json", {
         "schema": "instance/1", "n": n,
         "edges": [[v, v + 1] for v in range(1, n)],
@@ -300,6 +301,51 @@ def test_size_flags_exit_3_before_building_anything(tmp_path, capsys, argv, name
     assert code == 3 and out.out == "", out.err
     assert named in out.err and "Traceback" not in out.err
     assert peak < 50 * 2 ** 20, peak
+
+
+def test_phi_check_past_memory_is_refused_before_building(capsys):
+    # 4^23 faces pass a face budget of 10^14, but their tensor would not fit
+    # in memory: refused before numpy allocates it
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        code = main(["phi-check", "--q", "3", "--k", "8", "--t", "1",
+                     "--budget", "100000000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert "4^23 faces at 6 bytes each pass the memory limit" in out.err
+    assert peak < 50 * 2 ** 20, peak
+
+
+def test_homology_past_memory_is_refused_before_building(capsys, tmp_path,
+                                                        monkeypatch):
+    # Ind(C24)'s largest boundary matrix is 24,752 x 27,456, about 11 GB as
+    # dense rows; --max-dim 1 needs only the maps of dimensions 0..2
+    k = independence_complex(cycle_graph(24))
+    path = write(tmp_path, "ind_c24.json", {
+        "schema": "complex/1", "facets": [sorted(f) for f in k.facets]})
+    built = []
+    real = homology_module.boundary_matrix
+
+    def recording(lower, upper):
+        built.append(len(upper))
+        return real(lower, upper)
+
+    monkeypatch.setattr(homology_module, "boundary_matrix", recording)
+    code, doc, err = run(capsys, "homology", "--input", path)
+    assert code == 3 and doc is None and built == []
+    assert "boundary matrix of dimension 4 passes the memory limit" in err
+    code, doc, _ = run(capsys, "homology", "--input", path, "--max-dim", "1")
+    assert code == 0 and doc["reduced"] == [
+        {"dim": 0, "betti": 0, "torsion": []},
+        {"dim": 1, "betti": 0, "torsion": []}]
+    assert len(built) == 3
 
 
 def test_phi_check(capsys):
@@ -409,12 +455,71 @@ def test_suite_and_seedless(capsys):
     assert code == 0 and doc["all_ok"] is True
 
 
-def test_suite_output_thread_independent(capsys):
-    main(["suite", "--threads", "1"])
-    one = capsys.readouterr().out
-    main(["suite", "--threads", "4"])
-    four = capsys.readouterr().out
-    assert one == four
+@pytest.mark.parametrize("argv", [
+    ["suite", "--threads", "1"],
+    ["kneser-split", "--n", "6", "--q", "2", "--threads", "4"],
+    ["phi-check", "--q", "2", "--k", "2", "--t", "1", "--full-group", "yes"],
+    ["solve", "--input", "x.json", "--q", "2", "--mode", "geometric"],
+], ids=["threads", "threads-kneser-split", "full-group", "mode"])
+def test_removed_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    out = capsys.readouterr()
+    assert e.value.code == 2 and out.out == ""
+    assert "unrecognized arguments: " + argv[-2] in out.err
+
+
+def test_solve_points_search_geometrically(capsys, tmp_path):
+    # the points alone make the search geometric: the sets' hulls on the
+    # line meet in a common point
+    path = write(tmp_path, "p4.json", {
+        "schema": "instance/1", "n": 4, "edges": [[1, 2], [2, 3], [3, 4]],
+        "partition": [[1, 2, 3, 4]]})
+    pts = line_points(tmp_path, "l4.json", [1, 2, 3, 4])
+    code, doc, _ = run(capsys, "solve", "--input", path, "--q", "2",
+                       "--points", pts)
+    assert code == 0 and doc["splitting"] == [[1, 3], [2, 4]]
+    assert doc["common_point"] == [[2, 1]]
+
+
+BUDGET_EXITS = [
+    # (argv, stdout schema or None); each command run out of its budget
+    (["solve", "--input", "CYCLE6", "--q", "2", "--budget", "0"], "outcome/1"),
+    (["check-conditions", "--input", "PATH12", "--q", "3", "--budget", "1"],
+     None),
+    (["geometry", "--op", "sgp", "--points", "MOMENT7", "--q", "2",
+      "--budget", "1"], None),
+    (["geometry", "--op", "tverberg", "--points", "MOMENT7", "--q", "3",
+      "--budget", "1"], None),
+    (["phi-check", "--q", "3", "--k", "3", "--t", "2", "--budget", "100"], None),
+    (["compose", "--n", "31", "--t", "2", "--budget", "1"], None),
+    (["compose", "--n", "31", "--q1", "2", "--q2", "3", "--budget", "3"], None),
+    (["kneser-chi", "--n", "6", "--k", "2", "--q", "2", "--budget", "1"], None),
+    (["kneser-split", "--n", "6", "--q", "2", "--budget", "1"], None),
+]
+
+
+@pytest.mark.parametrize("argv,schema", BUDGET_EXITS,
+                         ids=["solve", "check-conditions", "sgp", "tverberg",
+                              "phi-check", "compose-t", "compose-q1-q2",
+                              "kneser-chi", "kneser-split"])
+def test_budgeted_commands_exit_3(capsys, tmp_path, cycle6, argv, schema):
+    # exit 1 is only ever a proven negative: running out of budget is 3
+    files = {
+        "CYCLE6": cycle6,
+        "PATH12": write(tmp_path, "p12.json", {
+            "schema": "instance/1", "n": 12,
+            "edges": [[v, v + 1] for v in range(1, 12)],
+            "partition": [list(range(1, 13))]}),
+        "MOMENT7": write(tmp_path, "m7.json", {
+            "schema": "points/1", "dim": 2,
+            "points": [[[x, 1], [x * x, 1]] for x in range(1, 8)]})}
+    code, doc, err = run(capsys, *[files.get(a, a) for a in argv])
+    assert code == 3 and "Traceback" not in err, err
+    if schema is None:
+        assert doc is None and err.startswith("resource budget exceeded: "), err
+    else:
+        assert doc["schema"] == schema and doc["status"] == "budget_exceeded"
 
 
 def test_solve_long_path_splits(capsys, tmp_path):
@@ -587,7 +692,6 @@ def _cli_run(rng):
         argv += ["--q", str(_mostly(rng, rng.choice([1, 2, 2, 3, 3, 4]), 20)),
                  "--budget", str(_mostly(rng, rng.randint(0, 10_000), 20))]
         if rng.randrange(8) == 0:
-            argv += ["--mode", "geometric"]
             if rng.randrange(5):
                 files["points.json"] = _points_text(rng, n or 0)
                 argv += ["--points", "points.json"]

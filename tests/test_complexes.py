@@ -197,6 +197,23 @@ def test_independence_complex_matches_brute_force():
         assert k.faces() == brute_independent_sets(g)
 
 
+def test_independence_complex_facets_are_the_maximal_independent_sets():
+    rng = random.Random(12)
+    for trial in range(40):
+        n = rng.randint(1, 12)
+        pool = list(combinations(range(1, n + 1), 2))
+        g = Graph(n, [e for e in pool if rng.random() < 0.3])
+        sets = brute_independent_sets(g)
+        maximal = {f for f in sets if not any(f < h for h in sets)}
+        assert set(independence_complex(g).facets) == maximal, trial
+
+
+def test_independence_complex_needs_no_recursion():
+    # the recursive Bron--Kerbosch raised RecursionError here
+    k = independence_complex(Graph(1500, []))
+    assert k.facets == (frozenset(range(1, 1501)),)
+
+
 def test_independence_complex_c6_facets():
     k = independence_complex(cycle_graph(6))
     assert set(k.facets) == {frozenset(f) for f in

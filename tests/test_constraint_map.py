@@ -604,6 +604,25 @@ def test_face_budget_is_exact_for_both_checks():
             check(inst, budget=16383)
 
 
+def test_memory_limit_is_exact_for_both_checks(monkeypatch):
+    inst = ConstraintMapInstance(3, 3, 2)  # 4^7 = 16,384 faces
+    for check, per_face in (
+            (verify_zero_set, constraint_map._zero_set_bytes_per_face(3)),
+            (verify_equivariance, constraint_map._EQUIVARIANCE_BYTES_PER_FACE)):
+        monkeypatch.setattr(constraint_map, "MEMORY_LIMIT", 16384 * per_face)
+        assert check(inst).ok
+        monkeypatch.setattr(constraint_map, "MEMORY_LIMIT", 16384 * per_face - 1)
+        with pytest.raises(ResourceBudget, match="4\\^7 faces at %d bytes" % per_face):
+            check(inst)
+
+
+def test_short_circuit_is_not_held_to_the_memory_limit(monkeypatch):
+    # 4 levels hold unconstrained faces, fewer than q = 5: nothing is built
+    monkeypatch.setattr(constraint_map, "MEMORY_LIMIT", 0)
+    report = verify_zero_set(ConstraintMapInstance(5, 1, 1))
+    assert report.short_circuit and report.ok
+
+
 def test_zero_set_random_orders():
     for order in random_vertex_orders(4, 3, seed=7):
         inst = ConstraintMapInstance(3, 2, 2, vertex_order=order)
@@ -724,6 +743,13 @@ def test_peak_bytes_per_face():
     inst = ConstraintMapInstance(5, 2, 3, vertex_order=(6, 2, 0, 4, 1, 5, 3))
     assert not verify_zero_set(inst).short_circuit
     assert _peak_bytes_per_face(verify_zero_set, inst) < 7.5
+    # the figures the memory limit is checked with bound these peaks
+    for q, k, t in [(2, 6, 1), (3, 3, 1), (4, 2, 1), (5, 2, 3)]:
+        inst = ConstraintMapInstance(q, k, t)
+        assert (_peak_bytes_per_face(verify_equivariance, inst)
+                <= constraint_map._EQUIVARIANCE_BYTES_PER_FACE)
+        assert (_peak_bytes_per_face(verify_zero_set, inst)
+                <= constraint_map._zero_set_bytes_per_face(q))
 
 
 def test_single_vertex_ground_set():

@@ -1,11 +1,13 @@
 import random
+import tracemalloc
 from dataclasses import dataclass
 from itertools import combinations
 
 import pytest
 
+import fairsplit.homology as homology_module
 from fairsplit.complexes import SimplicialComplex, independence_complex
-from fairsplit.errors import InputError
+from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.graphs import Graph, cycle_graph
 from fairsplit.homology import (_faces_by_dim, boundary_matrix, homology,
                                 smith_diagonal)
@@ -230,6 +232,68 @@ def test_max_dim_truncation():
     k = skeleton(full_simplex(range(1, 5)), 2)
     assert homology(k, max_dim=1) == [(0, []), (0, [])]
     assert homology(k, max_dim=4) == [(0, []), (0, []), (1, []), (0, []), (0, [])]
+
+
+def _recording_boundary_matrix(monkeypatch):
+    """Patch boundary_matrix to log each map's dimension as it is built."""
+    built = []
+
+    def record(lower, upper):
+        built.append(len(upper[0]) - 1)
+        return boundary_matrix(lower, upper)
+
+    monkeypatch.setattr(homology_module, "boundary_matrix", record)
+    return built
+
+
+def test_max_dim_builds_only_the_maps_it_reads(monkeypatch):
+    k = independence_complex(cycle_graph(14))  # dimension 6
+    full = homology(k)
+    built = _recording_boundary_matrix(monkeypatch)
+    assert homology(k, max_dim=1) == full[:2]
+    assert built == [0, 1, 2]
+
+
+def _matrix_bytes(rows, cols):
+    return (rows * (cols + homology_module._ROW_ENTRIES)
+            * homology_module._BYTES_PER_ENTRY)
+
+
+def test_boundary_matrix_bytes_bound_the_measured_peak():
+    # the stated bytes per entry, against tracemalloc, on every map of
+    # Ind(C14) and on a tall one-column map
+    tall = SimplicialComplex(list(combinations(range(40), 2)) + [(0, 1, 2)])
+    for k in (independence_complex(cycle_graph(14)), tall):
+        by_dim = _faces_by_dim(k)
+        for d in range(1, k.dim() + 1):
+            lower, upper = by_dim[d - 1], by_dim[d]
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                smith_diagonal(boundary_matrix(lower, upper))
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            bound = _matrix_bytes(len(lower), len(upper))
+            assert peak <= bound, (d, peak, bound)
+            if bound > 100_000:  # and it is tight once the rows dominate
+                assert peak >= 0.9 * bound, (d, peak, bound)
+
+
+def test_boundary_matrices_are_sized_before_any_is_built(monkeypatch):
+    k = independence_complex(cycle_graph(14))
+    by_dim = _faces_by_dim(k)
+    largest = max(_matrix_bytes(len(by_dim[d - 1]), len(by_dim[d]))
+                  for d in range(0, k.dim() + 1))
+    want = homology(k)
+    built = _recording_boundary_matrix(monkeypatch)
+    monkeypatch.setattr(homology_module, "MEMORY_LIMIT", largest)
+    assert homology(k) == want
+    built.clear()
+    monkeypatch.setattr(homology_module, "MEMORY_LIMIT", largest - 1)
+    with pytest.raises(ResourceBudget, match="memory limit of %d" % (largest - 1)):
+        homology(k)
+    assert built == []
 
 
 def test_void_complex_rejected():

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from brute import brute_verdict
 from shared import covered
+import fairsplit.solver as solver_module
 from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.geometry import gale_alternating, stretched_moment_points
 from fairsplit.graphs import (Graph, VertexPartition, cycle_graph, is_independent,
-                              matching_graph, path_graph)
+                              matching_graph, path_graph, single_block_partition)
 from fairsplit.solver import (SearchProblem, _Ctx, _leaf, _search,
                              enumerate_splittings, find_splitting)
 from fairsplit.splitting import SplittingSpec, check_splitting
@@ -369,6 +370,17 @@ def test_touch_tables_name_each_block_once():
     stable = SplittingSpec(q=2, flavor="almost_fair", stability=3)
     ctx = _Ctx(SearchProblem(partition=pairs, spec=stable, graph=path_graph(6)))
     assert ctx.touch == [[0, 1], [1], [1, 2], [2], [2], []]
+
+
+def test_search_tables_are_held_to_the_memory_limit(monkeypatch):
+    # two n-bit tables per position, n^2 / 4 bytes: 2,500 on 100 positions
+    problem = SearchProblem(partition=single_block_partition(100),
+                            spec=SplittingSpec(q=2), graph=path_graph(100))
+    monkeypatch.setattr(solver_module, "MEMORY_LIMIT", 2500)
+    assert find_splitting(problem).status == "found"
+    monkeypatch.setattr(solver_module, "MEMORY_LIMIT", 2499)
+    with pytest.raises(ResourceBudget, match="memory limit of 2499"):
+        find_splitting(problem)
 
 
 def test_budget_is_reported_not_silent():

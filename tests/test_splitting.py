@@ -1,25 +1,22 @@
 """Quota arithmetic, stability predicates, and the splitting certificate."""
 
 import time
-from functools import partial
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairsplit.complexes import SimplicialComplex
 from fairsplit.errors import InputError
 from fairsplit.graphs import (Graph, VertexPartition, consecutive_partition,
                               cycle_graph, is_independent, path_graph,
                               single_block_partition)
 from fairsplit.splitting import (QuotaCertificate, Splitting, SplittingSpec,
-                                 almost_fair_quota, certificate_for,
-                                 check_splitting, fair_quota, is_q_stable,
-                                 is_weakly_q_stable, leftover_cap,
-                                 required_min)
+                                 almost_fair_quota, check_splitting,
+                                 fair_quota, is_q_stable, is_weakly_q_stable,
+                                 leftover_cap, required_min)
 
-from shared import covered, is_face
+from shared import covered
 
 # ---------------------------------------------------------------------------
 # reference certificate: the former set-based implementation, kept as the
@@ -236,23 +233,15 @@ def test_transversal_flavor_has_no_leftover_cap():
 
 @st.composite
 def _certificate_cases(draw):
-    """A random graph or string-labelled host complex, a partition of some of
-    its labels (plus labels it lacks), a family with repeated and shared
-    labels, and a spec with every flag drawn."""
+    """A random graph, a partition of some of its labels (plus labels it
+    lacks), a family with repeated and shared labels, and a spec with every
+    flag drawn."""
     n = draw(st.integers(1, 12))
-    host = draw(st.booleans())
-    pool = ["v%d" % i for i in range(1, n + 3)] if host else list(range(1, n + 3))
-    inside = pool[:n]  # labels the graph or complex has
-    if host:
-        facets = draw(st.lists(st.lists(st.sampled_from(inside), max_size=4),
-                               min_size=1, max_size=5))
-        face_ok = partial(is_face, SimplicialComplex(facets, vertices=inside))
-        graph = None
-    else:
-        pairs = list(combinations(inside, 2))
-        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-        graph = Graph(n, edges)
-        face_ok = None
+    pool = list(range(1, n + 3))
+    inside = pool[:n]  # labels the graph has
+    pairs = list(combinations(inside, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph = Graph(n, edges)
     m = draw(st.integers(0, 4))
     slot = draw(st.lists(st.integers(-1, m - 1), min_size=len(pool),
                          max_size=len(pool)))  # -1: outside the partition
@@ -267,26 +256,20 @@ def _certificate_cases(draw):
         q=q if draw(st.integers(0, 9)) else q + 1,  # sometimes the wrong q
         flavor=draw(st.sampled_from(["fair", "almost_fair", "transversal"])),
         balanced=draw(st.booleans()),
-        stability=draw(st.integers(1, 1 if host else 3)),
+        stability=draw(st.integers(1, 3)),
         weak_stability=draw(st.sampled_from([None, 2, 3])))
-    return graph, face_ok, partition, sets, spec
+    return graph, partition, sets, spec
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_certificate_cases())
 def test_certificate_matches_reference(case):
-    graph, face_ok, partition, sets, spec = case
-    if graph is not None:
-        got = _outcome(check_splitting, graph, partition, sets, spec)
-        assert got == _outcome(_reference_check_splitting, graph, partition, sets, spec)
-        family = sets.sets if isinstance(sets, Splitting) else sets
-        for s in family:
-            assert is_independent(graph, s) == _pairwise_is_independent(graph, s)
-    else:
-        family = sets.sets if isinstance(sets, Splitting) else sets
-        got = _outcome(certificate_for, face_ok, partition, family, spec)
-        assert got == _outcome(_reference_certificate_for, face_ok, partition,
-                               family, spec)
+    graph, partition, sets, spec = case
+    got = _outcome(check_splitting, graph, partition, sets, spec)
+    assert got == _outcome(_reference_check_splitting, graph, partition, sets, spec)
+    family = sets.sets if isinstance(sets, Splitting) else sets
+    for s in family:
+        assert is_independent(graph, s) == _pairwise_is_independent(graph, s)
 
 
 def test_certificate_of_a_long_path_is_linear():
