@@ -3,14 +3,12 @@
 The package builds two kinds of complex: the independence complex of a
 graph, and a complex read from a complex/1 document (serial.complex_load).
 Vertices may be integers, strings, or (nested) tuples; a complex keeps its
-facets reduced to maximal faces and sorted canonically.  Face enumeration is
-always guarded by an explicit budget so that a runaway complex raises
-ResourceBudget instead of eating the machine.
+facets reduced to maximal faces and sorted canonically.  Faces are
+enumerated only by homology, under FACE_BUDGET, so that a runaway complex
+raises ResourceBudget instead of eating the machine.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .errors import InputError, ResourceBudget
 from .graphs import Graph
@@ -40,7 +38,18 @@ class SimplicialComplex:
 
     def __init__(self, facets, vertices=None):
         fs = {frozenset(f) for f in facets}
-        maximal = [f for f in fs if not any(f < g for g in fs)]
+        self._store([f for f in fs if not any(f < g for g in fs)], vertices)
+
+    @classmethod
+    def _of_maximal(cls, facets, vertices):
+        """The complex of facets that are already distinct and maximal, as
+        a producer such as Bron--Kerbosch guarantees: skips __init__'s
+        O(F^2) maximality filter."""
+        k = cls.__new__(cls)
+        k._store([frozenset(f) for f in facets], vertices)
+        return k
+
+    def _store(self, maximal, vertices):
         self.facets = tuple(sorted(maximal, key=_face_key))
         implied = set().union(*maximal) if maximal else set()
         if vertices is None:
@@ -58,22 +67,6 @@ class SimplicialComplex:
         if self.is_void():
             raise InputError("void complex has no dimension")
         return max(len(f) for f in self.facets) - 1
-
-    def faces(self, budget=FACE_BUDGET):
-        """All faces including the empty one (unless void), as frozensets."""
-        seen = set()
-        if self.facets:
-            seen.add(frozenset())
-        for f in self.facets:
-            elems = sorted(f, key=vertex_key)
-            for r in range(1, len(elems) + 1):
-                for c in combinations(elems, r):
-                    fc = frozenset(c)
-                    if fc not in seen:
-                        seen.add(fc)
-                        if len(seen) > budget:
-                            raise ResourceBudget("face budget %d exceeded" % budget)
-        return seen
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialComplex)
@@ -127,4 +120,4 @@ def independence_complex(g: Graph):
             stack.append(frame(r | low, p, x))
         elif not x:
             out.append(tuple(_bits(r | low)))
-    return SimplicialComplex(out, vertices=g.vertices)
+    return SimplicialComplex._of_maximal(out, g.vertices)

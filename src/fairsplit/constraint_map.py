@@ -55,7 +55,9 @@ axes in S, digit 0 elsewhere), in slot-assignment order, and so are their
 facets for each vertex dropped from S; the zero-set DP visits supports by
 size and then in `combinations` order, which is the order it reports in.  No
 digits are extracted, and equivariance violations are reported in C order,
-as a face-by-face loop would find them.
+as a face-by-face loop would find them.  numpy is imported inside the
+functions that build or read the tensor, so that commands which never run a
+check (every one but phi-check and suite) do not pay for loading it.
 
 Memory, in bytes per face: the int8 direction tensor is 1, and building it
 peaks at 1 + (2q+3)/(q+1), at most 3.34.  The equivariance check then keeps
@@ -71,8 +73,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .complexes import FACE_BUDGET
 from .errors import MEMORY_LIMIT, InputError, ResourceBudget
@@ -206,6 +206,7 @@ def _closure_tables(q):
     acc & keep[d], move up by 2^(d-1), which is a shift by shift[d] inside a
     word or the word permutation perm[d] across words.  Row 0, for
     constrained faces, moves nothing."""
+    import numpy as np
     bits = 1 << q
     word_bits = min(bits, 64)
     words = bits // word_bits
@@ -226,6 +227,7 @@ def _closure_tables(q):
 
 def _add_directions(acc, fdir, tables):
     """acc[F] |= {m | 2^(d-1) : m in acc[F]} with d = fdir[F], in place."""
+    import numpy as np
     keep, shift, perm = tables
     moved = keep[fdir]
     moved &= acc
@@ -249,6 +251,7 @@ def _rainbow_faces(inst, dirs, start, enough):
     drops one vertex of S, so its slice broadcasts against S's.  Faces below
     level `start` are all constrained, so their reach is the empty chain.
     `dirs` is the direction tensor, of shape (q+1,)*n."""
+    import numpy as np
     q, n = inst.q, inst.n
     tables = _closure_tables(q)
     reach = np.zeros(dirs.shape + tables[0].shape[1:], dtype=tables[0].dtype)
@@ -377,6 +380,7 @@ def _directions_array(inst):
     constrained faces are read off the last step's tensors and zeroed, and
     one transposed copy puts the axes in vertex order 0..n-1.  At most two
     (q+1)^n tensors are alive at once, or one and two q/(q+1) as large."""
+    import numpy as np
     q, k, t, n = inst.q, inst.k, inst.t, inst.n
     base = q + 1
     dtype = np.int8 if q <= 127 else np.int64
@@ -418,6 +422,7 @@ def _verify_equivariance_numpy(inst, perms, report):
     reindexing, so at most three (q+1)^n tensors are alive.  Stops at the
     fifth violation (faces in C order, then permutations in the given
     order); faces_processed counts the faces read up to it."""
+    import numpy as np
     shape = (inst.q + 1,) * inst.n
     dirs = _directions_array(inst)
     tensor = dirs.reshape(shape)

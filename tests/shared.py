@@ -1,7 +1,8 @@
 """Constructions and references that several test modules share.
 
 No command of the package needs them, so they live with the tests: complex
-constructions (simplices, skeleta, joins, cones) and the face test, the scalar constraint-map
+constructions (simplices, skeleta, joins, cones), their face enumeration and
+the face test, the scalar constraint-map
 rule the vectorised one is checked against, the parameter triples and vertex
 orders the constraint-map tests sweep, and small graph and splitting helpers.
 """
@@ -10,12 +11,29 @@ import itertools
 import random
 from itertools import combinations
 
-from fairsplit.complexes import SimplicialComplex, vertex_key
-from fairsplit.errors import InputError
+from fairsplit.complexes import FACE_BUDGET, SimplicialComplex, vertex_key
+from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.graphs import Graph
 
 # ---------------------------------------------------------------------------
 # complex constructions
+
+
+def faces(k: SimplicialComplex, budget=FACE_BUDGET):
+    """All faces including the empty one (unless void), as frozensets."""
+    seen = set()
+    if k.facets:
+        seen.add(frozenset())
+    for f in k.facets:
+        elems = sorted(f, key=vertex_key)
+        for r in range(1, len(elems) + 1):
+            for c in combinations(elems, r):
+                fc = frozenset(c)
+                if fc not in seen:
+                    seen.add(fc)
+                    if len(seen) > budget:
+                        raise ResourceBudget("face budget %d exceeded" % budget)
+    return seen
 
 
 def is_face(k: SimplicialComplex, s):

@@ -2,9 +2,12 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -453,6 +456,61 @@ def test_suite_and_seedless(capsys):
     assert len(doc["results"]) == 12
     code, doc, _ = run(capsys, "--seedless", "suite")
     assert code == 0 and doc["all_ok"] is True
+
+
+# Runs in a fresh interpreter: every command but phi-check must leave numpy
+# unloaded, and phi-check must load it.  Prints the exit codes, then whether
+# numpy was loaded before and after phi-check.
+_NUMPY_PROBE = r"""
+import io, json, os, sys
+from contextlib import redirect_stdout
+from fairsplit.cli import main
+
+os.chdir(sys.argv[1])
+def run(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+codes = []
+code, text = run("generate", "--family", "cycle", "--n", "6", "--blocks", "3,3")
+open("c6.json", "w").write(text)
+codes.append(code)
+code, text = run("solve", "--input", "c6.json", "--q", "2")
+json.dump({"schema": "splitting/1", "sets": json.loads(text)["splitting"]},
+          open("s.json", "w"))
+codes.append(code)
+json.dump({"schema": "complex/1", "facets": [[1, 2], [1, 3], [2, 3]]},
+          open("k.json", "w"))
+for argv in (["verify", "--input", "c6.json", "--splitting", "s.json"],
+             ["check-conditions", "--input", "c6.json", "--q", "2"],
+             ["geometry", "--op", "gale", "--params", "1,2,3,4,5,6", "--d", "1",
+              "--sets", "1,3;2,4"],
+             ["geometry", "--op", "moment", "--params", "1,2,3", "--dim", "1"],
+             ["compose", "--n", "15", "--blocks", "7,8", "--t", "2"],
+             ["kneser-chi", "--n", "5", "--k", "2", "--q", "2"],
+             ["kneser-split", "--n", "9", "--blocks", "4,5", "--q", "2"],
+             ["homology", "--input", "k.json"]):
+    codes.append(run(*argv)[0])
+before = "numpy" in sys.modules
+codes.append(run("phi-check", "--q", "3", "--k", "2", "--t", "1")[0])
+print(json.dumps([codes, before, "numpy" in sys.modules]))
+"""
+
+
+def test_only_phi_check_loads_numpy(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    codes, before, after = json.loads(done.stdout)
+    # check-conditions certifies nothing on the 6-cycle, a proven negative
+    assert codes == [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+    assert not before, "a command other than phi-check loaded numpy"
+    assert after, "phi-check ran without numpy"
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,7 +11,7 @@ from fairsplit.complexes import (FACE_BUDGET, SimplicialComplex,
 from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.graphs import Graph, VertexPartition, cycle_graph, path_graph
 
-from shared import cone, full_simplex, is_face, join, skeleton
+from shared import cone, faces, full_simplex, is_face, join, skeleton
 
 # ---------------------------------------------------------------------------
 # constructions only these tests use: face counts, deleted joins,
@@ -19,7 +19,7 @@ from shared import cone, full_simplex, is_face, join, skeleton
 
 
 def face_count(k, budget=FACE_BUDGET):
-    return len(k.faces(budget))
+    return len(faces(k, budget))
 
 
 def f_vector(k, budget=FACE_BUDGET):
@@ -27,7 +27,7 @@ def f_vector(k, budget=FACE_BUDGET):
     if k.is_void():
         return []
     out = [0] * (k.dim() + 1)
-    for f in k.faces(budget):
+    for f in faces(k, budget):
         if f:
             out[len(f) - 1] += 1
     return out
@@ -42,13 +42,13 @@ def deleted_join_faces(k: SimplicialComplex, q, budget=FACE_BUDGET):
     faces of k (the empty tuple component is allowed)."""
     if q < 1:
         raise InputError("q must be positive")
-    faces = sorted(k.faces(budget), key=_face_key)
+    pool = sorted(faces(k, budget), key=_face_key)
     out = [()]
     for _ in range(q):
         nxt = []
         for partial in out:
             used = set().union(*partial) if partial else set()
-            for f in faces:
+            for f in pool:
                 if not (f & used):
                     nxt.append(partial + (f,))
                     if len(nxt) > budget:
@@ -135,7 +135,7 @@ def constraint_subcomplex(k: SimplicialComplex, partition, caps, budget=FACE_BUD
     if len(caps) != partition.m:
         raise InputError("need one cap per block")
     ok = []
-    for f in k.faces(budget):
+    for f in faces(k, budget):
         if all(sum(1 for v in f if v in set(b)) <= c
                for b, c in zip(partition.blocks, caps)):
             ok.append(f)
@@ -168,10 +168,10 @@ def test_void_vs_empty():
     assert void.is_void()
     with pytest.raises(InputError):
         void.dim()
-    assert void.faces() == set()
+    assert faces(void) == set()
     empty = SimplicialComplex([()])
     assert not empty.is_void() and empty.dim() == -1
-    assert empty.faces() == {frozenset()}
+    assert faces(empty) == {frozenset()}
 
 
 def test_faces_and_f_vector():
@@ -183,7 +183,7 @@ def test_faces_and_f_vector():
 
 def test_faces_budget():
     with pytest.raises(ResourceBudget):
-        full_simplex(range(1, 25)).faces(budget=1000)
+        faces(full_simplex(range(1, 25)), budget=1000)
 
 
 def test_independence_complex_matches_brute_force():
@@ -194,7 +194,7 @@ def test_independence_complex_matches_brute_force():
         edges = rng.sample(pool, min(len(pool), rng.randint(0, 9)))
         g = Graph(n, edges)
         k = independence_complex(g)
-        assert k.faces() == brute_independent_sets(g)
+        assert faces(k) == brute_independent_sets(g)
 
 
 def test_independence_complex_facets_are_the_maximal_independent_sets():
@@ -206,6 +206,22 @@ def test_independence_complex_facets_are_the_maximal_independent_sets():
         sets = brute_independent_sets(g)
         maximal = {f for f in sets if not any(f < h for h in sets)}
         assert set(independence_complex(g).facets) == maximal, trial
+
+
+def test_independence_complex_equals_the_filtering_constructor():
+    # Bron--Kerbosch facets skip the maximality filter; passing them
+    # through it must change nothing
+    rng = random.Random(13)
+    graphs = [cycle_graph(n) for n in range(3, 21)]
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        p = rng.random()
+        graphs.append(Graph(n, [e for e in combinations(range(1, n + 1), 2)
+                                if rng.random() < p]))
+    for g in graphs:
+        k = independence_complex(g)
+        ref = SimplicialComplex(k.facets, vertices=g.vertices)
+        assert (k.facets, k.vertices) == (ref.facets, ref.vertices), g.edges
 
 
 def test_independence_complex_needs_no_recursion():
@@ -251,10 +267,9 @@ def test_deleted_join_faces_vs_brute_force():
         k = independence_complex(g)
         for q in (2, 3):
             got = set(deleted_join_faces(k, q))
-            faces = sorted(brute_independent_sets(g),
-                           key=lambda f: sorted(f))
+            sets = sorted(brute_independent_sets(g), key=lambda f: sorted(f))
             expect = set()
-            for tup in _tuples(faces, q):
+            for tup in _tuples(sets, q):
                 flat = [v for f in tup for v in f]
                 if len(flat) == len(set(flat)):
                     expect.add(tup)
@@ -300,7 +315,7 @@ def test_constraint_subcomplex_caps():
     partition = VertexPartition([(1, 2, 3), (4, 5)], 5)
     k = full_simplex(range(1, 6))
     sigma = constraint_subcomplex(k, partition, [1, 2])
-    for f in sigma.faces():
+    for f in faces(sigma):
         f = set(f)
         assert len(f & {1, 2, 3}) <= 1 and len(f & {4, 5}) <= 2
     assert is_face(sigma, (1, 4, 5)) and not is_face(sigma, (1, 2))

@@ -1,18 +1,23 @@
+import io
+import json
 import random
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from itertools import combinations
 
 import pytest
 
 import fairsplit.homology as homology_module
-from fairsplit.complexes import SimplicialComplex, independence_complex
+from fairsplit.cli import main
+from fairsplit.complexes import (SimplicialComplex, independence_complex,
+                                 vertex_key)
 from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.graphs import Graph, cycle_graph
-from fairsplit.homology import (_faces_by_dim, boundary_matrix, homology,
-                                smith_diagonal)
+from fairsplit.homology import (_faces_by_dim, _matrix_bytes,
+                                boundary_matrix, homology, smith_diagonal)
 
-from shared import cone, full_simplex, skeleton
+from shared import cone, faces, full_simplex, skeleton
 
 
 def rank_of(mat):
@@ -46,7 +51,7 @@ class ChainComplexData:
 
 def chain_complex(k: SimplicialComplex):
     """The augmented integer chain complex of k, top dimension first index."""
-    by_dim = _faces_by_dim(k)
+    by_dim = _faces_by_dim(k, k.dim())
     mats = []
     for d in range(0, k.dim() + 1):
         mats.append(boundary_matrix(by_dim.get(d - 1, []),
@@ -254,17 +259,12 @@ def test_max_dim_builds_only_the_maps_it_reads(monkeypatch):
     assert built == [0, 1, 2]
 
 
-def _matrix_bytes(rows, cols):
-    return (rows * (cols + homology_module._ROW_ENTRIES)
-            * homology_module._BYTES_PER_ENTRY)
-
-
 def test_boundary_matrix_bytes_bound_the_measured_peak():
     # the stated bytes per entry, against tracemalloc, on every map of
     # Ind(C14) and on a tall one-column map
     tall = SimplicialComplex(list(combinations(range(40), 2)) + [(0, 1, 2)])
     for k in (independence_complex(cycle_graph(14)), tall):
-        by_dim = _faces_by_dim(k)
+        by_dim = _faces_by_dim(k, k.dim())
         for d in range(1, k.dim() + 1):
             lower, upper = by_dim[d - 1], by_dim[d]
             tracemalloc.start()
@@ -282,7 +282,7 @@ def test_boundary_matrix_bytes_bound_the_measured_peak():
 
 def test_boundary_matrices_are_sized_before_any_is_built(monkeypatch):
     k = independence_complex(cycle_graph(14))
-    by_dim = _faces_by_dim(k)
+    by_dim = _faces_by_dim(k, k.dim())
     largest = max(_matrix_bytes(len(by_dim[d - 1]), len(by_dim[d]))
                   for d in range(0, k.dim() + 1))
     want = homology(k)
@@ -305,3 +305,100 @@ def test_empty_complex():
     # only the empty face: no cells in dimension >= 0 at all
     k = SimplicialComplex([()])
     assert homology(k) == [(0, [])]
+
+
+# ---------------------------------------------------------------------------
+# the reference enumeration: every face of the complex, whatever max_dim is
+
+
+def _faces_by_dim_reference(k: SimplicialComplex):
+    by_dim = {}
+    for f in faces(k):
+        t = tuple(sorted(f, key=vertex_key))
+        by_dim.setdefault(len(t) - 1, []).append(t)
+    for d in by_dim:
+        by_dim[d].sort(key=lambda t: [vertex_key(v) for v in t])
+    return by_dim
+
+
+def _full_enumeration(monkeypatch):
+    """Make homology read every face, as it did before max_dim capped it."""
+    monkeypatch.setattr(homology_module, "_faces_by_dim",
+                        lambda k, top: _faces_by_dim_reference(k))
+
+
+def _random_complex(rng):
+    """Up to 6 random facets on up to 8 vertices, some labelled by strings."""
+    n = rng.randint(1, 8)
+    labels = [rng.choice([v, "v%d" % v]) for v in range(n)]
+    return [rng.sample(labels, rng.randint(1, min(n, 5)))
+            for _ in range(rng.randint(1, 6))]
+
+
+def _complexes_of_these_tests():
+    return [full_simplex([1]), SimplicialComplex([(1,), (2,)]),
+            SimplicialComplex([(1, 2), (1, 3), (2, 3)]),
+            skeleton(full_simplex(range(1, 5)), 2), full_simplex(range(1, 5)),
+            cone(SimplicialComplex([(1, 2), (1, 3), (2, 3)])),
+            SimplicialComplex([(1, 2, 3), (1, 3, 4), (1, 2, 6), (1, 4, 5),
+                               (1, 5, 6), (2, 3, 5), (2, 4, 5), (2, 4, 6),
+                               (3, 4, 6), (3, 5, 6)]),
+            independence_complex(cycle_graph(6)),
+            independence_complex(cycle_graph(14)), SimplicialComplex([()])]
+
+
+def test_faces_by_dim_is_the_full_enumeration_cut_at_top():
+    rng = random.Random(44)
+    ks = _complexes_of_these_tests()
+    ks += [SimplicialComplex(_random_complex(rng)) for _ in range(100)]
+    for k in ks:
+        full = _faces_by_dim_reference(k)
+        for top in range(-1, k.dim() + 1):
+            want = {d: faces for d, faces in full.items() if d <= top}
+            assert _faces_by_dim(k, top) == want, (k.facets, top)
+
+
+def test_max_dim_reports_match_the_full_enumeration(monkeypatch):
+    ks = _complexes_of_these_tests()
+    got = [[homology(k, d) for d in range(-1, k.dim() + 3)] for k in ks]
+    _full_enumeration(monkeypatch)
+    assert got == [[homology(k, d) for d in range(-1, k.dim() + 3)] for k in ks]
+
+
+def test_max_dim_cli_bytes_match_the_full_enumeration(monkeypatch, tmp_path):
+    rng = random.Random(45)
+    cases = []
+    for i in range(100):
+        path = tmp_path / ("k%d.json" % i)
+        facets = _random_complex(rng)
+        path.write_text(json.dumps({"schema": "complex/1", "facets": facets}))
+        top = max(len(f) for f in facets) - 1
+        for d in [None] + list(range(-1, top + 3)):
+            flag = [] if d is None else ["--max-dim", str(d)]
+            cases.append(["homology", "--input", str(path)] + flag)
+
+    def outputs():
+        runs = []
+        for argv in cases:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            runs.append((code, out.getvalue(), err.getvalue()))
+        return runs
+
+    got = outputs()
+    assert all(code == 0 for code, _, _ in got)
+    _full_enumeration(monkeypatch)
+    assert got == outputs()
+
+
+def test_face_budget_counts_only_the_faces_enumerated(monkeypatch):
+    # the 6-vertex simplex has 1 + 6 + 15 + 20 + 15 faces of up to 4
+    # vertices; max_dim = 2 reads exactly those
+    k = full_simplex(range(1, 7))
+    monkeypatch.setattr(homology_module, "FACE_BUDGET", 57)
+    assert homology(k, max_dim=2) == [(0, []), (0, []), (0, [])]
+    monkeypatch.setattr(homology_module, "FACE_BUDGET", 56)
+    assert homology(k, max_dim=1) == [(0, []), (0, [])]
+    with pytest.raises(ResourceBudget, match="face budget 56 exceeded"):
+        homology(k, max_dim=2)
