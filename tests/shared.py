@@ -2,9 +2,9 @@
 
 No command of the package needs them, so they live with the tests: complex
 constructions (simplices, skeleta, joins, cones), their face enumeration and
-the face test, the scalar constraint-map
-rule the vectorised one is checked against, the parameter triples and vertex
-orders the constraint-map tests sweep, and small graph and splitting helpers.
+the face test, the scalar constraint-map rule the vectorised one is checked
+against, the parameter triples and vertex orders the constraint-map tests
+sweep, and small graph and splitting helpers.
 """
 
 import itertools
