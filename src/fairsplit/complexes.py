@@ -3,17 +3,20 @@
 The package builds two kinds of complex: the independence complex of a
 graph, and a complex read from a complex/1 document (serial.complex_load).
 Vertices may be integers, strings, or (nested) tuples; a complex keeps its
-facets reduced to maximal faces and sorted canonically.  Faces are
-enumerated only by homology, under FACE_BUDGET, so that a runaway complex
-raises ResourceBudget instead of eating the machine.
+facets reduced to maximal faces and sorted canonically.
 """
 
 from __future__ import annotations
 
-from .errors import InputError, ResourceBudget
+from .errors import InputError
 from .graphs import Graph
 
 FACE_BUDGET = 10 ** 7
+
+# The maximality filter indexes one block of this many faces at a time by
+# vertex, as bitmasks over the block: at most _BLOCK / 8 bytes per vertex of
+# the block's faces, however many faces there are.
+_BLOCK = 1024
 
 
 def vertex_key(v):
@@ -29,6 +32,39 @@ def _face_key(f):
     return (len(f), tuple(sorted(vertex_key(v) for v in f)))
 
 
+def _maximal(faces):
+    """The faces of the set `faces` that lie in no other of them.
+
+    Each face is listed under one of its vertices.  In a block of faces, a
+    vertex's mask has the bits of the block's faces through it; a face listed
+    under a vertex of the block ANDs the masks of its vertices, and the bits
+    left are the block's faces that contain it."""
+    if len(faces) > 1:
+        faces.discard(frozenset())
+    faces = list(faces)
+    listed = {}
+    for j, f in enumerate(faces):
+        for v in f:
+            listed.setdefault(v, []).append(j)
+            break
+    inside = set()
+    for lo in range(0, len(faces), _BLOCK):
+        hi = min(lo + _BLOCK, len(faces))
+        masks = {}
+        for i in range(lo, hi):
+            for v in faces[i]:
+                masks[v] = masks.get(v, 0) | 1 << (i - lo)
+        for v in masks:
+            for j in listed.get(v, ()):
+                m = masks[v]
+                for u in faces[j]:
+                    m &= masks.get(u, 0)
+                # a face in the block finds itself too
+                if m != (1 << (j - lo) if lo <= j < hi else 0):
+                    inside.add(j)
+    return [f for j, f in enumerate(faces) if j not in inside]
+
+
 class SimplicialComplex:
     """A complex given by its facets; the empty face is always a face.
 
@@ -37,19 +73,7 @@ class SimplicialComplex:
     """
 
     def __init__(self, facets, vertices=None):
-        fs = {frozenset(f) for f in facets}
-        self._store([f for f in fs if not any(f < g for g in fs)], vertices)
-
-    @classmethod
-    def _of_maximal(cls, facets, vertices):
-        """The complex of facets that are already distinct and maximal, as
-        a producer such as Bron--Kerbosch guarantees: skips __init__'s
-        O(F^2) maximality filter."""
-        k = cls.__new__(cls)
-        k._store([frozenset(f) for f in facets], vertices)
-        return k
-
-    def _store(self, maximal, vertices):
+        maximal = _maximal({frozenset(f) for f in facets})
         self.facets = tuple(sorted(maximal, key=_face_key))
         implied = set().union(*maximal) if maximal else set()
         if vertices is None:
@@ -120,4 +144,4 @@ def independence_complex(g: Graph):
             stack.append(frame(r | low, p, x))
         elif not x:
             out.append(tuple(_bits(r | low)))
-    return SimplicialComplex._of_maximal(out, g.vertices)
+    return SimplicialComplex(out, vertices=g.vertices)

@@ -5,7 +5,8 @@ pivots are chosen by smallest absolute value to keep entries tame.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 
 from .complexes import FACE_BUDGET, SimplicialComplex, vertex_key
 from .errors import MEMORY_LIMIT, InputError, ResourceBudget
@@ -13,32 +14,28 @@ from .errors import MEMORY_LIMIT, InputError, ResourceBudget
 # A dense boundary matrix is a list of rows, each a list of small cached
 # ints, and smith_diagonal works on a copy: two 8-byte pointers per entry.
 # Each row also costs as much as _ROW_ENTRIES more entries: its list header,
-# and the index of the lower faces while the matrix is filled.  Each column
-# costs _COL_ENTRIES more: smith_diagonal's list of the pivot row's nonzero
-# positions, whose ints past the small-int cache are objects of their own.
+# and the index of the lower faces while the matrix is filled.
 _BYTES_PER_ENTRY = 16
 _ROW_ENTRIES = 9
-_COL_ENTRIES = 3
-
-
-def _matrix_bytes(rows, cols):
-    """The bytes a rows x cols boundary matrix takes at its peak in
-    smith_diagonal, as measured."""
-    return (rows * (cols + _ROW_ENTRIES) + _COL_ENTRIES * cols) * _BYTES_PER_ENTRY
 
 
 def _faces_by_dim(k: SimplicialComplex, top):
     """The faces of dimensions -1..top of a non-void complex, by dimension,
     each a tuple sorted by vertex_key and each dimension's list sorted.  Only
-    these faces are enumerated, and they count against FACE_BUDGET."""
+    these faces are enumerated, and they count against FACE_BUDGET: no more
+    than one face past it is ever held, however large a facet is."""
     by_dim = {-1: [()]}
     facets = [sorted(f, key=vertex_key) for f in k.facets]
     count = 1
     for d in range(0, top + 1):
         faces = set()
         for f in facets:
-            if len(f) > d:
-                faces.update(combinations(f, d + 1))
+            subsets, todo = combinations(f, d + 1), comb(len(f), d + 1)
+            while todo:
+                # one face past the budget is enough to refuse
+                step = min(todo, FACE_BUDGET - count - len(faces) + 1)
+                faces.update(islice(subsets, step))
+                todo -= step
                 if count + len(faces) > FACE_BUDGET:
                     raise ResourceBudget("face budget %d exceeded" % FACE_BUDGET)
         count += len(faces)
@@ -76,8 +73,6 @@ def smith_diagonal(mat):
         best, small = None, 0
         for i in range(top, rows):
             row = a[i]
-            if not any(row[top:]):
-                continue
             for j in range(top, cols):
                 if row[j] and (best is None or abs(row[j]) < small):
                     best, small = (i, j), abs(row[j])
@@ -93,26 +88,19 @@ def smith_diagonal(mat):
             row[top], row[bj] = row[bj], row[top]
         p = a[top][top]
         dirty = False
-        # boundary matrices are sparse: each pass reads only the nonzero
-        # entries of the pivot row (which the row pass leaves as they are)
-        # and of the pivot column
-        prow = a[top]
-        pivot_row = [j for j in range(top, cols) if prow[j]]
         for i in range(top + 1, rows):
-            row = a[i]
-            if row[top]:
-                f = row[top] // p
-                for j in pivot_row:
-                    row[j] -= f * prow[j]
-                if row[top]:
+            if a[i][top]:
+                f = a[i][top] // p
+                for j in range(top, cols):
+                    a[i][j] -= f * a[top][j]
+                if a[i][top]:
                     dirty = True
-        pivot_col = [i for i in range(top, rows) if a[i][top]]
-        for j in pivot_row[1:]:
-            if prow[j]:
-                f = prow[j] // p
-                for i in pivot_col:
+        for j in range(top + 1, cols):
+            if a[top][j]:
+                f = a[top][j] // p
+                for i in range(top, rows):
                     a[i][j] -= f * a[i][top]
-                if prow[j]:
+                if a[top][j]:
                     dirty = True
         if dirty:
             continue
@@ -151,7 +139,7 @@ def homology(k: SimplicialComplex, max_dim=None):
     dims = range(0, last + 1)
     for d in dims:
         rows, cols = len(by_dim[d - 1]), len(by_dim[d])
-        if _matrix_bytes(rows, cols) > MEMORY_LIMIT:
+        if rows * (cols + _ROW_ENTRIES) * _BYTES_PER_ENTRY > MEMORY_LIMIT:
             raise ResourceBudget(
                 "the %d x %d boundary matrix of dimension %d passes the memory "
                 "limit of %d bytes" % (rows, cols, d, MEMORY_LIMIT))

@@ -1,11 +1,13 @@
 """Simplicial complex plumbing checked against direct subset enumeration."""
 
 import random
+import tracemalloc
 from itertools import combinations, permutations
 from math import factorial
 
 import pytest
 
+import fairsplit.complexes as complexes_module
 from fairsplit.complexes import (FACE_BUDGET, SimplicialComplex,
                                  _face_key, independence_complex, vertex_key)
 from fairsplit.errors import InputError, ResourceBudget
@@ -208,9 +210,28 @@ def test_independence_complex_facets_are_the_maximal_independent_sets():
         assert set(independence_complex(g).facets) == maximal, trial
 
 
-def test_independence_complex_equals_the_filtering_constructor():
-    # Bron--Kerbosch facets skip the maximality filter; passing them
-    # through it must change nothing
+def _maximal_reference(facets):
+    fs = {frozenset(f) for f in facets}
+    return {f for f in fs if not any(f < g for g in fs)}
+
+
+@pytest.mark.parametrize("block", [1, 3, complexes_module._BLOCK])
+def test_facets_are_the_maximal_faces_given(monkeypatch, block):
+    # the indexed maximality filter against the pairwise one, on facet lists
+    # with repeats, non-maximal and empty faces and mixed labels, one block
+    # and many
+    monkeypatch.setattr(complexes_module, "_BLOCK", block)
+    rng = random.Random(14)
+    for trial in range(300):
+        n = rng.randint(1, 9)
+        labels = [rng.choice([v, "v%d" % v]) for v in range(n)]
+        facets = [rng.sample(labels, rng.randint(0, n))
+                  for _ in range(rng.randint(0, 12))]
+        k = SimplicialComplex(facets)
+        assert set(k.facets) == _maximal_reference(facets), (trial, facets)
+
+
+def test_independence_complex_equals_the_pairwise_filter():
     rng = random.Random(13)
     graphs = [cycle_graph(n) for n in range(3, 21)]
     for _ in range(200):
@@ -220,8 +241,23 @@ def test_independence_complex_equals_the_filtering_constructor():
                                 if rng.random() < p]))
     for g in graphs:
         k = independence_complex(g)
-        ref = SimplicialComplex(k.facets, vertices=g.vertices)
-        assert (k.facets, k.vertices) == (ref.facets, ref.vertices), g.edges
+        assert set(k.facets) == _maximal_reference(k.facets), g.edges
+        assert k.vertices == tuple(g.vertices)
+
+
+def test_maximality_filter_holds_a_block_of_masks():
+    # 20,000 one-vertex facets: masks over every facet would take about
+    # 25 MB; over blocks of 1,024 they take a few kB
+    facets = [(v,) for v in range(20_000)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        k = SimplicialComplex(facets)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(k.facets) == 20_000
+    assert peak < 12_000_000, peak
 
 
 def test_independence_complex_needs_no_recursion():

@@ -14,8 +14,8 @@ from fairsplit.complexes import (SimplicialComplex, independence_complex,
                                  vertex_key)
 from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.graphs import Graph, cycle_graph
-from fairsplit.homology import (_faces_by_dim, _matrix_bytes,
-                                boundary_matrix, homology, smith_diagonal)
+from fairsplit.homology import (_faces_by_dim, boundary_matrix, homology,
+                                smith_diagonal)
 
 from shared import cone, faces, full_simplex, skeleton
 
@@ -259,6 +259,11 @@ def test_max_dim_builds_only_the_maps_it_reads(monkeypatch):
     assert built == [0, 1, 2]
 
 
+def _matrix_bytes(rows, cols):
+    return (rows * (cols + homology_module._ROW_ENTRIES)
+            * homology_module._BYTES_PER_ENTRY)
+
+
 def test_boundary_matrix_bytes_bound_the_measured_peak():
     # the stated bytes per entry, against tracemalloc, on every map of
     # Ind(C14) and on a tall one-column map
@@ -402,3 +407,19 @@ def test_face_budget_counts_only_the_faces_enumerated(monkeypatch):
     assert homology(k, max_dim=1) == [(0, []), (0, [])]
     with pytest.raises(ResourceBudget, match="face budget 56 exceeded"):
         homology(k, max_dim=2)
+
+
+def test_face_budget_stops_a_large_facet_before_listing_its_faces(monkeypatch):
+    # one 40-vertex facet has 1 + 40 + 780 faces of up to 2 vertices, which
+    # fit a budget of 1,000, and C(40, 3) = 9,880 of 3 vertices: enumeration
+    # must stop one face past the budget, not after listing all of those
+    k = full_simplex(range(40))
+    monkeypatch.setattr(homology_module, "FACE_BUDGET", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudget, match="face budget 1000 exceeded"):
+            homology(k, max_dim=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000, peak
