@@ -14,8 +14,8 @@ from .graphs import Graph
 FACE_BUDGET = 10 ** 7
 
 # The maximality filter indexes one block of this many faces at a time by
-# vertex, as bitmasks over the block: at most _BLOCK / 8 bytes per vertex of
-# the block's faces, however many faces there are.
+# vertex, as bitmasks over the block: one mask of at most _BLOCK bits per
+# vertex of the block's faces, however many faces there are.
 _BLOCK = 1024
 
 
