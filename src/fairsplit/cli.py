@@ -20,8 +20,8 @@ from .errors import ContractError, InputError, ResourceBudget, check_size
 from .geometry import (gale_alternating, hulls_intersect, moment_points,
                        stretched_moment_points, strong_general_position_check,
                        tverberg_search)
-from .graphs import (FAMILIES, consecutive_partition, generate_family,
-                     path_graph, single_block_partition)
+from .graphs import (FAMILIES, Graph, consecutive_partition, generate_family,
+                     single_block_partition)
 from .homology import homology
 from .kneser import (KneserInstance, build_hypergraph, chromatic_formula,
                      chromatic_number, splitting_from_coloring)
@@ -202,7 +202,7 @@ def cmd_compose(args):
         splitting, stability = compose(n, partition, outer, inner)
         q = args.q1 * args.q2
     spec = SplittingSpec(q=q, flavor="almost_fair", stability=stability)
-    cert = check_splitting(path_graph(n), partition, splitting, spec)
+    cert = check_splitting(Graph(n, ()), partition, splitting, spec)
     doc = {"schema": "compose/1", "q": q, "stability": stability,
            "splitting": splitting_dump(splitting), "certificate": cert.to_json()}
     return (0 if cert.ok else 1), doc

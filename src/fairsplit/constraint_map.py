@@ -28,12 +28,14 @@ The two checks:
                        is a search for an inclusion chain of unconstrained
                        faces whose directions cover 1..q, done by a numpy DP
                        that keeps, for every face, the set of direction
-                       masks its chains can carry as a 2^q-bit bitset, and
-                       fills it in one support at a time.  Every face of
-                       fewer than k vertices is constrained, and every level
-                       from k to n holds an unconstrained face, so the DP
-                       starts at level k; with fewer than q such levels no
-                       chain can carry q directions (the short circuit).
+                       masks its chains can carry as a 2^q-bit bitset in one
+                       machine word (q <= 6), fills it in one support at a
+                       time, and stops at the first face topping such a
+                       chain.  Every face of fewer than k vertices is
+                       constrained, and every level from k to n holds an
+                       unconstrained face, so the DP starts at level k; with
+                       fewer than q such levels no chain can carry q
+                       directions (the short circuit).
 
   verify_equivariance  d(pi F) = pi(d(F)) for slot permutations pi; the
                        adjacent transpositions generate the full symmetric
@@ -118,6 +120,10 @@ _EQUIVARIANCE_BYTES_PER_FACE = 5
 
 
 def _zero_set_bytes_per_face(q):
+    """The fewest faces past the short circuit are (q+1)^(q+1), at (q, 2,
+    q-1); at q = 7 that is 8^8 faces at 36 bytes, 604 MB, and both factors
+    grow with q.  So MEMORY_LIMIT refuses every zero set of q >= 7, and a
+    reach bitset is one word of at most 64 bits."""
     return 4 + 2 * max(1, (1 << q) // 8)
 
 
@@ -202,46 +208,32 @@ def _witness_chain(dirs, top, need_mask):
 
 def _closure_tables(q):
     """Tables that add a face's direction d to its bitset of direction masks
-    (bit m = mask m, in words of at most 64 bits): the masks without d,
-    acc & keep[d], move up by 2^(d-1), which is a shift by shift[d] inside a
-    word or the word permutation perm[d] across words.  Row 0, for
-    constrained faces, moves nothing."""
+    (bit m = mask m, in one word of max(8, 2^q) bits): the masks without d,
+    acc & keep[d], move up by shift[d] = 2^(d-1).  Row 0, for constrained
+    faces, moves nothing."""
     import numpy as np
-    bits = 1 << q
-    word_bits = min(bits, 64)
-    words = bits // word_bits
-    keep = np.zeros((q + 1, words), dtype=np.dtype("uint%d" % max(8, word_bits)))
+    keep = np.zeros(q + 1, dtype=np.dtype("uint%d" % max(8, 1 << q)))
     shift = np.zeros(q + 1, dtype=np.uint8)
-    perm = np.tile(np.arange(words), (q + 1, 1))
     for d in range(1, q + 1):
-        b = 1 << (d - 1)
-        for w in range(words):
-            keep[d, w] = sum(1 << p for p in range(word_bits)
-                             if not (w * word_bits + p) & b)
-        if b < word_bits:
-            shift[d] = b
-        else:
-            perm[d] ^= b // word_bits
-    return keep, shift, perm
+        shift[d] = b = 1 << (d - 1)
+        keep[d] = sum(1 << m for m in range(1 << q) if not m & b)
+    return keep, shift
 
 
 def _add_directions(acc, fdir, tables):
     """acc[F] |= {m | 2^(d-1) : m in acc[F]} with d = fdir[F], in place."""
-    import numpy as np
-    keep, shift, perm = tables
+    keep, shift = tables
     moved = keep[fdir]
     moved &= acc
-    if perm.shape[1] > 1:
-        moved = np.take_along_axis(moved, perm[fdir], axis=-1)
-    moved <<= shift[fdir][..., None]
+    moved <<= shift[fdir]
     acc |= moved
 
 
-def _rainbow_faces(inst, dirs, start, enough):
-    """The first `enough` unconstrained faces F, in enumeration order, that
-    top an inclusion chain of unconstrained faces whose directions cover
-    1..q, and how many faces the enumeration reads up to the last of them
-    (all of them if fewer are found).
+def _first_rainbow_face(inst, dirs, start):
+    """The first unconstrained face F, in enumeration order, that tops an
+    inclusion chain of unconstrained faces whose directions cover 1..q, or
+    None; and how many faces the enumeration reads up to it (all of them if
+    there is none).
 
     reach[F] is the set of masks of directions carried by chains of
     unconstrained faces inside F (the empty chain included): the union of
@@ -254,12 +246,10 @@ def _rainbow_faces(inst, dirs, start, enough):
     import numpy as np
     q, n = inst.q, inst.n
     tables = _closure_tables(q)
-    reach = np.zeros(dirs.shape + tables[0].shape[1:], dtype=tables[0].dtype)
-    reach[..., 0] = 1
-    top = reach.dtype.type(min(1 << q, 64) - 1)  # the full mask's bit
-    found = []
+    reach = np.ones(dirs.shape, dtype=tables[0].dtype)
+    top = reach.dtype.type((1 << q) - 1)  # the full mask's bit
     processed = sum(math.comb(n, s) * q ** s for s in range(start))
-    for s in range(start, n + 1):
+    for s in range(start, n + 1):  # start = k >= 1, so every slice is a view
         for support in itertools.combinations(range(n), s):
             at = [0] * n
             for v in support:
@@ -277,23 +267,22 @@ def _rainbow_faces(inst, dirs, start, enough):
                 # covering 1..q holds q of them, of distinct sizes from level
                 # `start` up
                 if s >= start + q - 1:
-                    for f in np.flatnonzero(acc[..., -1] >> top):
+                    hits = np.flatnonzero(acc >> top)
+                    if hits.size:
                         digits = [0] * n
-                        for v, a in zip(support, np.unravel_index(f, (q,) * s)):
+                        for v, a in zip(support, np.unravel_index(hits[0], (q,) * s)):
                             digits[v] = int(a) + 1
-                        found.append(tuple(digits))
-                        if len(found) == enough:
-                            return found, processed + int(f) + 1
+                        return tuple(digits), processed + int(hits[0]) + 1
             processed += q ** s
-    return found, processed
+    return None, processed
 
 
-def verify_zero_set(inst, budget=FACE_BUDGET, max_witnesses=1):
+def verify_zero_set(inst, budget=FACE_BUDGET):
     """Search for an inclusion chain of unconstrained faces whose directions
     cover all of 1..q; an empty violations list proves the map's zero set
-    stays inside the constrained region.  Reports the first max_witnesses
-    violating faces in enumeration order (size, support, assignment), with
-    faces_processed counted up to the last one as a face-by-face scan would."""
+    stays inside the constrained region.  Reports the first violating face
+    in enumeration order (size, support, assignment), with faces_processed
+    counted up to it as a face-by-face scan would."""
     q, k = inst.q, inst.k
     # the levels (face sizes) holding an unconstrained face are k..n: a face
     # of k or more vertices can put k of them in one slot, and a smaller one
@@ -309,11 +298,10 @@ def verify_zero_set(inst, budget=FACE_BUDGET, max_witnesses=1):
     if report.short_circuit:
         return report
     dirs = _directions_array(inst).reshape((q + 1,) * inst.n)
-    found, report.faces_processed = _rainbow_faces(inst, dirs, k,
-                                                   max(1, max_witnesses))
-    for digits in found:
+    face, report.faces_processed = _first_rainbow_face(inst, dirs, k)
+    if face is not None:
         report.violations.append(
-            [list(f) for f in _witness_chain(dirs, digits, (1 << q) - 1)])
+            [list(f) for f in _witness_chain(dirs, face, (1 << q) - 1)])
     return report
 
 
@@ -383,7 +371,7 @@ def _directions_array(inst):
     import numpy as np
     q, k, t, n = inst.q, inst.k, inst.t, inst.n
     base = q + 1
-    dtype = np.int8 if q <= 127 else np.int64
+    dtype = np.int8  # MEMORY_LIMIT admits q <= 9, n <= 16
     slots = np.arange(1, base, dtype=dtype)[:, None]
     unit = np.eye(q, base, 1, dtype=dtype)[:, :, None]
     size = np.ones((q, 1), dtype=dtype)

@@ -203,6 +203,8 @@ def tverberg_search(config, q, target_dim=None, budget=500000):
     """First partition of all the labels into q nonempty parts whose convex
     hulls share a point, as (parts, common_point); None when no partition
     works."""
+    if q < 1:
+        raise InputError("q must be positive")
     if target_dim is not None and target_dim != config.dim:
         raise InputError("configuration lives in dimension %d, not %d"
                          % (config.dim, target_dim))

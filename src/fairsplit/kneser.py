@@ -89,15 +89,14 @@ class Hypergraph:
     edges: list     # sorted tuples of vertex indices
 
 
-def build_hypergraph(inst: KneserInstance, vertex_budget=VERTEX_BUDGET,
-                     edge_budget=EDGE_BUDGET):
+def build_hypergraph(inst: KneserInstance):
     """The hyperedges in lexicographic order of vertex indices, by a
     depth-first search over partial families on an explicit stack.  A family
     is dropped when fewer elements are unused than its missing sets need, or
     fewer candidate vertices are left than it misses; every family visited,
-    complete or not, is charged to edge_budget."""
+    complete or not, is charged to EDGE_BUDGET."""
     count = stable_subset_count(inst.n, inst.k, inst.q, inst.stability)
-    if count > vertex_budget:
+    if count > VERTEX_BUDGET:
         raise ResourceBudget("%d vertices exceed the budget" % count)
     verts = stable_subsets(inst.n, inst.k, inst.q, inst.stability)
     if inst.k == 0:
@@ -111,7 +110,7 @@ def build_hypergraph(inst: KneserInstance, vertex_budget=VERTEX_BUDGET,
     while stack:
         start, chosen, used = stack.pop()
         visited += 1
-        if visited > edge_budget:
+        if visited > EDGE_BUDGET:
             raise ResourceBudget("edge budget exceeded")
         need = inst.q - len(chosen)
         if need == 0:
@@ -281,8 +280,8 @@ def chromatic_number(h: Hypergraph, budget=20_000_000):
         witness, nodes = _colorable(h, c, pre, budget - spent)
         spent += nodes
         if witness is not None:
-            if not is_proper(h, witness):
-                raise ContractError("witness coloring is not proper")
+            if not is_proper(h, witness):  # a fault of the search, not a verdict
+                raise AssertionError("witness coloring is not proper")
             return c, witness
     raise AssertionError("unreachable: nv colors always suffice")
 

@@ -221,6 +221,18 @@ def test_geometry_tverberg(capsys, tmp_path):
     assert code == 1 and doc["parts"] is None
 
 
+@pytest.mark.parametrize("q", ["0", "-2"])
+def test_geometry_tverberg_rejects_q_below_one(capsys, tmp_path, q):
+    # no partition into q < 1 parts is meaningful, so there is no negative
+    # to prove: an input error, as for --op sgp
+    pts = line_points(tmp_path, "p3.json", [1, 2, 3])
+    for op in ("tverberg", "sgp"):
+        code, doc, err = run(capsys, "geometry", "--op", op, "--points", pts,
+                             "--q", q)
+        assert code == 2 and doc is None
+        assert err == "input error: q must be positive\n"
+
+
 def test_geometry_sgp(capsys, tmp_path):
     pts = line_points(tmp_path, "p3.json", [1, 2, 3])
     code, doc, _ = run(capsys, "geometry", "--op", "sgp",
@@ -419,6 +431,15 @@ def test_compose_general_pair(capsys):
     code, doc, _ = run(capsys, "compose", "--n", "15", "--blocks", "15",
                        "--q1", "2", "--q2", "2")
     assert code == 0 and doc["q"] == 4
+
+
+def test_compose_one_stable_pair_is_not_held_to_path_independence(capsys):
+    # 1-stable sets claim no independence in the path, so the certificate
+    # is checked on the edgeless graph, as every compose stage is
+    code, doc, _ = run(capsys, "compose", "--n", "15", "--q1", "2", "--q2", "2",
+                       "--s1", "1", "--s2", "1")
+    assert code == 0 and doc["stability"] == 1
+    assert doc["certificate"]["ok"] is True
 
 
 def test_compose_needs_a_mode(capsys):
@@ -646,6 +667,16 @@ def test_self_rejected_certificate_is_internal_error(capsys, monkeypatch, cycle6
     assert code == 4 and doc is None
     assert err == ("internal error: AssertionError: search produced a splitting "
                    "its own certificate rejects\n")
+
+
+def test_improper_chromatic_witness_is_internal_error(capsys, monkeypatch):
+    # chromatic_number rejecting its own coloring is a fault, not exit 1
+    import fairsplit.kneser as kneser
+
+    monkeypatch.setattr(kneser, "is_proper", lambda h, colors: False)
+    code, doc, err = run(capsys, "kneser-chi", "--n", "5", "--k", "2", "--q", "2")
+    assert code == 4 and doc is None
+    assert err == "internal error: AssertionError: witness coloring is not proper\n"
 
 
 def test_json_booleans_are_not_integers(capsys, tmp_path):

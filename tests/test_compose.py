@@ -5,7 +5,9 @@ import pytest
 from fairsplit.compose import (SplitterSpec, _reverify, compose,
                                power_of_two_splitting, solver_base_splitter)
 from fairsplit.errors import ContractError, InputError
-from fairsplit.graphs import VertexPartition, consecutive_partition, power_path
+from fairsplit.graphs import (VertexPartition, consecutive_partition, power_path,
+                              single_block_partition)
+from fairsplit.solver import SearchProblem, find_splitting
 from fairsplit.splitting import Splitting, SplittingSpec, check_splitting
 
 
@@ -215,3 +217,37 @@ def test_power_of_two_loop_matches_nested_composition(t):
                             range(3, n + 1, 3)], n)
     assert (power_of_two_splitting(n, part, t).sets
             == _power_of_two_reference(n, part, t).sets)
+
+
+@pytest.mark.parametrize("q,s", [(2, 2), (2, 3), (3, 3), (2, 4), (3, 2)])
+def test_base_splitter_matches_the_power_path_search(q, s):
+    # the label gap s on the edgeless graph kills the same later positions
+    # as the edges of the (s-1)-th path power, so the search finds the same
+    # first splitting
+    for sizes in ([3 * q * s], [q * s, q * s + 3], [2 * q, 3 * q + 1, q * s]):
+        part = consecutive_partition(sizes)
+        n = sum(sizes)
+        spec = SplittingSpec(q=q, flavor="almost_fair", stability=s)
+        want = find_splitting(SearchProblem(partition=part, spec=spec,
+                                            graph=power_path(n, s - 1)))
+        try:
+            got = solver_base_splitter(q, s).run(n, part)
+        except ContractError:
+            assert want.status == "exhausted_none", sizes
+            continue
+        assert want.status == "found" and got == want.splitting, sizes
+
+
+def test_power_of_two_builds_no_path_power():
+    # level 10's 1024-stable check on 1,023 vertices through the path's
+    # 1,023rd power (522,753 edges) peaked at 146 MB under tracemalloc; with
+    # the label gap the whole run peaks near 1.1 MB
+    part = single_block_partition(1023)
+    tracemalloc.start()
+    try:
+        splitting = power_of_two_splitting(1023, part, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(splitting.sets) == 1024
+    assert peak < 8 * 2 ** 20, peak

@@ -159,9 +159,9 @@ def _verify_equivariance_python(inst, perms, report, direction=face_direction):
                     return
 
 
-def _verify_zero_set_python(inst, direction=face_direction, max_witnesses=1):
+def _verify_zero_set_python(inst, direction=face_direction):
     """Per-face DP over antichains of direction masks, faces enumerated by
-    size, then support, then slot assignment."""
+    size, then support, then slot assignment, up to the first violation."""
     q, n = inst.q, inst.n
     levels = _levels_with_unconstrained(inst)
     report = ZeroSetReport(q, inst.k, inst.t, inst.vertex_order,
@@ -198,9 +198,8 @@ def _verify_zero_set_python(inst, direction=face_direction, max_witnesses=1):
                         report.violations.append(
                             [list(f) for f in _witness_chain_reference(
                                 inst, digits, full, direction)])
-                        if len(report.violations) >= max_witnesses:
-                            report.faces_processed = processed
-                            return report
+                        report.faces_processed = processed
+                        return report
                 down = [m for m in down
                         if not any(m != o and m | o == o for o in down)]
                 if down:
@@ -242,47 +241,31 @@ def _enumeration_rank(digits, q):
     return rank + comb_rank * q ** s + assign_rank
 
 
-def _add_direction(masks, b, word_bits):
-    """{m | 2^b : m in X} for each row X of `masks`, a bitset over direction
-    masks (bit m of the row = mask m), stored as (rows, words)."""
+def _add_direction(masks, b):
+    """{m | 2^b : m in X} for each entry X of `masks`, a bitset over direction
+    masks (bit m = mask m) in one word."""
     shift = 1 << b
-    if shift < word_bits:
-        keep = sum(1 << p for p in range(word_bits) if p & shift)
-        keep = masks.dtype.type(keep)
-        return (masks & keep) | ((masks & ~keep) << masks.dtype.type(shift))
-    step = shift // word_bits
-    out = np.zeros_like(masks)
-    for w in range(masks.shape[1]):
-        if w & step:
-            out[:, w] = masks[:, w] | masks[:, w ^ step]
-    return out
+    keep = masks.dtype.type(sum(1 << p for p in range(8 * masks.itemsize) if p & shift))
+    return (masks & keep) | ((masks & ~keep) << masks.dtype.type(shift))
 
 
-def _rainbow_faces_by_integer(inst, enough):
+def _first_rainbow_face_by_integer(inst):
     q, n = inst.q, inst.n
     base = q + 1
     weights = _face_weights(n, base)
     dirs = constraint_map._directions_array(inst)
-    bits = 1 << q
-    if bits <= 64:
-        dtype = np.dtype("uint%d" % max(8, bits))
-        words = 1
-    else:
-        dtype, words = np.dtype(np.uint64), bits // 64
-    word_bits = min(bits, 64)
-    full_word, full_bit = divmod(bits - 1, word_bits)
+    dtype = np.dtype("uint%d" % max(8, 1 << q))
+    full_bit = dtype.type((1 << q) - 1)
     ints = np.arange(dirs.size, dtype=np.int64)
     level = np.zeros(dirs.size, dtype=np.int8)
     for w in weights:
         level += ints // w % base != 0
     by_level = np.argsort(level, kind="stable")
     starts = np.concatenate(([0], np.cumsum(np.bincount(level, minlength=n + 1))))
-    reach = np.zeros((dirs.size, words), dtype=dtype)
-    found = []
+    reach = np.zeros(dirs.size, dtype=dtype)
     for s in range(n + 1):
         faces = by_level[starts[s]:starts[s + 1]]
-        acc = np.zeros((faces.size, words), dtype=dtype)
-        acc[:, 0] = 1
+        acc = np.ones(faces.size, dtype=dtype)
         for w in weights:
             digit = faces // w % base
             sub = np.nonzero(digit)[0]
@@ -291,17 +274,16 @@ def _rainbow_faces_by_integer(inst, enough):
         for d in range(1, q + 1):
             rows = np.nonzero(fdir == d)[0]
             if rows.size:
-                acc[rows] |= _add_direction(acc[rows], d - 1, word_bits)
+                acc[rows] |= _add_direction(acc[rows], d - 1)
         reach[faces] = acc
-        hit = (fdir != 0) & (acc[:, full_word] >> dtype.type(full_bit) & dtype.type(1) != 0)
-        found += sorted((_face_digits(int(f), weights, base) for f in faces[hit]),
-                        key=lambda digits: _enumeration_rank(digits, q))
-        if len(found) >= enough:
-            break
-    return found
+        hit = (fdir != 0) & (acc >> full_bit != 0)
+        if hit.any():
+            return min((_face_digits(int(f), weights, base) for f in faces[hit]),
+                       key=lambda digits: _enumeration_rank(digits, q))
+    return None
 
 
-def _verify_zero_set_by_integer(inst, max_witnesses=1):
+def _verify_zero_set_by_integer(inst):
     q = inst.q
     levels = _levels_with_unconstrained(inst)
     report = ZeroSetReport(inst.q, inst.k, inst.t, inst.vertex_order,
@@ -309,25 +291,21 @@ def _verify_zero_set_by_integer(inst, max_witnesses=1):
     if len(levels) < q:
         report.short_circuit = True
         return report
-    enough = max(1, max_witnesses)
-    full = (1 << q) - 1
-    found = _rainbow_faces_by_integer(inst, enough)[:enough]
-    dirs = constraint_map._directions_array(inst).reshape((q + 1,) * inst.n)
-    for digits in found:
-        report.violations.append(
-            [list(f) for f in _witness_chain(dirs, digits, full)])
-    if len(found) == enough:
-        report.faces_processed = _enumeration_rank(found[-1], q) + 1
-    else:
+    found = _first_rainbow_face_by_integer(inst)
+    if found is None:
         report.faces_processed = inst.face_count()
+        return report
+    dirs = constraint_map._directions_array(inst).reshape((q + 1,) * inst.n)
+    report.violations.append(
+        [list(f) for f in _witness_chain(dirs, found, (1 << q) - 1)])
+    report.faces_processed = _enumeration_rank(found, q) + 1
     return report
 
 
 def _digit_rows(lo, hi, weights, base):
     """(n, hi - lo) matrix: row v holds digit v of the faces lo..hi-1."""
     ints = np.arange(lo, hi, dtype=np.int64)
-    dtype = np.int8 if base <= 127 else np.int64
-    return np.stack([(ints // w % base).astype(dtype) for w in weights])
+    return np.stack([(ints // w % base).astype(np.int8) for w in weights])
 
 
 def _directions_array_chunked(inst, chunk=1 << 20):
@@ -337,7 +315,7 @@ def _directions_array_chunked(inst, chunk=1 << 20):
     m = inst.face_count()
     base = q + 1
     weights = _face_weights(n, base)
-    dirs = np.zeros(m, dtype=np.int8 if q <= 127 else np.int64)
+    dirs = np.zeros(m, dtype=np.int8)
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
         digs = _digit_rows(lo, hi, weights, base)
@@ -371,7 +349,7 @@ def _directions_array_by_slot_sizes(inst):
         for _ in range(n - 1):
             size = np.add.outer(unit, size)
         sizes.append(size)
-    dirs = np.zeros((base,) * n, dtype=np.int8 if q <= 127 else np.int64)
+    dirs = np.zeros((base,) * n, dtype=np.int8)
     top = np.zeros_like(sizes[0])
     for size in sizes:
         np.maximum(top, size, out=top)
@@ -794,11 +772,10 @@ def test_zero_set_matches_python_reference():
 def test_zero_set_reports_a_wrong_rule_like_the_reference(monkeypatch, q, k, t):
     inst = ConstraintMapInstance(q, k, t)
     _use_rule(monkeypatch, inst, _first_vertex_rule)
-    for witnesses in (1, 3, 10 ** 6):
-        got = verify_zero_set(inst, max_witnesses=witnesses).to_json()
-        want = _verify_zero_set_python(inst, _first_vertex_rule,
-                                       max_witnesses=witnesses).to_json()
-        assert got == want and not got["ok"], (witnesses, got, want)
+    got = verify_zero_set(inst).to_json()
+    want = _verify_zero_set_python(inst, _first_vertex_rule).to_json()
+    assert got == want and not got["ok"], (got, want)
+    assert len(got["violations"]) == 1
 
 
 @pytest.mark.parametrize("q,k,t", [(3, 2, 2), (4, 2, 1), (4, 1, 1)])
@@ -834,28 +811,47 @@ def test_equivariance_tensor_matches_chunked_reference(q, k, t):
             assert reports[0].to_json() == reports[1].to_json(), (q, k, t, order)
 
 
-@pytest.mark.parametrize("q", [2, 3, 6, 7, 8])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
 def test_add_direction_matches_set_semantics(q):
-    # q >= 7 needs several 64-bit words per bitset, so directions 7 and up
-    # move whole words; no instance within the face budget reaches that path
     bits = 1 << q
-    keep, shift, perm = tables = constraint_map._closure_tables(q)
-    word_bits = min(bits, 64)
-    assert keep.shape == perm.shape == (q + 1, max(1, bits // 64))
+    keep, shift = tables = constraint_map._closure_tables(q)
+    assert keep.shape == shift.shape == (q + 1,)
+    assert keep.dtype.itemsize * 8 == max(8, bits)
     rng = np.random.default_rng(q)
     sets = [set(rng.choice(bits, size=min(5, bits), replace=False).tolist())
             for _ in range(3 * (q + 1))]
     fdir = np.arange(len(sets)) % (q + 1)  # every direction, and 0, three times
-    acc = np.zeros((len(sets), keep.shape[1]), dtype=keep.dtype)
-    for row, masks in zip(acc, sets):
-        for m in masks:
-            row[m // word_bits] |= keep.dtype.type(1 << m % word_bits)
+    acc = np.array([sum(1 << m for m in masks) for masks in sets], dtype=keep.dtype)
     constraint_map._add_directions(acc, fdir, tables)
-    for row, masks, d in zip(acc, sets, fdir):
-        got = {w * word_bits + p for w in range(row.size)
-               for p in range(word_bits) if int(row[w]) >> p & 1}
+    for word, masks, d in zip(acc, sets, fdir):
+        got = {p for p in range(bits) if int(word) >> p & 1}
         want = masks | {m | 1 << (d - 1) for m in masks} if d else masks
         assert got == want, (q, d)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 10])
+def test_zero_set_past_q6_is_refused_before_building(monkeypatch, q):
+    # a reach bitset of 2^q bits fits one 64-bit word only for q <= 6; every
+    # instance of larger q either short-circuits or is over the memory limit
+    # whatever the face budget, so the DP never sees it
+    def unreachable(inst):
+        raise AssertionError("direction tensor built for q = %d" % inst.q)
+
+    monkeypatch.setattr(constraint_map, "_directions_array", unreachable)
+    inst = ConstraintMapInstance(q, 2, q - 1)  # the fewest faces past the short circuit
+    assert inst.n - inst.k + 1 >= q
+    with pytest.raises(ResourceBudget, match="memory limit"):
+        verify_zero_set(inst, budget=10 ** 30)
+    for k in range(1, 5):
+        for t in range(1, q + 1):
+            if k < min(t, 2):
+                continue
+            inst = ConstraintMapInstance(q, k, t)
+            try:
+                report = verify_zero_set(inst, budget=10 ** 30)
+            except ResourceBudget:
+                continue
+            assert report.short_circuit and report.faces_processed == 0, (q, k, t)
 
 
 ORDERS_PER_TRIPLE = 4
@@ -866,11 +862,9 @@ def test_zero_set_matches_integer_reference(q, k, t):
     n = q * k - t
     for order in [None] + random_vertex_orders(n, ORDERS_PER_TRIPLE - 1, seed=q * k + t):
         inst = ConstraintMapInstance(q, k, t, vertex_order=order)
-        for witnesses in (1, 3, 1000):
-            got = serial.canonical_dumps(verify_zero_set(inst, max_witnesses=witnesses).to_json())
-            want = serial.canonical_dumps(
-                _verify_zero_set_by_integer(inst, max_witnesses=witnesses).to_json())
-            assert got == want, (q, k, t, order, witnesses)
+        got = serial.canonical_dumps(verify_zero_set(inst).to_json())
+        want = serial.canonical_dumps(_verify_zero_set_by_integer(inst).to_json())
+        assert got == want, (q, k, t, order)
 
 
 @pytest.mark.parametrize("rule", [_first_vertex_rule, _highest_tied_slot_rule])
@@ -879,17 +873,13 @@ def test_zero_set_matches_integer_reference(q, k, t):
 def test_zero_set_wrong_rule_matches_integer_reference(monkeypatch, rule, q, k, t):
     inst = ConstraintMapInstance(q, k, t)
     _use_rule(monkeypatch, inst, rule)
-    for witnesses in (1, 3, 1000):
-        got = serial.canonical_dumps(verify_zero_set(inst, max_witnesses=witnesses).to_json())
-        want = serial.canonical_dumps(
-            _verify_zero_set_by_integer(inst, max_witnesses=witnesses).to_json())
-        assert got == want, (q, k, t, witnesses)
+    got = serial.canonical_dumps(verify_zero_set(inst).to_json())
+    want = serial.canonical_dumps(_verify_zero_set_by_integer(inst).to_json())
+    assert got == want, (q, k, t)
 
 
 def test_zero_set_thirteen_axes_matches_integer_reference():
     # q = 2, n = 13: 2^13 support slices over 3^13 faces
     order = random_vertex_orders(13, 1, seed=13)[0]
     inst = ConstraintMapInstance(2, 7, 1, vertex_order=order)
-    for witnesses in (1, 1000):
-        got = verify_zero_set(inst, max_witnesses=witnesses).to_json()
-        assert got == _verify_zero_set_by_integer(inst, max_witnesses=witnesses).to_json()
+    assert verify_zero_set(inst).to_json() == _verify_zero_set_by_integer(inst).to_json()

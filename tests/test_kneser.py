@@ -194,11 +194,14 @@ def test_build_hypergraph_edges():
     assert h0.vertices == [()] and h0.edges == []
 
 
-def test_build_hypergraph_budgets():
+def test_build_hypergraph_budgets(monkeypatch):
+    monkeypatch.setattr(kneser, "VERTEX_BUDGET", 3)
     with pytest.raises(ResourceBudget):
-        build_hypergraph(KneserInstance(10, 2, 2), vertex_budget=3)
+        build_hypergraph(KneserInstance(10, 2, 2))
+    monkeypatch.undo()
+    monkeypatch.setattr(kneser, "EDGE_BUDGET", 5)
     with pytest.raises(ResourceBudget):
-        build_hypergraph(KneserInstance(8, 2, 2), edge_budget=5)
+        build_hypergraph(KneserInstance(8, 2, 2))
 
 
 def test_build_hypergraph_matches_brute_force_order():
@@ -212,19 +215,22 @@ def test_build_hypergraph_matches_brute_force_order():
                     assert h.edges == want, (n, k, q, stability)
 
 
-def test_build_hypergraph_drops_families_that_cannot_complete():
+def test_build_hypergraph_drops_families_that_cannot_complete(monkeypatch):
     # ten disjoint pairs need 20 elements: the search stops at the root
-    h = build_hypergraph(KneserInstance(19, 2, 10), edge_budget=1)
+    monkeypatch.setattr(kneser, "EDGE_BUDGET", 1)
+    h = build_hypergraph(KneserInstance(19, 2, 10))
     assert len(h.vertices) == 171 and h.edges == []
     # k = 1, q = n: one hyperedge, reached through one family per size
-    h = build_hypergraph(KneserInstance(60, 1, 60), edge_budget=61)
+    monkeypatch.setattr(kneser, "EDGE_BUDGET", 61)
+    h = build_hypergraph(KneserInstance(60, 1, 60))
     assert h.edges == [tuple(range(60))]
 
 
-def test_build_hypergraph_budget_counts_visited_families():
+def test_build_hypergraph_budget_counts_visited_families(monkeypatch):
     # 61 families are visited for a single hyperedge
+    monkeypatch.setattr(kneser, "EDGE_BUDGET", 60)
     with pytest.raises(ResourceBudget):
-        build_hypergraph(KneserInstance(60, 1, 60), edge_budget=60)
+        build_hypergraph(KneserInstance(60, 1, 60))
 
 
 def test_chromatic_formula_values():
