@@ -195,10 +195,10 @@ def cmd_compose(args):
     else:
         if args.q1 is None or args.q2 is None:
             raise InputError("compose needs either --t or both --q1 and --q2")
-        outer = solver_base_splitter(args.q1, args.s1 or args.q1,
-                                     budget=args.budget)
-        inner = solver_base_splitter(args.q2, args.s2 or args.q2,
-                                     budget=args.budget)
+        s1 = args.q1 if args.s1 is None else args.s1
+        s2 = args.q2 if args.s2 is None else args.s2
+        outer = solver_base_splitter(args.q1, s1, budget=args.budget)
+        inner = solver_base_splitter(args.q2, s2, budget=args.budget)
         splitting, stability = compose(n, partition, outer, inner)
         q = args.q1 * args.q2
     spec = SplittingSpec(q=q, flavor="almost_fair", stability=stability)

@@ -340,27 +340,40 @@ def test_phi_check_past_memory_is_refused_before_building(capsys):
 
 def test_homology_past_memory_is_refused_before_building(capsys, tmp_path,
                                                         monkeypatch):
-    # Ind(C24)'s largest boundary matrix is 24,752 x 27,456, about 11 GB as
-    # dense rows; --max-dim 1 needs only the maps of dimensions 0..2
+    # Ind(C24)'s largest sparse boundary map, of dimension 6, takes about
+    # 15 MB; under a limit that refuses it, full homology exits 3 before any
+    # map is built, and --max-dim 1 needs only the maps of dimensions 0..2
     k = independence_complex(cycle_graph(24))
     path = write(tmp_path, "ind_c24.json", {
         "schema": "complex/1", "facets": [sorted(f) for f in k.facets]})
     built = []
-    real = homology_module.boundary_matrix
+    real = homology_module._sparse_map
 
-    def recording(lower, upper):
+    def recording(lower, upper, cleared):
         built.append(len(upper))
-        return real(lower, upper)
+        return real(lower, upper, cleared)
 
-    monkeypatch.setattr(homology_module, "boundary_matrix", recording)
+    monkeypatch.setattr(homology_module, "_sparse_map", recording)
+    monkeypatch.setattr(homology_module, "MEMORY_LIMIT", 14_000_000)
     code, doc, err = run(capsys, "homology", "--input", path)
     assert code == 3 and doc is None and built == []
-    assert "boundary matrix of dimension 4 passes the memory limit" in err
+    assert "boundary map of dimension 6 passes the memory limit" in err
     code, doc, _ = run(capsys, "homology", "--input", path, "--max-dim", "1")
     assert code == 0 and doc["reduced"] == [
         {"dim": 0, "betti": 0, "torsion": []},
         {"dim": 1, "betti": 0, "torsion": []}]
     assert len(built) == 3
+
+
+def test_homology_of_ind_c20_answers(capsys, tmp_path):
+    # Kozlov: Ind(C20) is homotopy equivalent to S^6
+    k = independence_complex(cycle_graph(20))
+    path = write(tmp_path, "ind_c20.json", {
+        "schema": "complex/1", "facets": [sorted(f) for f in k.facets]})
+    code, doc, err = run(capsys, "homology", "--input", path)
+    assert code == 0 and err == ""
+    assert [(row["betti"], row["torsion"]) for row in doc["reduced"]] == [
+        (1 if d == 6 else 0, []) for d in range(10)]
 
 
 def test_phi_check(capsys):
@@ -440,6 +453,27 @@ def test_compose_one_stable_pair_is_not_held_to_path_independence(capsys):
                        "--s1", "1", "--s2", "1")
     assert code == 0 and doc["stability"] == 1
     assert doc["certificate"]["ok"] is True
+
+
+@pytest.mark.parametrize("flags", [("--s1", "0"), ("--s2", "0"),
+                                   ("--s1", "0", "--s2", "0"),
+                                   ("--s1", "-1")])
+def test_compose_zero_stability_is_an_input_error(capsys, flags):
+    # 0 is a given stability, not a missing one
+    code, doc, err = run(capsys, "compose", "--n", "15", "--q1", "2",
+                         "--q2", "2", *flags)
+    assert code == 2 and doc is None
+    assert "stability must be >= 1" in err
+
+
+def test_compose_omitted_stability_defaults_to_q(capsys):
+    argv = ["compose", "--n", "15", "--q1", "2", "--q2", "3"]
+    main(argv)
+    omitted = capsys.readouterr()
+    main(argv + ["--s1", "2", "--s2", "3"])
+    given = capsys.readouterr()
+    assert omitted.out == given.out and omitted.err == given.err == ""
+    assert json.loads(omitted.out)["stability"] == 6
 
 
 def test_compose_needs_a_mode(capsys):
