@@ -40,12 +40,21 @@ def _int_list(text, what="list"):
                          % (what, text)) from None
 
 
+def _list_flag(text, flag):
+    """The integers of a list flag that was given: an empty list is an
+    input error, not an absent flag."""
+    values = _int_list(text, flag)
+    if not values:
+        raise InputError("%s lists no integers" % flag)
+    return values
+
+
 def _blocks_partition(text, n):
     """The consecutive partition of 1..n given by --blocks sizes, or one
     block when the flag is absent."""
-    if not text:
+    if text is None:
         return single_block_partition(n)
-    sizes = _int_list(text, "--blocks")
+    sizes = _list_flag(text, "--blocks")
     if sum(sizes) != n:
         raise InputError("block sizes sum to %d, want %d" % (sum(sizes), n))
     return consecutive_partition(sizes)
@@ -99,7 +108,7 @@ def cmd_generate(args):
 def cmd_solve(args):
     g, partition = _load_instance(args.input)
     spec = _spec_from_args(args, check_size("--q", args.q))
-    caps = _int_list(args.caps, "--caps") if args.caps else None
+    caps = None if args.caps is None else _list_flag(args.caps, "--caps")
     config = load_file(args.points, points_load) if args.points else None
     problem = SearchProblem(partition=partition, spec=spec, graph=g,
                             points=config, caps=caps, budget=args.budget)
@@ -118,7 +127,7 @@ def cmd_verify(args):
 
 def cmd_check_conditions(args):
     g, partition = _load_instance(args.input)
-    path = _int_list(args.path, "--path") if args.path else None
+    path = None if args.path is None else _list_flag(args.path, "--path")
     report = check_conditions(g, partition, args.q, n=args.n, path=path,
                               budget=args.budget)
     return (0 if report.any_certified else 1), report.to_json()
@@ -175,7 +184,7 @@ def cmd_geometry(args):
 
 def cmd_phi_check(args):
     check_size("ground set vertices", args.q * args.k - args.t)
-    order = _int_list(args.order, "--order") if args.order else None
+    order = None if args.order is None else _list_flag(args.order, "--order")
     inst = ConstraintMapInstance(args.q, args.k, args.t, vertex_order=order)
     zs = verify_zero_set(inst, budget=args.budget)
     eq = verify_equivariance(inst, budget=args.budget)

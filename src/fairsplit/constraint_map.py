@@ -51,7 +51,8 @@ largest slots, and so the same direction under the rule read before the
 constraint.  So the tensor grows one leading axis per vertex, from the last
 in the vertex order to the first, and a transposed copy puts its axes in
 vertex order 0..n-1 (see _directions_array).  The directions of the permuted
-faces are the tensor reindexed by the permutation along every axis.  The
+faces are the tensor reindexed by the permutation along every axis, which
+rewrites only the slices of the digits the permutation moves.  The
 faces with support S are one basic slice of the tensor (digits 1..q on the
 axes in S, digit 0 elsewhere), in slot-assignment order, and so are their
 facets for each vertex dropped from S; the zero-set DP visits supports by
@@ -62,12 +63,14 @@ functions that build or read the tensor, so that commands which never run a
 check (every one but phi-check and suite) do not pay for loading it.
 
 Memory, in bytes per face: the int8 direction tensor is 1, and building it
-peaks at 1 + (2q+3)/(q+1), at most 3.34.  The equivariance check then keeps
-at most three int8 tensors alive, 3 bytes per face.  The zero-set DP adds
-its reach bitsets, max(1, 2^q/8) bytes per face, and temporaries on one
-support slice.  Before the tensor is built, the faces times the check's
-bound (5 for equivariance, 4 plus twice the reach for the zero set) are
-held to errors.MEMORY_LIMIT.
+peaks at 1 + (2q+3)/(q+1), at most 3.34.  The equivariance check then holds
+at most three int8 tensors, 3 bytes per face: the directions, the image,
+and either the step buffer or the copied slices of the moved digits (the
+buffer is freed before the slices move), so it peaks no higher than the
+build.  The zero-set DP adds its reach bitsets, max(1, 2^q/8) bytes per
+face, and temporaries on one support slice.  Before the tensor is built,
+the faces times the check's bound (5 for equivariance, 4 plus twice the
+reach for the zero set) are held to errors.MEMORY_LIMIT.
 """
 
 from __future__ import annotations
@@ -113,9 +116,10 @@ class ConstraintMapInstance:
 
 
 # bytes per face that bound each check's peak under tracemalloc: the tensor
-# build's 3.34 or the equivariance check's three int8 tensors, plus numpy's
-# temporaries (4.0 in all at q = 2, n = 11); the zero set adds its reach
-# bitsets and the closure's temporaries on one support slice
+# build's 3.34, which the equivariance check's three int8 tensors stay
+# under, plus numpy's temporaries (4.02 in all at q = 2, n = 11, so 4 would
+# not do); the zero set adds its reach bitsets and the closure's
+# temporaries on one support slice
 _EQUIVARIANCE_BYTES_PER_FACE = 5
 
 
@@ -406,27 +410,46 @@ def _directions_array(inst):
 
 def _verify_equivariance_numpy(inst, perms, report):
     """Compare d(pi F) with pi(d(F)) for every face and permutation, as
-    pi^-1 d(pi F) against d(F): the directions are mapped by pi^-1 before the
-    reindexing, so at most three (q+1)^n tensors are alive.  Stops at the
-    fifth violation (faces in C order, then permutations in the given
-    order); faces_processed counts the faces read up to it."""
+    pi^-1 d(pi F) against d(F), moving only what pi moves.  The image starts
+    as pi^-1 d(F): d(F) plus v - pi(v) on the faces with d(F) = pi(v), for
+    each digit v that pi moves, added through one int8 step buffer.  With
+    the buffer freed, along each axis the slices of the moved digits v take
+    those of pi(v); numpy copies the source slices first, 2/(q+1) of a
+    tensor for a transposition.  So at most three (q+1)^n int8 tensors are
+    alive.  An image equal to d(F) everywhere is not searched, and the
+    identity is skipped.  Stops at the fifth violation (faces in C order,
+    then permutations in the given order); faces_processed counts the faces
+    read up to it."""
     import numpy as np
-    shape = (inst.q + 1,) * inst.n
+    base, n = inst.q + 1, inst.n
     dirs = _directions_array(inst)
-    tensor = dirs.reshape(shape)
+    image = np.empty_like(dirs)
+    # image as (before, digit, after) around each axis
+    axes = [image.reshape(base ** a, base, base ** (n - 1 - a)) for a in range(n)]
     found = []  # (face, permutation index, got, want): each one's first five
     for i, perm in enumerate(perms):
-        lut = np.array(perm, dtype=dirs.dtype)
-        image = np.argsort(lut).astype(dirs.dtype)[tensor]  # pi^-1 d(F)
-        for axis in range(inst.n):
-            image = np.take(image, lut, axis=axis)
-        image = image.reshape(-1)  # image[F] = pi^-1 d(pi F)
+        moved = [v for v in range(base) if perm[v] != v]
+        if not moved:
+            continue
+        np.copyto(image, dirs)
+        step = np.empty(dirs.shape, dtype=np.bool_)
+        shift = step.view(dirs.dtype)
+        for v in moved:
+            np.equal(dirs, perm[v], out=step)
+            shift *= v - perm[v]
+            image += shift
+        del step, shift
+        to, fro = np.array(moved), np.array([perm[v] for v in moved])
+        for view in axes:
+            view[:, to] = view[:, fro]  # image[F] = pi^-1 d(pi F)
+        if np.array_equal(image, dirs):
+            continue
         for f in np.flatnonzero(image != dirs)[:5]:
             found.append((int(f), i, perm[image[f]], perm[dirs[f]]))
     found = sorted(found)[:5]
     for f, i, got, want in found:
         report.violations.append({
-            "face": [int(d) for d in np.unravel_index(f, shape)],
+            "face": [int(d) for d in np.unravel_index(f, (base,) * n)],
             "perm": list(perms[i]), "got": got, "want": want})
     report.faces_processed = found[-1][0] + 1 if len(found) == 5 else dirs.size
 

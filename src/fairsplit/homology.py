@@ -21,7 +21,7 @@ from heapq import heappop, heappush
 from itertools import combinations, islice
 from math import comb
 
-from .complexes import FACE_BUDGET, SimplicialComplex, vertex_key
+from .complexes import FACE_BUDGET, SimplicialComplex
 from .errors import MEMORY_LIMIT, InputError, ResourceBudget
 
 # The sparse map of dimension d with R rows and C columns is sized before it
@@ -58,9 +58,13 @@ def _faces_by_dim(k: SimplicialComplex, top):
     """The faces of dimensions -1..top of a non-void complex, by dimension,
     each a tuple sorted by vertex_key and each dimension's list sorted.  Only
     these faces are enumerated, and they count against FACE_BUDGET: no more
-    than one face past it is ever held, however large a facet is."""
+    than one face past it is ever held, however large a facet is.  Faces are
+    listed and sorted as tuples of vertex ranks (k.vertices is sorted by
+    vertex_key, so ranks sort as labels do), then mapped back to labels."""
     by_dim = {-1: [()]}
-    facets = [sorted(f, key=vertex_key) for f in k.facets]
+    labels = k.vertices
+    rank = {v: i for i, v in enumerate(labels)}
+    facets = [sorted(map(rank.__getitem__, f)) for f in k.facets]
     count = 1
     for d in range(0, top + 1):
         faces = set()
@@ -74,7 +78,7 @@ def _faces_by_dim(k: SimplicialComplex, top):
                 if count + len(faces) > FACE_BUDGET:
                     raise ResourceBudget("face budget %d exceeded" % FACE_BUDGET)
         count += len(faces)
-        by_dim[d] = sorted(faces, key=lambda t: [vertex_key(v) for v in t])
+        by_dim[d] = [tuple(map(labels.__getitem__, f)) for f in sorted(faces)]
     return by_dim
 
 

@@ -124,6 +124,36 @@ def test_solve_rejects_negative_caps_and_budget(capsys, cycle6):
         assert "nonnegative" in err
 
 
+def _assert_empty_list_refused(capsys, flag, *argv):
+    # an empty list flag is an input error, not an absent flag
+    for value in ("", ",", " , "):
+        code, doc, err = run(capsys, *argv, flag, value)
+        assert code == 2 and doc is None, (flag, value)
+        assert "%s lists no integers" % flag in err
+
+
+def test_empty_caps_is_an_input_error(capsys, cycle6):
+    _assert_empty_list_refused(capsys, "--caps", "solve", "--input", cycle6,
+                               "--q", "2", "--flavor", "almost")
+
+
+def test_empty_path_is_an_input_error(capsys, cycle6):
+    _assert_empty_list_refused(capsys, "--path", "check-conditions",
+                               "--input", cycle6, "--q", "2")
+
+
+def test_empty_order_is_an_input_error(capsys):
+    _assert_empty_list_refused(capsys, "--order", "phi-check", "--q", "3",
+                               "--k", "2", "--t", "1")
+
+
+def test_empty_blocks_is_an_input_error(capsys):
+    for argv in (["kneser-split", "--n", "6", "--q", "2"],
+                 ["compose", "--n", "6", "--t", "1"],
+                 ["generate", "--family", "cycle", "--n", "6"]):
+        _assert_empty_list_refused(capsys, "--blocks", *argv)
+
+
 def test_generate_solve_verify_round_trip(capsys, tmp_path, cycle6):
     code, doc, _ = run(capsys, "solve", "--input", cycle6, "--q", "2",
                        "--flavor", "almost", "--balanced")

@@ -401,6 +401,38 @@ def _verify_equivariance_chunked(inst, perms, report, chunk=1 << 18):
     report.faces_processed = m
 
 
+def _verify_equivariance_take(inst, perms, report):
+    """The whole-tensor version of _verify_equivariance_numpy: every
+    direction goes through pi^-1's lookup table, and every axis is
+    reindexed by np.take, for every permutation (the identity included)."""
+    shape = (inst.q + 1,) * inst.n
+    dirs = constraint_map._directions_array(inst)
+    tensor = dirs.reshape(shape)
+    found = []
+    for i, perm in enumerate(perms):
+        lut = np.array(perm, dtype=dirs.dtype)
+        image = np.argsort(lut).astype(dirs.dtype)[tensor]  # pi^-1 d(F)
+        for axis in range(inst.n):
+            image = np.take(image, lut, axis=axis)
+        image = image.reshape(-1)  # image[F] = pi^-1 d(pi F)
+        for f in np.flatnonzero(image != dirs)[:5]:
+            found.append((int(f), i, perm[image[f]], perm[dirs[f]]))
+    found = sorted(found)[:5]
+    for f, i, got, want in found:
+        report.violations.append({
+            "face": [int(d) for d in np.unravel_index(f, shape)],
+            "perm": list(perms[i]), "got": got, "want": want})
+    report.faces_processed = found[-1][0] + 1 if len(found) == 5 else dirs.size
+
+
+def _equivariance_json(kernel, inst, perms, *args):
+    """The report document of one equivariance kernel over perms."""
+    report = EquivarianceReport(inst.q, inst.k, inst.t, inst.vertex_order,
+                                len(perms), True, 0)
+    kernel(inst, perms, report, *args)
+    return report.to_json()
+
+
 def _first_vertex_rule(inst, digits):
     """Equivariant but wrong: the slot of the first used vertex."""
     if face_direction(inst, digits) is None:
@@ -710,14 +742,22 @@ def _peak_bytes_per_face(fn, inst):
 
 
 def test_peak_bytes_per_face():
-    # numpy reports its buffers to tracemalloc.  The direction tensor costs
-    # at most two int8 (q+1)^n tensors at once (the slot-size build held
-    # q + 4 bytes per face, 11 at q = 7), and so does the equivariance
-    # check.  The zero-set DP adds its 2^q-bit reach bitsets: 4 bytes per
-    # face at q = 5, plus the closure's temporaries on one support slice.
+    # numpy reports its buffers to tracemalloc.  Building the direction
+    # tensor peaks at 1 + (2q+3)/(q+1) bytes per face (the slot-size build
+    # held q + 4, 11 at q = 7).  The equivariance check then holds three
+    # int8 tensors at most, the directions, the image and the step buffer
+    # or the moved slices, so it peaks no higher than the build; only the
+    # permutations, the report and the call frames come on top, a few
+    # hundred bytes whatever the face count.  The zero-set DP adds its
+    # 2^q-bit reach bitsets: 4 bytes per face at q = 5, plus the closure's
+    # temporaries on one support slice.
     inst = ConstraintMapInstance(7, 1, 1, vertex_order=(3, 0, 5, 1, 4, 2))
     assert _peak_bytes_per_face(constraint_map._directions_array, inst) < 4
     assert _peak_bytes_per_face(verify_equivariance, inst) < 4
+    for inst in (inst, ConstraintMapInstance(7, 2, 7, vertex_order=(5, 2, 6, 0, 3, 1, 4))):
+        build = _peak_bytes_per_face(constraint_map._directions_array, inst)
+        check = _peak_bytes_per_face(verify_equivariance, inst)
+        assert check * inst.face_count() <= build * inst.face_count() + 4096, inst
     inst = ConstraintMapInstance(5, 2, 3, vertex_order=(6, 2, 0, 4, 1, 5, 3))
     assert not verify_zero_set(inst).short_circuit
     assert _peak_bytes_per_face(verify_zero_set, inst) < 7.5
@@ -783,15 +823,12 @@ def test_equivariance_reports_a_wrong_rule_like_the_reference(monkeypatch, q, k,
     inst = ConstraintMapInstance(q, k, t)
     _use_rule(monkeypatch, inst, _highest_tied_slot_rule)
     for perms in (_all_slot_permutations(q), _adjacent_transpositions(q)):
-        reports = [EquivarianceReport(q, k, t, inst.vertex_order, len(perms), True, 0)
-                   for _ in range(2)]
-        _verify_equivariance_numpy(inst, perms, reports[0])
-        _verify_equivariance_python(inst, perms, reports[1], _highest_tied_slot_rule)
-        assert reports[0].to_json() == reports[1].to_json()
-        assert len(reports[0].violations) == 5
-        chunked = EquivarianceReport(q, k, t, inst.vertex_order, len(perms), True, 0)
-        _verify_equivariance_chunked(inst, perms, chunked, chunk=7)
-        assert chunked.to_json() == reports[0].to_json()
+        got = _equivariance_json(_verify_equivariance_numpy, inst, perms)
+        assert got == _equivariance_json(_verify_equivariance_python, inst, perms,
+                                         _highest_tied_slot_rule)
+        assert len(got["violations"]) == 5
+        assert got == _equivariance_json(_verify_equivariance_chunked, inst, perms, 7)
+        assert got == _equivariance_json(_verify_equivariance_take, inst, perms)
 
 
 @pytest.mark.parametrize("q,k,t", [(q, k, t) for q, k, t in valid_parameter_triples(7)
@@ -804,11 +841,29 @@ def test_equivariance_tensor_matches_chunked_reference(q, k, t):
         if math.factorial(q) * inst.face_count() <= 2_000_000:
             groups.append(_all_slot_permutations(q))
         for perms in groups:
-            reports = [EquivarianceReport(q, k, t, inst.vertex_order, len(perms), True, 0)
-                       for _ in range(2)]
-            _verify_equivariance_numpy(inst, perms, reports[0])
-            _verify_equivariance_chunked(inst, perms, reports[1], chunk=1 << 16)
-            assert reports[0].to_json() == reports[1].to_json(), (q, k, t, order)
+            got = _equivariance_json(_verify_equivariance_numpy, inst, perms)
+            assert got == _equivariance_json(_verify_equivariance_chunked, inst,
+                                             perms, 1 << 16), (q, k, t, order)
+            assert got == _equivariance_json(_verify_equivariance_take, inst,
+                                             perms), (q, k, t, order)
+
+
+def test_equivariance_of_corrupted_directions_matches_the_references(monkeypatch):
+    # (7, 1, 1): 262,144 faces, adjacent transpositions only.  A few faces
+    # late in C order get a wrong direction, so the first five violations
+    # come from them and stop the check short of the last face
+    inst = ConstraintMapInstance(7, 1, 1, vertex_order=(4, 1, 5, 0, 3, 2))
+    assert not verify_equivariance(inst).full_group
+    dirs = constraint_map._directions_array(inst)
+    rng = np.random.default_rng(711)
+    for f in rng.choice(np.arange(dirs.size // 2, dirs.size), size=4, replace=False):
+        dirs[f] = dirs[f] % 7 + 1 if rng.integers(3) else 0
+    monkeypatch.setattr(constraint_map, "_directions_array", lambda inst: dirs)
+    perms = _adjacent_transpositions(7)
+    got = _equivariance_json(_verify_equivariance_numpy, inst, perms)
+    assert len(got["violations"]) == 5 and got["faces_processed"] < dirs.size
+    assert got == _equivariance_json(_verify_equivariance_take, inst, perms)
+    assert got == _equivariance_json(_verify_equivariance_chunked, inst, perms, 1 << 16)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
