@@ -12,9 +12,9 @@ INSTANCE_VERTEX_LIMIT = 100_000
 INSTANCE_EDGE_LIMIT = 1_000_000
 
 # The most bytes one array-building layer may allocate: the solver's tables,
-# the constraint map's face tensors, and homology's sparse boundary maps and
-# dense leftovers are each sized by arithmetic, at their measured bytes per
-# unit, and refused above this before they are built.
+# the constraint map's face tensors, and homology's faces and dense Morse
+# blocks are each sized by arithmetic, at their measured bytes per unit,
+# and refused above this before they are built.
 MEMORY_LIMIT = 500_000_000
 
 

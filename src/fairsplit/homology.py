@@ -1,85 +1,103 @@
-"""Reduced integral homology of simplicial complexes via exact Smith normal
-form, in two stages per boundary map.
+"""Reduced integral homology of simplicial complexes by discrete Morse
+theory, with exact Smith normal form on what the matching leaves.
 
-The sparse stage keeps the map as columns (row -> entry) with a row ->
-columns index and eliminates unit pivots in Markowitz order: the smallest
-live column first, then its unit entry in the sparsest row.  Each step is
-unimodular, so it adds a 1 to the Smith diagonal and leaves the rest of the
-map to be reduced.  Maps are reduced from the top dimension down, and a face
-that was a unit pivot row of the map above is left out of the map below
-(clearing): its column reduces to zero.  The columns with no unit entry
-left form a dense leftover block, which the second stage, smith_diagonal,
-reduces with pivots chosen by smallest absolute value.  All arithmetic is
-over the integers.
+Faces are int bitmasks over vertex ranks, listed once per dimension, with
+the empty face as the one face of dimension -1 (so the homology is reduced).
+For each vertex v in rank order, every live face s without v is matched with
+s + v when both are live; a sequence of such element matchings is acyclic
+(Jonsson, Simplicial Complexes of Graphs, 2008).  By Forman (Morse theory
+for cell complexes, 1998) the unmatched, critical cells span a chain complex
+with the same homology, whose boundary sums signed gradient paths.  It is
+built only between critical cells in adjacent dimensions, for smith_diagonal.
 """
 
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
-from heapq import heappop, heappush
 from itertools import combinations, islice
 from math import comb
 
 from .complexes import FACE_BUDGET, SimplicialComplex
 from .errors import MEMORY_LIMIT, InputError, ResourceBudget
 
-# The sparse map of dimension d with R rows and C columns is sized before it
-# is built, at its bytes as tracemalloc measures them (_sparse_bytes).  Per
-# column: a dict of d + 1 entries (sys.getsizeof gives its bytes), its slot
-# in the column list and its d + 1 slots in row lists.  Per row: its list's
-# header and its slots in the row list and in the per-row entry count.  An
-# int id for each row and column past Python's small-int cache, three list
-# headers and _BASE_BYTES for the interpreter's own temporaries.  The index
-# of the lower faces is freed before the row lists are built and costs less
-# than they do.  The elimination counts each entry it adds (fill-in) and
-# each heap key it pushes at _FILL_BYTES, as it makes them.  An entry takes
-# a 24-byte dict slot and an 8-byte list slot, a heap key a 28-byte int and
-# an 8-byte slot; the rest is for the steps by which dicts and lists grow
-# (128 bytes at once when a 5-entry dict takes a sixth).  Measured growth
-# stayed under 32 bytes per item counted, as pivot columns are freed.
-_LIST_BYTES = sys.getsizeof([])
-_INT_BYTES = sys.getsizeof(1 << 20)
-_SMALL_INTS = 257
-_BASE_BYTES = 4096
-_FILL_BYTES = 100
-
-# The dense leftover is a list of rows, each a list of pointers to small
-# ints, and smith_diagonal works on a copy: two 8-byte pointers per entry.
-# Each row also costs as much as _ROW_ENTRIES more entries: its two list
-# headers, its slots in the two outer lists and in the sorted list of live
-# rows, and its share of the diagonal.  _BASE_BYTES more are for the
-# interpreter's own temporaries.
+# A face held costs _FACE_BYTES and its int: its slot in its dimension's set,
+# which grows in steps, its place in a matching queue and its matching entry.
+# A gradient-path search holds at most twice that per face of the dimension it
+# walks.  A dense block and smith_diagonal's copy take two 8-byte pointers per
+# entry and _ROW_ENTRIES entries more per row (its list headers, its slots in
+# the outer lists and the row index, and the diagonal).  _BASE_BYTES are for
+# the interpreter's own temporaries.
+_FACE_BYTES = 160
 _BYTES_PER_ENTRY = 16
 _ROW_ENTRIES = 9
+_BASE_BYTES = 4096
+
+
+def _face_bytes(k):
+    """Bytes per face held, its int sized for the largest face."""
+    return _FACE_BYTES + sys.getsizeof((1 << len(k.vertices)) - 1)
 
 
 def _faces_by_dim(k: SimplicialComplex, top):
     """The faces of dimensions -1..top of a non-void complex, by dimension,
-    each a tuple sorted by vertex_key and each dimension's list sorted.  Only
-    these faces are enumerated, and they count against FACE_BUDGET: no more
-    than one face past it is ever held, however large a facet is.  Faces are
-    listed and sorted as tuples of vertex ranks (k.vertices is sorted by
-    vertex_key, so ranks sort as labels do), then mapped back to labels."""
-    by_dim = {-1: [()]}
-    labels = k.vertices
-    rank = {v: i for i, v in enumerate(labels)}
-    facets = [sorted(map(rank.__getitem__, f)) for f in k.facets]
-    count = 1
+    each a set of bitmasks.  Only these are listed, and they count against
+    FACE_BUDGET and, at their bytes, against MEMORY_LIMIT as they are
+    listed: no more than one face past either is ever held."""
+    bit = {v: 1 << r for r, v in enumerate(k.vertices)}
+    size = _face_bytes(k)
+    cap = min(FACE_BUDGET, (MEMORY_LIMIT - _BASE_BYTES) // size)
+    over = ("face budget %d exceeded" % FACE_BUDGET if cap == FACE_BUDGET else
+            "faces at %d bytes each pass the memory limit of %d bytes"
+            % (size, MEMORY_LIMIT))
+    by_dim, count = {-1: {0}}, 1
     for d in range(0, top + 1):
-        faces = set()
-        for f in facets:
-            subsets, todo = combinations(f, d + 1), comb(len(f), d + 1)
+        faces = by_dim[d] = set()
+        for f in k.facets:
+            subsets = map(sum, combinations(map(bit.get, f), d + 1))
+            todo = comb(len(f), d + 1)
             while todo:
-                # one face past the budget is enough to refuse
-                step = min(todo, FACE_BUDGET - count - len(faces) + 1)
+                # one face past the cap is enough to refuse
+                step = min(todo, cap - count - len(faces) + 1)
                 faces.update(islice(subsets, step))
                 todo -= step
-                if count + len(faces) > FACE_BUDGET:
-                    raise ResourceBudget("face budget %d exceeded" % FACE_BUDGET)
+                if count + len(faces) > cap:
+                    raise ResourceBudget(over)
         count += len(faces)
-        by_dim[d] = [tuple(map(labels.__getitem__, f)) for f in sorted(faces)]
     return by_dim
+
+
+def _match(by_dim, n):
+    """Element matchings in vertex-rank order.  Matched faces leave by_dim,
+    which keeps the critical cells; returns, per dimension, {s: bit} for the
+    faces s matched with s | bit.  At vertex v only live faces t with v can
+    match (with t - v), so each face waits in the queue of its next vertex."""
+    up = {d: {} for d in by_dim}
+    queue = [[] for _ in range(n)]
+    for faces in by_dim.values():
+        for t in filter(None, faces):
+            queue[(t & -t).bit_length() - 1].append(t)
+    for v in range(n):
+        bit, waiting, queue[v] = 1 << v, queue[v], None
+        for t in waiting:
+            d = t.bit_count() - 1
+            if t in by_dim[d] and t ^ bit in by_dim[d - 1]:
+                by_dim[d].remove(t)
+                by_dim[d - 1].remove(t ^ bit)
+                up[d - 1][t ^ bit] = bit
+            elif t in by_dim[d] and t >> v > 1:
+                rest = t >> v + 1
+                queue[v + (rest & -rest).bit_length()].append(t)
+    return up
+
+
+def _sign(face, bit):
+    """The sign of face ^ bit in the boundary of face: -1 to the number of
+    face's vertices below bit."""
+    return -1 if (face & (bit - 1)).bit_count() & 1 else 1
+
+
+def _bits(x):
+    return [1 << i for i in range(x.bit_length()) if x >> i & 1]
 
 
 def smith_diagonal(mat):
@@ -127,15 +145,9 @@ def smith_diagonal(mat):
             continue
         # pivot must divide everything below-right; otherwise mix a bad row
         # in.  A unit divides every integer, so a pivot of +-1 needs no scan.
-        bad = None
-        if abs(p) != 1:
-            for i in range(top + 1, rows):
-                for j in range(top + 1, cols):
-                    if a[i][j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+        bad = None if abs(p) == 1 else next(
+            (i for i in range(top + 1, rows)
+             if any(a[i][j] % p for j in range(top + 1, cols))), None)
         if bad is not None:
             for j in range(top, cols):
                 a[top][j] += a[bad][j]
@@ -145,183 +157,74 @@ def smith_diagonal(mat):
     return out
 
 
-def _sparse_bytes(d, rows, cols):
-    """Bytes of the sparse boundary map of dimension d, as built."""
-    column = sys.getsizeof(dict.fromkeys(range(d + 1), 1)) + 8 * (d + 2)
-    ids = max(rows - _SMALL_INTS, 0) + max(cols - _SMALL_INTS, 0)
-    return (_BASE_BYTES + 3 * _LIST_BYTES + cols * column
-            + rows * (_LIST_BYTES + 16) + ids * _INT_BYTES)
-
-
 def _dense_bytes(rows, cols):
     """Bytes of a dense rows x cols block reduced by smith_diagonal."""
     return _BASE_BYTES + rows * (cols + _ROW_ENTRIES) * _BYTES_PER_ENTRY
 
 
-def _sparse_map(lower, upper, cleared):
-    """The boundary map from the faces `upper` to the faces `lower`: one dict
-    {row: sign} per upper face, the signs (-1)^i of its codimension-one
-    subfaces (None for a face that `cleared` marks), and each row's list of
-    columns.  With the empty face as the only lower face of dimension -1
-    this is the augmented (reduced) chain complex."""
-    index = {f: i for i, f in enumerate(lower)}
-    count = [0] * len(lower)
-    cols = [None] * len(upper)
-    for c, face in enumerate(upper):
-        if cleared is None or not cleared[c]:
-            col, sign = {}, 1
-            for i in range(len(face)):
-                r = index[face[:i] + face[i + 1:]]
-                col[r] = sign
-                count[r] += 1
-                sign = -sign
-            cols[c] = col
-    del index
-    rows = [[0] * n for n in count]
-    for c, col in enumerate(cols):
-        if col:
-            for r in col:
-                n = count[r] - 1
-                rows[r][n] = c
-                count[r] = n
-    return cols, rows
-
-
-def _eliminate(cols, rows, room, d):
-    """Eliminate unit pivots from the sparse map in Markowitz order: the
-    smallest live column first, then its unit entry whose row lists the
-    fewest columns.  Pivot (r, c) adds multiples of column c to the other
-    columns of row r, then drops row r and column c; each such step is
-    unimodular and adds a 1 to the Smith diagonal.
-
-    Every column starts with the same number of entries, so the columns no
-    step has changed are taken in index order, and only changed columns go
-    on a heap keyed by their size.  A column with no unit entry waits until
-    a step changes it.  A row's list may still name columns that have lost
-    their entry in it: each is checked before use, and the list's length is
-    only the Markowitz estimate.  At most `room` entries and heap keys may
-    be made.  Returns the number of pivots, a bytearray marking the pivot
-    rows, the nonzero columns left (none has a unit entry) and the number of
-    entries and heap keys made."""
-    n = len(cols)
-    first = min((len(col) for col in cols if col), default=0)
-    heap, queued = [], bytearray(n)
-    pivots = bytearray(len(rows))
-    ones = made = nxt = 0
-    while True:
-        if heap and (nxt == n or heap[0] < first * n + nxt):
-            size, c = divmod(heappop(heap), n)
-            col = cols[c]
-            if len(col) != size:
-                if col:
-                    heappush(heap, len(col) * n + c)
-                else:
-                    queued[c] = 0
-                continue
-            queued[c] = 0
-        elif nxt < n:
-            c, nxt = nxt, nxt + 1
-            col = cols[c]
-            if not col or queued[c]:
-                continue
-        else:
-            break
-        best = None
-        for r, v in col.items():
-            if (v == 1 or v == -1) and (best is None
-                                        or len(rows[r]) < len(rows[best])):
-                best = r
-        if best is None:
-            continue
-        u = col.pop(best)
-        cols[c] = None
-        pivots[best] = 1
-        ones += 1
-        targets, rows[best] = rows[best], None
-        for c2 in targets:
-            col2 = cols[c2]
-            if col2 is None or best not in col2:
-                continue
-            f = col2.pop(best) * u
-            for r, v in col.items():
-                w = col2.get(r)
-                if w is None:
-                    col2[r] = -f * v
-                    rows[r].append(c2)
-                    made += 1
-                elif w != f * v:
-                    col2[r] = w - f * v
-                else:
-                    del col2[r]
-            if col2 and not queued[c2]:
-                queued[c2] = 1
-                heappush(heap, len(col2) * n + c2)
-                made += 1
-            if made > room:
-                raise ResourceBudget(
-                    "fill-in of the boundary map of dimension %d passes the "
-                    "memory limit of %d bytes" % (d, MEMORY_LIMIT))
-    return ones, pivots, [col for col in cols if col], made
-
-
-def _leftover_diagonal(left, d):
-    """smith_diagonal of the columns `left` as a dense block over the rows
-    they touch, sized against MEMORY_LIMIT before it is allocated."""
-    live = sorted(set().union(*left))
-    if _dense_bytes(len(live), len(left)) > MEMORY_LIMIT:
-        raise ResourceBudget(
-            "the %d x %d dense leftover of dimension %d passes the memory "
-            "limit of %d bytes" % (len(live), len(left), d, MEMORY_LIMIT))
-    mat = [[0] * len(left) for _ in live]
-    for j, col in enumerate(left):
-        for r, v in col.items():
-            mat[bisect_left(live, r)][j] = v
-    del live
-    return smith_diagonal(mat)
-
-
-def _reduce(d, lower, upper, cleared, room):
-    """(rank, torsion, pivot rows) of the boundary map of dimension d, its
-    columns marked in `cleared` left out."""
-    cols, rows = _sparse_map(lower, upper, cleared)
-    ones, pivots, left, _ = _eliminate(cols, rows, room, d)
-    del cols, rows
-    rest = _leftover_diagonal(left, d) if left else []
-    return ones + len(rest), [x for x in rest if x > 1], pivots
+def _morse_block(upper, lower, up):
+    """The Morse boundary from the critical cells `upper` to `lower`, as a
+    dense block.  Column tau starts as the boundary of tau.  A face s matched
+    with r = s | up[s] cancels its coefficient a by adding -a [r:s] times the
+    boundary of r, and critical faces keep theirs.  The matching is acyclic,
+    so the faces reached form a DAG: a DFS on an explicit stack lists them in
+    postorder, and in reverse postorder each face's coefficient is final."""
+    rows = {s: i for i, s in enumerate(lower)}
+    block = [[0] * len(upper) for _ in lower]
+    for j, tau in enumerate(upper):
+        coef = {tau ^ w: _sign(tau, w) for w in _bits(tau)}
+        order, seen, stack = [], set(), list(coef)
+        while stack:
+            s = stack.pop()
+            if s < 0:
+                order.append(~s)
+            elif s not in seen:
+                seen.add(s)
+                stack.append(~s)
+                b = up.get(s)
+                if b:
+                    stack += [(s | b) ^ w for w in _bits(s)]
+        for s in reversed(order):
+            a, b = coef.pop(s, 0), up.get(s)
+            if a and b:
+                r = s | b
+                a = -a * _sign(r, b)
+                for w in _bits(s):
+                    coef[r ^ w] = coef.get(r ^ w, 0) + a * _sign(r, w)
+            elif a and s in rows:
+                block[rows[s]][j] = a
+    return block
 
 
 def homology(k: SimplicialComplex, max_dim=None):
     """Reduced integral homology: [(betti_d, [torsion orders]), ...] for
-    d = 0 .. max_dim (default: the dimension of the complex).  Only the
-    boundary maps of dimensions 0 .. max_dim + 1 are built, one at a time
-    from the top down, and each is sized against MEMORY_LIMIT before any of
-    them is."""
+    d = 0 .. max_dim (default: the dimension of the complex).  Only the faces
+    of dimensions -1 .. max_dim + 1 are listed and matched.  Each Morse
+    boundary, its block and its path search, is sized with the faces held
+    against MEMORY_LIMIT before any is built."""
     if k.is_void():
         raise InputError("homology of the void complex is undefined here")
     top = k.dim()
     if max_dim is None:
         max_dim = max(top, 0)
     last = min(top, max_dim + 1)
-    by_dim = _faces_by_dim(k, last)
-    dims = range(last, -1, -1)
-    size = {}
-    for d in dims:
-        rows, cols = len(by_dim[d - 1]), len(by_dim[d])
-        size[d] = _sparse_bytes(d, rows, cols)
-        if size[d] > MEMORY_LIMIT:
+    crit = _faces_by_dim(k, last)
+    count = {d: len(faces) for d, faces in crit.items()}
+    size = _face_bytes(k)
+    held = _BASE_BYTES + sum(count.values()) * size
+    up = _match(crit, len(k.vertices))
+    # the map of dimension d sends the critical d-cells to the (d-1)-cells
+    maps = [d for d in range(0, last + 1) if crit[d] and crit[d - 1]]
+    for d in maps:
+        rows, cols = len(crit[d - 1]), len(crit[d])
+        walk = 2 * count[d - 1] * size
+        if held + walk + _dense_bytes(rows, cols) > MEMORY_LIMIT:
             raise ResourceBudget(
-                "the %d x %d boundary map of dimension %d passes the memory "
-                "limit of %d bytes" % (rows, cols, d, MEMORY_LIMIT))
-    rank, torsion, cleared = {}, {}, None
-    for d in dims:
-        # a pivot row of the map above is a face whose column here
-        # reduces to zero
-        room = (MEMORY_LIMIT - size[d]) // _FILL_BYTES
-        rank[d], torsion[d], cleared = _reduce(d, by_dim[d - 1], by_dim[d],
-                                               cleared, room)
-    out = []
-    for d in range(0, max_dim + 1):
-        n_d = len(by_dim.get(d, []))
-        betti = n_d - rank.get(d, 0) - rank.get(d + 1, 0)
-        out.append((betti, sorted(torsion.get(d + 1, []))))
-    return out
+                "the %d x %d Morse boundary of dimension %d passes the "
+                "memory limit of %d bytes" % (rows, cols, d, MEMORY_LIMIT))
+    diag = {d: smith_diagonal(_morse_block(crit[d], crit[d - 1], up[d - 1]))
+            for d in maps}
+    rank = {d: len(x) for d, x in diag.items()}
+    return [(len(crit.get(d, ())) - rank.get(d, 0) - rank.get(d + 1, 0),
+             sorted(x for x in diag.get(d + 1, ()) if x > 1))
+            for d in range(0, max_dim + 1)]

@@ -370,29 +370,30 @@ def test_phi_check_past_memory_is_refused_before_building(capsys):
 
 def test_homology_past_memory_is_refused_before_building(capsys, tmp_path,
                                                         monkeypatch):
-    # Ind(C24)'s largest sparse boundary map, of dimension 6, takes about
-    # 15 MB; under a limit that refuses it, full homology exits 3 before any
-    # map is built, and --max-dim 1 needs only the maps of dimensions 0..2
+    # Ind(C24)'s 103,682 faces are counted at 188 bytes each, about 19.5 MB;
+    # under a limit that refuses them, full homology exits 3 partway through
+    # the listing, before any face is matched, and --max-dim 1 lists and
+    # matches only the faces of up to three vertices
     k = independence_complex(cycle_graph(24))
     path = write(tmp_path, "ind_c24.json", {
         "schema": "complex/1", "facets": [sorted(f) for f in k.facets]})
-    built = []
-    real = homology_module._sparse_map
+    matched = []
+    real = homology_module._match
 
-    def recording(lower, upper, cleared):
-        built.append(len(upper))
-        return real(lower, upper, cleared)
+    def recording(by_dim, n):
+        matched.append(max(by_dim))
+        return real(by_dim, n)
 
-    monkeypatch.setattr(homology_module, "_sparse_map", recording)
+    monkeypatch.setattr(homology_module, "_match", recording)
     monkeypatch.setattr(homology_module, "MEMORY_LIMIT", 14_000_000)
     code, doc, err = run(capsys, "homology", "--input", path)
-    assert code == 3 and doc is None and built == []
-    assert "boundary map of dimension 6 passes the memory limit" in err
+    assert code == 3 and doc is None and matched == []
+    assert "faces at 188 bytes each pass the memory limit" in err
     code, doc, _ = run(capsys, "homology", "--input", path, "--max-dim", "1")
     assert code == 0 and doc["reduced"] == [
         {"dim": 0, "betti": 0, "torsion": []},
         {"dim": 1, "betti": 0, "torsion": []}]
-    assert len(built) == 3
+    assert matched == [2]
 
 
 def test_homology_of_ind_c20_answers(capsys, tmp_path):

@@ -15,9 +15,8 @@ from fairsplit.complexes import (SimplicialComplex, independence_complex,
                                  vertex_key)
 from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.graphs import Graph, cycle_graph
-from fairsplit.homology import (_FILL_BYTES, _dense_bytes, _eliminate,
-                                _faces_by_dim, _leftover_diagonal,
-                                _sparse_bytes, _sparse_map, homology,
+from fairsplit.homology import (_BASE_BYTES, _dense_bytes, _face_bytes,
+                                _faces_by_dim, _match, _morse_block, homology,
                                 smith_diagonal)
 
 from shared import cone, faces, full_simplex, skeleton
@@ -53,7 +52,7 @@ def boundary_matrix(faces_lower, faces_upper):
 def _dense_reports(k):
     """The dense path's homology(k, m) for m = -1 .. dim + 2, from one Smith
     diagonal per boundary map: a map's diagonal does not depend on m."""
-    by_dim = _faces_by_dim(k, k.dim())
+    by_dim = _faces_by_dim_reference(k)
     snf = {d: smith_diagonal(boundary_matrix(by_dim[d - 1], by_dim[d]))
            for d in range(0, k.dim() + 1)}
     reports = []
@@ -102,7 +101,7 @@ class ChainComplexData:
 
 def chain_complex(k: SimplicialComplex):
     """The augmented integer chain complex of k, top dimension first index."""
-    by_dim = _faces_by_dim(k, k.dim())
+    by_dim = _faces_by_dim_reference(k)
     mats = []
     for d in range(0, k.dim() + 1):
         mats.append(boundary_matrix(by_dim.get(d - 1, []),
@@ -290,24 +289,34 @@ def test_max_dim_truncation():
     assert homology(k, max_dim=4) == [(0, []), (0, []), (1, []), (0, []), (0, [])]
 
 
-def _recording_sparse_map(monkeypatch):
-    """Patch _sparse_map to log each map's dimension as it is built."""
-    built = []
+def _recording(monkeypatch, name, key):
+    """Patch homology_module.<name> to log key(*args) at each call."""
+    real, calls = getattr(homology_module, name), []
 
-    def record(lower, upper, cleared):
-        built.append(len(upper[0]) - 1)
-        return _sparse_map(lower, upper, cleared)
+    def record(*args):
+        calls.append(key(*args))
+        return real(*args)
 
-    monkeypatch.setattr(homology_module, "_sparse_map", record)
-    return built
+    monkeypatch.setattr(homology_module, name, record)
+    return calls
+
+
+def _blocks(monkeypatch):
+    """Log the dimension of each Morse boundary block as it is built."""
+    return _recording(monkeypatch, "_morse_block",
+                      lambda upper, lower, up: bin(min(upper)).count("1") - 1)
 
 
 def test_max_dim_builds_only_the_maps_it_reads(monkeypatch):
-    k = independence_complex(cycle_graph(14))  # dimension 6
+    k = _copies(_RP2, 3)  # critical cells in dimensions 0, 1 and 2
     full = homology(k)
-    built = _recording_sparse_map(monkeypatch)
-    assert homology(k, max_dim=1) == full[:2]
-    assert built == [2, 1, 0]  # from the top down, for clearing
+    listed = _recording(monkeypatch, "_faces_by_dim", lambda k, top: top)
+    built = _blocks(monkeypatch)
+    assert homology(k) == full and listed == [2] and built == [1, 2]
+    listed.clear()
+    built.clear()
+    assert homology(k, max_dim=0) == full[:1]
+    assert listed == [1] and built == [1]
 
 
 def _peak(fn, *args):
@@ -325,132 +334,139 @@ def _peak(fn, *args):
         del hold
 
 
-def _reduce_counting(d, lower, upper, cleared):
-    """homology_module._reduce, also returning what the elimination made."""
-    cols, rows = _sparse_map(lower, upper, cleared)
-    ones, pivots, left, made = _eliminate(cols, rows, 10 ** 18, d)
-    del cols, rows
-    rest = _leftover_diagonal(left, d) if left else []
-    return ones + len(rest), pivots, made
+def _stated_bytes(k):
+    """What homology counts for k: the faces held, and per Morse boundary,
+    (dimension, its path search and dense block, the dense block alone, the
+    measured peak of building and reducing it)."""
+    crit = _faces_by_dim(k, k.dim())
+    count = {d: len(faces) for d, faces in crit.items()}
+    size = _face_bytes(k)
+    held = _BASE_BYTES + sum(count.values()) * size
+    up = _match(crit, len(k.vertices))
+    maps = []
+    for d in range(0, k.dim() + 1):
+        if crit[d] and crit[d - 1]:
+            dense = _dense_bytes(len(crit[d - 1]), len(crit[d]))
+            _, peak = _peak(lambda: smith_diagonal(
+                _morse_block(crit[d], crit[d - 1], up[d - 1])))
+            maps.append((d, 2 * count[d - 1] * size + dense,
+                         dense, peak))
+    return held, maps
 
 
 def test_boundary_matrix_bytes_bound_the_measured_peak():
-    # the stated bytes of each sparse map, against tracemalloc, on every map
-    # of Ind(C14) and Ind(C18) and on a tall one-column map: they bound the
-    # build and are tight once large, and with the fill-in counted they bound
-    # the whole reduction of the map
+    # the bytes homology counts, against tracemalloc: the faces held bound
+    # the whole call, and each Morse boundary's path search and dense block
+    # bound what building and reducing it takes (Moore spaces and their
+    # suspensions have long gradient paths)
     tall = SimplicialComplex(list(combinations(range(40), 2)) + [(0, 1, 2)])
-    large = 0
-    for k in (independence_complex(cycle_graph(14)), tall,
-              independence_complex(cycle_graph(18))):
-        by_dim = _faces_by_dim(k, k.dim())
-        for d in range(0, k.dim() + 1):
-            lower, upper = by_dim[d - 1], by_dim[d]
-            bound = _sparse_bytes(d, len(lower), len(upper))
-            _, peak = _peak(_sparse_map, lower, upper, None)
-            assert peak <= bound, (d, peak, bound)
-            if bound > 100_000:  # and it is tight once the map is large
-                assert peak >= 0.9 * bound, (d, peak, bound)
-                large += 1
-            (_, _, made), peak = _peak(_reduce_counting, d, lower, upper, None)
-            assert peak <= bound + made * _FILL_BYTES, (d, peak, bound, made)
-    assert large >= 6
-
-
-def _needed_bytes(k):
-    """Per map, top down as homology reduces them: its stated bytes, and
-    those plus its fill-in."""
-    by_dim = _faces_by_dim(k, k.dim())
-    sized, needed, cleared = [], [], None
-    for d in range(k.dim(), -1, -1):
-        lower, upper = by_dim[d - 1], by_dim[d]
-        _, cleared, made = _reduce_counting(d, lower, upper, cleared)
-        sized.append(_sparse_bytes(d, len(lower), len(upper)))
-        needed.append(sized[-1] + made * _FILL_BYTES)
-    return sized, needed
+    ks = [independence_complex(cycle_graph(n)) for n in (14, 18, 21)]
+    ks += [tall, full_simplex(range(15)), _RP2, _copies(_RP2, 20),
+           _moore_space(60), _suspension(_moore_space(30), 1),
+           _suspension(_moore_space(8), 3)]
+    shares, walks = [], 0
+    for k in ks:
+        held, maps = _stated_bytes(k)
+        _, peak = _peak(homology, k)
+        assert peak <= held + max([m[1] for m in maps], default=0), (k, peak)
+        shares.append(peak / held)
+        for d, stated, _, measured in maps:
+            assert measured <= stated, (k, d, measured, stated)
+            walks += 1
+    # the sets' tables double in steps, so the share a face set's held
+    # bytes reach varies, but the figure is not padded far past the worst
+    assert max(shares) >= 0.8 and walks >= 5, shares
 
 
 def test_boundary_matrices_are_sized_before_any_is_built(monkeypatch):
-    k = independence_complex(cycle_graph(14))
-    sized, needed = _needed_bytes(k)
-    largest = max(sized)
-    assert max(needed) > largest  # with its fill-in, a map needs more
-    built = _recording_sparse_map(monkeypatch)
-    monkeypatch.setattr(homology_module, "MEMORY_LIMIT", largest - 1)
+    k = _copies(_RP2, 30)
+    want = homology(k)
+    held, maps = _stated_bytes(k)
+    (d1, small, _, _), (d2, large, _, _) = maps
+    assert (d1, d2) == (1, 2) and small < large
+    built = _blocks(monkeypatch)
+    monkeypatch.setattr(homology_module, "MEMORY_LIMIT", held + large - 1)
     with pytest.raises(ResourceBudget,
-                       match="boundary map of dimension .* memory limit of %d"
-                       % (largest - 1)):
+                       match="Morse boundary of dimension 2 passes the memory "
+                       "limit of %d" % (held + large - 1)):
         homology(k)
-    assert built == []
-    # exactly the largest map's bytes pass the check made before building;
-    # what is refused then is fill-in, as it is made
-    monkeypatch.setattr(homology_module, "MEMORY_LIMIT", largest)
-    with pytest.raises(ResourceBudget, match="fill-in of the boundary map"):
-        homology(k)
-    assert built
+    assert built == []  # the map of dimension 1 fit, but was not built
+    monkeypatch.setattr(homology_module, "MEMORY_LIMIT", held + large)
+    assert homology(k) == want and built == [1, 2]
 
 
 def test_fill_in_is_counted_as_it_is_made(monkeypatch):
+    # Ind(C14) has no Morse boundary to build: what it needs is its faces,
+    # counted as they are listed.  At exactly their bytes it answers; one
+    # byte less refuses at the last face listed, before any is matched
     k = independence_complex(cycle_graph(14))
     want = homology(k)
-    _, needed = _needed_bytes(k)
-    need = max(needed)
-    monkeypatch.setattr(homology_module, "MEMORY_LIMIT", need)
-    assert homology(k) == want
-    monkeypatch.setattr(homology_module, "MEMORY_LIMIT", need - 1)
-    with pytest.raises(ResourceBudget, match="fill-in of the boundary map"):
+    held, maps = _stated_bytes(k)
+    assert maps == []
+    matched = _recording(monkeypatch, "_match", lambda by_dim, n: n)
+    monkeypatch.setattr(homology_module, "MEMORY_LIMIT", held)
+    assert homology(k) == want and matched == [len(k.vertices)]
+    matched.clear()
+    monkeypatch.setattr(homology_module, "MEMORY_LIMIT", held - 1)
+    with pytest.raises(ResourceBudget,
+                       match="faces at %d bytes each pass the memory limit"
+                       % _face_bytes(k)):
         homology(k)
-
-
-def _unit_free_columns(n, rng):
-    """n columns over n rows with no unit entry: 2, 3 or 4 on the diagonal
-    and, now and then, an even entry beside it."""
-    cols = []
-    for j in range(n):
-        col = {j: rng.choice([2, 3, 4])}
-        if j and rng.random() < 0.3:
-            col[j - 1] = rng.choice([-2, 2])
-        cols.append(col)
-    return cols
+    assert matched == []
 
 
 def test_dense_leftover_bytes_bound_the_measured_peak():
-    # 16 * rows * (cols + 9) bytes and 4 KB against tracemalloc: a bound on
-    # every leftover, tight once large
-    rng = random.Random(46)
+    # 16 * rows * (cols + 9) bytes and 4 KB for the dense block of the
+    # critical cells the matching leaves, against tracemalloc on building and
+    # reducing it: with its path search a bound on every block, and tight
+    # once large
     large = 0
     for n in (10, 20, 40, 90):
-        left = _unit_free_columns(n, rng)
-        bound = _dense_bytes(n, n)
-        diag, peak = _peak(_leftover_diagonal, left, 3)
-        assert diag == _smith_diagonal_reference(
-            [[col.get(r, 0) for col in left] for r in range(n)])
-        assert peak <= bound, (n, peak, bound)
-        if bound > 100_000:
-            assert peak >= 0.9 * bound, (n, peak, bound)
-            large += 1
-    assert large == 1
+        for d, stated, dense, peak in _stated_bytes(_copies(_RP2, n))[1]:
+            assert peak <= stated, (n, d, peak, stated)
+            if dense > 100_000:
+                assert peak >= 0.9 * dense, (n, d, peak, dense)
+                large += 1
+    assert large >= 1
 
 
 def test_dense_leftover_is_sized_before_it_is_allocated(monkeypatch):
-    left = _unit_free_columns(30, random.Random(47))
-    sized = _dense_bytes(30, 30)
-    want = _leftover_diagonal(left, 3)
-    calls = []
-    monkeypatch.setattr(homology_module, "smith_diagonal",
-                        lambda mat: calls.append(mat) or smith_diagonal(mat))
-    monkeypatch.setattr(homology_module, "MEMORY_LIMIT", sized - 1)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceBudget,
-                           match="30 x 30 dense leftover of dimension 3"):
-            _leftover_diagonal(left, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert calls == [] and peak < sized // 4, peak
-    monkeypatch.setattr(homology_module, "MEMORY_LIMIT", sized)
-    assert _leftover_diagonal(left, 3) == want and len(calls) == 1
+    k = _moore_space(40)
+    want = homology(k)
+    held, [(_, stated, _, _)] = _stated_bytes(k)
+    calls = _recording(monkeypatch, "smith_diagonal", len)
+    built = _blocks(monkeypatch)
+    limit = held + stated - 1
+    monkeypatch.setattr(homology_module, "MEMORY_LIMIT", limit)
+    with pytest.raises(ResourceBudget,
+                       match="the 3 x 3 Morse boundary of dimension 2"):
+        homology(k)
+    assert calls == [] and built == []
+    _, peak = _peak(pytest.raises, ResourceBudget, homology, k)
+    assert peak < limit, peak
+    monkeypatch.setattr(homology_module, "MEMORY_LIMIT", limit + 1)
+    assert homology(k) == want and calls == [3] and built == [2]
+
+
+def test_face_listing_is_held_to_the_memory_limit(monkeypatch):
+    # the 18-vertex simplex has 262,144 faces in one facet and Ind(C20)
+    # 15,127 faces in 277 facets, both well over 1 MB at 188 bytes a face.
+    # Under a 1 MB limit each is refused partway through the listing, before
+    # any face is matched, and the listing's peak stays under the limit
+    matched = _recording(monkeypatch, "_match", lambda by_dim, n: n)
+    monkeypatch.setattr(homology_module, "MEMORY_LIMIT", 1_000_000)
+    for k in (full_simplex(range(18)), independence_complex(cycle_graph(20))):
+        size = _face_bytes(k)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceBudget,
+                               match="faces at %d bytes each pass the memory "
+                               "limit of 1000000 bytes" % size):
+                homology(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matched == [] and 100_000 < peak < 1_000_000, peak
 
 
 def _moore_space(p):
@@ -465,6 +481,23 @@ def _moore_space(p):
         facets += [(a[i], a[i + 1], m[i]), (a[i + 1], m[i], m[i + 1]),
                    ("c", m[i], m[i + 1])]
     return SimplicialComplex(facets)
+
+
+def _suspension(k, times):
+    """k joined with two points, `times` times over."""
+    facets = [tuple(f) for f in k.facets]
+    for t in range(times):
+        facets = ([f + ("n%d" % t,) for f in facets]
+                  + [f + ("s%d" % t,) for f in facets])
+    return SimplicialComplex(facets)
+
+
+def _copies(k, n):
+    """n disjoint copies of k, on the integers: copy j of the vertex of rank
+    r is j * len(k.vertices) + r."""
+    rank = {v: r for r, v in enumerate(k.vertices)}
+    return SimplicialComplex([[j * len(rank) + rank[v] for v in f]
+                              for j in range(n) for f in k.facets])
 
 
 _RP2 = SimplicialComplex([(1, 2, 3), (1, 3, 4), (1, 2, 6), (1, 4, 5),
@@ -487,81 +520,113 @@ def _random_facet_complex(rng):
                               for _ in range(rng.randint(1, 10))])
 
 
-def _leftovers(monkeypatch):
-    """Patch _leftover_diagonal to log the number of columns of each dense
-    leftover."""
-    seen = []
-
-    def record(left, d):
-        seen.append(len(left))
-        return _leftover_diagonal(left, d)
-
-    monkeypatch.setattr(homology_module, "_leftover_diagonal", record)
-    return seen
-
-
-def test_homology_matches_the_dense_reference():
+def test_homology_matches_the_dense_reference(monkeypatch):
     rng = random.Random(48)
     ks = [_random_graph_complex(rng) for _ in range(110)]
     ks += [_random_facet_complex(rng) for _ in range(110)]
     ks += [independence_complex(cycle_graph(n)) for n in range(3, 17)]
     ks += _complexes_of_these_tests() + [_RP2, _moore_space(3)]
+    built, morse = _blocks(monkeypatch), []
     for k in ks:
+        built.clear()
         assert homology(k) == dense_homology(k), k.facets
+        morse.append(bool(built))
         assert ([homology(k, m) for m in range(-1, k.dim() + 3)]
                 == _dense_reports(k)), k.facets
+    # the corpus keeps critical cells in adjacent dimensions, so that the
+    # Morse boundary is built and checked, not only the matching
+    assert morse[-2:] == [True, True] and sum(morse[:220]) >= 10
+
+
+def test_matching_is_an_acyclic_partition_of_the_faces():
+    # every face is critical or in exactly one pair {s, s | bit}, and the
+    # gradient paths among the d-faces (s to the other faces of s | bit) have
+    # no cycle: Forman's theorem needs both
+    rng = random.Random(51)
+    ks = [_random_graph_complex(rng) for _ in range(100)]
+    ks += [_random_facet_complex(rng) for _ in range(100)]
+    ks += [independence_complex(cycle_graph(n)) for n in range(3, 13)]
+    ks += [_RP2, _moore_space(3), _suspension(_copies(_RP2, 2), 1)]
+    for k in ks:
+        crit = _faces_by_dim(k, k.dim())
+        faces = sorted(f for d in crit for f in crit[d])
+        up = _match(crit, len(k.vertices))
+        cells = [f for d in crit for f in crit[d]]
+        for pairs in up.values():
+            assert all(not s & b for s, b in pairs.items())
+            cells += list(pairs) + [s | b for s, b in pairs.items()]
+        assert sorted(cells) == faces, k.facets
+        for pairs in up.values():
+            # only faces matched up lead on, so Kahn's algorithm over them
+            # must take them all
+            after = {s: [(s | b) ^ 1 << i for i in range((s | b).bit_length())
+                         if (s | b) >> i & 1 and 1 << i != b]
+                     for s, b in pairs.items()}
+            into = {t: 0 for t in after}
+            for ts in after.values():
+                for t in ts:
+                    if t in into:
+                        into[t] += 1
+            ready = [s for s, n in into.items() if not n]
+            for s in ready:
+                for t in after[s]:
+                    if t in into:
+                        into[t] -= 1
+                        if not into[t]:
+                            ready.append(t)
+            assert len(ready) == len(after), k.facets
 
 
 def test_torsion_comes_from_the_dense_leftover(monkeypatch):
-    seen = _leftovers(monkeypatch)
+    built = _blocks(monkeypatch)
     assert homology(_moore_space(3)) == [(0, []), (0, [3]), (0, [])]
-    assert seen and all(seen)
-    seen.clear()
+    assert 2 in built
+    built.clear()
     assert homology(_moore_space(5), max_dim=1) == [(0, []), (0, [5])]
-    assert seen and all(seen)
-    seen.clear()
+    assert 2 in built
+    built.clear()
     assert homology(_RP2) == [(0, []), (0, [2]), (0, [])]
-    assert seen and all(seen)
-    seen.clear()
+    assert 2 in built
+    built.clear()
     homology(independence_complex(cycle_graph(12)))
-    assert seen == []
+    assert built == []  # two critical 3-cells and nothing else
 
 
-def test_sparse_stage_matches_smith_diagonal_on_random_matrices():
-    # entries in -3..3 and columns of mixed sizes: non-unit entries, columns
-    # that wait for a unit and fill-in that cancels all occur
-    rng = random.Random(49)
-    leftover = 0
-    for _ in range(400):
-        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-        m = [[rng.choice([0, 0, 0, 1, -1, 2, -2, 3, -3])
-              for _ in range(cols)] for _ in range(rows)]
-        columns = [{r: m[r][c] for r in range(rows) if m[r][c]}
-                   for c in range(cols)]
-        row_lists = [[c for c in range(cols) if m[r][c]] for r in range(rows)]
-        ones, pivots, left, _ = _eliminate(columns, row_lists, 10 ** 9, 0)
-        rest = _leftover_diagonal(left, 0) if left else []
-        assert [1] * ones + rest == _smith_diagonal_reference(m), m
-        assert sum(pivots) == ones
-        leftover += bool(left)
-    assert leftover >= 50
+def _morse_blocks(k):
+    """{d: the Morse boundary block of dimension d} of k, over its critical
+    cells as _match leaves them."""
+    crit = _faces_by_dim(k, k.dim())
+    up = _match(crit, len(k.vertices))
+    return {d: _morse_block(crit[d], crit[d - 1], up[d - 1])
+            for d in range(0, k.dim() + 1) if crit[d] and crit[d - 1]}
 
 
-def test_sparse_map_columns_are_the_dense_columns():
-    by_dim = _faces_by_dim(_RP2, 2)
+def test_morse_boundaries_compose_to_zero():
+    # the Morse complex is a chain complex: consecutive blocks multiply to
+    # zero.  Disjoint copies and suspensions of RP^2 and of Moore spaces have
+    # critical cells in three adjacent dimensions.
+    ks = []
+    for n in range(2, 5):
+        ks += [_copies(_RP2, n), _copies(_moore_space(n), n),
+               _suspension(_copies(_RP2, n), 1),
+               _suspension(_copies(_moore_space(n + 1), 2), 2)]
+    composed = 0
+    for k in ks:
+        blocks = _morse_blocks(k)
+        for d in blocks:
+            if d + 1 in blocks:
+                prod = matmul(blocks[d], blocks[d + 1])
+                assert not any(any(row) for row in prod), k.facets
+                composed += any(any(row) for row in blocks[d + 1])
+    assert composed >= 10
+
+
+def test_morse_columns_without_a_matching_are_the_dense_columns():
+    by_dim = _faces_by_dim_reference(_RP2)
     for d in range(0, 3):
         lower, upper = by_dim[d - 1], by_dim[d]
-        cols, rows = _sparse_map(lower, upper, None)
-        mat = boundary_matrix(lower, upper)
-        assert cols == [{r: mat[r][c] for r in range(len(lower)) if mat[r][c]}
-                        for c in range(len(upper))]
-        assert [sorted(row) for row in rows] == [
-            [c for c in range(len(upper)) if mat[r][c]]
-            for r in range(len(lower))]
-    cleared = bytearray([1, 0] * 5)
-    cols, rows = _sparse_map(by_dim[1], by_dim[2], cleared)
-    assert [c is None for c in cols] == [bool(x) for x in cleared]
-    assert all(c % 2 for row in rows for c in row)
+        block = _morse_block(_masks(_RP2, upper), _masks(_RP2, lower), {})
+        assert block == boundary_matrix(lower, upper)
 
 
 def test_cli_bytes_match_the_dense_reference(monkeypatch, tmp_path):
@@ -616,10 +681,18 @@ def _faces_by_dim_reference(k: SimplicialComplex):
     return by_dim
 
 
+def _masks(k, faces):
+    """The label tuples `faces` of k as bitmasks over vertex ranks."""
+    rank = {v: r for r, v in enumerate(k.vertices)}
+    return [sum(1 << rank[v] for v in f) for f in faces]
+
+
 def _full_enumeration(monkeypatch):
     """Make homology read every face, as it did before max_dim capped it."""
-    monkeypatch.setattr(homology_module, "_faces_by_dim",
-                        lambda k, top: _faces_by_dim_reference(k))
+    monkeypatch.setattr(
+        homology_module, "_faces_by_dim",
+        lambda k, top: {d: set(_masks(k, faces))
+                        for d, faces in _faces_by_dim_reference(k).items()})
 
 
 def _random_complex(rng):
@@ -649,7 +722,8 @@ def test_faces_by_dim_is_the_full_enumeration_cut_at_top():
     for k in ks:
         full = _faces_by_dim_reference(k)
         for top in range(-1, k.dim() + 1):
-            want = {d: faces for d, faces in full.items() if d <= top}
+            want = {d: set(_masks(k, faces)) for d, faces in full.items()
+                    if d <= top}
             assert _faces_by_dim(k, top) == want, (k.facets, top)
 
 
