@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import prod
 
-from .compose import compose, power_of_two_splitting, solver_base_splitter
+from .compose import compose, power_of_two_levels
 from .complexes import FACE_BUDGET
 from .conditions import check_conditions
 from .constraint_map import (ConstraintMapInstance, verify_equivariance,
@@ -128,8 +129,8 @@ def cmd_verify(args):
 def cmd_check_conditions(args):
     g, partition = _load_instance(args.input)
     path = None if args.path is None else _list_flag(args.path, "--path")
-    report = check_conditions(g, partition, args.q, n=args.n, path=path,
-                              budget=args.budget)
+    report = check_conditions(g, partition, check_size("--q", args.q),
+                              n=args.n, path=path, budget=args.budget)
     return (0 if report.any_certified else 1), report.to_json()
 
 
@@ -198,18 +199,14 @@ def cmd_compose(args):
     n = check_size("--n", args.n)
     partition = _blocks_partition(args.blocks, n)
     if args.t is not None:
-        splitting = power_of_two_splitting(n, partition, args.t,
-                                           budget=args.budget)
-        q, stability = 2 ** args.t, 2 ** args.t
+        levels = power_of_two_levels(args.t, partition)
+    elif args.q1 is None or args.q2 is None:
+        raise InputError("compose needs either --t or both --q1 and --q2")
     else:
-        if args.q1 is None or args.q2 is None:
-            raise InputError("compose needs either --t or both --q1 and --q2")
-        s1 = args.q1 if args.s1 is None else args.s1
-        s2 = args.q2 if args.s2 is None else args.s2
-        outer = solver_base_splitter(args.q1, s1, budget=args.budget)
-        inner = solver_base_splitter(args.q2, s2, budget=args.budget)
-        splitting, stability = compose(n, partition, outer, inner)
-        q = args.q1 * args.q2
+        levels = [(args.q1, args.q1 if args.s1 is None else args.s1),
+                  (args.q2, args.q2 if args.s2 is None else args.s2)]
+    splitting = compose(n, partition, levels, budget=args.budget)
+    q, stability = prod(q for q, _ in levels), prod(s for _, s in levels)
     spec = SplittingSpec(q=q, flavor="almost_fair", stability=stability)
     cert = check_splitting(Graph(n, ()), partition, splitting, spec)
     doc = {"schema": "compose/1", "q": q, "stability": stability,

@@ -1,9 +1,10 @@
-"""Simplicial complexes stored as facet antichains.
+"""Simplicial complexes given by their facets.
 
 The package builds two kinds of complex: the independence complex of a
 graph, and a complex read from a complex/1 document (serial.complex_load).
-Vertices may be integers, strings, or (nested) tuples; a complex keeps its
-facets reduced to maximal faces and sorted canonically.
+Vertices are integers or strings.  A complex keeps its facets as given,
+in input order with exact repeats dropped: a facet may lie inside another,
+since homology collects each face once whatever facets contain it.
 """
 
 from __future__ import annotations
@@ -13,69 +14,23 @@ from .graphs import Graph
 
 FACE_BUDGET = 10 ** 7
 
-# The maximality filter indexes one block of this many faces at a time by
-# vertex, as bitmasks over the block: one mask of at most _BLOCK bits per
-# vertex of the block's faces, however many faces there are.
-_BLOCK = 1024
-
 
 def vertex_key(v):
-    """Total order over mixed vertex labels: integers, strings, then tuples."""
-    if isinstance(v, tuple):
-        return (2, tuple(vertex_key(x) for x in v))
-    if isinstance(v, str):
-        return (1, v)
-    return (0, v)
-
-
-def _face_key(f):
-    return (len(f), tuple(sorted(vertex_key(v) for v in f)))
-
-
-def _maximal(faces):
-    """The faces of the set `faces` that lie in no other of them.
-
-    Each face is listed under one of its vertices.  In a block of faces, a
-    vertex's mask has the bits of the block's faces through it; a face listed
-    under a vertex of the block ANDs the masks of its vertices, and the bits
-    left are the block's faces that contain it."""
-    if len(faces) > 1:
-        faces.discard(frozenset())
-    faces = list(faces)
-    listed = {}
-    for j, f in enumerate(faces):
-        for v in f:
-            listed.setdefault(v, []).append(j)
-            break
-    inside = set()
-    for lo in range(0, len(faces), _BLOCK):
-        hi = min(lo + _BLOCK, len(faces))
-        masks = {}
-        for i in range(lo, hi):
-            for v in faces[i]:
-                masks[v] = masks.get(v, 0) | 1 << (i - lo)
-        for v in masks:
-            for j in listed.get(v, ()):
-                m = masks[v]
-                for u in faces[j]:
-                    m &= masks.get(u, 0)
-                # a face in the block finds itself too
-                if m != (1 << (j - lo) if lo <= j < hi else 0):
-                    inside.add(j)
-    return [f for j, f in enumerate(faces) if j not in inside]
+    """Total order over vertex labels: integers, then strings."""
+    return (isinstance(v, str), v)
 
 
 class SimplicialComplex:
     """A complex given by its facets; the empty face is always a face.
 
     facets=[] is the void complex (no faces at all, not even the empty one);
-    facets=[()] is the complex whose only face is empty.
+    facets=[()] is the complex whose only face is empty.  Vertices given
+    beyond the facets' are ghosts: part of the ground set, not faces.
     """
 
     def __init__(self, facets, vertices=None):
-        maximal = _maximal({frozenset(f) for f in facets})
-        self.facets = tuple(sorted(maximal, key=_face_key))
-        implied = set().union(*maximal) if maximal else set()
+        self.facets = tuple(dict.fromkeys(map(frozenset, facets)))
+        implied = set().union(*self.facets)
         if vertices is None:
             self.vertices = tuple(sorted(implied, key=vertex_key))
         else:

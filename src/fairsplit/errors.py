@@ -2,7 +2,9 @@
 
 InputError        malformed instance data (CLI exit code 2)
 ResourceBudget    a face/node/size budget was exceeded (CLI exit code 3)
-ContractError     a pluggable component violated its stated guarantee
+ContractError     a construction's output broke the guarantee it states: a
+                  compose level or the Kneser reduction failed its own
+                  re-check (CLI exit code 1)
 """
 
 # The most vertices and edges an instance may have, checked (check_size)

@@ -184,11 +184,15 @@ def strong_general_position_check(config, q, budget=200000):
     """True iff every family of q pairwise disjoint nonempty subsets with at
     most (q-1)(D+1) points in total has empty common hull intersection.
 
-    Returns (verdict, witness_family_or_None).  The families are counted
-    before any is built, so an over-budget check fails at once.
+    Returns (verdict, witness_family_or_None).  Fewer than q points hold no
+    such family, which is decided before anything of size q is built; else
+    the families are counted before any is built, so an over-budget check
+    fails at once.
     """
     if q < 1:
         raise InputError("q must be positive")
+    if q > len(config):
+        return True, None
     bound = (q - 1) * (config.dim + 1)
     count = _family_count(len(config), q, bound)
     if count > budget:
@@ -202,7 +206,7 @@ def strong_general_position_check(config, q, budget=200000):
 def tverberg_search(config, q, target_dim=None, budget=500000):
     """First partition of all the labels into q nonempty parts whose convex
     hulls share a point, as (parts, common_point); None when no partition
-    works."""
+    works, at once when there are fewer labels than parts."""
     if q < 1:
         raise InputError("q must be positive")
     if target_dim is not None and target_dim != config.dim:
@@ -210,6 +214,8 @@ def tverberg_search(config, q, target_dim=None, budget=500000):
                          % (config.dim, target_dim))
     seen = 0
     n = len(config)
+    if q > n:
+        return None
     for parts in _disjoint_families(n, q, n, n):
         seen += 1
         if seen > budget:

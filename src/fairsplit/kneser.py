@@ -5,9 +5,10 @@ KG^q(n, k) has the k-subsets of 1..n as vertices and a hyperedge for every q
 pairwise disjoint subsets.  The "path" stability filter keeps subsets whose
 elements pairwise differ by at least q; "cycle" additionally requires the
 wrap-around gap first + n - last to be at least q.  build_hypergraph counts
-the stable subsets in closed form and checks the vertex budget before it
-enumerates any; its search for hyperedges charges every partial family it
-visits to the edge budget, and drops families that cannot be completed.
+the stable subsets in closed form, one factor at a time up to the vertex
+budget, and checks that budget before it enumerates any; its search for
+hyperedges charges every partial family it visits to the edge budget, and
+drops families that cannot be completed.
 
 chromatic_number tries c = lower bound, lower bound + 1, ... with one
 iterative DSATUR search per c (Brélaz 1979).  The search keeps, for every
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
-from math import comb
 
 from .errors import ContractError, InputError, ResourceBudget, check_size
 from .graphs import Graph, VertexPartition, path_graph
@@ -70,17 +70,38 @@ def stable_subsets(n, k, q, stability):
     return out
 
 
+def _comb_past(m, k, cap):
+    """comb(m, k) for m >= 0, or cap + 1 once it passes cap.  It is built one
+    factor at a time: the partial products C(m - k + i, i) grow with i, so
+    the first one past cap shows the count is too, and a huge count costs
+    only the few multiplications that reach it."""
+    k = min(k, m - k)
+    if k < 0:
+        return 0
+    count = 1
+    for i in range(1, k + 1):
+        count = count * (m - k + i) // i
+        if count > cap:
+            return cap + 1
+    return count
+
+
 def stable_subset_count(n, k, q, stability):
-    """len(stable_subsets(n, k, q, stability)) in closed form: choosing k
-    elements pairwise q apart on a path of n is choosing k of
-    n - (q-1)(k-1); on a cycle of n (k >= 2) it is n*C(m, k)/m with
-    m = n - (q-1)k."""
+    """len(stable_subsets(n, k, q, stability)) in closed form, or
+    VERTEX_BUDGET + 1 once it passes that budget: choosing k elements
+    pairwise q apart on a path of n is choosing k of n - (q-1)(k-1); on a
+    cycle of n (k >= 2) it is n*C(m, k)/m with m = n - (q-1)k, which is at
+    least C(m, k)."""
+    cap = VERTEX_BUDGET
     if stability == "none":
-        return comb(n, k)
+        return _comb_past(n, k, cap)
     if stability == "cycle" and k >= 2:
         m = n - (q - 1) * k
-        return n * comb(m, k) // m if m > 0 else 0
-    return comb(max(n - (q - 1) * (k - 1), 0), k)
+        if m <= 0:
+            return 0
+        count = _comb_past(m, k, cap)
+        return min(n * count // m, cap + 1)
+    return _comb_past(max(n - (q - 1) * (k - 1), 0), k, cap)
 
 
 @dataclass
@@ -95,9 +116,9 @@ def build_hypergraph(inst: KneserInstance):
     is dropped when fewer elements are unused than its missing sets need, or
     fewer candidate vertices are left than it misses; every family visited,
     complete or not, is charged to EDGE_BUDGET."""
-    count = stable_subset_count(inst.n, inst.k, inst.q, inst.stability)
-    if count > VERTEX_BUDGET:
-        raise ResourceBudget("%d vertices exceed the budget" % count)
+    if stable_subset_count(inst.n, inst.k, inst.q, inst.stability) > VERTEX_BUDGET:
+        raise ResourceBudget("more stable k-subsets than the vertex budget "
+                             "of %d" % VERTEX_BUDGET)
     verts = stable_subsets(inst.n, inst.k, inst.q, inst.stability)
     if inst.k == 0:
         # the empty set is disjoint from itself only vacuously; a hyperedge

@@ -11,12 +11,25 @@ import itertools
 import random
 from itertools import combinations
 
-from fairsplit.complexes import FACE_BUDGET, SimplicialComplex, vertex_key
+from fairsplit.complexes import FACE_BUDGET, SimplicialComplex
 from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.graphs import Graph
 
 # ---------------------------------------------------------------------------
 # complex constructions
+
+
+def label_key(v):
+    """Total order over the labels the tests use: integers, strings, then
+    (nested) tuples, such as the tagged vertices of joins.  A complex sorts
+    its vertices by complexes.vertex_key, which orders tuples only by plain
+    comparison, so a construction whose tuple labels mix integers and
+    strings labels its vertices by this key instead."""
+    if isinstance(v, tuple):
+        return (2, tuple(label_key(x) for x in v))
+    if isinstance(v, str):
+        return (1, v)
+    return (0, v)
 
 
 def faces(k: SimplicialComplex, budget=FACE_BUDGET):
@@ -25,7 +38,7 @@ def faces(k: SimplicialComplex, budget=FACE_BUDGET):
     if k.facets:
         seen.add(frozenset())
     for f in k.facets:
-        elems = sorted(f, key=vertex_key)
+        elems = sorted(f, key=label_key)
         for r in range(1, len(elems) + 1):
             for c in combinations(elems, r):
                 fc = frozenset(c)
@@ -61,7 +74,7 @@ def skeleton(k: SimplicialComplex, dim):
         if len(f) <= size:
             facets.add(f)
         else:
-            facets.update(frozenset(c) for c in combinations(sorted(f, key=vertex_key), size))
+            facets.update(frozenset(c) for c in combinations(sorted(f, key=label_key), size))
     return SimplicialComplex(facets, vertices=k.vertices)
 
 

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -321,6 +322,8 @@ SIZE_REFUSALS = [
     # powers of -1, 0 and 1 always print: the coordinates are counted instead
     (["geometry", "--op", "moment", "--params", "0,1", "--dim", "100000000"],
      "moment coordinates"),
+    # no condition certifies q > n, so a --q past the limit is never searched
+    (["check-conditions", "--input", "PATH6", "--q", "100001"], "--q"),
 ]
 
 
@@ -692,6 +695,80 @@ def test_check_conditions_long_path(capsys, tmp_path):
     assert doc["schema"] == "conditions/1"
     deletion = doc["conditions"]["path_deletion"]
     assert deletion["ok"] is True and deletion["path"] == list(range(1, n + 1))
+
+
+def _cli_subprocess(argv, limit_kb=None, timeout=20):
+    """(exit code, stdout, stderr, seconds) of the CLI in a fresh
+    interpreter, under `ulimit -v limit_kb` if given."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "fairsplit.cli", *argv]
+    if limit_kb is not None:
+        cmd = ["sh", "-c", 'ulimit -v %d && exec "$0" "$@"' % limit_kb] + cmd
+    start = time.perf_counter()
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True,
+                          timeout=timeout)
+    return (done.returncode, done.stdout, done.stderr,
+            time.perf_counter() - start)
+
+
+@pytest.mark.parametrize("argv", [
+    # C(20000, 10000) has 6,019 digits, too many to format; the count of
+    # 10^8 choose 5*10^7 would take minutes to build
+    ["kneser-chi", "--n", "20000", "--k", "10000", "--q", "2"],
+    ["kneser-chi", "--n", "100000000", "--k", "50000000", "--q", "2"],
+], ids=["kneser-chi-6019-digits", "kneser-chi-huge"])
+def test_kneser_chi_counts_only_up_to_the_vertex_budget(argv):
+    code, out, err, seconds = _cli_subprocess(argv)
+    assert code == 3 and out == "", err
+    assert "vertex budget of 200000" in err
+    assert seconds < 1, seconds
+
+
+def test_check_conditions_refuses_a_huge_q_without_testing_it(tmp_path):
+    # 2^61 - 1 is prime: trial division up to its square root ran for minutes
+    path = write(tmp_path, "p9.json", {
+        "schema": "instance/1", "n": 9,
+        "edges": [[v, v + 1] for v in range(1, 9)],
+        "partition": [list(range(1, 10))]})
+    code, out, err, seconds = _cli_subprocess(
+        ["check-conditions", "--input", path, "--q", str(2 ** 61 - 1)])
+    assert code == 3 and out == "" and "--q" in err, err
+    assert seconds < 1, seconds
+
+
+@pytest.mark.parametrize("op,code,doc", [
+    ("tverberg", 1, {"schema": "tverberg/1", "parts": None, "point": None}),
+    ("sgp", 0, {"schema": "predicate/1", "op": "sgp", "value": True,
+                "witness": None}),
+])
+def test_geometry_q_above_the_point_count_builds_nothing_of_size_q(
+        capsys, tmp_path, op, code, doc):
+    # four points hold no family of 10^9 nonempty disjoint subsets; one list
+    # per part, or a Stirling row of length q + 1, ran out of 2 GB
+    _, points, _ = run(capsys, "geometry", "--op", "moment", "--params",
+                       "1,2,3,4", "--dim", "2")
+    got, out, err, seconds = _cli_subprocess(
+        ["geometry", "--op", op, "--points", write(tmp_path, "p4.json", points),
+         "--q", "1000000000"], limit_kb=2_000_000)
+    assert got == code and json.loads(out) == doc, err
+    assert seconds < 1, seconds
+
+
+def test_complex_vertices_beyond_the_facets_are_ghosts(capsys, tmp_path):
+    # a listed vertex that no facet holds is part of the ground set but not
+    # a face; an isolated vertex is a one-vertex facet
+    ghost = write(tmp_path, "ghost.json", {
+        "schema": "complex/1", "vertices": [1, 2, 3], "facets": [[1, 2]]})
+    isolated = write(tmp_path, "isolated.json", {
+        "schema": "complex/1", "facets": [[1, 2], [3]]})
+    code, doc, _ = run(capsys, "homology", "--input", ghost)
+    assert code == 0 and doc["reduced"] == [{"dim": 0, "betti": 0, "torsion": []},
+                                            {"dim": 1, "betti": 0, "torsion": []}]
+    code, doc, _ = run(capsys, "homology", "--input", isolated)
+    assert code == 0 and doc["reduced"] == [{"dim": 0, "betti": 1, "torsion": []},
+                                            {"dim": 1, "betti": 0, "torsion": []}]
 
 
 def test_huge_vertex_count_is_a_budget_exit(capsys, monkeypatch, tmp_path):

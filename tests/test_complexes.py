@@ -1,19 +1,19 @@
 """Simplicial complex plumbing checked against direct subset enumeration."""
 
 import random
-import tracemalloc
 from itertools import combinations, permutations
 from math import factorial
 
 import pytest
 
-import fairsplit.complexes as complexes_module
 from fairsplit.complexes import (FACE_BUDGET, SimplicialComplex,
-                                 _face_key, independence_complex, vertex_key)
+                                 independence_complex)
 from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.graphs import Graph, VertexPartition, cycle_graph, path_graph
+from fairsplit.homology import homology
 
-from shared import cone, faces, full_simplex, is_face, join, skeleton
+from shared import (cone, faces, full_simplex, is_face, join, label_key,
+                    skeleton)
 
 # ---------------------------------------------------------------------------
 # constructions only these tests use: face counts, deleted joins,
@@ -37,6 +37,10 @@ def f_vector(k, budget=FACE_BUDGET):
 
 def euler_characteristic(k, budget=FACE_BUDGET):
     return sum((-1) ** d * c for d, c in enumerate(f_vector(k, budget)))
+
+
+def _face_key(f):
+    return (len(f), tuple(sorted(label_key(v) for v in f)))
 
 
 def deleted_join_faces(k: SimplicialComplex, q, budget=FACE_BUDGET):
@@ -83,7 +87,7 @@ def _maximal_chains(k: SimplicialComplex, budget=FACE_BUDGET):
     one vertex, in lexicographic order of the sorted vertices.  A facet of
     size s has s! such chains; their total is checked against `budget`
     before any is built."""
-    facets = [sorted(f, key=vertex_key) for f in k.facets if f]
+    facets = [sorted(f, key=label_key) for f in k.facets if f]
     total = 0
     for f in facets:
         total += factorial(len(f))
@@ -103,15 +107,20 @@ def _maximal_chains(k: SimplicialComplex, budget=FACE_BUDGET):
     return chains
 
 
+def _chain_complex(chains):
+    """The complex whose facets are `chains`, each face labelled by its
+    label_key, which orders faces that mix integer and string labels; no
+    chains leave only the empty face."""
+    return SimplicialComplex([[label_key(face) for face in chain]
+                              for chain in chains] or [()])
+
+
 def barycentric_subdivision(k: SimplicialComplex, budget=FACE_BUDGET):
-    """Vertices are the nonempty faces of k (as sorted tuples), facets the
-    maximal chains under inclusion."""
+    """Vertices are the nonempty faces of k (as the label_keys of sorted
+    tuples), facets the maximal chains under inclusion."""
     if k.is_void():
         return SimplicialComplex([])
-    chains = _maximal_chains(k, budget)
-    if not chains:  # only the empty face
-        return SimplicialComplex([()])
-    return SimplicialComplex(chains)
+    return _chain_complex(_maximal_chains(k, budget))
 
 
 def skeleton_join(ks):
@@ -159,8 +168,11 @@ def brute_independent_sets(g):
 
 
 def test_facets_form_antichain():
+    # the complex keeps the facets given; their maximal ones are its facets
+    # in the antichain sense, and they span the same faces
     k = SimplicialComplex([(1, 2), (2,), (1, 2, 3), (3,)])
-    assert k.facets == (frozenset({1, 2, 3}),)
+    assert _maximal_reference(k.facets) == {frozenset({1, 2, 3})}
+    assert faces(k) == faces(SimplicialComplex([(1, 2, 3)]))
     assert k.dim() == 2
     assert is_face(k, (2, 3)) and not is_face(k, (1, 4))
 
@@ -215,20 +227,25 @@ def _maximal_reference(facets):
     return {f for f in fs if not any(f < g for g in fs)}
 
 
-@pytest.mark.parametrize("block", [1, 3, complexes_module._BLOCK])
-def test_facets_are_the_maximal_faces_given(monkeypatch, block):
-    # the indexed maximality filter against the pairwise one, on facet lists
-    # with repeats, non-maximal and empty faces and mixed labels, one block
-    # and many
-    monkeypatch.setattr(complexes_module, "_BLOCK", block)
+def test_complexes_keep_their_facets_as_given():
+    # facet lists with repeats, non-maximal and empty faces and mixed
+    # labels: the complex keeps each facet once, in input order, and has the
+    # faces and homology of the maximal ones
     rng = random.Random(14)
     for trial in range(300):
         n = rng.randint(1, 9)
         labels = [rng.choice([v, "v%d" % v]) for v in range(n)]
         facets = [rng.sample(labels, rng.randint(0, n))
                   for _ in range(rng.randint(0, 12))]
+        facets += rng.sample(facets, min(len(facets), 3))
         k = SimplicialComplex(facets)
-        assert set(k.facets) == _maximal_reference(facets), (trial, facets)
+        given = list(dict.fromkeys(frozenset(f) for f in facets))
+        assert list(k.facets) == given, (trial, facets)
+        reduced = SimplicialComplex(_maximal_reference(facets),
+                                    vertices=k.vertices)
+        assert faces(k) == faces(reduced), (trial, facets)
+        if facets:
+            assert homology(k) == homology(reduced), (trial, facets)
 
 
 def test_independence_complex_equals_the_pairwise_filter():
@@ -243,21 +260,6 @@ def test_independence_complex_equals_the_pairwise_filter():
         k = independence_complex(g)
         assert set(k.facets) == _maximal_reference(k.facets), g.edges
         assert k.vertices == tuple(g.vertices)
-
-
-def test_maximality_filter_holds_a_block_of_masks():
-    # 20,000 one-vertex facets: masks over every facet would take about
-    # 25 MB; over blocks of 1,024 they take a few kB
-    facets = [(v,) for v in range(20_000)]
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        k = SimplicialComplex(facets)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert len(k.facets) == 20_000
-    assert peak < 12_000_000, peak
 
 
 def test_independence_complex_needs_no_recursion():
@@ -370,9 +372,9 @@ def _reference_chains(k, budget=FACE_BUDGET):
         if len(chains) > budget:
             raise ResourceBudget("barycentric budget exceeded")
         if len(top) == 1:
-            chains.append([tuple(sorted(c, key=vertex_key)) for c in chain])
+            chains.append([tuple(sorted(c, key=label_key)) for c in chain])
             return
-        for v in sorted(top, key=vertex_key):
+        for v in sorted(top, key=label_key):
             grow(chain + [top - {v}], top - {v})
 
     for f in k.facets:
@@ -417,7 +419,7 @@ def test_maximal_chains_match_recursive_reference():
     for k in _complexes_built_here():
         assert _maximal_chains(k) == _reference_chains(k)
         expect = (SimplicialComplex([]) if k.is_void() else
-                  SimplicialComplex(_reference_chains(k) or [()]))
+                  _chain_complex(_reference_chains(k)))
         assert barycentric_subdivision(k) == expect
 
 

@@ -1,13 +1,16 @@
 import tracemalloc
+from collections import namedtuple
+from itertools import product
 
 import pytest
 
-from fairsplit.compose import (SplitterSpec, _reverify, compose,
-                               power_of_two_splitting, solver_base_splitter)
-from fairsplit.errors import ContractError, InputError
-from fairsplit.graphs import (VertexPartition, consecutive_partition, power_path,
-                              single_block_partition)
-from fairsplit.solver import SearchProblem, find_splitting
+import fairsplit.compose as compose_module
+from fairsplit.compose import compose, power_of_two_splitting
+from fairsplit.errors import ContractError, InputError, ResourceBudget
+from fairsplit.graphs import (Graph, VertexPartition, consecutive_partition,
+                              power_path, single_block_partition)
+from fairsplit.solver import (DEFAULT_NODE_BUDGET, SearchOutcome, SearchProblem,
+                              find_splitting)
 from fairsplit.splitting import Splitting, SplittingSpec, check_splitting
 
 
@@ -30,27 +33,28 @@ def test_floor_identity_exhaustive():
         floor_identity_check(5, 0, 2)
 
 
+def _lie_with(monkeypatch, splitting):
+    """Make the solver that compose calls report `splitting` as found."""
+    monkeypatch.setattr(compose_module, "find_splitting",
+                        lambda problem: SearchOutcome("found", splitting))
+
+
 def test_base_splitter_contract():
-    base = solver_base_splitter(2, 2)
     part = consecutive_partition([4, 5])
-    splitting = base.run(9, part)
-    spec = base.claimed_spec()
-    assert spec.q == 2 and spec.stability == 2
+    splitting = compose(9, part, [(2, 2)])
+    spec = SplittingSpec(q=2, flavor="almost_fair", stability=2)
     assert check_splitting(power_path(9, 1), part, splitting, spec).ok
 
 
 def test_base_splitter_failure_is_contract_error():
     # distance-3 sets of size 8 need a span of 22 > 17 labels
-    base = solver_base_splitter(2, 3)
     with pytest.raises(ContractError):
-        base.run(17, consecutive_partition([17]))
+        compose(17, consecutive_partition([17]), [(2, 3)])
 
 
 def test_compose_two_by_two():
     part = consecutive_partition([7, 8])
-    base = solver_base_splitter(2, 2)
-    splitting, stability = compose(15, part, base, base)
-    assert stability == 4
+    splitting = compose(15, part, [(2, 2), (2, 2)])
     spec = SplittingSpec(q=4, flavor="almost_fair", stability=4)
     cert = check_splitting(power_path(15, 3), part, splitting, spec)
     assert cert.ok
@@ -58,64 +62,36 @@ def test_compose_two_by_two():
 
 
 def test_compose_identity_inner():
+    # a later level with q = 1 keeps the sets of the level before
     part = consecutive_partition([5, 6])
-    base = solver_base_splitter(2, 2)
-    ident = SplitterSpec(q=1, stability=1,
-                         run=lambda n, p: Splitting([tuple(range(1, n + 1))]))
-    splitting, stability = compose(11, part, base, ident)
-    assert stability == 2
-    got = base.run(11, part)
-    assert splitting.sets == got.sets
-
-
-def test_compose_weak_outer_stability_formula():
-    # outer guarantees only weak 3-stability: composed stability is
-    # (s2 - 1)(w - 1) + 1, not s2 * s1
-    windows = Splitting([(1, 4, 7), (2, 5), (3, 6)])
-    weak_outer = SplitterSpec(q=3, stability=3, run=lambda n, p: windows,
-                              weak_stability=3)
-    base = solver_base_splitter(2, 2)
-    part = consecutive_partition([7])
-    splitting, stability = compose(7, part, weak_outer, base)
-    assert stability == (2 - 1) * (3 - 1) + 1 == 3
-    spec = SplittingSpec(q=6, flavor="almost_fair", stability=3)
-    assert check_splitting(power_path(7, 2), part, splitting, spec).ok
+    splitting = compose(11, part, [(2, 2), (1, 1)])
+    assert splitting.sets == compose(11, part, [(2, 2)]).sets
 
 
 def test_compose_block_size_validation():
-    base = solver_base_splitter(2, 2)
     with pytest.raises(InputError):
-        compose(5, consecutive_partition([2, 3]), base, base)
+        compose(5, consecutive_partition([2, 3]), [(2, 2), (2, 2)])
 
 
-def test_compose_rejects_lying_outer():
-    # an "outer splitter" that returns adjacent vertices in one set
-    liar = SplitterSpec(q=2, stability=2,
-                        run=lambda n, p: Splitting([(1, 2), (4, 6)]))
-    base = solver_base_splitter(2, 2)
+def test_compose_rejects_lying_outer(monkeypatch):
+    # a level 1 "splitting" with adjacent vertices in one set
+    _lie_with(monkeypatch, Splitting([(1, 2), (4, 6)]))
     with pytest.raises(ContractError) as err:
-        compose(7, consecutive_partition([7]), liar, base)
-    assert "outer splitter" in str(err.value)
+        compose(7, consecutive_partition([7]), [(2, 2), (2, 2)])
+    assert "level 1 violated its contract" in str(err.value)
 
 
-def test_compose_rejects_outer_missing_a_block():
+def test_compose_rejects_outer_missing_a_block(monkeypatch):
     # stable and disjoint, but one set never touches the second block
-    def run(n, p):
-        return Splitting([(1, 3, 5, 7), (2, 4, 6, 9)])
-
-    sneaky = SplitterSpec(q=2, stability=2, run=run)
-    base = solver_base_splitter(2, 2)
-    part = consecutive_partition([7, 3])
+    _lie_with(monkeypatch, Splitting([(1, 3, 5, 7), (2, 4, 6, 9)]))
     with pytest.raises(ContractError) as err:
-        compose(10, part, sneaky, base)
-    assert "outer splitter" in str(err.value)
+        compose(10, consecutive_partition([7, 3]), [(2, 2), (2, 2)])
+    assert "level 1 violated its contract" in str(err.value)
 
 
 def test_power_of_two_t1_matches_base():
     part = consecutive_partition([4, 5])
-    got = power_of_two_splitting(9, part, 1)
-    want = solver_base_splitter(2, 2).run(9, part)
-    assert got.sets == want.sets
+    assert power_of_two_splitting(9, part, 1) == _base(2, 2).run(9, part)
 
 
 def test_power_of_two_t2():
@@ -154,14 +130,51 @@ def test_power_of_two_single_block():
     assert check_splitting(power_path(15, 3), part, splitting, spec).ok
 
 
+# ---------------------------------------------------------------------------
+# the outer/inner composition of pluggable splitters that the level loop
+# replaced, as a reference
+
+
+_Splitter = namedtuple("_Splitter", "q stability run")
+
+
+def _reverify(stage, n, partition, splitting, q, stability):
+    spec = SplittingSpec(q=q, flavor="almost_fair", stability=stability)
+    cert = check_splitting(Graph(n, ()), partition, splitting, spec)
+    if not cert.ok:
+        raise ContractError("%s violated its contract: %s" % (stage, cert.to_json()))
+
+
+def _base(q, s, budget=DEFAULT_NODE_BUDGET):
+    """The solver as a splitter of paths."""
+
+    def run(n, partition):
+        spec = SplittingSpec(q=q, flavor="almost_fair", stability=s)
+        out = find_splitting(SearchProblem(partition=partition, spec=spec,
+                                           graph=Graph(n, ()), budget=budget))
+        if out.status == "budget_exceeded":
+            raise ResourceBudget("base splitter ran out of its budget")
+        if out.status != "found":
+            raise ContractError("base splitter could not split the path")
+        return out.splitting
+
+    return _Splitter(q, s, run)
+
+
 def _compose_reference(n, partition, outer, inner):
-    """compose before its per-set loop moved into _split_sets, for strong
-    outer stability."""
+    """Split the path with `outer`, then each returned set, as a shorter
+    path in traversal order, with `inner` (an inner q of 1 keeps the set);
+    every run is re-verified, and the composition once more."""
     q = outer.q * inner.q
+    if any(len(b) < q - 1 for b in partition.blocks):
+        raise InputError("every block needs at least q1*q2 - 1 vertices")
     top = outer.run(n, partition)
-    _reverify("outer splitter", n, partition, top, outer.claimed_spec())
+    _reverify("outer splitter", n, partition, top, outer.q, outer.stability)
     final = []
     for big in top.sets:
+        if inner.q == 1:
+            final.append(big)
+            continue
         ordered = sorted(big)
         pos = {v: i + 1 for i, v in enumerate(ordered)}
         sub_partition = VertexPartition(
@@ -169,22 +182,21 @@ def _compose_reference(n, partition, outer, inner):
             len(ordered))
         small = inner.run(len(ordered), sub_partition)
         _reverify("inner splitter", len(ordered), sub_partition, small,
-                  inner.claimed_spec())
+                  inner.q, inner.stability)
         final += [tuple(ordered[i - 1] for i in piece) for piece in small.sets]
     splitting = Splitting(final)
     stability = inner.stability * outer.stability
-    spec = SplittingSpec(q=q, flavor="almost_fair", stability=stability)
-    _reverify("composition", n, partition, splitting, spec)
+    _reverify("composition", n, partition, splitting, q, stability)
     return splitting, stability
 
 
 def _power_of_two_reference(n, partition, t):
-    """The nested composition that power_of_two_splitting's loop replaced:
-    level t composes the splitter of level t - 1 with the q=2 base."""
-    base = solver_base_splitter(2, 2)
+    """The nested composition: level t composes the splitter of level t - 1
+    with the q=2 base."""
+    base = _base(2, 2)
     if t == 1:
         splitting = base.run(n, partition)
-        _reverify("base splitter", n, partition, splitting, base.claimed_spec())
+        _reverify("base splitter", n, partition, splitting, 2, 2)
         return splitting
 
     def make_runner(level):
@@ -194,12 +206,37 @@ def _power_of_two_reference(n, partition, t):
         def run(nn, pp):
             return _compose_reference(nn, pp, make_runner(level - 1), base)[0]
 
-        return SplitterSpec(q=2 ** level, stability=2 ** level, run=run)
+        return _Splitter(2 ** level, 2 ** level, run)
 
     splitting, stability = _compose_reference(n, partition,
                                               make_runner(t - 1), base)
     assert stability == 2 ** t
     return splitting
+
+
+def _outcome(fn, *args):
+    """fn(*args)'s sets, or the type of the error it raised."""
+    try:
+        got = fn(*args)
+    except (InputError, ContractError, ResourceBudget) as e:
+        return type(e)
+    return (got[0] if isinstance(got, tuple) else got).sets
+
+
+@pytest.mark.parametrize("budget", [0, 3, DEFAULT_NODE_BUDGET])
+def test_two_levels_match_the_outer_inner_composition(budget):
+    # every (q1, s1, q2, s2) in 1..3 on four block shapes: the same sets or
+    # the same error, including an outer q1 = 1 (searched, so a zero budget
+    # runs out) and an inner q2 = 1 (the sets pass through)
+    shapes = [[5], [9], [4, 6], [3, 3, 4]]
+    for q1, s1, q2, s2 in product(range(1, 4), repeat=4):
+        for sizes in shapes:
+            part = consecutive_partition(sizes)
+            n = sum(sizes)
+            got = _outcome(compose, n, part, [(q1, s1), (q2, s2)], budget)
+            want = _outcome(_compose_reference, n, part,
+                            _base(q1, s1, budget), _base(q2, s2, budget))
+            assert got == want, (q1, s1, q2, s2, sizes)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
@@ -231,7 +268,7 @@ def test_base_splitter_matches_the_power_path_search(q, s):
         want = find_splitting(SearchProblem(partition=part, spec=spec,
                                             graph=power_path(n, s - 1)))
         try:
-            got = solver_base_splitter(q, s).run(n, part)
+            got = compose(n, part, [(q, s)])
         except ContractError:
             assert want.status == "exhausted_none", sizes
             continue

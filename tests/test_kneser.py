@@ -173,7 +173,23 @@ def test_vertex_budget_checked_before_enumerating():
     with pytest.raises(ResourceBudget) as err:
         build_hypergraph(KneserInstance(30, 10, 2, "path"))
     assert time.perf_counter() - start < 1
-    assert "352716 vertices exceed the budget" in str(err.value)
+    assert "than the vertex budget of 200000" in str(err.value)
+
+
+def test_stable_subset_count_stops_past_the_vertex_budget(monkeypatch):
+    # the count is exact up to the budget and budget + 1 past it, for every
+    # budget around the true count, including the cycle's n*C(m, k)/m
+    for stability in ("none", "path", "cycle"):
+        for q in range(2, 5):
+            for n in range(1, 15):
+                for k in range(8):
+                    exact = len(stable_subsets(n, k, q, stability))
+                    for cap in {0, 1, exact - 1, exact, exact + 1, 2 * exact}:
+                        if cap < 0:
+                            continue
+                        monkeypatch.setattr(kneser, "VERTEX_BUDGET", cap)
+                        assert kneser.stable_subset_count(n, k, q, stability) \
+                            == min(exact, cap + 1), (n, k, q, stability, cap)
 
 
 def test_stable_subsets_degenerate():
