@@ -227,17 +227,35 @@ def _maximal_reference(facets):
     return {f for f in fs if not any(f < g for g in fs)}
 
 
-def test_complexes_keep_their_facets_as_given():
-    # facet lists with repeats, non-maximal and empty faces and mixed
-    # labels: the complex keeps each facet once, in input order, and has the
-    # faces and homology of the maximal ones
-    rng = random.Random(14)
-    for trial in range(300):
+def _random_facet_lists(seed, trials=300):
+    """Facet lists with repeats, non-maximal and empty faces and mixed
+    integer and string labels."""
+    rng = random.Random(seed)
+    for _ in range(trials):
         n = rng.randint(1, 9)
         labels = [rng.choice([v, "v%d" % v]) for v in range(n)]
         facets = [rng.sample(labels, rng.randint(0, n))
                   for _ in range(rng.randint(0, 12))]
         facets += rng.sample(facets, min(len(facets), 3))
+        yield facets
+
+
+@pytest.mark.parametrize("seed", [1, 3, 1024])
+def test_facets_are_the_maximal_faces_given(seed):
+    # the maximal facets the complex keeps are the maximal faces given, and
+    # they span its faces
+    for trial, facets in enumerate(_random_facet_lists(seed)):
+        k = SimplicialComplex(facets)
+        maximal = _maximal_reference(facets)
+        assert _maximal_reference(k.facets) == maximal, (trial, facets)
+        assert faces(k) == faces(SimplicialComplex(maximal,
+                                                   vertices=k.vertices))
+
+
+def test_complexes_keep_their_facets_as_given():
+    # the complex keeps each facet once, in input order, and has the faces
+    # and homology of the maximal ones
+    for trial, facets in enumerate(_random_facet_lists(14)):
         k = SimplicialComplex(facets)
         given = list(dict.fromkeys(frozenset(f) for f in facets))
         assert list(k.facets) == given, (trial, facets)
