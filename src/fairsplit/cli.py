@@ -15,8 +15,7 @@ from math import prod
 from .compose import compose, power_of_two_levels
 from .complexes import FACE_BUDGET
 from .conditions import check_conditions
-from .constraint_map import (ConstraintMapInstance, verify_equivariance,
-                             verify_zero_set)
+from .constraint_map import ConstraintMapInstance, _verify_both
 from .errors import ContractError, InputError, ResourceBudget, check_size
 from .geometry import (gale_alternating, hulls_intersect, moment_points,
                        stretched_moment_points, strong_general_position_check,
@@ -187,8 +186,7 @@ def cmd_phi_check(args):
     check_size("ground set vertices", args.q * args.k - args.t)
     order = None if args.order is None else _list_flag(args.order, "--order")
     inst = ConstraintMapInstance(args.q, args.k, args.t, vertex_order=order)
-    zs = verify_zero_set(inst, budget=args.budget)
-    eq = verify_equivariance(inst, budget=args.budget)
+    zs, eq = _verify_both(inst, budget=args.budget)
     ok = zs.ok and eq.ok
     return (0 if ok else 1), {"schema": "phi_check/1", "ok": ok,
                               "zero_set": zs.to_json(),

@@ -33,7 +33,8 @@ from .solver import DEFAULT_NODE_BUDGET, SearchProblem, find_splitting
 
 def _split(big, partition, q, stability, budget):
     """The solver's first almost fair splitting of `big`, read as a path in
-    traversal order, into q stability-stable sets, in the path's labels."""
+    traversal order, into q stability-stable sets, in the path's labels;
+    and the nodes its search visited, at most `budget`."""
     ordered = sorted(big)
     pos = {v: i + 1 for i, v in enumerate(ordered)}
     sub_partition = VertexPartition(
@@ -45,18 +46,20 @@ def _split(big, partition, q, stability, budget):
                                        budget=budget))
     if out.status == "budget_exceeded":
         raise ResourceBudget(
-            "splitter (q=%d, s=%d) ran out of its budget of %d nodes on the "
-            "path on %d vertices" % (q, stability, budget, len(ordered)))
+            "splitter (q=%d, s=%d) ran out of the %d nodes left of the "
+            "construction's budget on the path on %d vertices"
+            % (q, stability, budget, len(ordered)))
     if out.status != "found":
         raise ContractError(
             "splitter (q=%d, s=%d) could not split the path on %d vertices: "
             "%s" % (q, stability, len(ordered), out.status))
-    return [tuple(ordered[i - 1] for i in piece) for piece in out.splitting.sets]
+    return [tuple(ordered[i - 1] for i in piece) for piece in out.splitting.sets], out.nodes
 
 
 def compose(n, partition, levels, budget=DEFAULT_NODE_BUDGET):
     """The splitting of the path on n vertices that `levels`, a nonempty
-    list of (q_i, s_i), build; each solver run gets `budget` nodes.  Its q
+    list of (q_i, s_i), build; all the solver runs together visit at most
+    `budget` nodes, each drawing on what the runs before it left.  Its q
     is the product of the q_i and its stability that of the s_i."""
     q = prod(qi for qi, _ in levels)
     if any(len(b) < q - 1 for b in partition.blocks):
@@ -65,8 +68,12 @@ def compose(n, partition, levels, budget=DEFAULT_NODE_BUDGET):
     sets, q, stability = [range(1, n + 1)], 1, 1
     for level, (qi, si) in enumerate(levels, 1):
         if level == 1 or qi != 1:
-            sets = [piece for big in sets
-                    for piece in _split(big, partition, qi, si, budget)]
+            pieces = []
+            for big in sets:
+                split, nodes = _split(big, partition, qi, si, budget)
+                budget -= nodes
+                pieces += split
+            sets = pieces
         q, stability = q * qi, stability * si
         spec = SplittingSpec(q=q, flavor="almost_fair", stability=stability)
         cert = check_splitting(Graph(n, ()), partition, Splitting(sets), spec)

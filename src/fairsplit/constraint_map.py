@@ -29,9 +29,9 @@ The two checks:
                        faces whose directions cover 1..q, done by a numpy DP
                        that keeps, for every face, the set of direction
                        masks its chains can carry as a 2^q-bit bitset in one
-                       machine word (q <= 6), fills it in one support at a
-                       time, and stops at the first face topping such a
-                       chain.  Every face of fewer than k vertices is
+                       machine word (q <= 6), fills it in one level (face
+                       size) at a time, and stops at the first face topping
+                       such a chain.  Every face of fewer than k vertices is
                        constrained, and every level from k to n holds an
                        unconstrained face, so the DP starts at level k; with
                        fewer than q such levels no chain can carry q
@@ -42,35 +42,45 @@ The two checks:
                        group, so checking them suffices, and small instances
                        are additionally checked against every permutation.
 
-Both checks read the directions of all faces from one numpy array: the
-C-order tensor of shape (q+1,)*n whose axis v is vertex v's digit, so C
-order is the order of itertools.product(range(q + 1), repeat=n).  A face's
-direction is the slot of its first vertex in the vertex order when that slot
-is a largest one; otherwise the face without that vertex has the same
-largest slots, and so the same direction under the rule read before the
-constraint.  So the tensor grows one leading axis per vertex, from the last
-in the vertex order to the first, and a transposed copy puts its axes in
-vertex order 0..n-1 (see _directions_array).  The directions of the permuted
-faces are the tensor reindexed by the permutation along every axis, which
-rewrites only the slices of the digits the permutation moves.  The
-faces with support S are one basic slice of the tensor (digits 1..q on the
-axes in S, digit 0 elsewhere), in slot-assignment order, and so are their
-facets for each vertex dropped from S; the zero-set DP visits supports by
-size and then in `combinations` order, which is the order it reports in.  No
-digits are extracted, and equivariance violations are reported in C order,
-as a face-by-face loop would find them.  numpy is imported inside the
-functions that build or read the tensor, so that commands which never run a
-check (every one but phi-check and suite) do not pay for loading it.
+Both checks read the directions of all faces from one numpy array, which
+phi-check and suite build once for the pair (_verify_both).  It is the
+C-contiguous tensor of shape (q+1,)*n whose axis i is the digit of vertex
+vertex_order[i], the order it is built in.  A face's direction is the slot
+of its first vertex in the vertex order when that slot is a largest one;
+otherwise the face without that vertex has the same largest slots, and so
+the same direction under the rule read before the constraint.  So the
+tensor grows one leading axis per vertex, from the last in the vertex order
+to the first (see _directions_array), and is never copied into another
+axis order: the transposed view with axis v for vertex v
+(_in_vertex_order) has C order equal to the order of
+itertools.product(range(q + 1), repeat=n).
+
+The directions of the permuted faces are the tensor reindexed by the
+permutation along every axis, which rewrites only the slices of the digits
+the permutation moves; every axis is treated alike, so the check runs in
+build order, and only a permutation with a violation reads the
+vertex-order view, so that violations are reported in its C order, as a
+face-by-face loop would find them.  The zero-set DP works one level s at a
+time, as one array of shape (C(n, s),) + (q,)*s: supports in
+`combinations` order, then slot assignments, which is the order it reports
+in.  It gathers the level's directions from the tensor through per-vertex
+strides, and each facet's reach from the previous level by the rank of the
+facet's support (combinatorial number system), broadcast along the axis of
+the dropped vertex.  No digits are extracted.  numpy is imported inside
+the functions that build or read the tensor, so that commands which never
+run a check (every one but phi-check and suite) do not pay for loading it.
 
 Memory, in bytes per face: the int8 direction tensor is 1, and building it
 peaks at 1 + (2q+3)/(q+1), at most 3.34.  The equivariance check then holds
 at most three int8 tensors, 3 bytes per face: the directions, the image,
 and either the step buffer or the copied slices of the moved digits (the
 buffer is freed before the slices move), so it peaks no higher than the
-build.  The zero-set DP adds its reach bitsets, max(1, 2^q/8) bytes per
-face, and temporaries on one support slice.  Before the tensor is built,
-the faces times the check's bound (5 for equivariance, 4 plus twice the
-reach for the zero set) are held to errors.MEMORY_LIMIT.
+build.  The zero-set DP keeps the reach bitsets, max(1, 2^q/8) bytes per
+face, of two levels only, the one it fills and the one below, plus that
+level's int32 gather index or the closure's temporaries.  Before the tensor
+is built, the faces times the check's bound (5 for equivariance, 4 plus
+twice the reach for the zero set) are held to errors.MEMORY_LIMIT; a pair
+built once is held to both.
 """
 
 from __future__ import annotations
@@ -118,8 +128,8 @@ class ConstraintMapInstance:
 # bytes per face that bound each check's peak under tracemalloc: the tensor
 # build's 3.34, which the equivariance check's three int8 tensors stay
 # under, plus numpy's temporaries (4.02 in all at q = 2, n = 11, so 4 would
-# not do); the zero set adds its reach bitsets and the closure's
-# temporaries on one support slice
+# not do); the zero set adds the reach bitsets of two levels and the
+# temporaries of one
 _EQUIVARIANCE_BYTES_PER_FACE = 5
 
 
@@ -242,43 +252,104 @@ def _first_rainbow_face(inst, dirs, start):
     reach[F] is the set of masks of directions carried by chains of
     unconstrained faces inside F (the empty chain included): the union of
     reach over F's facets, closed under adding d(F) when F is unconstrained.
-    The faces with support S are the slice of the face tensor taking digits
-    1..q on the axes in S and digit 0 elsewhere, in assignment order; a facet
-    drops one vertex of S, so its slice broadcasts against S's.  Faces below
-    level `start` are all constrained, so their reach is the empty chain.
-    `dirs` is the direction tensor, of shape (q+1,)*n."""
+    Level s is one array of shape (C(n, s),) + (q,)*s: supports in
+    `combinations` order, then slot assignments, so a flat position in it is
+    the face's place in the enumeration.  Its directions are gathered from
+    the tensor through per-vertex strides.  Dropping the i-th vertex of a
+    support gives a facet whose assignments are those of axis 1+i removed,
+    so the previous level's reach, gathered by the facets' support ranks,
+    broadcasts along that axis.  Faces below level `start` are all
+    constrained, so their reach is the empty chain.  `dirs` is the direction
+    tensor of _directions_array, in its build order."""
     import numpy as np
     q, n = inst.q, inst.n
     tables = _closure_tables(q)
-    reach = np.ones(dirs.shape, dtype=tables[0].dtype)
-    top = reach.dtype.type((1 << q) - 1)  # the full mask's bit
+    top = tables[0].dtype.type((1 << q) - 1)  # the full mask's bit
+    flat = dirs.reshape(-1)
+    # int32 holds every face index: faces * 6 bytes <= MEMORY_LIMIT
+    stride = np.empty(n, dtype=np.int32)
+    for i, v in enumerate(inst.vertex_order):
+        stride[v] = (q + 1) ** (n - 1 - i)
+    digits = np.arange(1, q + 1, dtype=np.int32)
+    # the support (c_0 < ... < c_{s-1}) has rank C(n, s) - 1 - sum over j of
+    # C(n-1-c_j, s-j) in combinations order
+    comb = np.array([[math.comb(m, r) for r in range(n + 1)] for m in range(n)],
+                    dtype=np.intp)
     processed = sum(math.comb(n, s) * q ** s for s in range(start))
-    for s in range(start, n + 1):  # start = k >= 1, so every slice is a view
-        for support in itertools.combinations(range(n), s):
-            at = [0] * n
-            for v in support:
-                at[v] = slice(1, None)
-            acc = reach[tuple(at)]
-            for v in support:
-                at[v] = slice(0, 1)
-                acc |= reach[tuple(at)]
-                at[v] = slice(1, None)
-            fdir = dirs[tuple(at)]
-            if fdir.any():
-                _add_directions(acc, fdir, tables)
-                # a constrained face's subfaces are all constrained, so only
-                # unconstrained faces can reach the full mask, and a chain
-                # covering 1..q holds q of them, of distinct sizes from level
-                # `start` up
-                if s >= start + q - 1:
-                    hits = np.flatnonzero(acc >> top)
-                    if hits.size:
-                        digits = [0] * n
-                        for v, a in zip(support, np.unravel_index(hits[0], (q,) * s)):
-                            digits[v] = int(a) + 1
-                        return tuple(digits), processed + int(hits[0]) + 1
-            processed += q ** s
+    reach = None  # the previous level's; None for the empty chain alone
+    for s in range(start, n + 1):  # start = k >= 1
+        supports = np.array(list(itertools.combinations(range(n), s)),
+                            dtype=np.intp)
+        rows = len(supports)
+        index = sum(np.multiply.outer(stride[supports[:, i]], digits).reshape(
+            (rows,) + (1,) * i + (q,) + (1,) * (s - 1 - i)) for i in range(s))
+        fdir = flat[index]
+        del index
+        if reach is None:
+            acc = np.ones(fdir.shape, dtype=tables[0].dtype)
+        else:
+            # facet i keeps c_j at place j before i and at place j-1 after it
+            at = np.arange(s)
+            before = comb[n - 1 - supports, s - 1 - at]
+            after = comb[n - 1 - supports, s - at]
+            ranks = np.cumsum(after - before, axis=1)
+            ranks += before - after.sum(axis=1)[:, None] + (math.comb(n, s - 1) - 1)
+            acc = np.zeros(fdir.shape, dtype=reach.dtype)
+            for i in range(s):
+                acc |= reach[ranks[:, i]].reshape(
+                    (rows,) + (q,) * i + (1,) + (q,) * (s - 1 - i))
+        _add_directions(acc, fdir, tables)
+        # a violation tops out at an unconstrained face, and a chain covering
+        # 1..q holds q unconstrained faces, of distinct sizes from level
+        # `start` up
+        if s >= start + q - 1:
+            hits = np.flatnonzero(acc >> top)
+            hits = hits[fdir.reshape(-1)[hits] != 0]
+            if hits.size:
+                row, assigned = divmod(int(hits[0]), q ** s)
+                face = [0] * n
+                for v, a in zip(supports[row], np.unravel_index(assigned, (q,) * s)):
+                    face[int(v)] = int(a) + 1
+                return tuple(face), processed + int(hits[0]) + 1
+        processed += fdir.size
+        del fdir
+        reach = acc
     return None, processed
+
+
+def _in_vertex_order(inst, dirs):
+    """The view of the direction tensor whose axis v is vertex v's digit
+    (_directions_array builds axis i for vertex vertex_order[i])."""
+    axes = [0] * inst.n
+    for i, v in enumerate(inst.vertex_order):
+        axes[v] = i
+    return dirs.transpose(axes)
+
+
+def _zero_set_report(inst, budget):
+    """The zero-set report before any face is read, once the budget admits
+    the faces the DP needs."""
+    q, k = inst.q, inst.k
+    # the levels (face sizes) holding an unconstrained face are k..n: a face
+    # of k or more vertices can put k of them in one slot, and a smaller one
+    # could only leave the region with q-t+2 slots of k-1 vertices each,
+    # which takes 2(k-1) >= k vertices when k >= 2 (and k = 1 forces t = 1,
+    # which would need q+1 slots)
+    levels = inst.n - k + 1
+    report = ZeroSetReport(q, k, inst.t, inst.vertex_order, levels,
+                           levels < q, 0)
+    # the short circuit builds nothing
+    _check_face_budget(inst, budget,
+                       0 if report.short_circuit else _zero_set_bytes_per_face(q))
+    return report
+
+
+def _search_zero_set(inst, dirs, report):
+    """Fill the report, past its short circuit, from the direction tensor."""
+    face, report.faces_processed = _first_rainbow_face(inst, dirs, inst.k)
+    if face is not None:
+        report.violations.append([list(f) for f in _witness_chain(
+            _in_vertex_order(inst, dirs), face, (1 << inst.q) - 1)])
 
 
 def verify_zero_set(inst, budget=FACE_BUDGET):
@@ -287,25 +358,9 @@ def verify_zero_set(inst, budget=FACE_BUDGET):
     stays inside the constrained region.  Reports the first violating face
     in enumeration order (size, support, assignment), with faces_processed
     counted up to it as a face-by-face scan would."""
-    q, k = inst.q, inst.k
-    # the levels (face sizes) holding an unconstrained face are k..n: a face
-    # of k or more vertices can put k of them in one slot, and a smaller one
-    # could only leave the region with q-t+2 slots of k-1 vertices each,
-    # which takes 2(k-1) >= k vertices when k >= 2 (and k = 1 forces t = 1,
-    # which would need q+1 slots)
-    levels = inst.n - k + 1
-    report = ZeroSetReport(inst.q, k, inst.t, inst.vertex_order, levels,
-                           levels < q, 0)
-    # the short circuit builds nothing
-    _check_face_budget(inst, budget,
-                       0 if report.short_circuit else _zero_set_bytes_per_face(q))
-    if report.short_circuit:
-        return report
-    dirs = _directions_array(inst).reshape((q + 1,) * inst.n)
-    face, report.faces_processed = _first_rainbow_face(inst, dirs, k)
-    if face is not None:
-        report.violations.append(
-            [list(f) for f in _witness_chain(dirs, face, (1 << q) - 1)])
+    report = _zero_set_report(inst, budget)
+    if not report.short_circuit:
+        _search_zero_set(inst, _directions_array(inst), report)
     return report
 
 
@@ -358,9 +413,10 @@ def _all_slot_permutations(q):
 
 
 def _directions_array(inst):
-    """dirs[face_int] in {0 = constrained, 1..q}: the direction rule of the
-    module docstring, built as the tensor of shape (q+1,)*n and returned flat
-    (face_int is the face's position in C order).
+    """dirs[face] in {0 = constrained, 1..q}: the direction rule of the
+    module docstring, as the C-contiguous tensor of shape (q+1,)*n whose
+    axis i is the digit of vertex vertex_order[i], the order it is built in
+    (_in_vertex_order views it with axis v for vertex v).
 
     Step m puts the axis of vertex vertex_order[n - 1 - m] in front of the
     directions of the faces G of the vertices after it in the order, read
@@ -369,9 +425,9 @@ def _directions_array(inst):
     the same tensor whichever vertex that is, since the axes are symmetric.
     Slot j is then a largest slot iff size[j - 1] >= G's largest slot, and
     the face (j, G) takes direction j; otherwise it takes G's.  The
-    constrained faces are read off the last step's tensors and zeroed, and
-    one transposed copy puts the axes in vertex order 0..n-1.  At most two
-    (q+1)^n tensors are alive at once, or one and two q/(q+1) as large."""
+    constrained faces are read off the last step's tensors and zeroed.  At
+    most two (q+1)^n tensors are alive at once, or one and two q/(q+1) as
+    large."""
     import numpy as np
     q, k, t, n = inst.q, inst.k, inst.t, inst.n
     base = q + 1
@@ -402,13 +458,10 @@ def _directions_array(inst):
     np.putmask(by_digit[0], unused, 0)
     np.putmask(by_digit[1:], np.less_equal(size, limit, out=wins), 0)
     del size, wins
-    axes = [0] * n
-    for i, v in enumerate(inst.vertex_order):
-        axes[v] = i
-    return np.ascontiguousarray(dirs.reshape((base,) * n).transpose(axes)).reshape(-1)
+    return dirs.reshape((base,) * n)
 
 
-def _verify_equivariance_numpy(inst, perms, report):
+def _verify_equivariance_numpy(inst, perms, report, dirs):
     """Compare d(pi F) with pi(d(F)) for every face and permutation, as
     pi^-1 d(pi F) against d(F), moving only what pi moves.  The image starts
     as pi^-1 d(F): d(F) plus v - pi(v) on the faces with d(F) = pi(v), for
@@ -416,13 +469,14 @@ def _verify_equivariance_numpy(inst, perms, report):
     the buffer freed, along each axis the slices of the moved digits v take
     those of pi(v); numpy copies the source slices first, 2/(q+1) of a
     tensor for a transposition.  So at most three (q+1)^n int8 tensors are
-    alive.  An image equal to d(F) everywhere is not searched, and the
-    identity is skipped.  Stops at the fifth violation (faces in C order,
-    then permutations in the given order); faces_processed counts the faces
-    read up to it."""
+    alive.  Every axis is treated alike, so the tensor is compared in its
+    build order; only an image that differs from d(F) is read through the
+    vertex-order view.  The identity is skipped.  Stops at the fifth
+    violation (faces in C order of the vertex-order tensor, then
+    permutations in the given order); faces_processed counts the faces read
+    up to it."""
     import numpy as np
     base, n = inst.q + 1, inst.n
-    dirs = _directions_array(inst)
     image = np.empty_like(dirs)
     # image as (before, digit, after) around each axis
     axes = [image.reshape(base ** a, base, base ** (n - 1 - a)) for a in range(n)]
@@ -444,25 +498,48 @@ def _verify_equivariance_numpy(inst, perms, report):
             view[:, to] = view[:, fro]  # image[F] = pi^-1 d(pi F)
         if np.array_equal(image, dirs):
             continue
-        for f in np.flatnonzero(image != dirs)[:5]:
-            found.append((int(f), i, perm[image[f]], perm[dirs[f]]))
+        got, want = _in_vertex_order(inst, image), _in_vertex_order(inst, dirs)
+        for f in np.flatnonzero(got != want)[:5]:
+            face = np.unravel_index(f, got.shape)
+            found.append((int(f), i, perm[got[face]], perm[want[face]]))
     found = sorted(found)[:5]
     for f, i, got, want in found:
         report.violations.append({
-            "face": [int(d) for d in np.unravel_index(f, (base,) * n)],
+            "face": [int(d) for d in np.unravel_index(f, dirs.shape)],
             "perm": list(perms[i]), "got": got, "want": want})
     report.faces_processed = found[-1][0] + 1 if len(found) == 5 else dirs.size
 
 
-def verify_equivariance(inst, budget=FACE_BUDGET):
-    """Check d(pi F) = pi d(F).  Adjacent transpositions generate the whole
-    slot-permutation group, so checking them suffices; small instances
-    (q! (q+1)^n <= 2,000,000) are checked against every permutation
-    instead."""
+def _equivariance_report(inst, budget):
+    """The equivariance report before any face is read, and the slot
+    permutations to check, once the budget admits the faces.  Adjacent
+    transpositions generate the whole slot-permutation group, so checking
+    them suffices; small instances (q! (q+1)^n <= 2,000,000) are checked
+    against every permutation instead."""
     _check_face_budget(inst, budget, _EQUIVARIANCE_BYTES_PER_FACE)
     full_group = math.factorial(inst.q) * inst.face_count() <= 2_000_000
     perms = _all_slot_permutations(inst.q) if full_group else _adjacent_transpositions(inst.q)
     report = EquivarianceReport(inst.q, inst.k, inst.t, inst.vertex_order,
                                 len(perms), full_group, 0)
-    _verify_equivariance_numpy(inst, perms, report)
+    return report, perms
+
+
+def verify_equivariance(inst, budget=FACE_BUDGET):
+    """Check d(pi F) = pi d(F) (see _equivariance_report for which pi)."""
+    report, perms = _equivariance_report(inst, budget)
+    _verify_equivariance_numpy(inst, perms, report, _directions_array(inst))
     return report
+
+
+def _verify_both(inst, budget=FACE_BUDGET):
+    """verify_zero_set and verify_equivariance, in that order, reading one
+    direction tensor.  Both budgets are checked before it is built, and
+    each check's bytes per face bound its peak, since the zero-set DP's
+    arrays are gone before the equivariance check starts."""
+    zero_set = _zero_set_report(inst, budget)
+    equivariance, perms = _equivariance_report(inst, budget)
+    dirs = _directions_array(inst)
+    if not zero_set.short_circuit:
+        _search_zero_set(inst, dirs, zero_set)
+    _verify_equivariance_numpy(inst, perms, equivariance, dirs)
+    return zero_set, equivariance

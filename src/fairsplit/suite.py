@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from .compose import power_of_two_splitting
 from .conditions import check_conditions
-from .constraint_map import (ConstraintMapInstance, verify_equivariance,
-                             verify_zero_set)
+from .constraint_map import ConstraintMapInstance, _verify_both
 from .geometry import (gale_alternating, hulls_intersect, moment_points,
                        strong_general_position_check, tverberg_search)
 from .graphs import (Graph, VertexPartition, consecutive_partition,
@@ -76,8 +75,7 @@ def _entry_constraint_map():
     ok = True
     for (q, k, t) in ((2, 2, 1), (3, 2, 2), (2, 3, 2)):
         inst = ConstraintMapInstance(q, k, t)
-        zs = verify_zero_set(inst)
-        eq = verify_equivariance(inst)
+        zs, eq = _verify_both(inst)
         ok = ok and zs.ok and eq.ok
         rows.append({"q": q, "k": k, "t": t, "zero_set_ok": zs.ok,
                      "equivariance_ok": eq.ok})

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairsplit.compose as compose_module
 import fairsplit.constraint_map as constraint_map
 import fairsplit.homology as homology_module
 import fairsplit.serial as serial
@@ -23,6 +24,7 @@ from fairsplit.cli import main
 from fairsplit.complexes import FACE_BUDGET, independence_complex
 from fairsplit.errors import INSTANCE_VERTEX_LIMIT, MEMORY_LIMIT
 from fairsplit.graphs import cycle_graph
+from fairsplit.suite import _entry_constraint_map
 
 from shared import all_faces, is_constrained_face
 
@@ -439,7 +441,7 @@ def test_phi_check_report_keys(capsys):
     assert set(doc["equivariance"]) == EQUIVARIANCE_KEYS
     inst = constraint_map.ConstraintMapInstance(2, 2, 1)
     dirs = np.array([_largest_slot_rule(inst, d) or 0 for d in all_faces(inst)],
-                    dtype=np.int8)
+                    dtype=np.int8).reshape((3,) * inst.n)  # the identity order
     with mock.patch.object(constraint_map, "_directions_array", lambda inst: dirs):
         code, doc, _ = run(capsys, "phi-check", "--q", "2", "--k", "2", "--t", "1")
     zs, eq = doc["zero_set"], doc["equivariance"]
@@ -449,6 +451,28 @@ def test_phi_check_report_keys(capsys):
     assert all(set(v) == {"face", "perm", "got", "want"} for v in eq["violations"])
     assert eq["violations"][0] == {"face": [1, 1, 2], "perm": [0, 2, 1],
                                    "got": 2, "want": 1}
+
+
+def test_phi_check_and_suite_build_one_direction_tensor_per_pair(capsys):
+    # the zero set and the equivariance check read the same tensor, whether
+    # the zero set runs its DP, finds a violation, or short-circuits
+    built = []
+    build = constraint_map._directions_array
+
+    def counted(inst):
+        built.append((inst.q, inst.k, inst.t))
+        return build(inst)
+
+    with mock.patch.object(constraint_map, "_directions_array", counted):
+        for q, k, t in [(3, 3, 2), (2, 2, 2), (5, 1, 1)]:
+            built.clear()
+            code, doc, _ = run(capsys, "phi-check", "--q", str(q), "--k", str(k),
+                               "--t", str(t))
+            assert code == 0 and built == [(q, k, t)], built
+        assert doc["zero_set"]["short_circuit"]
+        built.clear()
+        _, ok = _entry_constraint_map()
+        assert ok and built == [(2, 2, 1), (3, 2, 2), (2, 3, 2)]
 
 
 def test_phi_check_bad_parameters(capsys):
@@ -462,6 +486,32 @@ def test_phi_check_over_the_face_budget_is_a_budget_exit(capsys):
     code, doc, err = run(capsys, "phi-check", "--q", "5000", "--k", "1", "--t", "1")
     assert code == 3 and doc is None
     assert "face budget of %d" % FACE_BUDGET in err
+
+
+@pytest.mark.parametrize("argv,searches", [
+    (["--n", "255", "--t", "4"], 15),
+    (["--n", "31", "--blocks", "15,16", "--q1", "2", "--q2", "3"], 3)])
+def test_compose_budget_covers_the_whole_construction(capsys, argv, searches):
+    # every search draws on one budget: the total of all their nodes is
+    # exactly enough, one node fewer runs out (exit 3, nothing on stdout)
+    nodes = []
+    search = compose_module.find_splitting
+
+    def counted(problem):
+        out = search(problem)
+        nodes.append(out.nodes)
+        return out
+
+    with mock.patch.object(compose_module, "find_splitting", counted):
+        code, want, _ = run(capsys, "compose", *argv)
+    assert code == 0 and len(nodes) == searches
+    if argv[1] == "255":
+        # a budget of 256 nodes per search would have let all 15 through
+        assert sum(nodes) == 1035 and max(nodes) == 256
+    code, doc, _ = run(capsys, "compose", *argv, "--budget", str(sum(nodes)))
+    assert code == 0 and doc == want
+    code, doc, err = run(capsys, "compose", *argv, "--budget", str(sum(nodes) - 1))
+    assert code == 3 and doc is None and "nodes left of the construction's budget" in err
 
 
 def test_compose_power_of_two(capsys):

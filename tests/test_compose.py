@@ -145,13 +145,16 @@ def _reverify(stage, n, partition, splitting, q, stability):
         raise ContractError("%s violated its contract: %s" % (stage, cert.to_json()))
 
 
-def _base(q, s, budget=DEFAULT_NODE_BUDGET):
-    """The solver as a splitter of paths."""
+def _base(q, s, budget=None):
+    """The solver as a splitter of paths.  `budget` is a one-item list of
+    the nodes left, which every run draws on (a pool of its own when None)."""
+    budget = [DEFAULT_NODE_BUDGET] if budget is None else budget
 
     def run(n, partition):
         spec = SplittingSpec(q=q, flavor="almost_fair", stability=s)
         out = find_splitting(SearchProblem(partition=partition, spec=spec,
-                                           graph=Graph(n, ()), budget=budget))
+                                           graph=Graph(n, ()), budget=budget[0]))
+        budget[0] -= out.nodes
         if out.status == "budget_exceeded":
             raise ResourceBudget("base splitter ran out of its budget")
         if out.status != "found":
@@ -234,8 +237,9 @@ def test_two_levels_match_the_outer_inner_composition(budget):
             part = consecutive_partition(sizes)
             n = sum(sizes)
             got = _outcome(compose, n, part, [(q1, s1), (q2, s2)], budget)
+            pool = [budget]  # the outer and inner runs share the budget
             want = _outcome(_compose_reference, n, part,
-                            _base(q1, s1, budget), _base(q2, s2, budget))
+                            _base(q1, s1, pool), _base(q2, s2, pool))
             assert got == want, (q1, s1, q2, s2, sizes)
 
 

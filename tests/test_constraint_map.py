@@ -116,6 +116,25 @@ def permute_slots(digits, perm):
     return tuple(perm[d] for d in digits)
 
 
+def _vertex_order_directions(inst):
+    """_directions_array's tensor flat in C order of its vertex-order view
+    (axis v for vertex v): the layout the face-by-face references read."""
+    tensor = constraint_map._directions_array(inst)
+    return np.ascontiguousarray(constraint_map._in_vertex_order(inst, tensor)).reshape(-1)
+
+
+def _build_order(inst, dirs):
+    """A flat vertex-order direction array as _directions_array returns it:
+    the tensor whose axis i is vertex vertex_order[i]."""
+    shape = (inst.q + 1,) * inst.n
+    return np.ascontiguousarray(dirs.reshape(shape).transpose(inst.vertex_order))
+
+
+def _equivariance_numpy(inst, perms, report):
+    """_verify_equivariance_numpy on the tensor _directions_array builds."""
+    _verify_equivariance_numpy(inst, perms, report, constraint_map._directions_array(inst))
+
+
 # Face-by-face references for the vectorised checks.  Each takes the
 # direction rule as an argument, so a deliberately wrong rule can be fed to
 # both sides.
@@ -253,7 +272,7 @@ def _first_rainbow_face_by_integer(inst):
     q, n = inst.q, inst.n
     base = q + 1
     weights = _face_weights(n, base)
-    dirs = constraint_map._directions_array(inst)
+    dirs = _vertex_order_directions(inst)
     dtype = np.dtype("uint%d" % max(8, 1 << q))
     full_bit = dtype.type((1 << q) - 1)
     ints = np.arange(dirs.size, dtype=np.int64)
@@ -295,7 +314,7 @@ def _verify_zero_set_by_integer(inst):
     if found is None:
         report.faces_processed = inst.face_count()
         return report
-    dirs = constraint_map._directions_array(inst).reshape((q + 1,) * inst.n)
+    dirs = _vertex_order_directions(inst).reshape((q + 1,) * inst.n)
     report.violations.append(
         [list(f) for f in _witness_chain(dirs, found, (1 << q) - 1)])
     report.faces_processed = _enumeration_rank(found, q) + 1
@@ -375,7 +394,7 @@ def _verify_equivariance_chunked(inst, perms, report, chunk=1 << 18):
     face's integer is summed from its permuted digits, chunk by chunk."""
     n, base = inst.n, inst.q + 1
     weights = _face_weights(n, base)
-    dirs = constraint_map._directions_array(inst)
+    dirs = _vertex_order_directions(inst)
     m = dirs.size
     luts = [np.array(perm, dtype=np.int64) for perm in perms]
     for lo in range(0, m, chunk):
@@ -406,7 +425,7 @@ def _verify_equivariance_take(inst, perms, report):
     direction goes through pi^-1's lookup table, and every axis is
     reindexed by np.take, for every permutation (the identity included)."""
     shape = (inst.q + 1,) * inst.n
-    dirs = constraint_map._directions_array(inst)
+    dirs = _vertex_order_directions(inst)
     tensor = dirs.reshape(shape)
     found = []
     for i, perm in enumerate(perms):
@@ -450,7 +469,8 @@ def _highest_tied_slot_rule(inst, digits):
 
 def _use_rule(monkeypatch, inst, rule):
     dirs = np.array([rule(inst, d) or 0 for d in all_faces(inst)], dtype=np.int8)
-    monkeypatch.setattr(constraint_map, "_directions_array", lambda inst: dirs)
+    tensor = _build_order(inst, dirs)
+    monkeypatch.setattr(constraint_map, "_directions_array", lambda inst: tensor)
 
 
 def test_instance_validation():
@@ -664,7 +684,7 @@ def test_equivariance_numpy_matches_python():
     r1 = EquivarianceReport(3, 2, 2, inst.vertex_order, len(perms), True, 0)
     r2 = EquivarianceReport(3, 2, 2, inst.vertex_order, len(perms), True, 0)
     _verify_equivariance_python(inst, perms, r1)
-    _verify_equivariance_numpy(inst, perms, r2)
+    _equivariance_numpy(inst, perms, r2)
     assert r1.ok and r2.ok
     assert r1.faces_processed == r2.faces_processed == 256
 
@@ -693,7 +713,7 @@ def test_directions_array_matches_face_direction():
         for order in [None] + random_vertex_orders(inst.n, 2, seed=q + k + t):
             inst = ConstraintMapInstance(q, k, t, vertex_order=order)
             want = [face_direction(inst, d) or 0 for d in all_faces(inst)]
-            got = constraint_map._directions_array(inst)
+            got = _vertex_order_directions(inst)
             assert got.tolist() == want, (q, k, t, order)
 
 
@@ -702,7 +722,7 @@ def test_directions_tensor_matches_chunked_reference(q, k, t):
     n = q * k - t
     for order in [None] + random_vertex_orders(n, 1, seed=7 * q + k + t):
         inst = ConstraintMapInstance(q, k, t, vertex_order=order)
-        got = constraint_map._directions_array(inst)
+        got = _vertex_order_directions(inst)
         want = _directions_array_chunked(inst, chunk=1 << 16)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want), (q, k, t, order)
@@ -718,10 +738,15 @@ def test_directions_tensor_matches_slot_size_reference(q, k, t):
     orders += random_vertex_orders(n, 1, seed=11 * q + k + t)
     for order in orders:
         inst = ConstraintMapInstance(q, k, t, vertex_order=order)
-        got = constraint_map._directions_array(inst)
+        got = _vertex_order_directions(inst)
         want = _directions_array_by_slot_sizes(inst)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want), (q, k, t, order)
+        # the tensor itself is returned in build order, axis i for vertex
+        # vertex_order[i], as built
+        tensor = constraint_map._directions_array(inst)
+        assert tensor.shape == (q + 1,) * n and tensor.flags.c_contiguous
+        assert np.array_equal(tensor, _build_order(inst, want)), (q, k, t, order)
 
 
 def _peak_bytes_per_face(fn, inst):
@@ -774,12 +799,12 @@ def test_single_vertex_ground_set():
     # n = 1: the tensor has one axis, and each slice of it is one face
     inst = ConstraintMapInstance(2, 1, 1)
     assert inst.n == 1
-    dirs = constraint_map._directions_array(inst)
+    dirs = _vertex_order_directions(inst)
     assert dirs.tolist() == [face_direction(inst, d) or 0 for d in all_faces(inst)]
     perms = _all_slot_permutations(2)
     reports = [EquivarianceReport(2, 1, 1, inst.vertex_order, len(perms), True, 0)
                for _ in range(2)]
-    _verify_equivariance_numpy(inst, perms, reports[0])
+    _equivariance_numpy(inst, perms, reports[0])
     _verify_equivariance_python(inst, perms, reports[1])
     assert reports[0].to_json() == reports[1].to_json()
     assert reports[0].ok and reports[0].faces_processed == 3
@@ -792,7 +817,7 @@ def test_fourteen_axis_tensor():
     order = random_vertex_orders(14, 1, seed=14)[0]
     inst = ConstraintMapInstance(2, 8, 2, vertex_order=order)
     assert inst.face_count() == 4782969
-    dirs = constraint_map._directions_array(inst)
+    dirs = _vertex_order_directions(inst)
     assert np.array_equal(dirs, _directions_array_chunked(inst))
     report = verify_equivariance(inst)
     assert report.ok and report.faces_processed == 4782969
@@ -823,7 +848,7 @@ def test_equivariance_reports_a_wrong_rule_like_the_reference(monkeypatch, q, k,
     inst = ConstraintMapInstance(q, k, t)
     _use_rule(monkeypatch, inst, _highest_tied_slot_rule)
     for perms in (_all_slot_permutations(q), _adjacent_transpositions(q)):
-        got = _equivariance_json(_verify_equivariance_numpy, inst, perms)
+        got = _equivariance_json(_equivariance_numpy, inst, perms)
         assert got == _equivariance_json(_verify_equivariance_python, inst, perms,
                                          _highest_tied_slot_rule)
         assert len(got["violations"]) == 5
@@ -841,7 +866,7 @@ def test_equivariance_tensor_matches_chunked_reference(q, k, t):
         if math.factorial(q) * inst.face_count() <= 2_000_000:
             groups.append(_all_slot_permutations(q))
         for perms in groups:
-            got = _equivariance_json(_verify_equivariance_numpy, inst, perms)
+            got = _equivariance_json(_equivariance_numpy, inst, perms)
             assert got == _equivariance_json(_verify_equivariance_chunked, inst,
                                              perms, 1 << 16), (q, k, t, order)
             assert got == _equivariance_json(_verify_equivariance_take, inst,
@@ -854,13 +879,14 @@ def test_equivariance_of_corrupted_directions_matches_the_references(monkeypatch
     # come from them and stop the check short of the last face
     inst = ConstraintMapInstance(7, 1, 1, vertex_order=(4, 1, 5, 0, 3, 2))
     assert not verify_equivariance(inst).full_group
-    dirs = constraint_map._directions_array(inst)
+    dirs = _vertex_order_directions(inst)
     rng = np.random.default_rng(711)
     for f in rng.choice(np.arange(dirs.size // 2, dirs.size), size=4, replace=False):
         dirs[f] = dirs[f] % 7 + 1 if rng.integers(3) else 0
-    monkeypatch.setattr(constraint_map, "_directions_array", lambda inst: dirs)
+    tensor = _build_order(inst, dirs)
+    monkeypatch.setattr(constraint_map, "_directions_array", lambda inst: tensor)
     perms = _adjacent_transpositions(7)
-    got = _equivariance_json(_verify_equivariance_numpy, inst, perms)
+    got = _equivariance_json(_equivariance_numpy, inst, perms)
     assert len(got["violations"]) == 5 and got["faces_processed"] < dirs.size
     assert got == _equivariance_json(_verify_equivariance_take, inst, perms)
     assert got == _equivariance_json(_verify_equivariance_chunked, inst, perms, 1 << 16)
@@ -938,3 +964,97 @@ def test_zero_set_thirteen_axes_matches_integer_reference():
     order = random_vertex_orders(13, 1, seed=13)[0]
     inst = ConstraintMapInstance(2, 7, 1, vertex_order=order)
     assert verify_zero_set(inst).to_json() == _verify_zero_set_by_integer(inst).to_json()
+
+
+def _wrong_without_vertex_0(inst, digits):
+    """Wrong only on the faces that leave vertex 0 unused: there it is the
+    slot of the first used vertex.  A rainbow chain then tops out at such a
+    face, which lies past the first support of its level."""
+    if digits[0]:
+        return face_direction(inst, digits)
+    return _first_vertex_rule(inst, digits)
+
+
+def test_zero_set_first_hit_in_a_later_support_of_its_level(monkeypatch):
+    inst = ConstraintMapInstance(3, 3, 2)
+    _use_rule(monkeypatch, inst, _wrong_without_vertex_0)
+    got = verify_zero_set(inst).to_json()
+    assert got["violations"] == [{"chain": [[0, 0, 0, 3, 3, 3, 0], [0, 0, 2, 3, 3, 3, 0],
+                                            [0, 1, 2, 3, 3, 3, 0]]}]
+    # the top face has support {1, .., 5}; level 5 starts after the 3,991
+    # smaller faces, and its first support {0, .., 4} holds 3^5 faces
+    assert got["faces_processed"] == 7690 > 3991 + 3 ** 5
+    assert got == _verify_zero_set_python(inst, _wrong_without_vertex_0).to_json()
+    assert got == _verify_zero_set_by_integer(inst).to_json()
+
+
+@pytest.mark.parametrize("q,k,t", [(3, 3, 2), (4, 2, 2)])
+def test_zero_set_later_support_hit_under_shuffled_orders(monkeypatch, q, k, t):
+    for order in random_vertex_orders(q * k - t, 2, seed=5 * q + k):
+        inst = ConstraintMapInstance(q, k, t, vertex_order=order)
+        _use_rule(monkeypatch, inst, _wrong_without_vertex_0)
+        got = verify_zero_set(inst).to_json()
+        assert not got["ok"], order
+        assert got == _verify_zero_set_python(inst, _wrong_without_vertex_0).to_json()
+        assert got == _verify_zero_set_by_integer(inst).to_json()
+
+
+@pytest.mark.parametrize("q,k,t", [(2, 7, 1), (6, 2, 5)])
+def test_zero_set_peak_is_within_its_bytes_per_face(q, k, t):
+    # (2, 7, 1) has 13 axes and 2^13 supports; (6, 2, 5) has 64-bit reach
+    # words.  The DP keeps one level's reach besides the one it fills
+    inst = ConstraintMapInstance(q, k, t)
+    assert not verify_zero_set(inst).short_circuit
+    assert (_peak_bytes_per_face(verify_zero_set, inst)
+            <= constraint_map._zero_set_bytes_per_face(q))
+
+
+@pytest.mark.parametrize("q,k,t", [(2, 4, 1), (3, 2, 1), (3, 3, 2), (4, 2, 2), (5, 2, 4)])
+def test_zero_set_of_perturbed_directions_matches_the_references(monkeypatch, q, k, t):
+    # random directions on a few faces of k or more vertices (the smaller
+    # ones stay constrained, as the DP assumes), so that rainbow chains
+    # start, stop and branch at arbitrary supports and facets
+    n = q * k - t
+    rng = np.random.default_rng(100 * q + 10 * k + t)
+    for order in [None] + random_vertex_orders(n, 2, seed=q + k + t):
+        inst = ConstraintMapInstance(q, k, t, vertex_order=order)
+        clean = _vertex_order_directions(inst)
+        big = np.flatnonzero(np.array([sum(1 for d in f if d) >= k for f in all_faces(inst)]))
+        for _ in range(4):
+            dirs = clean.copy()
+            faces = rng.choice(big, size=int(rng.integers(1, 1 + big.size // 50)), replace=False)
+            dirs[faces] = rng.integers(0, q + 1, size=faces.size)
+            tensor = _build_order(inst, dirs)
+            with monkeypatch.context() as patch:
+                patch.setattr(constraint_map, "_directions_array", lambda inst: tensor)
+                got = verify_zero_set(inst).to_json()
+                assert got == _verify_zero_set_by_integer(inst).to_json(), (q, k, t, order)
+            if inst.face_count() <= 5000:
+                table = dirs.reshape((q + 1,) * n)
+                rule = lambda inst, digits: int(table[digits]) or None
+                assert got == _verify_zero_set_python(inst, rule).to_json(), (q, k, t, order)
+
+
+@pytest.mark.parametrize("q,k,t", [(3, 2, 2), (4, 2, 1), (3, 3, 3)])
+def test_equivariance_of_corrupted_directions_under_shuffled_orders(monkeypatch, q, k, t):
+    # the check compares in build order, and reads its violations from the
+    # vertex-order view, in that view's C order; a few corrupted faces make
+    # the violations depend on the vertex order
+    n = q * k - t
+    rng = np.random.default_rng(3 * q + k + t)
+    for order in random_vertex_orders(n, 3, seed=3 * q + k + t):
+        inst = ConstraintMapInstance(q, k, t, vertex_order=order)
+        dirs = _vertex_order_directions(inst)
+        for f in rng.choice(dirs.size, size=3, replace=False):
+            dirs[f] = (dirs[f] + rng.integers(1, q + 1)) % (q + 1)
+        tensor = _build_order(inst, dirs)
+        table = dirs.reshape((q + 1,) * n)
+        with monkeypatch.context() as patch:
+            patch.setattr(constraint_map, "_directions_array", lambda inst: tensor)
+            for perms in (_all_slot_permutations(q), _adjacent_transpositions(q)):
+                got = _equivariance_json(_equivariance_numpy, inst, perms)
+                assert got["violations"], order
+                assert got == _equivariance_json(
+                    _verify_equivariance_python, inst, perms,
+                    lambda inst, digits: int(table[digits]) or None), order
+                assert got == _equivariance_json(_verify_equivariance_take, inst, perms)
