@@ -299,12 +299,12 @@ def _first_rainbow_face(inst, dirs, start):
                 acc |= reach[ranks[:, i]].reshape(
                     (rows,) + (q,) * i + (1,) + (q,) * (s - 1 - i))
         _add_directions(acc, fdir, tables)
-        # a violation tops out at an unconstrained face, and a chain covering
-        # 1..q holds q unconstrained faces, of distinct sizes from level
-        # `start` up
+        # a chain covering 1..q holds q unconstrained faces, of distinct
+        # sizes from level `start` up.  A constrained face adds no direction,
+        # so the first level where the full mask shows has it only on
+        # unconstrained faces
         if s >= start + q - 1:
             hits = np.flatnonzero(acc >> top)
-            hits = hits[fdir.reshape(-1)[hits] != 0]
             if hits.size:
                 row, assigned = divmod(int(hits[0]), q ** s)
                 face = [0] * n
@@ -352,13 +352,14 @@ def _search_zero_set(inst, dirs, report):
             _in_vertex_order(inst, dirs), face, (1 << inst.q) - 1)])
 
 
-def verify_zero_set(inst, budget=FACE_BUDGET):
+def verify_zero_set(inst):
     """Search for an inclusion chain of unconstrained faces whose directions
     cover all of 1..q; an empty violations list proves the map's zero set
     stays inside the constrained region.  Reports the first violating face
     in enumeration order (size, support, assignment), with faces_processed
-    counted up to it as a face-by-face scan would."""
-    report = _zero_set_report(inst, budget)
+    counted up to it as a face-by-face scan would.  Held to FACE_BUDGET;
+    phi-check sets its own budget through _verify_both."""
+    report = _zero_set_report(inst, FACE_BUDGET)
     if not report.short_circuit:
         _search_zero_set(inst, _directions_array(inst), report)
     return report
@@ -499,7 +500,7 @@ def _verify_equivariance_numpy(inst, perms, report, dirs):
         if np.array_equal(image, dirs):
             continue
         got, want = _in_vertex_order(inst, image), _in_vertex_order(inst, dirs)
-        for f in np.flatnonzero(got != want)[:5]:
+        for f in np.flatnonzero(np.not_equal(got, want, order="C"))[:5]:
             face = np.unravel_index(f, got.shape)
             found.append((int(f), i, perm[got[face]], perm[want[face]]))
     found = sorted(found)[:5]
@@ -524,9 +525,10 @@ def _equivariance_report(inst, budget):
     return report, perms
 
 
-def verify_equivariance(inst, budget=FACE_BUDGET):
-    """Check d(pi F) = pi d(F) (see _equivariance_report for which pi)."""
-    report, perms = _equivariance_report(inst, budget)
+def verify_equivariance(inst):
+    """Check d(pi F) = pi d(F) (see _equivariance_report for which pi),
+    held to FACE_BUDGET like verify_zero_set."""
+    report, perms = _equivariance_report(inst, FACE_BUDGET)
     _verify_equivariance_numpy(inst, perms, report, _directions_array(inst))
     return report
 

@@ -620,18 +620,24 @@ def test_unconstrained_levels_closed_form_matches_composition_walk():
 
 def test_zero_set_budget_and_json():
     with pytest.raises(ResourceBudget):
-        verify_zero_set(ConstraintMapInstance(3, 3, 2), budget=100)
+        constraint_map._verify_both(ConstraintMapInstance(3, 3, 2), budget=100)
     doc = verify_zero_set(ConstraintMapInstance(2, 2, 1)).to_json()
     assert doc["schema"] == "zero_set_report/1"
     assert doc["ok"] is True and doc["violations"] == []
 
 
-def test_face_budget_is_exact_for_both_checks():
+def test_face_budget_is_exact_for_both_checks(monkeypatch):
+    # each check alone is held to FACE_BUDGET, the pair to phi-check's budget
     inst = ConstraintMapInstance(3, 3, 2)  # 4^7 = 16,384 faces
     for check in (verify_zero_set, verify_equivariance):
-        assert check(inst, budget=16384).ok
+        monkeypatch.setattr(constraint_map, "FACE_BUDGET", 16384)
+        assert check(inst).ok
+        monkeypatch.setattr(constraint_map, "FACE_BUDGET", 16383)
         with pytest.raises(ResourceBudget, match="face budget of 16383"):
-            check(inst, budget=16383)
+            check(inst)
+    assert all(r.ok for r in constraint_map._verify_both(inst, budget=16384))
+    with pytest.raises(ResourceBudget, match="face budget of 16383"):
+        constraint_map._verify_both(inst, budget=16383)
 
 
 def test_memory_limit_is_exact_for_both_checks(monkeypatch):
@@ -795,6 +801,22 @@ def test_peak_bytes_per_face():
                 <= constraint_map._zero_set_bytes_per_face(q))
 
 
+def test_equivariance_violation_peak_does_not_grow_with_the_vertex_order(monkeypatch):
+    # direction 1 read as 2 on every face breaks equivariance on a quarter
+    # of them.  The violation path compares two transposed views of the
+    # build-order tensors; it must lay the mask out in vertex order at
+    # once, not in build order and then again for flatnonzero
+    build, peaks = constraint_map._directions_array, []
+    for order in (None, (6, 5, 4, 3, 2, 1, 0)):
+        inst = ConstraintMapInstance(4, 2, 1, vertex_order=order)
+        wrong = build(inst)
+        wrong[wrong == 1] = 2
+        monkeypatch.setattr(constraint_map, "_directions_array", lambda inst: wrong)
+        assert len(verify_equivariance(inst).violations) == 5
+        peaks.append(_peak_bytes_per_face(verify_equivariance, inst) * inst.face_count())
+    assert peaks[1] <= peaks[0] + 4096, peaks
+
+
 def test_single_vertex_ground_set():
     # n = 1: the tensor has one axis, and each slice of it is one face
     inst = ConstraintMapInstance(2, 1, 1)
@@ -919,17 +941,18 @@ def test_zero_set_past_q6_is_refused_before_building(monkeypatch, q):
         raise AssertionError("direction tensor built for q = %d" % inst.q)
 
     monkeypatch.setattr(constraint_map, "_directions_array", unreachable)
+    monkeypatch.setattr(constraint_map, "FACE_BUDGET", 10 ** 30)
     inst = ConstraintMapInstance(q, 2, q - 1)  # the fewest faces past the short circuit
     assert inst.n - inst.k + 1 >= q
     with pytest.raises(ResourceBudget, match="memory limit"):
-        verify_zero_set(inst, budget=10 ** 30)
+        verify_zero_set(inst)
     for k in range(1, 5):
         for t in range(1, q + 1):
             if k < min(t, 2):
                 continue
             inst = ConstraintMapInstance(q, k, t)
             try:
-                report = verify_zero_set(inst, budget=10 ** 30)
+                report = verify_zero_set(inst)
             except ResourceBudget:
                 continue
             assert report.short_circuit and report.faces_processed == 0, (q, k, t)

@@ -130,12 +130,7 @@ def _defaulted_parameters_never_passed():
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
-    # cli.main(argv) takes its arguments from the command line.  The two
-    # constraint-map checks keep their face budget as library API, which
-    # perfbench calls by name; phi-check passes its budget to the pair
-    # entry, _verify_both, which builds one tensor for both
-    library = {("cli.py", "main", "argv"),
-               ("constraint_map.py", "verify_zero_set", "budget"),
-               ("constraint_map.py", "verify_equivariance", "budget")}
-    never = [p for p in _defaulted_parameters_never_passed() if p not in library]
+    # cli.main(argv) takes its arguments from the command line
+    never = [p for p in _defaulted_parameters_never_passed()
+             if p != ("cli.py", "main", "argv")]
     assert never == [], "defaulted parameters that src/ and perfbench/ never pass"
