@@ -14,17 +14,18 @@ from math import prod
 
 from .compose import compose, power_of_two_levels
 from .complexes import FACE_BUDGET
-from .conditions import check_conditions
+from .conditions import PATH_SEARCH_BUDGET, check_conditions
 from .constraint_map import ConstraintMapInstance, _verify_both
 from .errors import ContractError, InputError, ResourceBudget, check_size
 from .geometry import (gale_alternating, hulls_intersect, moment_points,
                        stretched_moment_points, strong_general_position_check,
                        tverberg_search)
-from .graphs import (FAMILIES, Graph, consecutive_partition, generate_family,
+from .graphs import (FAMILIES, consecutive_partition, generate_family,
                      single_block_partition)
 from .homology import homology
-from .kneser import (KneserInstance, build_hypergraph, chromatic_formula,
-                     chromatic_number, splitting_from_coloring)
+from .kneser import (CHI_NODE_BUDGET, KneserInstance, build_hypergraph,
+                     chromatic_formula, chromatic_number,
+                     splitting_from_coloring)
 from .serial import (canonical_dumps, complex_load, instance_dump,
                      instance_load, load_file, points_dump, points_load,
                      splitting_dump, splitting_load)
@@ -89,8 +90,9 @@ def _add_spec_flags(p):
                    help="require the weakly-stable window property")
 
 
-def _add_budget_flag(p):
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+def _add_budget_flag(p, default):
+    """--budget; main refuses a negative one before the command runs."""
+    p.add_argument("--budget", type=int, default=default)
 
 
 def cmd_generate(args):
@@ -203,13 +205,11 @@ def cmd_compose(args):
     else:
         levels = [(args.q1, args.q1 if args.s1 is None else args.s1),
                   (args.q2, args.q2 if args.s2 is None else args.s2)]
-    splitting = compose(n, partition, levels, budget=args.budget)
-    q, stability = prod(q for q, _ in levels), prod(s for _, s in levels)
-    spec = SplittingSpec(q=q, flavor="almost_fair", stability=stability)
-    cert = check_splitting(Graph(n, ()), partition, splitting, spec)
-    doc = {"schema": "compose/1", "q": q, "stability": stability,
-           "splitting": splitting_dump(splitting), "certificate": cert.to_json()}
-    return (0 if cert.ok else 1), doc
+    splitting, cert = compose(n, partition, levels, budget=args.budget)
+    return 0, {"schema": "compose/1", "q": prod(q for q, _ in levels),
+               "stability": prod(s for _, s in levels),
+               "splitting": splitting_dump(splitting),
+               "certificate": cert.to_json()}
 
 
 def cmd_kneser_chi(args):
@@ -225,9 +225,7 @@ def cmd_kneser_chi(args):
 
 def cmd_kneser_split(args):
     partition = _blocks_partition(args.blocks, check_size("--n", args.n))
-    res = splitting_from_coloring(args.n, partition, args.q,
-                                  budget=args.budget,
-                                  check_chromatic=args.check_chromatic)
+    res = splitting_from_coloring(args.n, partition, args.q, budget=args.budget)
     doc = {"schema": "kneser_split/1", "status": res.status,
            "splitting": None if res.splitting is None else
            splitting_dump(res.splitting),
@@ -256,8 +254,6 @@ def build_parser():
         prog="fairsplit",
         description="Exact searches and certificates for fair splittings of "
                     "vertex-partitioned graphs by disjoint independent sets.")
-    p.add_argument("--seedless", action="store_true",
-                   help="run the command twice and require byte-identical output")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="emit an instance JSON document")
@@ -274,7 +270,7 @@ def build_parser():
     s.add_argument("--points", help="points JSON; searches geometrically")
     s.add_argument("--caps", help="per-block upper bound on |S_i ∩ V_j|")
     _add_spec_flags(s)
-    _add_budget_flag(s)
+    _add_budget_flag(s, DEFAULT_NODE_BUDGET)
     s.set_defaults(fn=cmd_solve)
 
     v = sub.add_parser("verify", help="re-check a splitting against an instance")
@@ -289,7 +285,7 @@ def build_parser():
     c.add_argument("--q", type=int, required=True)
     c.add_argument("--n", type=int)
     c.add_argument("--path", help="candidate simple path, comma-separated")
-    c.add_argument("--budget", type=int, default=2_000_000)
+    _add_budget_flag(c, PATH_SEARCH_BUDGET)
     c.set_defaults(fn=cmd_check_conditions)
 
     ge = sub.add_parser("geometry", help="moment-curve configurations and "
@@ -305,7 +301,7 @@ def build_parser():
     ge.add_argument("--sets", help="semicolon-separated label sets: 1,3;2,4")
     ge.add_argument("--q", type=int, default=2)
     ge.add_argument("--target-dim", type=int, dest="target_dim")
-    ge.add_argument("--budget", type=int, default=500000)
+    _add_budget_flag(ge, 500_000)
     ge.set_defaults(fn=cmd_geometry)
 
     ph = sub.add_parser("phi-check", help="verify the constraint map's zero "
@@ -315,7 +311,7 @@ def build_parser():
     ph.add_argument("--t", type=int, required=True)
     ph.add_argument("--order", help="vertex order as a comma-separated "
                                     "permutation of 0..n-1")
-    ph.add_argument("--budget", type=int, default=FACE_BUDGET)
+    _add_budget_flag(ph, FACE_BUDGET)
     ph.set_defaults(fn=cmd_phi_check)
 
     co = sub.add_parser("compose", help="product splittings of a path")
@@ -326,7 +322,7 @@ def build_parser():
     co.add_argument("--q2", type=int)
     co.add_argument("--s1", type=int)
     co.add_argument("--s2", type=int)
-    _add_budget_flag(co)
+    _add_budget_flag(co, DEFAULT_NODE_BUDGET)
     co.set_defaults(fn=cmd_compose)
 
     kc = sub.add_parser("kneser-chi", help="exact chromatic number of a "
@@ -336,7 +332,7 @@ def build_parser():
     kc.add_argument("--q", type=int, required=True)
     kc.add_argument("--stability", choices=["none", "path", "cycle"],
                     default="none")
-    kc.add_argument("--budget", type=int, default=20_000_000)
+    _add_budget_flag(kc, CHI_NODE_BUDGET)
     kc.set_defaults(fn=cmd_kneser_chi)
 
     ks = sub.add_parser("kneser-split", help="splitting of a path via the "
@@ -344,9 +340,7 @@ def build_parser():
     ks.add_argument("--n", type=int, required=True)
     ks.add_argument("--blocks")
     ks.add_argument("--q", type=int, required=True)
-    ks.add_argument("--check-chromatic", action="store_true",
-                    dest="check_chromatic")
-    _add_budget_flag(ks)
+    _add_budget_flag(ks, DEFAULT_NODE_BUDGET)
     ks.set_defaults(fn=cmd_kneser_split)
 
     ho = sub.add_parser("homology", help="reduced integral homology of a "
@@ -361,21 +355,13 @@ def build_parser():
     return p
 
 
-def _run_once(args):
-    code, doc = args.fn(args)
-    return code, canonical_dumps(doc)
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code, text = _run_once(args)
-        if args.seedless:
-            code2, text2 = _run_once(args)
-            if code2 != code or text2 != text:
-                print("determinism violation: two runs differ", file=sys.stderr)
-                return 2
+        args = build_parser().parse_args(argv)
+        if getattr(args, "budget", 0) < 0:
+            raise InputError("--budget must be nonnegative")
+        code, doc = args.fn(args)
+        text = canonical_dumps(doc)
     except InputError as e:
         print("input error: %s" % e, file=sys.stderr)
         return 2

@@ -58,9 +58,10 @@ def _split(big, partition, q, stability, budget):
 
 def compose(n, partition, levels, budget=DEFAULT_NODE_BUDGET):
     """The splitting of the path on n vertices that `levels`, a nonempty
-    list of (q_i, s_i), build; all the solver runs together visit at most
-    `budget` nodes, each drawing on what the runs before it left.  Its q
-    is the product of the q_i and its stability that of the s_i."""
+    list of (q_i, s_i), build, and the certificate of its last level; all
+    the solver runs together visit at most `budget` nodes, each drawing on
+    what the runs before it left.  Its q is the product of the q_i and its
+    stability that of the s_i."""
     q = prod(qi for qi, _ in levels)
     if any(len(b) < q - 1 for b in partition.blocks):
         raise InputError("every block needs at least %d vertices, one fewer "
@@ -80,7 +81,7 @@ def compose(n, partition, levels, budget=DEFAULT_NODE_BUDGET):
         if not cert.ok:
             raise ContractError("level %d violated its contract: %s"
                                 % (level, cert.to_json()))
-    return Splitting(sets)
+    return Splitting(sets), cert
 
 
 def power_of_two_levels(t, partition):
@@ -96,4 +97,4 @@ def power_of_two_levels(t, partition):
 def power_of_two_splitting(n, partition, t):
     """2^t pairwise disjoint 2^t-stable sets forming an almost fair splitting
     of the path on n vertices, by t levels of (2, 2)."""
-    return compose(n, partition, power_of_two_levels(t, partition))
+    return compose(n, partition, power_of_two_levels(t, partition))[0]

@@ -116,12 +116,13 @@ def _path_edge_set(g: Graph, path):
 
 def _search_simple_path(g: Graph, accept, budget=PATH_SEARCH_BUDGET):
     """First simple path (as a vertex list, [] = delete nothing) whose edge
-    deletion satisfies `accept`; None if none exists.  Deterministic order:
-    empty path, then DFS by ascending labels; reversals are skipped.  The DFS
-    keeps one neighbour iterator per path vertex on an explicit stack, and
-    each path it goes on to extend counts one node against `budget`."""
+    deletion satisfies `accept`, None if none exists; and the nodes the
+    search visited, at most `budget`.  Deterministic order: empty path, then
+    DFS by ascending labels; reversals are skipped.  The DFS keeps one
+    neighbour iterator per path vertex on an explicit stack, and each path
+    it goes on to extend counts one node against `budget`."""
     if accept(set()):
-        return []
+        return [], 0
     nodes = 0
 
     def neighbours(v):
@@ -148,21 +149,23 @@ def _search_simple_path(g: Graph, accept, budget=PATH_SEARCH_BUDGET):
             used.add(w)
             edges.add((min(last, w), max(last, w)))
             if path[0] < w and accept(edges):
-                return list(path)
+                return list(path), nodes
             stack.append(neighbours(w))
-    return None
+    return None, nodes
 
 
 def _path_witness(g: Graph, accept, path, budget):
     """The given path when deleting its edges satisfies `accept`, or with no
-    path given the first one the search finds; None when there is none."""
+    path given the first one the search finds; None when there is none.
+    Also the nodes the search visited (0 for a given path)."""
     if path is not None:
-        return list(path) if accept(_path_edge_set(g, list(path))) else None
+        return (list(path) if accept(_path_edge_set(g, list(path))) else None), 0
     return _search_simple_path(g, accept, budget)
 
 
 def path_deletion(g: Graph, partition: VertexPartition, q, path=None,
                   budget=PATH_SEARCH_BUDGET):
+    """The fragment, and the nodes its path search visited (<= budget)."""
     gates = {
         "prime_power": is_prime_power(q),
         "blocks_ok": all(len(b) >= q - 1 for b in partition.blocks),
@@ -170,16 +173,16 @@ def path_deletion(g: Graph, partition: VertexPartition, q, path=None,
     }
     out = {"ok": False, "path": None, **gates}
     if not all(gates.values()):
-        return out
+        return out, 0
 
     def accept(removed):
         return all(val < q for val, _ in
                    neighborhood_values(_adjacency_minus(g, removed)))
 
-    found = _path_witness(g, accept, path, budget)
+    found, nodes = _path_witness(g, accept, path, budget)
     if found is not None:
         out.update(ok=True, path=found)
-    return out
+    return out, nodes
 
 
 def _components(adj):
@@ -242,7 +245,7 @@ def path_union_cliques_shape(g: Graph, partition: VertexPartition, q,
                              path=None, budget=PATH_SEARCH_BUDGET):
     """Edge-disjoint union of a simple path and pairwise vertex-disjoint
     cliques of size q-1, on (q-1)n + 1 vertices with n >= m+1; prime q;
-    blocks of size >= q-1."""
+    blocks of size >= q-1.  Also the nodes its path search visited."""
     n, rem = divmod(g.n - 1, q - 1) if q >= 2 else (0, 1)
     gates = {
         "prime": is_prime(q),
@@ -251,15 +254,15 @@ def path_union_cliques_shape(g: Graph, partition: VertexPartition, q,
     }
     out = {"ok": False, "path": None, "n": n if rem == 0 else None, **gates}
     if not all(gates.values()):
-        return out
+        return out, 0
 
     def accept(removed):
         return _is_disjoint_cliques(_adjacency_minus(g, removed), q - 1)
 
-    found = _path_witness(g, accept, path, budget)
+    found, nodes = _path_witness(g, accept, path, budget)
     if found is not None:
         out.update(ok=True, path=found)
-    return out
+    return out, nodes
 
 
 def transversal_size(g: Graph, partition: VertexPartition, q):
@@ -282,9 +285,6 @@ class ConditionReport:
     n: int
     fragments: dict = field(default_factory=dict)
 
-    def __getitem__(self, key):
-        return self.fragments[key]
-
     @property
     def any_certified(self):
         """True when at least one full sufficient condition holds."""
@@ -300,20 +300,26 @@ class ConditionReport:
 def check_conditions(g: Graph, partition: VertexPartition, q, n=None,
                      path=None, budget=PATH_SEARCH_BUDGET):
     """Evaluate every condition; n defaults to the largest value compatible
-    with the vertex count."""
+    with the vertex count.  The two path searches together visit at most
+    `budget` nodes, the second drawing on what the first left."""
     if q < 2:
         raise InputError("need q >= 2")
     if not partition.covers(g.n):
         raise InputError("partition must cover the graph's vertex set")
     if n is None:
         n = max((g.n - 1) // (q - 1), 1)
+    elif n < 1:
+        raise InputError("need n >= 1")
+    if path is not None and not all(1 <= v <= g.n for v in path):
+        raise InputError("path vertices must lie in 1..%d" % g.n)
+    deletion, nodes = path_deletion(g, partition, q, path, budget)
+    union, _ = path_union_cliques_shape(g, partition, q, path, budget - nodes)
     frags = {
         "neighborhood_bound": neighborhood_bound(g, q, n),
-        "path_deletion": path_deletion(g, partition, q, path, budget),
+        "path_deletion": deletion,
         "cliques_plus_isolated_shape": cliques_plus_isolated_shape(g, q),
         "long_path_shape": long_path_shape(g, q, n),
-        "path_union_cliques_shape": path_union_cliques_shape(
-            g, partition, q, path, budget),
+        "path_union_cliques_shape": union,
         "transversal_size": transversal_size(g, partition, q),
     }
     return ConditionReport(q=q, n=n, fragments=frags)

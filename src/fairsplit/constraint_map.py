@@ -499,10 +499,21 @@ def _verify_equivariance_numpy(inst, perms, report, dirs):
             view[:, to] = view[:, fro]  # image[F] = pi^-1 d(pi F)
         if np.array_equal(image, dirs):
             continue
-        got, want = _in_vertex_order(inst, image), _in_vertex_order(inst, dirs)
-        for f in np.flatnonzero(np.not_equal(got, want, order="C"))[:5]:
-            face = np.unravel_index(f, got.shape)
-            found.append((int(f), i, perm[got[face]], perm[want[face]]))
+        # image ^ d(F) is nonzero on the violations and gives d(pi F) back
+        # as itself ^ d(F); copyto lays it out in vertex order as a mask,
+        # with no iteration buffers, where argmax finds each next violation
+        np.bitwise_xor(image, dirs, out=image)
+        marks, want = _in_vertex_order(inst, image), _in_vertex_order(inst, dirs)
+        mask = np.empty(dirs.size, dtype=np.bool_)
+        np.copyto(mask.reshape(dirs.shape), marks, casting="unsafe")
+        for _ in range(5):
+            f = int(mask.argmax())
+            if not mask[f]:
+                break
+            mask[f] = False
+            face = np.unravel_index(f, dirs.shape)
+            found.append((f, i, perm[marks[face] ^ want[face]], perm[want[face]]))
+        del mask
     found = sorted(found)[:5]
     for f, i, got, want in found:
         report.violations.append({

@@ -38,6 +38,7 @@ from .solver import DEFAULT_NODE_BUDGET, SearchProblem, find_splitting
 
 VERTEX_BUDGET = 200000
 EDGE_BUDGET = 5_000_000
+CHI_NODE_BUDGET = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -275,7 +276,7 @@ def _colorable(h: Hypergraph, c, precolored, budget):
         descend = True
 
 
-def chromatic_number(h: Hypergraph, budget=20_000_000):
+def chromatic_number(h: Hypergraph, budget=CHI_NODE_BUDGET):
     """Exact chromatic number with a verified witness coloring.
 
     Tries c = lb, lb + 1, ... in turn; the nodes of every attempt count
@@ -400,8 +401,7 @@ def rebalance_q2(n_padded, padded_partition, s1, s2, pad_blocks):
     return Splitting(pair), removals
 
 
-def splitting_from_coloring(n, partition, q, budget=DEFAULT_NODE_BUDGET,
-                            check_chromatic=False):
+def splitting_from_coloring(n, partition, q, budget=DEFAULT_NODE_BUDGET):
     """The full reduction on the path with vertices 1..n.
 
     Pads every block to size q*k_j - 1 with fresh trailing path vertices
@@ -426,14 +426,6 @@ def splitting_from_coloring(n, partition, q, budget=DEFAULT_NODE_BUDGET,
     k = sum(kj - 1 for kj in ks)
     details = {"ks": ks, "ts": ts, "k": k, "n_padded": n_padded,
                "pad_blocks": [list(b) for b in pad_blocks]}
-
-    if check_chromatic:
-        inst = KneserInstance(n_padded, k, q, "path") if k > 0 else None
-        if inst is not None:
-            h = build_hypergraph(inst)
-            chi, _ = chromatic_number(h)
-            details["chi"] = chi
-            details["chi_formula"] = chromatic_formula(n_padded, k, q)
 
     padded_partition = VertexPartition(padded_blocks, n_padded)
     mono = _mono_edge_search(padded_partition, q, ks, budget)

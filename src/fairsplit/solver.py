@@ -44,10 +44,12 @@ below its minimum costs one more AND and popcount.  The mask a step
 replaces is kept in one flat per-depth list.
 
 Complete assignments are checked for balance, weak stability and, in
-geometric mode, a common point of the hulls.  Every visited node counts once
-against one budget shared by the whole search.  "exhausted_none" is only
-reported after full (symmetry-reduced) exhaustion; a budget cutoff is
-reported as "budget_exceeded", never as nonexistence.
+geometric mode, a common point of the hulls; not for quotas, since the
+deficit prune at each block's last position leaves no deficit.  Every
+visited node counts once against one budget shared by the whole search.
+"exhausted_none" is only reported after full (symmetry-reduced)
+exhaustion; a budget cutoff is reported as "budget_exceeded", never as
+nonexistence.
 
 The per-problem tables come from one pass over the graph's edges and one
 sweep over the positions.  They keep n-bit masks per position, so they take
@@ -187,9 +189,7 @@ class _Ctx:
             left[j] += 1
 
 
-def _leaf(ctx, choice, deficit):
-    if any(x > 0 for x in deficit):
-        return None
+def _leaf(ctx, choice):
     members = [[] for _ in range(ctx.q)]
     for v, c in enumerate(choice, 1):
         if c < ctx.q:
@@ -236,7 +236,7 @@ def _search(problem, limit):
     nodes, d = 1, 0
     while True:
         if d == n:
-            found = _leaf(ctx, choice, deficit)
+            found = _leaf(ctx, choice)
             if found is not None:
                 solutions.append(found)
                 if len(solutions) >= limit:

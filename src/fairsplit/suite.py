@@ -6,7 +6,7 @@ timings or other run-varying data, so two runs must be byte-identical.
 
 from __future__ import annotations
 
-from .compose import power_of_two_splitting
+from .compose import compose, power_of_two_levels
 from .conditions import check_conditions
 from .constraint_map import ConstraintMapInstance, _verify_both
 from .geometry import (gale_alternating, hulls_intersect, moment_points,
@@ -18,7 +18,7 @@ from .complexes import independence_complex
 from .kneser import (KneserInstance, build_hypergraph, chromatic_formula,
                      chromatic_number, splitting_from_coloring)
 from .solver import SearchProblem, enumerate_splittings, find_splitting
-from .splitting import SplittingSpec, check_splitting
+from .splitting import SplittingSpec
 
 
 def six_cycle_instance():
@@ -131,9 +131,7 @@ def _entry_kneser_split():
 
 def _entry_compose():
     partition = single_block_partition(15)
-    splitting = power_of_two_splitting(15, partition, 2)
-    spec = SplittingSpec(q=4, flavor="almost_fair", stability=4)
-    cert = check_splitting(Graph(15, ()), partition, splitting, spec)
+    splitting, cert = compose(15, partition, power_of_two_levels(2, partition))
     ok = cert.ok and len(splitting.sets) == 4
     return {"sets": [list(s) for s in splitting.sets],
             "certificate": cert.to_json()}, ok
@@ -146,7 +144,7 @@ def _entry_conditions():
     m = matching_graph(8)
     rep2 = check_conditions(m, single_block_partition(8), 4)
     return {"six_cycle": rep.to_json(), "matching": rep2.to_json()}, (
-        all_false and rep2["transversal_size"]["ok"])
+        all_false and rep2.fragments["transversal_size"]["ok"])
 
 
 def _entry_homology():

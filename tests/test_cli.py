@@ -17,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairsplit.compose as compose_module
+import fairsplit.conditions as conditions
 import fairsplit.constraint_map as constraint_map
 import fairsplit.homology as homology_module
 import fairsplit.serial as serial
-from fairsplit.cli import main
+from fairsplit.cli import build_parser, main
 from fairsplit.complexes import FACE_BUDGET, independence_complex
 from fairsplit.errors import INSTANCE_VERTEX_LIMIT, MEMORY_LIMIT
 from fairsplit.graphs import cycle_graph
@@ -208,6 +209,49 @@ def test_check_conditions_negative(capsys, cycle6):
                        "--q", "2")
     assert code == 1
     assert all(not doc["conditions"][k]["ok"] for k in doc["conditions"])
+
+
+def test_check_conditions_searches_share_one_budget(capsys, tmp_path):
+    # K5 plus two isolated vertices at q = 2 passes both path conditions'
+    # gates, and neither finds a path: each search runs to exhaustion.
+    # Their nodes together are exactly enough; one fewer runs out
+    path = write(tmp_path, "k5.json", {
+        "schema": "instance/1", "n": 7,
+        "edges": [[u, w] for u in range(1, 6) for w in range(u + 1, 6)],
+        "partition": [list(range(1, 8))]})
+    argv = ["check-conditions", "--input", path, "--q", "2"]
+    nodes = []
+    search = conditions._search_simple_path
+
+    def counted(g, accept, budget):
+        found, spent = search(g, accept, budget)
+        nodes.append(spent)
+        return found, spent
+
+    with mock.patch.object(conditions, "_search_simple_path", counted):
+        code, want, _ = run(capsys, *argv)
+    assert code == 1 and nodes == [327, 327]
+    code, doc, _ = run(capsys, *argv, "--budget", "654")
+    assert code == 1 and doc == want
+    code, doc, err = run(capsys, *argv, "--budget", "653")
+    assert code == 3 and doc is None and "budget exceeded" in err
+
+
+def test_check_conditions_validates_path_and_n(capsys, tmp_path):
+    # on an edgeless graph a one-vertex path deletes nothing, so a vertex
+    # outside the graph was certified as the path of both conditions, and
+    # an n below 1 made the (q-1)n + 1 size gate vacuous
+    path = write(tmp_path, "e5.json", {
+        "schema": "instance/1", "n": 5, "edges": [],
+        "partition": [list(range(1, 6))]})
+    argv = ["check-conditions", "--input", path, "--q", "2"]
+    for flag in ("--path=99", "--path=-3", "--path=0", "--path=1,6",
+                 "--n=0", "--n=-5"):
+        code, doc, err = run(capsys, *argv, flag)
+        assert code == 2 and doc is None, flag
+        assert err.startswith("input error: "), err
+    code, doc, _ = run(capsys, *argv, "--path", "5", "--n", "1")
+    assert code == 0 and doc["conditions"]["path_deletion"]["path"] == [5]
 
 
 def line_points(tmp_path, name, xs):
@@ -589,12 +633,10 @@ def test_homology_command(capsys, tmp_path):
                               {"dim": 1, "betti": 1, "torsion": []}]
 
 
-def test_suite_and_seedless(capsys):
+def test_suite(capsys):
     code, doc, _ = run(capsys, "suite")
     assert code == 0 and doc["all_ok"] is True
     assert len(doc["results"]) == 12
-    code, doc, _ = run(capsys, "--seedless", "suite")
-    assert code == 0 and doc["all_ok"] is True
 
 
 # Runs in a fresh interpreter: every command but phi-check must leave numpy
@@ -603,7 +645,7 @@ def test_suite_and_seedless(capsys):
 _NUMPY_PROBE = r"""
 import io, json, os, sys
 from contextlib import redirect_stdout
-from fairsplit.cli import main
+from fairsplit.cli import build_parser, main
 
 os.chdir(sys.argv[1])
 def run(*argv):
@@ -694,6 +736,36 @@ BUDGET_EXITS = [
     (["kneser-chi", "--n", "6", "--k", "2", "--q", "2", "--budget", "1"], None),
     (["kneser-split", "--n", "6", "--q", "2", "--budget", "1"], None),
 ]
+
+
+def test_negative_budget_is_an_input_error(capsys, tmp_path, cycle6):
+    # every command with a --budget refuses a negative one before it runs,
+    # also where the command would answer without reading it (the edgeless
+    # Kneser hypergraph KG(3, 2), singleton blocks)
+    moment = write(tmp_path, "m7.json", {
+        "schema": "points/1", "dim": 2,
+        "points": [[[x, 1], [x * x, 1]] for x in range(1, 8)]})
+    commands = [
+        ["solve", "--input", cycle6, "--q", "2"],
+        ["check-conditions", "--input", cycle6, "--q", "2"],
+        ["geometry", "--op", "sgp", "--points", moment, "--q", "2"],
+        ["phi-check", "--q", "2", "--k", "2", "--t", "1"],
+        ["compose", "--n", "15", "--t", "2"],
+        ["kneser-chi", "--n", "3", "--k", "2", "--q", "2"],
+        ["kneser-split", "--n", "3", "--blocks", "1,1,1", "--q", "2"],
+    ]
+    parser = build_parser()
+    budgeted = [name for name, sub in
+                parser._subparsers._group_actions[0].choices.items()
+                if any("--budget" in a.option_strings for a in sub._actions)]
+    assert sorted(budgeted) == sorted(argv[0] for argv in commands)
+    for argv in commands:
+        code, _, _ = run(capsys, *argv, "--budget", "0")
+        assert code != 2, argv  # zero is a budget
+        for budget in ("-1", "-5000000"):
+            code, doc, err = run(capsys, *argv, "--budget", budget)
+            assert code == 2 and doc is None, argv
+            assert err == "input error: --budget must be nonnegative\n", err
 
 
 @pytest.mark.parametrize("argv,schema", BUDGET_EXITS,

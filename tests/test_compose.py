@@ -41,7 +41,7 @@ def _lie_with(monkeypatch, splitting):
 
 def test_base_splitter_contract():
     part = consecutive_partition([4, 5])
-    splitting = compose(9, part, [(2, 2)])
+    splitting, _ = compose(9, part, [(2, 2)])
     spec = SplittingSpec(q=2, flavor="almost_fair", stability=2)
     assert check_splitting(power_path(9, 1), part, splitting, spec).ok
 
@@ -54,18 +54,22 @@ def test_base_splitter_failure_is_contract_error():
 
 def test_compose_two_by_two():
     part = consecutive_partition([7, 8])
-    splitting = compose(15, part, [(2, 2), (2, 2)])
+    splitting, last = compose(15, part, [(2, 2), (2, 2)])
     spec = SplittingSpec(q=4, flavor="almost_fair", stability=4)
     cert = check_splitting(power_path(15, 3), part, splitting, spec)
     assert cert.ok
     assert len(splitting.sets) == 4
+    # the returned certificate is the last level's check, on the edgeless
+    # graph with the label gap
+    assert last.to_json() == check_splitting(Graph(15, ()), part, splitting,
+                                             spec).to_json()
 
 
 def test_compose_identity_inner():
     # a later level with q = 1 keeps the sets of the level before
     part = consecutive_partition([5, 6])
-    splitting = compose(11, part, [(2, 2), (1, 1)])
-    assert splitting.sets == compose(11, part, [(2, 2)]).sets
+    splitting, _ = compose(11, part, [(2, 2), (1, 1)])
+    assert splitting.sets == compose(11, part, [(2, 2)])[0].sets
 
 
 def test_compose_block_size_validation():
@@ -272,7 +276,7 @@ def test_base_splitter_matches_the_power_path_search(q, s):
         want = find_splitting(SearchProblem(partition=part, spec=spec,
                                             graph=power_path(n, s - 1)))
         try:
-            got = compose(n, part, [(q, s)])
+            got, _ = compose(n, part, [(q, s)])
         except ContractError:
             assert want.status == "exhausted_none", sizes
             continue

@@ -805,7 +805,9 @@ def test_equivariance_violation_peak_does_not_grow_with_the_vertex_order(monkeyp
     # direction 1 read as 2 on every face breaks equivariance on a quarter
     # of them.  The violation path compares two transposed views of the
     # build-order tensors; it must lay the mask out in vertex order at
-    # once, not in build order and then again for flatnonzero
+    # once, not in build order and then again for the search, and find the
+    # first five violations in it without listing them all (an int64 index
+    # per violating face took this to 5.95 bytes per face)
     build, peaks = constraint_map._directions_array, []
     for order in (None, (6, 5, 4, 3, 2, 1, 0)):
         inst = ConstraintMapInstance(4, 2, 1, vertex_order=order)
@@ -815,6 +817,8 @@ def test_equivariance_violation_peak_does_not_grow_with_the_vertex_order(monkeyp
         assert len(verify_equivariance(inst).violations) == 5
         peaks.append(_peak_bytes_per_face(verify_equivariance, inst) * inst.face_count())
     assert peaks[1] <= peaks[0] + 4096, peaks
+    bound = constraint_map._EQUIVARIANCE_BYTES_PER_FACE * inst.face_count()
+    assert max(peaks) <= bound, peaks
 
 
 def test_single_vertex_ground_set():

@@ -472,9 +472,12 @@ def test_pipeline_singleton_blocks():
 
 def test_pipeline_chromatic_cross_check():
     part = VertexPartition([(1, 2, 3, 4, 5)], 5)
-    res = splitting_from_coloring(5, part, 2, check_chromatic=True)
+    res = splitting_from_coloring(5, part, 2)
     assert res.status == "found"
-    assert res.details["chi"] == res.details["chi_formula"] == 3
+    # what `kneser-chi --n <n_padded> --k <k> --q 2 --stability path` prints
+    n_padded, k = res.details["n_padded"], res.details["k"]
+    chi, _ = chromatic_number(build_hypergraph(KneserInstance(n_padded, k, 2, "path")))
+    assert chi == chromatic_formula(n_padded, k, 2) == 3
 
 
 def test_pipeline_validation():

@@ -507,7 +507,9 @@ def _search_reference(problem, limit):
     nodes, d = 1, 0
     while True:
         if d == n:
-            found = _leaf(ctx, choice, deficit)
+            # each block's last position prunes what deficit it has left
+            assert all(x <= 0 for x in deficit)
+            found = _leaf(ctx, choice)
             if found is not None:
                 solutions.append(found)
                 if len(solutions) >= limit:
