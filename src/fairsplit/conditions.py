@@ -310,8 +310,10 @@ def check_conditions(g: Graph, partition: VertexPartition, q, n=None,
         n = max((g.n - 1) // (q - 1), 1)
     elif n < 1:
         raise InputError("need n >= 1")
-    if path is not None and not all(1 <= v <= g.n for v in path):
-        raise InputError("path vertices must lie in 1..%d" % g.n)
+    if path is not None:
+        if not all(1 <= v <= g.n for v in path):
+            raise InputError("path vertices must lie in 1..%d" % g.n)
+        _path_edge_set(g, path)  # a bad path is refused whatever the gates
     deletion, nodes = path_deletion(g, partition, q, path, budget)
     union, _ = path_union_cliques_shape(g, partition, q, path, budget - nodes)
     frags = {

@@ -57,18 +57,20 @@ itertools.product(range(q + 1), repeat=n).
 
 The directions of the permuted faces are the tensor reindexed by the
 permutation along every axis, which rewrites only the slices of the digits
-the permutation moves; every axis is treated alike, so the check runs in
-build order, and only a permutation with a violation reads the
-vertex-order view, so that violations are reported in its C order, as a
-face-by-face loop would find them.  The zero-set DP works one level s at a
-time, as one array of shape (C(n, s),) + (q,)*s: supports in
-`combinations` order, then slot assignments, which is the order it reports
-in.  It gathers the level's directions from the tensor through per-vertex
-strides, and each facet's reach from the previous level by the rank of the
-facet's support (combinatorial number system), broadcast along the axis of
-the dropped vertex.  No digits are extracted.  numpy is imported inside
-the functions that build or read the tensor, so that commands which never
-run a check (every one but phi-check and suite) do not pay for loading it.
+the permutation moves, as whole blocks of the axes below; the tensor build
+selects by arithmetic, and neither kernel makes a masked copy.  Every axis
+is treated alike, so the check runs in build order, and only a permutation
+with a violation reads the vertex-order view, so that violations are
+reported in its C order, as a face-by-face loop would find them.  The
+zero-set DP works one level s at a time, as one array of shape (C(n, s),) +
+(q,)*s: supports in `combinations` order, then slot assignments, which is
+the order it reports in.  It gathers the level's directions from the tensor
+through per-vertex strides, and each facet's reach from the previous level
+by the rank of the facet's support (combinatorial number system), broadcast
+along the axis of the dropped vertex.  No digits are extracted.  numpy is
+imported inside the functions that build or read the tensor, so that
+commands which never run a check (every one but phi-check and suite) do not
+pay for loading it.
 
 Memory, in bytes per face: the int8 direction tensor is 1, and building it
 peaks at 1 + (2q+3)/(q+1), at most 3.34.  The equivariance check then holds
@@ -126,10 +128,10 @@ class ConstraintMapInstance:
 
 
 # bytes per face that bound each check's peak under tracemalloc: the tensor
-# build's 3.34, which the equivariance check's three int8 tensors stay
-# under, plus numpy's temporaries (4.02 in all at q = 2, n = 11, so 4 would
-# not do); the zero set adds the reach bitsets of two levels and the
-# temporaries of one
+# build's 1 + (2q+3)/(q+1), at most 3.34, which the equivariance check's
+# three int8 tensors stay under, plus a few kilobytes of tables and frames
+# (3.35 in all at q = 2, n = 11); the zero set adds the reach bitsets of two
+# levels and the temporaries of one
 _EQUIVARIANCE_BYTES_PER_FACE = 5
 
 
@@ -425,10 +427,17 @@ def _directions_array(inst):
     (vertices of G in slot j) is slot j's size once the new vertex joins it,
     the same tensor whichever vertex that is, since the axes are symmetric.
     Slot j is then a largest slot iff size[j - 1] >= G's largest slot, and
-    the face (j, G) takes direction j; otherwise it takes G's.  The
-    constrained faces are read off the last step's tensors and zeroed.  At
-    most two (q+1)^n tensors are alive at once, or one and two q/(q+1) as
-    large."""
+    the face (j, G) takes direction j; otherwise it takes G's.  Each step
+    writes that select as arithmetic, prev + wins * (j - prev), in three
+    passes over the new tensor with no masked copy.  The constrained faces
+    are read off the last step's tensors and zeroed by multiplying with the
+    complement of their mask.
+
+    The peak, in bytes per face, is 1 + (2q+3)/(q+1), at most 3.34: at the
+    last step's allocation the new tensor (1) and, per face of the tensor
+    before it (1/(q+1) each), that tensor, the q slot sizes, the q winner
+    flags and the two constraint masks.  The masks' temporaries are freed
+    as they go, so that they stay under it even at q = 2."""
     import numpy as np
     q, k, t, n = inst.q, inst.k, inst.t, inst.n
     base = q + 1
@@ -436,7 +445,7 @@ def _directions_array(inst):
     slots = np.arange(1, base, dtype=dtype)[:, None]
     unit = np.eye(q, base, 1, dtype=dtype)[:, :, None]
     size = np.ones((q, 1), dtype=dtype)
-    dirs = np.zeros(1, dtype=dtype)  # the empty face has no largest slot
+    prev = np.zeros(1, dtype=dtype)  # the empty face has no largest slot
     for step in range(n):
         if step:  # the new axis in front keeps the add contiguous
             size = (unit + size[:, None, :]).reshape(q, -1)
@@ -449,29 +458,40 @@ def _directions_array(inst):
             # slot j is at k-2 or fewer only if size[j - 1] <= k-2
             small = np.sum(size <= k - 1, axis=0, dtype=dtype)
             fits = largest <= k - 1
-            unused = fits & (small >= t - 1)
-            limit = np.where(unused, dtype(k - 2), dtype(0))
-            np.putmask(limit, fits & (small >= t), k - 1)
-            del small, fits, largest
-        dirs = np.tile(dirs, base)
-        np.copyto(dirs.reshape(base, -1)[1:], slots, where=wins)
-    by_digit = dirs.reshape(base, -1)
-    np.putmask(by_digit[0], unused, 0)
-    np.putmask(by_digit[1:], np.less_equal(size, limit, out=wins), 0)
-    del size, wins
+            del largest
+            unused = small >= t - 1
+            unused &= fits
+            fits &= small >= t  # now: (j, G) may take k-1 in slot j
+            del small
+            limit = unused.view(dtype) * dtype(k - 2)
+            limit += fits.view(dtype)
+            del fits
+        # (j, G) takes prev + wins * (j - prev): j where slot j wins, else G's
+        dirs = np.empty(base * prev.size, dtype=dtype)
+        by_digit = dirs.reshape(base, -1)
+        by_digit[0] = prev
+        np.subtract(slots, prev, out=by_digit[1:])
+        del prev
+        by_digit[1:] *= wins.view(dtype)
+        by_digit[1:] += by_digit[0]
+        prev = dirs
+    # zero the constrained faces: multiply by the complement of their mask
+    by_digit[0] *= np.logical_not(unused, out=unused).view(dtype)
+    by_digit[1:] *= np.greater(size, limit, out=wins).view(dtype)
     return dirs.reshape((base,) * n)
 
 
 def _verify_equivariance_numpy(inst, perms, report, dirs):
     """Compare d(pi F) with pi(d(F)) for every face and permutation, as
-    pi^-1 d(pi F) against d(F), moving only what pi moves.  The image starts
-    as pi^-1 d(F): d(F) plus v - pi(v) on the faces with d(F) = pi(v), for
-    each digit v that pi moves, added through one int8 step buffer.  With
-    the buffer freed, along each axis the slices of the moved digits v take
-    those of pi(v); numpy copies the source slices first, 2/(q+1) of a
-    tensor for a transposition.  So at most three (q+1)^n int8 tensors are
-    alive.  Every axis is treated alike, so the tensor is compared in its
-    build order; only an image that differs from d(F) is read through the
+    pi^-1 d(pi F) against d(F), moving only what pi moves.  The image
+    starts as pi^-1 d(F): d(F) plus v - pi(v) on the faces with d(F) =
+    pi(v), for each digit v that pi moves, added through one int8 step
+    buffer.  With the buffer freed, along each axis the slices of the moved
+    digits v take those of pi(v), each run of faces below the axis moved as
+    one block; numpy copies the source slices first, 2/(q+1) of a tensor
+    for a transposition.  So at most three (q+1)^n int8 tensors are alive.
+    Every axis is treated alike, so the tensor is compared in its build
+    order; only an image that differs from d(F) is read through the
     vertex-order view.  The identity is skipped.  Stops at the fifth
     violation (faces in C order of the vertex-order tensor, then
     permutations in the given order); faces_processed counts the faces read
@@ -479,8 +499,13 @@ def _verify_equivariance_numpy(inst, perms, report, dirs):
     import numpy as np
     base, n = inst.q + 1, inst.n
     image = np.empty_like(dirs)
-    # image as (before, digit, after) around each axis
-    axes = [image.reshape(base ** a, base, base ** (n - 1 - a)) for a in range(n)]
+    # image as (before, digit) around each axis, each entry the run of
+    # `after` bytes below it as one void block, so that a slice move copies
+    # whole blocks; the innermost axis, with runs of one, stays int8
+    axes = [image.reshape(-1, base)]
+    for a in range(n - 1):
+        after = base ** (n - 1 - a)
+        axes.append(image.reshape(-1, base, after).view("V%d" % after)[..., 0])
     found = []  # (face, permutation index, got, want): each one's first five
     for i, perm in enumerate(perms):
         moved = [v for v in range(base) if perm[v] != v]

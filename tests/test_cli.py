@@ -237,6 +237,21 @@ def test_check_conditions_searches_share_one_budget(capsys, tmp_path):
     assert code == 3 and doc is None and "budget exceeded" in err
 
 
+@pytest.mark.parametrize("q, given", [("4", "1,6,7"), ("4", "1,1"), ("2", "1,6")])
+def test_check_conditions_refuses_a_bad_path_whatever_the_gates(capsys, tmp_path, q, given):
+    # on K5 plus two isolated vertices, q = 4 fails both path conditions'
+    # gates, so a path with non-edges or a repeat was never looked at and
+    # the check exited 1, a proven negative; q = 2 passes them and exited 2
+    path = write(tmp_path, "k5.json", {
+        "schema": "instance/1", "n": 7,
+        "edges": [[u, w] for u in range(1, 6) for w in range(u + 1, 6)],
+        "partition": [list(range(1, 8))]})
+    code, doc, err = run(capsys, "check-conditions", "--input", path,
+                         "--q", q, "--path", given)
+    assert code == 2 and doc is None
+    assert err.startswith("input error: path "), err
+
+
 def test_check_conditions_validates_path_and_n(capsys, tmp_path):
     # on an edgeless graph a one-vertex path deletes nothing, so a vertex
     # outside the graph was certified as the path of both conditions, and

@@ -792,9 +792,17 @@ def test_peak_bytes_per_face():
     inst = ConstraintMapInstance(5, 2, 3, vertex_order=(6, 2, 0, 4, 1, 5, 3))
     assert not verify_zero_set(inst).short_circuit
     assert _peak_bytes_per_face(verify_zero_set, inst) < 7.5
-    # the figures the memory limit is checked with bound these peaks
+    # the figures the memory limit is checked with bound these peaks, and
+    # the build's peak is the documented 1 + (2q+3)/(q+1) bytes per face
+    # (the last step's tensor, the one before it, the slot sizes, the
+    # winners and the two constraint masks) plus a few kilobytes of tables
+    # and call frames; at q = 2 the constraint masks' temporaries come close
     for q, k, t in [(2, 6, 1), (3, 3, 1), (4, 2, 1), (5, 2, 3)]:
         inst = ConstraintMapInstance(q, k, t)
+        if q in (2, 4):
+            build = _peak_bytes_per_face(constraint_map._directions_array, inst)
+            figure = 1 + (2 * q + 3) / (q + 1)
+            assert build * inst.face_count() <= figure * inst.face_count() + 4096, (q, build)
         assert (_peak_bytes_per_face(verify_equivariance, inst)
                 <= constraint_map._EQUIVARIANCE_BYTES_PER_FACE)
         assert (_peak_bytes_per_face(verify_zero_set, inst)
