@@ -15,11 +15,11 @@ from math import prod
 from .compose import compose, power_of_two_levels
 from .complexes import FACE_BUDGET
 from .conditions import PATH_SEARCH_BUDGET, check_conditions
-from .constraint_map import ConstraintMapInstance, _verify_both
+from .constraint_map import ConstraintMapInstance, verify_both
 from .errors import ContractError, InputError, ResourceBudget, check_size
-from .geometry import (gale_alternating, hulls_intersect, moment_points,
-                       stretched_moment_points, strong_general_position_check,
-                       tverberg_search)
+from .geometry import (TVERBERG_BUDGET, gale_alternating, hulls_intersect,
+                       moment_points, stretched_moment_points,
+                       strong_general_position_check, tverberg_search)
 from .graphs import (FAMILIES, consecutive_partition, generate_family,
                      single_block_partition)
 from .homology import homology
@@ -188,7 +188,7 @@ def cmd_phi_check(args):
     check_size("ground set vertices", args.q * args.k - args.t)
     order = None if args.order is None else _list_flag(args.order, "--order")
     inst = ConstraintMapInstance(args.q, args.k, args.t, vertex_order=order)
-    zs, eq = _verify_both(inst, budget=args.budget)
+    zs, eq = verify_both(inst, budget=args.budget)
     ok = zs.ok and eq.ok
     return (0 if ok else 1), {"schema": "phi_check/1", "ok": ok,
                               "zero_set": zs.to_json(),
@@ -301,7 +301,7 @@ def build_parser():
     ge.add_argument("--sets", help="semicolon-separated label sets: 1,3;2,4")
     ge.add_argument("--q", type=int, default=2)
     ge.add_argument("--target-dim", type=int, dest="target_dim")
-    _add_budget_flag(ge, 500_000)
+    _add_budget_flag(ge, TVERBERG_BUDGET)
     ge.set_defaults(fn=cmd_geometry)
 
     ph = sub.add_parser("phi-check", help="verify the constraint map's zero "

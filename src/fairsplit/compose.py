@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .errors import ContractError, InputError, ResourceBudget
+from .errors import Budget, ContractError, InputError, ResourceBudget
 from .graphs import Graph, VertexPartition
 from .splitting import Splitting, SplittingSpec, check_splitting
 from .solver import DEFAULT_NODE_BUDGET, SearchProblem, find_splitting
@@ -34,7 +34,7 @@ from .solver import DEFAULT_NODE_BUDGET, SearchProblem, find_splitting
 def _split(big, partition, q, stability, budget):
     """The solver's first almost fair splitting of `big`, read as a path in
     traversal order, into q stability-stable sets, in the path's labels;
-    and the nodes its search visited, at most `budget`."""
+    its search spends its nodes from the Budget `budget`."""
     ordered = sorted(big)
     pos = {v: i + 1 for i, v in enumerate(ordered)}
     sub_partition = VertexPartition(
@@ -43,17 +43,18 @@ def _split(big, partition, q, stability, budget):
     spec = SplittingSpec(q=q, flavor="almost_fair", stability=stability)
     out = find_splitting(SearchProblem(partition=sub_partition, spec=spec,
                                        graph=Graph(len(ordered), ()),
-                                       budget=budget))
+                                       budget=budget.left))
     if out.status == "budget_exceeded":
         raise ResourceBudget(
             "splitter (q=%d, s=%d) ran out of the %d nodes left of the "
             "construction's budget on the path on %d vertices"
-            % (q, stability, budget, len(ordered)))
+            % (q, stability, budget.left, len(ordered)))
     if out.status != "found":
         raise ContractError(
             "splitter (q=%d, s=%d) could not split the path on %d vertices: "
             "%s" % (q, stability, len(ordered), out.status))
-    return [tuple(ordered[i - 1] for i in piece) for piece in out.splitting.sets], out.nodes
+    budget.spend(out.nodes)
+    return [tuple(ordered[i - 1] for i in piece) for piece in out.splitting.sets]
 
 
 def compose(n, partition, levels, budget=DEFAULT_NODE_BUDGET):
@@ -66,15 +67,12 @@ def compose(n, partition, levels, budget=DEFAULT_NODE_BUDGET):
     if any(len(b) < q - 1 for b in partition.blocks):
         raise InputError("every block needs at least %d vertices, one fewer "
                          "than the %d sets" % (q - 1, q))
+    budget = Budget(budget, "construction node budget exceeded")
     sets, q, stability = [range(1, n + 1)], 1, 1
     for level, (qi, si) in enumerate(levels, 1):
         if level == 1 or qi != 1:
-            pieces = []
-            for big in sets:
-                split, nodes = _split(big, partition, qi, si, budget)
-                budget -= nodes
-                pieces += split
-            sets = pieces
+            sets = [piece for big in sets
+                    for piece in _split(big, partition, qi, si, budget)]
         q, stability = q * qi, stability * si
         spec = SplittingSpec(q=q, flavor="almost_fair", stability=stability)
         cert = check_splitting(Graph(n, ()), partition, Splitting(sets), spec)

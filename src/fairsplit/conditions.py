@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InputError, ResourceBudget
+from .errors import Budget, InputError
 from .graphs import Graph, VertexPartition
 
 PATH_SEARCH_BUDGET = 2_000_000
@@ -114,22 +114,17 @@ def _path_edge_set(g: Graph, path):
     return edges
 
 
-def _search_simple_path(g: Graph, accept, budget=PATH_SEARCH_BUDGET):
+def _search_simple_path(g: Graph, accept, budget):
     """First simple path (as a vertex list, [] = delete nothing) whose edge
-    deletion satisfies `accept`, None if none exists; and the nodes the
-    search visited, at most `budget`.  Deterministic order: empty path, then
-    DFS by ascending labels; reversals are skipped.  The DFS keeps one
-    neighbour iterator per path vertex on an explicit stack, and each path
-    it goes on to extend counts one node against `budget`."""
+    deletion satisfies `accept`, None if none exists.  Deterministic order:
+    empty path, then DFS by ascending labels; reversals are skipped.  The
+    DFS keeps one neighbour iterator per path vertex on an explicit stack,
+    and each path it goes on to extend spends one node of `budget`."""
     if accept(set()):
-        return [], 0
-    nodes = 0
+        return []
 
     def neighbours(v):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise ResourceBudget("simple-path search budget exceeded")
+        budget.spend()
         return iter(sorted(g.adj[v]))
 
     for v in sorted(g.vertices):
@@ -149,23 +144,29 @@ def _search_simple_path(g: Graph, accept, budget=PATH_SEARCH_BUDGET):
             used.add(w)
             edges.add((min(last, w), max(last, w)))
             if path[0] < w and accept(edges):
-                return list(path), nodes
+                return list(path)
             stack.append(neighbours(w))
-    return None, nodes
+    return None
+
+
+def _path_budget(budget):
+    """`budget`, a node count or a Budget that searches share, as a Budget."""
+    return (budget if isinstance(budget, Budget)
+            else Budget(budget, "simple-path search budget exceeded"))
 
 
 def _path_witness(g: Graph, accept, path, budget):
     """The given path when deleting its edges satisfies `accept`, or with no
-    path given the first one the search finds; None when there is none.
-    Also the nodes the search visited (0 for a given path)."""
+    path given the first one the search finds, spending from `budget`;
+    None when there is none."""
     if path is not None:
-        return (list(path) if accept(_path_edge_set(g, list(path))) else None), 0
-    return _search_simple_path(g, accept, budget)
+        return list(path) if accept(_path_edge_set(g, list(path))) else None
+    return _search_simple_path(g, accept, _path_budget(budget))
 
 
 def path_deletion(g: Graph, partition: VertexPartition, q, path=None,
                   budget=PATH_SEARCH_BUDGET):
-    """The fragment, and the nodes its path search visited (<= budget)."""
+    """The fragment; its path search spends from `budget` (_path_budget)."""
     gates = {
         "prime_power": is_prime_power(q),
         "blocks_ok": all(len(b) >= q - 1 for b in partition.blocks),
@@ -173,16 +174,16 @@ def path_deletion(g: Graph, partition: VertexPartition, q, path=None,
     }
     out = {"ok": False, "path": None, **gates}
     if not all(gates.values()):
-        return out, 0
+        return out
 
     def accept(removed):
         return all(val < q for val, _ in
                    neighborhood_values(_adjacency_minus(g, removed)))
 
-    found, nodes = _path_witness(g, accept, path, budget)
+    found = _path_witness(g, accept, path, budget)
     if found is not None:
         out.update(ok=True, path=found)
-    return out, nodes
+    return out
 
 
 def _components(adj):
@@ -245,7 +246,7 @@ def path_union_cliques_shape(g: Graph, partition: VertexPartition, q,
                              path=None, budget=PATH_SEARCH_BUDGET):
     """Edge-disjoint union of a simple path and pairwise vertex-disjoint
     cliques of size q-1, on (q-1)n + 1 vertices with n >= m+1; prime q;
-    blocks of size >= q-1.  Also the nodes its path search visited."""
+    blocks of size >= q-1.  The path search spends as in path_deletion."""
     n, rem = divmod(g.n - 1, q - 1) if q >= 2 else (0, 1)
     gates = {
         "prime": is_prime(q),
@@ -254,15 +255,15 @@ def path_union_cliques_shape(g: Graph, partition: VertexPartition, q,
     }
     out = {"ok": False, "path": None, "n": n if rem == 0 else None, **gates}
     if not all(gates.values()):
-        return out, 0
+        return out
 
     def accept(removed):
         return _is_disjoint_cliques(_adjacency_minus(g, removed), q - 1)
 
-    found, nodes = _path_witness(g, accept, path, budget)
+    found = _path_witness(g, accept, path, budget)
     if found is not None:
         out.update(ok=True, path=found)
-    return out, nodes
+    return out
 
 
 def transversal_size(g: Graph, partition: VertexPartition, q):
@@ -300,7 +301,7 @@ class ConditionReport:
 def check_conditions(g: Graph, partition: VertexPartition, q, n=None,
                      path=None, budget=PATH_SEARCH_BUDGET):
     """Evaluate every condition; n defaults to the largest value compatible
-    with the vertex count.  The two path searches together visit at most
+    with the vertex count.  The two path searches spend from one Budget of
     `budget` nodes, the second drawing on what the first left."""
     if q < 2:
         raise InputError("need q >= 2")
@@ -314,8 +315,9 @@ def check_conditions(g: Graph, partition: VertexPartition, q, n=None,
         if not all(1 <= v <= g.n for v in path):
             raise InputError("path vertices must lie in 1..%d" % g.n)
         _path_edge_set(g, path)  # a bad path is refused whatever the gates
-    deletion, nodes = path_deletion(g, partition, q, path, budget)
-    union, _ = path_union_cliques_shape(g, partition, q, path, budget - nodes)
+    budget = _path_budget(budget)
+    deletion = path_deletion(g, partition, q, path, budget)
+    union = path_union_cliques_shape(g, partition, q, path, budget)
     frags = {
         "neighborhood_bound": neighborhood_bound(g, q, n),
         "path_deletion": deletion,

@@ -43,7 +43,7 @@ The two checks:
                        are additionally checked against every permutation.
 
 Both checks read the directions of all faces from one numpy array, which
-phi-check and suite build once for the pair (_verify_both).  It is the
+phi-check and suite build once for the pair (verify_both).  It is the
 C-contiguous tensor of shape (q+1,)*n whose axis i is the digit of vertex
 vertex_order[i], the order it is built in.  A face's direction is the slot
 of its first vertex in the vertex order when that slot is a largest one;
@@ -360,7 +360,7 @@ def verify_zero_set(inst):
     stays inside the constrained region.  Reports the first violating face
     in enumeration order (size, support, assignment), with faces_processed
     counted up to it as a face-by-face scan would.  Held to FACE_BUDGET;
-    phi-check sets its own budget through _verify_both."""
+    phi-check sets its own budget through verify_both."""
     report = _zero_set_report(inst, FACE_BUDGET)
     if not report.short_circuit:
         _search_zero_set(inst, _directions_array(inst), report)
@@ -569,7 +569,7 @@ def verify_equivariance(inst):
     return report
 
 
-def _verify_both(inst, budget=FACE_BUDGET):
+def verify_both(inst, budget=FACE_BUDGET):
     """verify_zero_set and verify_equivariance, in that order, reading one
     direction tensor.  Both budgets are checked before it is built, and
     each check's bytes per face bound its peak, since the zero-set DP's

@@ -32,6 +32,19 @@ class ContractError(AssertionError):
     pass
 
 
+class Budget:
+    """`limit` units, `left` unspent; spending more raises ResourceBudget."""
+
+    def __init__(self, limit, what):
+        self.left = limit
+        self.what = what
+
+    def spend(self, n=1):
+        if n > self.left:
+            raise ResourceBudget(self.what)
+        self.left -= n
+
+
 def check_size(what, value, limit=INSTANCE_VERTEX_LIMIT):
     """The size `value`, or ResourceBudget when it is over `limit`; called
     before anything of that size is built."""

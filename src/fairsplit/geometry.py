@@ -11,8 +11,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import InputError, ResourceBudget, check_size
+from .errors import Budget, InputError, ResourceBudget, check_size
 from .exactlp import convex_hulls_common_point
+
+SGP_FAMILY_BUDGET = 200_000
+TVERBERG_BUDGET = 500_000
 
 
 @dataclass
@@ -180,7 +183,7 @@ def _disjoint_families(n_points, q, max_total, min_total=0):
         i += 1
 
 
-def strong_general_position_check(config, q, budget=200000):
+def strong_general_position_check(config, q, budget=SGP_FAMILY_BUDGET):
     """True iff every family of q pairwise disjoint nonempty subsets with at
     most (q-1)(D+1) points in total has empty common hull intersection.
 
@@ -203,7 +206,7 @@ def strong_general_position_check(config, q, budget=200000):
     return True, None
 
 
-def tverberg_search(config, q, target_dim=None, budget=500000):
+def tverberg_search(config, q, target_dim=None, budget=TVERBERG_BUDGET):
     """First partition of all the labels into q nonempty parts whose convex
     hulls share a point, as (parts, common_point); None when no partition
     works, at once when there are fewer labels than parts."""
@@ -212,14 +215,12 @@ def tverberg_search(config, q, target_dim=None, budget=500000):
     if target_dim is not None and target_dim != config.dim:
         raise InputError("configuration lives in dimension %d, not %d"
                          % (config.dim, target_dim))
-    seen = 0
     n = len(config)
     if q > n:
         return None
+    spend = Budget(budget, "partition budget exceeded").spend
     for parts in _disjoint_families(n, q, n, n):
-        seen += 1
-        if seen > budget:
-            raise ResourceBudget("partition budget exceeded")
+        spend()
         got = convex_hulls_common_point([config.subset(p) for p in parts])
         if got is not None:
             return parts, got[0]

@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 
-from .errors import ContractError, InputError, ResourceBudget, check_size
+from .errors import (Budget, ContractError, InputError, ResourceBudget,
+                     check_size)
 from .graphs import Graph, VertexPartition, path_graph
 from .splitting import Splitting, SplittingSpec, check_splitting, is_q_stable
 from .solver import DEFAULT_NODE_BUDGET, SearchProblem, find_splitting
@@ -127,13 +128,11 @@ def build_hypergraph(inst: KneserInstance):
         return Hypergraph(verts, [])
     masks = [sum(1 << v for v in c) for c in verts]
     edges = []
-    visited = 0
+    spend = Budget(EDGE_BUDGET, "edge budget exceeded").spend
     stack = [(0, (), 0)]  # next candidate, the family, the elements it uses
     while stack:
         start, chosen, used = stack.pop()
-        visited += 1
-        if visited > EDGE_BUDGET:
-            raise ResourceBudget("edge budget exceeded")
+        spend()
         need = inst.q - len(chosen)
         if need == 0:
             edges.append(chosen)
@@ -175,8 +174,7 @@ def _greedy_clique(h: Hypergraph):
 
 def _colorable(h: Hypergraph, c, precolored, budget):
     """Decision search: a proper coloring with colors 1..c extending the
-    precolored vertices (whose colors are at most c), or None; returns
-    (colors, nodes visited).
+    precolored vertices (whose colors are at most c), or None.
 
     DSATUR branching (Brélaz 1979) on one explicit stack.  The next vertex is
     the first uncolored one with every color forbidden, else the one with the
@@ -185,8 +183,8 @@ def _colorable(h: Hypergraph, c, precolored, budget):
     so far.  A color is forbidden at w when some hyperedge through w has every
     other member in that color.  hits[w][col] counts those hyperedges and
     nforb[w] counts the colors with a nonzero count; painting or clearing a
-    vertex updates both for the hyperedges through it.  Raises ResourceBudget
-    once the search has visited more than `budget` nodes.
+    vertex updates both for the hyperedges through it.  Every node visited
+    is spent from the Budget `budget`.
     """
     nv = len(h.vertices)
     nbrs = [[] for _ in range(nv)]   # the other end of each 2-edge at v
@@ -234,14 +232,11 @@ def _colorable(h: Hypergraph, c, precolored, budget):
     for v, col in precolored:
         paint(v, col)
     used = max([col for _, col in precolored], default=0)
-    nodes = 0
     stack = []  # [vertex, its current color or 0, colors used above it]
     descend = True
     while True:
         if descend:
-            nodes += 1
-            if nodes > budget:
-                raise ResourceBudget("coloring node budget exceeded")
+            budget.spend()
             best, bf, bd = -1, -1, -1
             for v in range(nv):
                 if colors[v]:
@@ -253,10 +248,10 @@ def _colorable(h: Hypergraph, c, precolored, budget):
                 if f > bf or (f == bf and degree[v] > bd):
                     best, bf, bd = v, f, degree[v]
             if best < 0:
-                return list(colors), nodes
+                return list(colors)
             stack.append([best, 0, used])
         if not stack:
-            return None, nodes
+            return None
         top = stack[-1]
         v, col, above = top
         if col:
@@ -279,9 +274,8 @@ def _colorable(h: Hypergraph, c, precolored, budget):
 def chromatic_number(h: Hypergraph, budget=CHI_NODE_BUDGET):
     """Exact chromatic number with a verified witness coloring.
 
-    Tries c = lb, lb + 1, ... in turn; the nodes of every attempt count
-    against the one `budget`, and ResourceBudget is raised once their total
-    exceeds it.
+    Tries c = lb, lb + 1, ... in turn, every attempt spending its nodes
+    from one Budget of `budget` nodes.
     """
     nv = len(h.vertices)
     if nv == 0:
@@ -296,11 +290,10 @@ def chromatic_number(h: Hypergraph, budget=CHI_NODE_BUDGET):
     else:
         lb = 2
         precolored = [(h.edges[0][0], 1)]
-    spent = 0
+    budget = Budget(budget, "coloring node budget exceeded")
     for c in range(lb, nv + 1):
         pre = [(v, col) for v, col in precolored if col <= c]
-        witness, nodes = _colorable(h, c, pre, budget - spent)
-        spent += nodes
+        witness = _colorable(h, c, pre, budget)
         if witness is not None:
             if not is_proper(h, witness):  # a fault of the search, not a verdict
                 raise AssertionError("witness coloring is not proper")

@@ -160,17 +160,8 @@ class _Ctx:
                     kill[d] |= 1 << e
                     t.append(block_of[e])
                     e += 1
-        # list each block once per position: seen[j] == d once j is in touch[d]
-        seen = [-1] * len(blocks)
-        for d, t in enumerate(touch):
-            if len(t) > 1:
-                u = []
-                for j in t:
-                    if seen[j] != d:
-                        seen[j] = d
-                        u.append(j)
-                touch[d] = u
-        self.touch = touch
+        # each block once per position, in any order: all cut the same branches
+        self.touch = [list(set(t)) if len(t) > 1 else t for t in touch]
         # one sweep from the right: keep[d] is what a set's candidate mask
         # keeps when position d joins it, after_in_block[d] the later
         # positions of d's block and rem_after[d] their number

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .compose import compose, power_of_two_levels
 from .conditions import check_conditions
-from .constraint_map import ConstraintMapInstance, _verify_both
+from .constraint_map import ConstraintMapInstance, verify_both
 from .geometry import (gale_alternating, hulls_intersect, moment_points,
                        strong_general_position_check, tverberg_search)
 from .graphs import (Graph, VertexPartition, consecutive_partition,
@@ -75,7 +75,7 @@ def _entry_constraint_map():
     ok = True
     for (q, k, t) in ((2, 2, 1), (3, 2, 2), (2, 3, 2)):
         inst = ConstraintMapInstance(q, k, t)
-        zs, eq = _verify_both(inst)
+        zs, eq = verify_both(inst)
         ok = ok and zs.ok and eq.ok
         rows.append({"q": q, "k": k, "t": t, "zero_set_ok": zs.ok,
                      "equivariance_ok": eq.ok})

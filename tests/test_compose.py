@@ -6,7 +6,7 @@ import pytest
 
 import fairsplit.compose as compose_module
 from fairsplit.compose import compose, power_of_two_splitting
-from fairsplit.errors import ContractError, InputError, ResourceBudget
+from fairsplit.errors import Budget, ContractError, InputError, ResourceBudget
 from fairsplit.graphs import (Graph, VertexPartition, consecutive_partition,
                               power_path, single_block_partition)
 from fairsplit.solver import (DEFAULT_NODE_BUDGET, SearchOutcome, SearchProblem,
@@ -150,15 +150,17 @@ def _reverify(stage, n, partition, splitting, q, stability):
 
 
 def _base(q, s, budget=None):
-    """The solver as a splitter of paths.  `budget` is a one-item list of
-    the nodes left, which every run draws on (a pool of its own when None)."""
-    budget = [DEFAULT_NODE_BUDGET] if budget is None else budget
+    """The solver as a splitter of paths.  Every run spends its nodes from
+    the Budget `budget` (one of its own when None)."""
+    if budget is None:
+        budget = Budget(DEFAULT_NODE_BUDGET, "base splitter")
 
     def run(n, partition):
         spec = SplittingSpec(q=q, flavor="almost_fair", stability=s)
         out = find_splitting(SearchProblem(partition=partition, spec=spec,
-                                           graph=Graph(n, ()), budget=budget[0]))
-        budget[0] -= out.nodes
+                                           graph=Graph(n, ()),
+                                           budget=budget.left))
+        budget.spend(out.nodes)
         if out.status == "budget_exceeded":
             raise ResourceBudget("base splitter ran out of its budget")
         if out.status != "found":
@@ -241,7 +243,7 @@ def test_two_levels_match_the_outer_inner_composition(budget):
             part = consecutive_partition(sizes)
             n = sum(sizes)
             got = _outcome(compose, n, part, [(q1, s1), (q2, s2)], budget)
-            pool = [budget]  # the outer and inner runs share the budget
+            pool = Budget(budget, "pool")  # the outer and inner runs share it
             want = _outcome(_compose_reference, n, part,
                             _base(q1, s1, pool), _base(q2, s2, pool))
             assert got == want, (q1, s1, q2, s2, sizes)

@@ -620,7 +620,7 @@ def test_unconstrained_levels_closed_form_matches_composition_walk():
 
 def test_zero_set_budget_and_json():
     with pytest.raises(ResourceBudget):
-        constraint_map._verify_both(ConstraintMapInstance(3, 3, 2), budget=100)
+        constraint_map.verify_both(ConstraintMapInstance(3, 3, 2), budget=100)
     doc = verify_zero_set(ConstraintMapInstance(2, 2, 1)).to_json()
     assert doc["schema"] == "zero_set_report/1"
     assert doc["ok"] is True and doc["violations"] == []
@@ -635,9 +635,9 @@ def test_face_budget_is_exact_for_both_checks(monkeypatch):
         monkeypatch.setattr(constraint_map, "FACE_BUDGET", 16383)
         with pytest.raises(ResourceBudget, match="face budget of 16383"):
             check(inst)
-    assert all(r.ok for r in constraint_map._verify_both(inst, budget=16384))
+    assert all(r.ok for r in constraint_map.verify_both(inst, budget=16384))
     with pytest.raises(ResourceBudget, match="face budget of 16383"):
-        constraint_map._verify_both(inst, budget=16383)
+        constraint_map.verify_both(inst, budget=16383)
 
 
 def test_memory_limit_is_exact_for_both_checks(monkeypatch):

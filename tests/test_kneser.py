@@ -19,7 +19,8 @@ from fairsplit.splitting import SplittingSpec, check_splitting
 def _colorable_reference(h: Hypergraph, c, precolored, budget):
     """The recursive search that kneser._colorable replaced, kept as its
     reference: it recomputes every uncolored vertex's forbidden colors at
-    every node.  Returns (colors or None, nodes visited)."""
+    every node, each spent from the Budget `budget`.  Returns the colors or
+    None."""
     nv = len(h.vertices)
     edges_at = [[] for _ in range(nv)]
     for e in h.edges:
@@ -28,7 +29,7 @@ def _colorable_reference(h: Hypergraph, c, precolored, budget):
     colors = [0] * nv
     for v, col in precolored:
         if col > c:
-            return None, 0
+            return None
         colors[v] = col
 
     def forbidden(v):
@@ -48,12 +49,8 @@ def _colorable_reference(h: Hypergraph, c, precolored, budget):
                 out.add(col)
         return out
 
-    nodes = [0]
-
     def rec(uncolored, used):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise ResourceBudget("coloring node budget exceeded")
+        budget.spend()
         if not uncolored:
             return True
         best_v, best_forb = None, None
@@ -79,9 +76,7 @@ def _colorable_reference(h: Hypergraph, c, precolored, budget):
 
     used0 = max([col for _, col in precolored], default=0)
     uncolored = [v for v in range(nv) if colors[v] == 0]
-    if rec(uncolored, used0):
-        return list(colors), nodes[0]
-    return None, nodes[0]
+    return list(colors) if rec(uncolored, used0) else None
 
 
 def _attempts(monkeypatch, h, colorable):
@@ -90,8 +85,9 @@ def _attempts(monkeypatch, h, colorable):
     calls = []
 
     def record(h, c, precolored, budget):
+        left = budget.left
         got = colorable(h, c, precolored, budget)
-        calls.append((c,) + tuple(got))
+        calls.append((c, got, left - budget.left))
         return got
 
     monkeypatch.setattr(kneser, "_colorable", record)
