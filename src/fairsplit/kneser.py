@@ -313,16 +313,16 @@ class PipelineResult:
     details: dict = field(default_factory=dict)
 
 
-def _mono_edge_search(padded_partition, q, ks, budget):
-    """q pairwise disjoint q-stable k-sets with |S_i ∩ V'_j| = k_j - 1.
-    The search runs on the edgeless graph: q-stability already keeps apart
-    every pair that the (q-1)-th power of the path joins."""
-    k = sum(kj - 1 for kj in ks)
-    if k == 0:
+def _mono_edge_search(padded_partition, q, budget):
+    """q pairwise disjoint q-stable k-sets with |S_i ∩ V'_j| = k_j - 1, where
+    the padded block V'_j has q*k_j - 1 vertices.  The search runs on the
+    edgeless graph: q-stability already keeps apart every pair that the
+    (q-1)-th power of the path joins."""
+    caps = [(len(b) + 1) // q - 1 for b in padded_partition.blocks]
+    if not any(caps):
         return [tuple() for _ in range(q)]
     g = Graph(len(padded_partition.ground), ())
     spec = SplittingSpec(q=q, flavor="almost_fair", stability=q)
-    caps = [kj - 1 for kj in ks]
     problem = SearchProblem(partition=padded_partition, spec=spec, graph=g,
                             caps=caps, budget=budget)
     out = find_splitting(problem)
@@ -333,15 +333,18 @@ def _mono_edge_search(padded_partition, q, ks, budget):
     return out.splitting.sets
 
 
-def rebalance_q2(n_padded, padded_partition, s1, s2, pad_blocks):
+def rebalance_q2(n, padded_partition, s1, s2):
     """The successor-vertex rebalancing for q = 2.
 
     Inputs are the two equal-size disjoint 2-stable sets on the padded path
-    meeting every padded block in exactly k_j - 1 vertices, plus the padding
-    blocks.  Removes ell_2 - ell_1 - 1 vertices (ell_i = padded vertices
-    inside S_i) from the larger stripped set, each taken as the
-    smallest-label remaining vertex of that set inside the block whose
-    padding provides an uncovered successor.  Returns the balanced pair.
+    meeting every padded block in exactly k_j - 1 vertices; the pads are the
+    labels above n.  Removes ell_2 - ell_1 - 1 vertices (ell_i = pads inside
+    S_i, S_1 the set with fewer) from the unpadded part of S_1: for each pad
+    u of S_2 in turn whose successor is a pad outside S_1, the smallest-label
+    remaining vertex inside the padded block of u + 1.  Every pad of S_2 but
+    n_padded has a pad successor, which 2-stability keeps out of S_2, and at
+    most ell_1 of them are in S_1, so at least ell_2 - ell_1 - 1 are free.
+    Returns the balanced pair and the removals.
     """
     s1, s2 = tuple(sorted(s1)), tuple(sorted(s2))
     if len(s1) != len(s2):
@@ -351,47 +354,26 @@ def rebalance_q2(n_padded, padded_partition, s1, s2, pad_blocks):
     for s in (s1, s2):
         if not is_q_stable(s, 2):
             raise ContractError("rebalance expects 2-stable inputs")
-    pad_union = set()
-    pad_block_of = {}
-    for j, b in enumerate(pad_blocks):
-        for v in b:
-            pad_union.add(v)
-            pad_block_of[v] = j
-    ell1 = len(set(s1) & pad_union)
-    ell2 = len(set(s2) & pad_union)
-    swapped = False
-    if ell1 > ell2:
+    ell1, ell2 = (sum(1 for v in s if v > n) for s in (s1, s2))
+    swapped = ell1 > ell2
+    if swapped:
         s1, s2, ell1, ell2 = s2, s1, ell2, ell1
-        swapped = True
-    stripped1 = [v for v in s1 if v not in pad_union]
-    stripped2 = [v for v in s2 if v not in pad_union]
-    need = ell2 - ell1 - 1
+    block_of = padded_partition._block_of
+    rest1 = [v for v in s1 if v <= n]
     removals = []
-    if need > 0:
-        orig_blocks = [set(b) - pad_union for b in padded_partition.blocks]
-        current1 = [set(orig_blocks[j]) & set(stripped1)
-                    for j in range(padded_partition.m)]
-        taken = set(s1) | set(s2)
-        for u in sorted(set(s2) & pad_union):
-            if len(removals) == need:
-                break
-            succ = u + 1
-            if succ > n_padded or succ not in pad_union or succ in taken:
-                continue
-            j = pad_block_of[succ]
-            if not current1[j]:
+    for u in s2:
+        if len(removals) >= ell2 - ell1 - 1:
+            break
+        if u > n and u + 1 in block_of and u + 1 not in s1:
+            j = block_of[u + 1]
+            victim = next((v for v in rest1 if block_of[v] == j), None)
+            if victim is None:
                 raise ContractError(
                     "rebalance anomaly: no removable vertex in block %d" % (j + 1))
-            victim = min(current1[j])
-            current1[j].discard(victim)
+            rest1.remove(victim)
             removals.append(victim)
-        if len(removals) < need:
-            raise ContractError(
-                "rebalance anomaly: only %d of %d successor positions exist"
-                % (len(removals), need))
-        stripped1 = [v for v in stripped1 if v not in set(removals)]
-    pair = (stripped2, stripped1) if swapped else (stripped1, stripped2)
-    return Splitting(pair), removals
+    pair = (s2, rest1) if swapped else (rest1, s2)
+    return Splitting([[v for v in s if v <= n] for s in pair]), removals
 
 
 def splitting_from_coloring(n, partition, q, budget=DEFAULT_NODE_BUDGET):
@@ -421,7 +403,7 @@ def splitting_from_coloring(n, partition, q, budget=DEFAULT_NODE_BUDGET):
                "pad_blocks": [list(b) for b in pad_blocks]}
 
     padded_partition = VertexPartition(padded_blocks, n_padded)
-    mono = _mono_edge_search(padded_partition, q, ks, budget)
+    mono = _mono_edge_search(padded_partition, q, budget)
     if mono is None:
         return PipelineResult("falsification", details={
             **details,
@@ -430,8 +412,7 @@ def splitting_from_coloring(n, partition, q, budget=DEFAULT_NODE_BUDGET):
     details["mono_edge"] = [list(s) for s in mono]
 
     if q == 2:
-        splitting, removals = rebalance_q2(n_padded, padded_partition,
-                                           mono[0], mono[1], pad_blocks)
+        splitting, removals = rebalance_q2(n, padded_partition, mono[0], mono[1])
         details["removals"] = removals
         details["ell"] = sorted(sum(1 for v in s if v > n) for s in mono)
     else:

@@ -54,9 +54,10 @@ nonexistence.
 The per-problem tables come from one pass over the graph's edges and one
 sweep over the positions.  They keep n-bit masks per position, so they take
 O(n^2) bits on long instances: a problem whose two n-bit tables would exceed
-errors.MEMORY_LIMIT raises ResourceBudget before any mask is built.  The witness
-is then certified independently of these tables, in time linear in its
-members (see splitting.py).
+errors.MEMORY_LIMIT raises ResourceBudget before any mask is built.  Every
+answer is then certified independently of these tables, in time linear in its
+members (see splitting.py), held to the caps, and in geometric mode its common
+point is re-derived from the LP's weights in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -190,15 +191,14 @@ def _leaf(ctx, choice):
         return None
     if ctx.weak is not None and is_weakly_q_stable(sets, ctx.weak) is not True:
         return None
-    point = None
+    hull = None
     if ctx.points is not None:
         if any(not s for s in sets):
             return None
-        got = convex_hulls_common_point([ctx.points.subset(s) for s in sets])
-        if got is None:
+        hull = convex_hulls_common_point([ctx.points.subset(s) for s in sets])
+        if hull is None:
             return None
-        point = got[0]
-    return sets, point
+    return sets, hull
 
 
 def _search(problem, limit):
@@ -327,15 +327,32 @@ def _search(problem, limit):
     return ("found" if solutions else "none"), solutions, nodes
 
 
+def _certified(problem, sets, hull, nodes):
+    """The found outcome for `sets` and the LP's (point, weights) `hull`, once
+    checked apart from the search: the certificate holds, every count is
+    within its cap, and each set's weights are nonnegative, sum to 1 and
+    average its points to the point, exactly.  A failure is a fault of the
+    search, not a verdict."""
+    cert = check_splitting(problem.graph, problem.partition, sets, problem.spec)
+    ok = cert.ok and (problem.caps is None or all(
+        c <= cap for row in cert.counts for c, cap in zip(row, problem.caps)))
+    point = None
+    if hull is not None:
+        point, weights = hull
+        for s, w in zip(sets, weights):
+            pts = problem.points.subset(s)
+            ok = ok and min(w) >= 0 and sum(w) == 1 and all(
+                sum(x * p[c] for x, p in zip(w, pts)) == y for c, y in enumerate(point))
+    if not ok:
+        # the CLI reports it as internal (exit 4)
+        raise AssertionError("search produced a splitting its own certificate rejects")
+    return SearchOutcome("found", Splitting(sets), cert, nodes, point)
+
+
 def find_splitting(problem: SearchProblem) -> SearchOutcome:
     status, solutions, nodes = _search(problem, 1)
     if status == "found":
-        sets, point = solutions[0]
-        cert = check_splitting(problem.graph, problem.partition, sets, problem.spec)
-        if not cert.ok:
-            # a fault in the search, not a proven negative: the CLI reports it as internal
-            raise AssertionError("search produced a splitting its own certificate rejects")
-        return SearchOutcome("found", Splitting(sets), cert, nodes, point)
+        return _certified(problem, *solutions[0], nodes)
     if status == "budget":
         return SearchOutcome("budget_exceeded", None, None, nodes)
     return SearchOutcome("exhausted_none", None, None, nodes)
@@ -349,11 +366,4 @@ def enumerate_splittings(problem: SearchProblem, limit) -> list:
     status, solutions, nodes = _search(problem, limit)
     if status == "budget":
         raise ResourceBudget("node budget hit after %d splittings" % len(solutions))
-    out = []
-    for sets, point in solutions:
-        cert = check_splitting(problem.graph, problem.partition, sets, problem.spec)
-        if not cert.ok:
-            raise AssertionError("enumerated splitting fails its certificate")
-        outcome = SearchOutcome("found", Splitting(sets), cert, nodes, point)
-        out.append(outcome)
-    return out
+    return [_certified(problem, sets, hull, nodes) for sets, hull in solutions]

@@ -29,7 +29,7 @@ from fairsplit.graphs import (Graph, VertexPartition, cliques_plus_isolated,
 from fairsplit.kneser import (KneserInstance, build_hypergraph,
                               chromatic_number, rebalance_q2,
                               splitting_from_coloring)
-from fairsplit.serial import canonical_dumps
+from fairsplit.serial import canonical_dumps, splitting_dump
 from fairsplit.solver import SearchProblem, find_splitting
 from fairsplit.splitting import SplittingSpec, check_splitting
 from fairsplit.suite import run_suite, six_cycle_instance, two_triangles_instance
@@ -307,6 +307,18 @@ def _compositions(n):
             yield sizes
 
 
+def _set_partitions(n):
+    """Every partition of 1..n, each block ascending and the blocks in the
+    order of their least labels."""
+    if n == 0:
+        yield []
+        return
+    for blocks in _set_partitions(n - 1):
+        for j in range(len(blocks)):
+            yield blocks[:j] + [blocks[j] + (n,)] + blocks[j + 1:]
+        yield blocks + [(n,)]
+
+
 def test_09_path_pipeline_all_block_shapes(capsys):
     with _stopwatch(capsys, 9, "coloring pipeline over all block shapes", 300):
         spec = SplittingSpec(q=2, flavor="almost_fair", balanced=True,
@@ -322,19 +334,38 @@ def test_09_path_pipeline_all_block_shapes(capsys):
                 runs += 1
         assert runs == 2 ** 12 - 1  # compositions of 1..12
 
-        # The sweep's search order always splits the padding evenly, so the
-        # lopsided rebalance is driven directly: pads {7, 8, 9}, one per
-        # block, with two of them inside the second set, leaving stripped
-        # sizes 3 and 1.
+        # On consecutive blocks the search order always splits the padding
+        # evenly, so the lopsided rebalance is also driven directly: pads
+        # {7, 8, 9}, one per block, with two of them inside the second set,
+        # leaving stripped sizes 3 and 1.
         padded = VertexPartition([(1, 2, 7), (3, 4, 8), (5, 6, 9)], 9)
-        balanced, removals = rebalance_q2(9, padded, (1, 3, 5), (4, 7, 9),
-                                          [(7,), (8,), (9,)])
+        balanced, removals = rebalance_q2(6, padded, (1, 3, 5), (4, 7, 9))
         assert removals == [3]
         assert sorted(len(s) for s in balanced.sets) == [1, 2]
         cert = check_splitting(path_graph(6),
                                VertexPartition([(1, 2), (3, 4), (5, 6)], 6),
                                balanced, spec)
         assert cert.ok
+
+        # Scattered blocks reach it end to end: 17 of the 5,295 set
+        # partitions with n <= 8 do, {1,3}, {2,4}, {5}, {6,7} among them
+        docs, lopsided = [], []
+        for n in range(1, 9):
+            for blocks in _set_partitions(n):
+                res = splitting_from_coloring(n, VertexPartition(blocks, n), 2)
+                assert res.status == "found" and res.certificate.ok, blocks
+                d = res.details
+                assert len(d["removals"]) == max(0, d["ell"][1] - d["ell"][0] - 1)
+                if d["removals"]:
+                    lopsided.append((blocks, d["removals"]))
+                docs.append(canonical_dumps({
+                    "schema": "kneser_split/1", "status": res.status,
+                    "splitting": splitting_dump(res.splitting),
+                    "certificate": res.certificate.to_json(), "details": d}))
+        assert len(docs) == 5295 and len(lopsided) == 17
+        assert ([(1, 3), (2, 4), (5,), (6, 7)], [4]) in lopsided
+        assert hashlib.sha256("".join(docs).encode()).hexdigest() == \
+            "1cacd4fe10bc52bc61ed549920253ec977617a9cf1ea379e12f286664ab3ecf1"
 
 
 def test_10_power_of_two_composition(capsys):

@@ -949,6 +949,45 @@ def test_self_rejected_certificate_is_internal_error(capsys, monkeypatch, cycle6
                    "its own certificate rejects\n")
 
 
+def test_count_over_its_cap_is_internal_error(capsys, monkeypatch, tmp_path):
+    # the certificate holds, but the first set takes two vertices of a block
+    # capped at one: a fault of the search, not a splitting
+    import fairsplit.solver as solver
+
+    path = write(tmp_path, "e3.json", {
+        "schema": "instance/1", "n": 3, "edges": [], "partition": [[1, 2, 3]]})
+    monkeypatch.setattr(solver, "_search", lambda problem, limit:
+                        ("found", [(((1, 3), (2,)), None)], 1))
+    code, doc, err = run(capsys, "solve", "--input", path, "--q", "2",
+                         "--caps", "1")
+    assert code == 4 and doc is None
+    assert err == ("internal error: AssertionError: search produced a splitting "
+                   "its own certificate rejects\n")
+
+
+def test_common_point_off_its_weights_is_internal_error(capsys, monkeypatch,
+                                                        tmp_path):
+    # the LP's weights average to the true point, not to the one printed
+    import fairsplit.solver as solver
+
+    hulls = solver.convex_hulls_common_point
+
+    def shifted(point_sets):
+        got = hulls(point_sets)
+        return got and (tuple(c + 100 for c in got[0]), got[1])
+
+    monkeypatch.setattr(solver, "convex_hulls_common_point", shifted)
+    path = write(tmp_path, "p4.json", {
+        "schema": "instance/1", "n": 4, "edges": [[1, 2], [2, 3], [3, 4]],
+        "partition": [[1, 2, 3, 4]]})
+    pts = line_points(tmp_path, "l4.json", [1, 2, 3, 4])
+    code, doc, err = run(capsys, "solve", "--input", path, "--q", "2",
+                         "--points", pts)
+    assert code == 4 and doc is None
+    assert err == ("internal error: AssertionError: search produced a splitting "
+                   "its own certificate rejects\n")
+
+
 def test_improper_chromatic_witness_is_internal_error(capsys, monkeypatch):
     # chromatic_number rejecting its own coloring is a fault, not exit 1
     import fairsplit.kneser as kneser

@@ -379,7 +379,7 @@ def test_block_coloring_values():
 def test_block_coloring_matches_mono_edge_search():
     # the exhaustive search looks exactly for q disjoint last-color vertices
     verts, colors, blocks = block_coloring(2, [2, 2])
-    sets = kneser._mono_edge_search(VertexPartition(blocks, 6), 2, [2, 2],
+    sets = kneser._mono_edge_search(VertexPartition(blocks, 6), 2,
                                     DEFAULT_NODE_BUDGET)
     assert sets is not None
     got = dict(zip(verts, colors))
@@ -496,24 +496,21 @@ def test_pipeline_falsification_branch(monkeypatch):
 
 def test_rebalance_removes_successor_blocked_vertex():
     padded = VertexPartition([(1, 2, 7), (3, 4, 8), (5, 6, 9)], 9)
-    splitting, removals = rebalance_q2(9, padded, (1, 3, 5), (4, 7, 9),
-                                       [(7,), (8,), (9,)])
+    splitting, removals = rebalance_q2(6, padded, (1, 3, 5), (4, 7, 9))
     assert removals == [3]
     assert splitting.sets == [(1, 5), (4,)]
 
 
 def test_rebalance_swaps_when_first_is_larger():
     padded = VertexPartition([(1, 2, 7), (3, 4, 8), (5, 6, 9)], 9)
-    splitting, removals = rebalance_q2(9, padded, (4, 7, 9), (1, 3, 5),
-                                       [(7,), (8,), (9,)])
+    splitting, removals = rebalance_q2(6, padded, (4, 7, 9), (1, 3, 5))
     assert removals == [3]
     assert splitting.sets == [(4,), (1, 5)]
 
 
 def test_rebalance_noop_when_close():
     padded = VertexPartition([(1, 2, 5), (3, 4, 6)], 6)
-    splitting, removals = rebalance_q2(6, padded, (1, 3), (2, 6),
-                                       [(5,), (6,)])
+    splitting, removals = rebalance_q2(4, padded, (1, 3), (2, 6))
     assert removals == []
     assert splitting.sets == [(1, 3), (2,)]
 
@@ -521,16 +518,17 @@ def test_rebalance_noop_when_close():
 def test_rebalance_input_contracts():
     padded = VertexPartition([(1, 2, 5), (3, 4, 6)], 6)
     with pytest.raises(ContractError):
-        rebalance_q2(6, padded, (1, 3), (2,), [(5,), (6,)])  # sizes differ
+        rebalance_q2(4, padded, (1, 3), (2,))  # sizes differ
     with pytest.raises(ContractError):
-        rebalance_q2(6, padded, (1, 3), (3, 6), [(5,), (6,)])  # overlap
+        rebalance_q2(4, padded, (1, 3), (3, 6))  # overlap
     with pytest.raises(ContractError):
-        rebalance_q2(6, padded, (1, 2), (4, 6), [(5,), (6,)])  # not 2-stable
+        rebalance_q2(4, padded, (1, 2), (4, 6))  # not 2-stable
 
 
 def test_rebalance_anomaly_raises():
-    # padding in the middle of the path: no padded successor is available
-    padded = VertexPartition([(1, 2, 3), (4, 5, 6)], 6)
+    # S_2's pad 5 has the free pad 6 as successor, but block 2 holds no
+    # vertex of S_1 to remove
+    padded = VertexPartition([(1, 3, 5, 7), (2, 4, 6, 8)], 8)
     with pytest.raises(ContractError) as err:
-        rebalance_q2(6, padded, (1, 4), (3, 6), [(3,), (6,)])
-    assert "anomaly" in str(err.value)
+        rebalance_q2(4, padded, (1, 3), (5, 7))
+    assert str(err.value) == "rebalance anomaly: no removable vertex in block 2"

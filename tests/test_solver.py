@@ -196,6 +196,21 @@ def test_enumeration_limit_and_validation():
         enumerate_splittings(probe, limit=-1)
 
 
+def test_every_answer_is_held_to_its_caps(monkeypatch):
+    # both entry points certify through one step: a second answer over its
+    # cap fails enumeration as the first one fails find_splitting
+    part = VertexPartition([(1, 2, 3)], 3)
+    problem = SearchProblem(partition=part, spec=SplittingSpec(q=2, flavor="fair"),
+                            graph=Graph(3, ()), caps=[1])
+    answers = [(((1,), (2,)), None), (((1, 3), (2,)), None)]  # the last is over
+    monkeypatch.setattr(solver_module, "_search", lambda problem, limit:
+                        ("found", answers[-limit:], 1))
+    with pytest.raises(AssertionError):
+        find_splitting(problem)
+    with pytest.raises(AssertionError):
+        enumerate_splittings(problem, limit=2)
+
+
 # ---------------------------------------------------------------------------
 # symmetry and invariance
 
