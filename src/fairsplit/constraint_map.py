@@ -57,10 +57,11 @@ itertools.product(range(q + 1), repeat=n).
 
 The directions of the permuted faces are the tensor reindexed by the
 permutation along every axis, which rewrites only the slices of the digits
-the permutation moves, as whole blocks of the axes below; the tensor build
+the permutation moves, as whole blocks of the axes below; the check does it
+one cache-sized block of the leading axes at a time.  The tensor build
 selects by arithmetic, and neither kernel makes a masked copy.  Every axis
 is treated alike, so the check runs in build order, and only a permutation
-with a violation reads the vertex-order view, so that violations are
+with a violation writes a mask in vertex order, so that violations are
 reported in its C order, as a face-by-face loop would find them.  The
 zero-set DP works one level s at a time, as one array of shape (C(n, s),) +
 (q,)*s: supports in `combinations` order, then slot assignments, which is
@@ -74,12 +75,13 @@ pay for loading it.
 
 Memory, in bytes per face: the int8 direction tensor is 1, and building it
 peaks at 1 + (2q+3)/(q+1), at most 3.34.  The equivariance check then holds
-at most three int8 tensors, 3 bytes per face: the directions, the image,
-and either the step buffer or the copied slices of the moved digits (the
-buffer is freed before the slices move), so it peaks no higher than the
-build.  The zero-set DP keeps the reach bitsets, max(1, 2^q/8) bytes per
-face, of two levels only, the one it fills and the one below, plus that
-level's int32 gather index or the closure's temporaries.  Before the tensor
+the tensor and two int8 blocks of at most _BLOCK_FACES faces: the image,
+and either the step buffer, the copied slices of the moved digits or the
+comparison's mask.  That is at most 3 bytes per face, so it peaks no higher
+than the build; a permutation with a violation adds a 1-byte mask.  The
+zero-set DP keeps the reach bitsets, max(1, 2^q/8) bytes per face, of two
+levels only, the one it fills and the one below, plus that level's int32
+gather index or the closure's temporaries.  Before the tensor
 is built, the faces times the check's bound (5 for equivariance, 4 plus
 twice the reach for the zero set) are held to errors.MEMORY_LIMIT; a pair
 built once is held to both.
@@ -129,10 +131,14 @@ class ConstraintMapInstance:
 
 # bytes per face that bound each check's peak under tracemalloc: the tensor
 # build's 1 + (2q+3)/(q+1), at most 3.34, which the equivariance check's
-# three int8 tensors stay under, plus a few kilobytes of tables and frames
-# (3.35 in all at q = 2, n = 11); the zero set adds the reach bitsets of two
-# levels and the temporaries of one
+# tensor and two blocks stay under (a violation's mask adds 1), plus a few
+# kilobytes of tables and frames (3.35 in all at q = 2, n = 11); the zero
+# set adds the reach bitsets of two levels and the temporaries of one
 _EQUIVARIANCE_BYTES_PER_FACE = 5
+
+# the most faces in a block of the equivariance check: its image, its step
+# buffer and the block it reads, 512 KiB each, fit in a 2 MiB L2 cache
+_BLOCK_FACES = 1 << 19
 
 
 def _zero_set_bytes_per_face(q):
@@ -483,62 +489,78 @@ def _directions_array(inst):
 
 def _verify_equivariance_numpy(inst, perms, report, dirs):
     """Compare d(pi F) with pi(d(F)) for every face and permutation, as
-    pi^-1 d(pi F) against d(F), moving only what pi moves.  The image
-    starts as pi^-1 d(F): d(F) plus v - pi(v) on the faces with d(F) =
-    pi(v), for each digit v that pi moves, added through one int8 step
-    buffer.  With the buffer freed, along each axis the slices of the moved
-    digits v take those of pi(v), each run of faces below the axis moved as
-    one block; numpy copies the source slices first, 2/(q+1) of a tensor
-    for a transposition.  So at most three (q+1)^n int8 tensors are alive.
-    Every axis is treated alike, so the tensor is compared in its build
-    order; only an image that differs from d(F) is read through the
-    vertex-order view.  The identity is skipped.  Stops at the fifth
-    violation (faces in C order of the vertex-order tensor, then
-    permutations in the given order); faces_processed counts the faces read
-    up to it."""
+    pi^-1 d(pi F) against d(F), moving only what pi moves, one block at a
+    time.  A block is the sub-tensor under a digit prefix c of the fewest
+    leading axes that leave it at most _BLOCK_FACES faces (the whole tensor
+    when it has no more), and its image is read from block pi(c).  The
+    image starts as pi^-1 d(F): d(F) plus v - pi(v) on the faces with d(F)
+    = pi(v), for each digit v that pi moves, added through one int8 step
+    buffer, the first straight from the source block.  With the buffer
+    freed, along each remaining axis the slices of the moved digits v take
+    those of pi(v), each run of faces below the axis moved as one block;
+    numpy copies the source slices first, 2/(q+1) of a block for a
+    transposition.  So the tensor and at most two blocks are alive.  Every
+    axis is treated alike, so the tensor is compared in its build order;
+    a permutation with a violation builds its blocks again, into a mask laid
+    out in vertex order, and reads got = d(pi F) from the tensor.  The
+    identity is skipped.  Stops at the fifth violation (faces in C order of
+    the vertex-order tensor, then permutations in the given order);
+    faces_processed counts the faces read up to it."""
     import numpy as np
     base, n = inst.q + 1, inst.n
-    image = np.empty_like(dirs)
+    lead = next(a for a in range(n + 1) if base ** (n - a) <= _BLOCK_FACES)
+    prefixes = list(itertools.product(range(base), repeat=lead))
+    image = np.empty((base,) * (n - lead), dtype=dirs.dtype)
     # image as (before, digit) around each axis, each entry the run of
     # `after` bytes below it as one void block, so that a slice move copies
     # whole blocks; the innermost axis, with runs of one, stays int8
-    axes = [image.reshape(-1, base)]
-    for a in range(n - 1):
-        after = base ** (n - 1 - a)
-        axes.append(image.reshape(-1, base, after).view("V%d" % after)[..., 0])
+    axes = []
+    for a in range(n - lead):
+        after = base ** (n - lead - 1 - a)
+        view = image.reshape(-1, base, after)
+        axes.append((view.view("V%d" % after) if after > 1 else view)[..., 0])
     found = []  # (face, permutation index, got, want): each one's first five
     for i, perm in enumerate(perms):
         moved = [v for v in range(base) if perm[v] != v]
         if not moved:
             continue
-        np.copyto(image, dirs)
-        step = np.empty(dirs.shape, dtype=np.bool_)
-        shift = step.view(dirs.dtype)
-        for v in moved:
-            np.equal(dirs, perm[v], out=step)
-            shift *= v - perm[v]
-            image += shift
-        del step, shift
         to, fro = np.array(moved), np.array([perm[v] for v in moved])
-        for view in axes:
-            view[:, to] = view[:, fro]  # image[F] = pi^-1 d(pi F)
-        if np.array_equal(image, dirs):
-            continue
-        # image ^ d(F) is nonzero on the violations and gives d(pi F) back
-        # as itself ^ d(F); copyto lays it out in vertex order as a mask,
-        # with no iteration buffers, where argmax finds each next violation
-        np.bitwise_xor(image, dirs, out=image)
-        marks, want = _in_vertex_order(inst, image), _in_vertex_order(inst, dirs)
-        mask = np.empty(dirs.size, dtype=np.bool_)
-        np.copyto(mask.reshape(dirs.shape), marks, casting="unsafe")
-        for _ in range(5):
-            f = int(mask.argmax())
-            if not mask[f]:
+
+        def permuted(c):
+            """image[F] = pi^-1 d(pi F) on block c"""
+            source = dirs[tuple(map(perm.__getitem__, c))]
+            step = np.empty(image.shape, dtype=np.bool_)
+            shift, out = step.view(dirs.dtype), source
+            for v in moved:
+                np.equal(source, perm[v], out=step)
+                if abs(v - perm[v]) > 1:  # a step of one is the mask itself
+                    shift *= abs(v - perm[v])
+                out = (np.add if v > perm[v] else np.subtract)(out, shift, out=image)
+            del step, shift
+            for view in axes:
+                view[:, to] = view[:, fro]
+            return image
+
+        for c in prefixes:
+            if not (permuted(c) == dirs[c]).all():
                 break
-            mask[f] = False
+        else:
+            continue
+        # the mask of violations in vertex order, written block by block
+        # through its build-order view, where argmax finds each next one
+        mask = np.empty(dirs.shape, dtype=np.bool_)
+        marks = mask.transpose(inst.vertex_order)
+        for c in prefixes:
+            np.not_equal(permuted(c), dirs[c], out=marks[c + (...,)])
+        flat, want = mask.reshape(-1), _in_vertex_order(inst, dirs)
+        for _ in range(5):
+            f = int(flat.argmax())
+            if not flat[f]:
+                break
+            flat[f] = False
             face = np.unravel_index(f, dirs.shape)
-            found.append((f, i, perm[marks[face] ^ want[face]], perm[want[face]]))
-        del mask
+            found.append((f, i, int(want[tuple(perm[d] for d in face)]), perm[want[face]]))
+        del mask, marks, flat
     found = sorted(found)[:5]
     for f, i, got, want in found:
         report.violations.append({

@@ -420,20 +420,25 @@ def _verify_equivariance_chunked(inst, perms, report, chunk=1 << 18):
     report.faces_processed = m
 
 
+def _take_image(inst, perm, dirs):
+    """pi^-1 d(pi F) for every face F of the flat vertex-order directions
+    dirs, flat: every direction goes through pi^-1's lookup table, and
+    every axis is reindexed by np.take."""
+    lut = np.array(perm, dtype=dirs.dtype)
+    image = np.argsort(lut).astype(dirs.dtype)[dirs.reshape((inst.q + 1,) * inst.n)]
+    for axis in range(inst.n):
+        image = np.take(image, lut, axis=axis)
+    return image.reshape(-1)
+
+
 def _verify_equivariance_take(inst, perms, report):
-    """The whole-tensor version of _verify_equivariance_numpy: every
-    direction goes through pi^-1's lookup table, and every axis is
-    reindexed by np.take, for every permutation (the identity included)."""
+    """The whole-tensor version of _verify_equivariance_numpy: _take_image
+    for every permutation (the identity included)."""
     shape = (inst.q + 1,) * inst.n
     dirs = _vertex_order_directions(inst)
-    tensor = dirs.reshape(shape)
     found = []
     for i, perm in enumerate(perms):
-        lut = np.array(perm, dtype=dirs.dtype)
-        image = np.argsort(lut).astype(dirs.dtype)[tensor]  # pi^-1 d(F)
-        for axis in range(inst.n):
-            image = np.take(image, lut, axis=axis)
-        image = image.reshape(-1)  # image[F] = pi^-1 d(pi F)
+        image = _take_image(inst, perm, dirs)
         for f in np.flatnonzero(image != dirs)[:5]:
             found.append((int(f), i, perm[image[f]], perm[dirs[f]]))
     found = sorted(found)[:5]
@@ -775,11 +780,13 @@ def _peak_bytes_per_face(fn, inst):
 def test_peak_bytes_per_face():
     # numpy reports its buffers to tracemalloc.  Building the direction
     # tensor peaks at 1 + (2q+3)/(q+1) bytes per face (the slot-size build
-    # held q + 4, 11 at q = 7).  The equivariance check then holds three
-    # int8 tensors at most, the directions, the image and the step buffer
-    # or the moved slices, so it peaks no higher than the build; only the
-    # permutations, the report and the call frames come on top, a few
-    # hundred bytes whatever the face count.  The zero-set DP adds its
+    # held q + 4, 11 at q = 7).  The equivariance check then holds the
+    # directions and two block-sized int8 buffers, the image and one of the
+    # step buffer, the moved slices and the comparison's mask: a block is
+    # at most 2^19 faces, the whole tensor for (7,1,1), 1/8 of it for
+    # (7,2,7).  So it peaks no higher than the build; only the permutations,
+    # the report and the call frames come on top, a few kilobytes whatever
+    # the face count.  The zero-set DP adds its
     # 2^q-bit reach bitsets: 4 bytes per face at q = 5, plus the closure's
     # temporaries on one support slice.
     inst = ConstraintMapInstance(7, 1, 1, vertex_order=(3, 0, 5, 1, 4, 2))
@@ -924,6 +931,161 @@ def test_equivariance_of_corrupted_directions_matches_the_references(monkeypatch
     assert len(got["violations"]) == 5 and got["faces_processed"] < dirs.size
     assert got == _equivariance_json(_verify_equivariance_take, inst, perms)
     assert got == _equivariance_json(_verify_equivariance_chunked, inst, perms, 1 << 16)
+
+
+# The equivariance check works one block at a time, a block being the faces
+# under a digit prefix of the leading build-order axes.  The tests below
+# force blocks of 1, q+1 and (q+1)^2 faces, so that a prefix fixes up to
+# every axis.  Each block costs a few dozen numpy calls, so a forced size
+# is left out where it would take more than this many block builds.
+_FORCED_BLOCK_BUILDS = 40000
+
+
+def _forced_block_sizes(inst, perms):
+    base = inst.q + 1
+    return [size for size in (1, base, base ** 2)
+            if inst.face_count() // size * len(perms) <= _FORCED_BLOCK_BUILDS]
+
+
+def _blocks_of(inst, faces, size):
+    """The index, in the check's block order, of the block that holds each
+    face (flat in vertex order) when blocks have at most `size` faces: the
+    face's digits on the fewest leading build-order axes that leave that
+    few faces below them, read as a base-(q+1) number."""
+    base, n = inst.q + 1, inst.n
+    lead = next(a for a in range(n + 1) if base ** (n - a) <= size)
+    digits = np.unravel_index(np.asarray(faces), (base,) * n)
+    index = np.zeros(len(faces), dtype=np.int64)
+    for v in inst.vertex_order[:lead]:
+        index = index * base + digits[v]
+    return index
+
+
+def _check_in_forced_blocks(monkeypatch, inst, perms, tensor, want):
+    """Assert that the check in every forced block size reports `want`;
+    return how many sizes it ran in."""
+    sizes = _forced_block_sizes(inst, perms)
+    for size in sizes:
+        monkeypatch.setattr(constraint_map, "_BLOCK_FACES", size)
+        got = _equivariance_json(_verify_equivariance_numpy, inst, perms, tensor)
+        assert got == want, (inst, perms, size)
+    return len(sizes)
+
+
+@pytest.mark.parametrize("q,k,t", [(q, k, t) for q, k, t in valid_parameter_triples(7)
+                                   if (q + 1) ** (q * k - t) <= 300000])
+def test_forced_blocks_match_the_references(monkeypatch, q, k, t):
+    # the tensors and groups of test_equivariance_tensor_matches_chunked_reference
+    n, runs = q * k - t, 0
+    for order in [None] + random_vertex_orders(n, 1, seed=7 * q + k + t):
+        inst = ConstraintMapInstance(q, k, t, vertex_order=order)
+        tensor = constraint_map._directions_array(inst)
+        groups = [_adjacent_transpositions(q)]
+        if math.factorial(q) * inst.face_count() <= 2_000_000:
+            groups.append(_all_slot_permutations(q))
+        for perms in groups:
+            want = _equivariance_json(_verify_equivariance_take, inst, perms)
+            assert want == _equivariance_json(_verify_equivariance_chunked, inst,
+                                              perms, 1 << 16), (q, k, t, order)
+            runs += _check_in_forced_blocks(monkeypatch, inst, perms, tensor, want)
+    assert runs
+
+
+@pytest.mark.parametrize("q,k,t", [(3, 2, 2), (4, 2, 1), (4, 1, 1)])
+def test_forced_blocks_report_a_wrong_rule_like_the_reference(monkeypatch, q, k, t):
+    inst = ConstraintMapInstance(q, k, t)
+    _use_rule(monkeypatch, inst, _highest_tied_slot_rule)
+    tensor, runs = constraint_map._directions_array(inst), 0
+    for perms in (_all_slot_permutations(q), _adjacent_transpositions(q)):
+        want = _equivariance_json(_verify_equivariance_python, inst, perms,
+                                  _highest_tied_slot_rule)
+        assert len(want["violations"]) == 5
+        assert want == _equivariance_json(_verify_equivariance_take, inst, perms)
+        runs += _check_in_forced_blocks(monkeypatch, inst, perms, tensor, want)
+    assert runs
+
+
+def _corrupted(monkeypatch, inst, dirs):
+    """Make the flat vertex-order directions dirs the tensor every check
+    reads, and return it in build order."""
+    tensor = _build_order(inst, dirs)
+    monkeypatch.setattr(constraint_map, "_directions_array", lambda inst: tensor)
+    return tensor
+
+
+def test_forced_blocks_find_a_first_violation_in_a_later_block(monkeypatch):
+    # under the reversed vertex order the leading build axes are the last
+    # vertices, the least significant digits of the vertex-order C order
+    # the violations are reported in.  Face (0,3,3,3) comes early in C
+    # order and in the last block; face (3,0,0,0) late in C order and in
+    # the first block.  Both are made to read 1, so the first violation
+    # reported lies in a later block than the first block in which its
+    # permutation breaks
+    inst = ConstraintMapInstance(3, 2, 2, vertex_order=(3, 2, 1, 0))
+    dirs = _vertex_order_directions(inst)
+    shape = (4,) * 4
+    dirs[np.ravel_multi_index(([0, 3], [3, 0], [3, 0], [3, 0]), shape)] = 1
+    tensor = _corrupted(monkeypatch, inst, dirs)
+    table = dirs.reshape(shape)
+    for perms in (_adjacent_transpositions(3), _all_slot_permutations(3)):
+        want = _equivariance_json(_verify_equivariance_python, inst, perms,
+                                  lambda inst, digits: int(table[digits]) or None)
+        assert want == _equivariance_json(_verify_equivariance_take, inst, perms)
+        first = want["violations"][0]
+        face = np.ravel_multi_index(first["face"], shape)
+        bad = np.flatnonzero(_take_image(inst, first["perm"], dirs) != dirs)
+        for size in _forced_block_sizes(inst, perms):
+            blocks = _blocks_of(inst, bad, size)
+            assert _blocks_of(inst, [face], size)[0] > blocks.min(), size
+        assert _check_in_forced_blocks(monkeypatch, inst, perms, tensor, want) == 3
+
+
+def test_forced_blocks_find_violations_only_in_the_last_block(monkeypatch):
+    # the slot permutations that fix slot q keep each face's leading
+    # digits q, so a few wrong faces whose leading build-order digits are
+    # all q put every violation in the last block
+    q, k, t = 4, 2, 3
+    inst = ConstraintMapInstance(q, k, t, vertex_order=(2, 4, 0, 3, 1))
+    perms = [perm for perm in _all_slot_permutations(q) if perm[q] == q]
+    base, n = q + 1, inst.n
+    clean = _vertex_order_directions(inst)
+    rng = np.random.default_rng(423)
+    for size in _forced_block_sizes(inst, perms):
+        lead = next(a for a in range(n + 1) if base ** (n - a) <= size)
+        last = np.flatnonzero(_blocks_of(inst, np.arange(clean.size), size)
+                              == base ** lead - 1)
+        dirs = clean.copy()
+        for f in rng.choice(last, size=min(3, last.size), replace=False):
+            dirs[f] = (dirs[f] + rng.integers(1, base)) % base
+        tensor = _corrupted(monkeypatch, inst, dirs)
+        bad = np.concatenate([np.flatnonzero(_take_image(inst, perm, dirs) != dirs)
+                              for perm in perms])
+        assert bad.size and set(_blocks_of(inst, bad, size)) == {base ** lead - 1}
+        want = _equivariance_json(_verify_equivariance_take, inst, perms)
+        assert want["violations"]
+        monkeypatch.setattr(constraint_map, "_BLOCK_FACES", size)
+        assert _equivariance_json(_verify_equivariance_numpy, inst, perms, tensor) == want
+
+
+def test_equivariance_check_holds_two_blocks():
+    # a prebuilt (7,2,7) tensor, 8^7 faces, is checked in blocks of 8^6:
+    # besides views and frames the check holds its image and one of the
+    # step buffer, the moved slices and the comparison's mask, so no more
+    # than two blocks plus the moved slices of one, 2/8 of a block for a
+    # transposition
+    inst = ConstraintMapInstance(7, 2, 7, vertex_order=(5, 2, 6, 0, 3, 1, 4))
+    tensor = constraint_map._directions_array(inst)
+    perms = _adjacent_transpositions(7)
+    block = max(8 ** m for m in range(inst.n + 1) if 8 ** m <= constraint_map._BLOCK_FACES)
+    assert block < inst.face_count()
+
+    def check(inst):
+        report = EquivarianceReport(7, 2, 7, inst.vertex_order, len(perms), False, 0)
+        _verify_equivariance_numpy(inst, perms, report, tensor)
+        assert report.ok
+
+    peak = _peak_bytes_per_face(check, inst) * inst.face_count()
+    assert peak <= 2 * block + 2 * block // 8 + 4096, peak
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
