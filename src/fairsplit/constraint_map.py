@@ -67,11 +67,11 @@ zero-set DP works one level s at a time, as one array of shape (C(n, s),) +
 (q,)*s: supports in `combinations` order, then slot assignments, which is
 the order it reports in.  It gathers the level's directions from the tensor
 through per-vertex strides, and each facet's reach from the previous level
-by the rank of the facet's support (combinatorial number system), broadcast
-along the axis of the dropped vertex.  No digits are extracted.  numpy is
-imported inside the functions that build or read the tensor, so that
-commands which never run a check (every one but phi-check and suite) do not
-pay for loading it.
+by the row of the facet's support, read from a table indexed by support
+bitmask (2^n entries), broadcast along the axis of the dropped vertex.  No
+digits are extracted.  numpy is imported inside the functions that build or
+read the tensor, so that commands which never run a check (every one but
+phi-check and suite) do not pay for loading it.
 
 Memory, in bytes per face: the int8 direction tensor is 1, and building it
 peaks at 1 + (2q+3)/(q+1), at most 3.34.  The equivariance check then holds
@@ -81,10 +81,10 @@ comparison's mask.  That is at most 3 bytes per face, so it peaks no higher
 than the build; a permutation with a violation adds a 1-byte mask.  The
 zero-set DP keeps the reach bitsets, max(1, 2^q/8) bytes per face, of two
 levels only, the one it fills and the one below, plus that level's int32
-gather index or the closure's temporaries.  Before the tensor
-is built, the faces times the check's bound (5 for equivariance, 4 plus
-twice the reach for the zero set) are held to errors.MEMORY_LIMIT; a pair
-built once is held to both.
+gather index or the closure's temporaries, and a rank table of 2^n words,
+far below (q+1)^n faces.  Before the tensor is built, the faces times the
+check's bound (5 for equivariance, 4 plus twice the reach for the zero set)
+are held to errors.MEMORY_LIMIT; a pair built once is held to both.
 """
 
 from __future__ import annotations
@@ -172,6 +172,8 @@ def _check_face_budget(inst, budget, bytes_per_face):
 
 @dataclass
 class ZeroSetReport:
+    """Its fields and ok are the zero_set_report/1 document."""
+
     q: int
     k: int
     t: int
@@ -186,16 +188,7 @@ class ZeroSetReport:
         return not self.violations
 
     def to_json(self):
-        return {
-            "schema": "zero_set_report/1",
-            "q": self.q, "k": self.k, "t": self.t,
-            "vertex_order": list(self.vertex_order),
-            "levels_with_unconstrained": self.levels_with_unconstrained,
-            "short_circuit": self.short_circuit,
-            "faces_processed": self.faces_processed,
-            "violations": [{"chain": [list(f) for f in chain]} for chain in self.violations],
-            "ok": self.ok,
-        }
+        return {"schema": "zero_set_report/1", **vars(self), "ok": self.ok}
 
 
 def _witness_chain(dirs, top, need_mask):
@@ -265,7 +258,8 @@ def _first_rainbow_face(inst, dirs, start):
     the face's place in the enumeration.  Its directions are gathered from
     the tensor through per-vertex strides.  Dropping the i-th vertex of a
     support gives a facet whose assignments are those of axis 1+i removed,
-    so the previous level's reach, gathered by the facets' support ranks,
+    so the previous level's reach, gathered by the facets' support rows
+    (looked up by bitmask: the support's mask less the vertex's bit),
     broadcasts along that axis.  Faces below level `start` are all
     constrained, so their reach is the empty chain.  `dirs` is the direction
     tensor of _directions_array, in its build order."""
@@ -279,16 +273,17 @@ def _first_rainbow_face(inst, dirs, start):
     for i, v in enumerate(inst.vertex_order):
         stride[v] = (q + 1) ** (n - 1 - i)
     digits = np.arange(1, q + 1, dtype=np.int32)
-    # the support (c_0 < ... < c_{s-1}) has rank C(n, s) - 1 - sum over j of
-    # C(n-1-c_j, s-j) in combinations order
-    comb = np.array([[math.comb(m, r) for r in range(n + 1)] for m in range(n)],
-                    dtype=np.intp)
+    # rank[mask] is the row of the support with that bitmask in its level;
+    # levels have distinct popcounts, so one table holds them all
+    rank = np.empty(1 << n, dtype=np.intp)
     processed = sum(math.comb(n, s) * q ** s for s in range(start))
     reach = None  # the previous level's; None for the empty chain alone
     for s in range(start, n + 1):  # start = k >= 1
         supports = np.array(list(itertools.combinations(range(n), s)),
                             dtype=np.intp)
         rows = len(supports)
+        bits = np.left_shift(1, supports)
+        mask = bits.sum(axis=1)
         index = sum(np.multiply.outer(stride[supports[:, i]], digits).reshape(
             (rows,) + (1,) * i + (q,) + (1,) * (s - 1 - i)) for i in range(s))
         fdir = flat[index]
@@ -296,16 +291,12 @@ def _first_rainbow_face(inst, dirs, start):
         if reach is None:
             acc = np.ones(fdir.shape, dtype=tables[0].dtype)
         else:
-            # facet i keeps c_j at place j before i and at place j-1 after it
-            at = np.arange(s)
-            before = comb[n - 1 - supports, s - 1 - at]
-            after = comb[n - 1 - supports, s - at]
-            ranks = np.cumsum(after - before, axis=1)
-            ranks += before - after.sum(axis=1)[:, None] + (math.comb(n, s - 1) - 1)
+            facets = rank[mask[:, None] - bits]  # facet i drops vertex c_i
             acc = np.zeros(fdir.shape, dtype=reach.dtype)
             for i in range(s):
-                acc |= reach[ranks[:, i]].reshape(
+                acc |= reach[facets[:, i]].reshape(
                     (rows,) + (q,) * i + (1,) + (q,) * (s - 1 - i))
+        rank[mask] = np.arange(rows)
         _add_directions(acc, fdir, tables)
         # a chain covering 1..q holds q unconstrained faces, of distinct
         # sizes from level `start` up.  A constrained face adds no direction,
@@ -356,8 +347,8 @@ def _search_zero_set(inst, dirs, report):
     """Fill the report, past its short circuit, from the direction tensor."""
     face, report.faces_processed = _first_rainbow_face(inst, dirs, inst.k)
     if face is not None:
-        report.violations.append([list(f) for f in _witness_chain(
-            _in_vertex_order(inst, dirs), face, (1 << inst.q) - 1)])
+        report.violations.append({"chain": [list(f) for f in _witness_chain(
+            _in_vertex_order(inst, dirs), face, (1 << inst.q) - 1)]})
 
 
 def verify_zero_set(inst):
@@ -379,6 +370,8 @@ def verify_zero_set(inst):
 
 @dataclass
 class EquivarianceReport:
+    """Its fields and ok are the equivariance_report/1 document."""
+
     q: int
     k: int
     t: int
@@ -393,16 +386,7 @@ class EquivarianceReport:
         return not self.violations
 
     def to_json(self):
-        return {
-            "schema": "equivariance_report/1",
-            "q": self.q, "k": self.k, "t": self.t,
-            "vertex_order": list(self.vertex_order),
-            "permutations_checked": self.permutations_checked,
-            "full_group": self.full_group,
-            "faces_processed": self.faces_processed,
-            "violations": self.violations,
-            "ok": self.ok,
-        }
+        return {"schema": "equivariance_report/1", **vars(self), "ok": self.ok}
 
 
 def _adjacent_transpositions(q):

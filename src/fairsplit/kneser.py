@@ -33,7 +33,7 @@ from itertools import accumulate, combinations
 
 from .errors import (Budget, ContractError, InputError, ResourceBudget,
                      check_size)
-from .graphs import Graph, VertexPartition, path_graph
+from .graphs import Graph, VertexPartition
 from .splitting import Splitting, SplittingSpec, check_splitting, is_q_stable
 from .solver import DEFAULT_NODE_BUDGET, SearchProblem, find_splitting
 
@@ -385,7 +385,9 @@ def splitting_from_coloring(n, partition, q, budget=DEFAULT_NODE_BUDGET):
     q = 2 rebalances.  A padded path over the instance vertex limit raises
     ResourceBudget before any pad is built.  The output is re-verified as an
     almost fair splitting by q-stable sets; for q = 2 it is additionally
-    balanced.
+    balanced.  The re-check runs on the edgeless graph on 1..n, as compose's
+    does: for q >= 2, q-stable sets are independent in the path, so the
+    verdict is the path's without building it.
     """
     if q < 2:
         raise InputError("need q >= 2")
@@ -420,7 +422,7 @@ def splitting_from_coloring(n, partition, q, budget=DEFAULT_NODE_BUDGET):
 
     spec = SplittingSpec(q=q, flavor="almost_fair", balanced=(q == 2),
                          stability=q)
-    cert = check_splitting(path_graph(n), partition, splitting, spec)
+    cert = check_splitting(Graph(n, ()), partition, splitting, spec)
     if not cert.ok:
         raise ContractError("pipeline output fails its certificate: %s"
                             % cert.to_json())

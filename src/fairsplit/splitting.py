@@ -126,7 +126,8 @@ def is_weakly_q_stable(sets, q):
 
 @dataclass
 class QuotaCertificate:
-    """Everything check_splitting measured, plus the per-clause verdicts."""
+    """Everything check_splitting measured, plus the per-clause verdicts:
+    its fields are the certificate/1 document."""
 
     q: int
     flavor: str
@@ -144,23 +145,7 @@ class QuotaCertificate:
     ok: bool = False
 
     def to_json(self):
-        return {
-            "schema": "certificate/1",
-            "q": self.q,
-            "flavor": self.flavor,
-            "counts": [list(row) for row in self.counts],
-            "mins": list(self.mins),
-            "quota_ok": self.quota_ok,
-            "independence_ok": list(self.independence_ok),
-            "disjoint_ok": self.disjoint_ok,
-            "leftover": list(self.leftover),
-            "leftover_ok": self.leftover_ok,
-            "sizes": list(self.sizes),
-            "balanced_ok": self.balanced_ok,
-            "stability_ok": list(self.stability_ok),
-            "weak_verdict": self.weak_verdict,
-            "ok": self.ok,
-        }
+        return {"schema": "certificate/1", **vars(self)}
 
 
 def check_splitting(g, partition, splitting, spec):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -24,7 +25,8 @@ import fairsplit.serial as serial
 from fairsplit.cli import build_parser, main
 from fairsplit.complexes import FACE_BUDGET, independence_complex
 from fairsplit.errors import INSTANCE_VERTEX_LIMIT, MEMORY_LIMIT
-from fairsplit.graphs import cycle_graph
+from fairsplit.graphs import VertexPartition, cycle_graph
+from fairsplit.splitting import Splitting, SplittingSpec, check_splitting
 from fairsplit.suite import _entry_constraint_map
 
 from shared import all_faces, is_constrained_face
@@ -511,6 +513,46 @@ def test_phi_check_report_keys(capsys):
     assert all(set(v) == {"face", "perm", "got", "want"} for v in eq["violations"])
     assert eq["violations"][0] == {"face": [1, 1, 2], "perm": [0, 2, 1],
                                    "got": 2, "want": 1}
+
+
+# the fields docs/schemas.md lists under certificate/1
+CERTIFICATE_KEYS = {"schema", "q", "flavor", "counts", "mins", "quota_ok",
+                    "independence_ok", "disjoint_ok", "leftover", "leftover_ok",
+                    "sizes", "balanced_ok", "stability_ok", "weak_verdict", "ok"}
+
+
+def test_documents_render_their_dataclass_fields():
+    # each to_json adds the schema name, and ok for the two reports, to its
+    # dataclass's fields, so a field added or dropped shows in the document
+    cert = check_splitting(cycle_graph(6), VertexPartition([(1, 2, 3), (4, 5, 6)], 6),
+                           Splitting([(1, 3, 5), (2, 4, 6)]),
+                           SplittingSpec(q=2, balanced=True))
+    zero_set, equivariance = constraint_map.verify_both(
+        constraint_map.ConstraintMapInstance(3, 2, 1, vertex_order=(4, 0, 2, 1, 3)))
+    for obj, added, keys in ((cert, {"schema"}, CERTIFICATE_KEYS),
+                             (zero_set, {"schema", "ok"}, ZERO_SET_KEYS),
+                             (equivariance, {"schema", "ok"}, EQUIVARIANCE_KEYS)):
+        names = {f.name for f in dataclasses.fields(obj)}
+        assert set(obj.to_json()) == names | added == keys, type(obj).__name__
+
+
+def test_certificate_keys(capsys, tmp_path, cycle6):
+    # certificate/1 as solve, verify, compose and kneser-split print it,
+    # passing and failing
+    code, doc, _ = run(capsys, "solve", "--input", cycle6, "--q", "2",
+                       "--flavor", "almost", "--balanced")
+    assert code == 0 and set(doc["certificate"]) == CERTIFICATE_KEYS
+    for sets, want in ((doc["splitting"], 0), ([[1, 2], [4, 5]], 1)):
+        split = write(tmp_path, "split.json", {"schema": "splitting/1", "sets": sets})
+        code, cert, _ = run(capsys, "verify", "--input", cycle6, "--splitting", split,
+                            "--flavor", "almost", "--balanced")
+        assert code == want and set(cert) == CERTIFICATE_KEYS
+    code, doc, _ = run(capsys, "compose", "--n", "15", "--blocks", "7,8", "--t", "2")
+    assert code == 0 and set(doc["certificate"]) == CERTIFICATE_KEYS
+    for q in ("2", "3"):
+        code, doc, _ = run(capsys, "kneser-split", "--n", "12", "--blocks", "3,4,5",
+                           "--q", q)
+        assert code == 0 and set(doc["certificate"]) == CERTIFICATE_KEYS
 
 
 def test_phi_check_and_suite_build_one_direction_tensor_per_pair(capsys):

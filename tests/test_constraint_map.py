@@ -215,8 +215,8 @@ def _verify_zero_set_python(inst, direction=face_direction):
                     need = full & ~(1 << (d - 1))
                     if need == 0 or any(msk & need == need for msk in down):
                         report.violations.append(
-                            [list(f) for f in _witness_chain_reference(
-                                inst, digits, full, direction)])
+                            {"chain": [list(f) for f in _witness_chain_reference(
+                                inst, digits, full, direction)]})
                         report.faces_processed = processed
                         return report
                 down = [m for m in down
@@ -316,7 +316,7 @@ def _verify_zero_set_by_integer(inst):
         return report
     dirs = _vertex_order_directions(inst).reshape((q + 1,) * inst.n)
     report.violations.append(
-        [list(f) for f in _witness_chain(dirs, found, (1 << q) - 1)])
+        {"chain": [list(f) for f in _witness_chain(dirs, found, (1 << q) - 1)]})
     report.faces_processed = _enumeration_rank(found, q) + 1
     return report
 

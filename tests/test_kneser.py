@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 import fairsplit.kneser as kneser
+from fairsplit.cli import main
 from fairsplit.errors import ContractError, InputError, ResourceBudget
 from fairsplit.graphs import (VertexPartition, consecutive_partition, path_graph,
                               power_path)
@@ -492,6 +493,24 @@ def test_pipeline_falsification_branch(monkeypatch):
     assert res.status == "falsification"
     assert res.splitting is None
     assert "refuting" in res.details["note"]
+
+
+def test_pipeline_certificate_can_fail(monkeypatch, capsys):
+    # q = 3 runs no rebalance, so the hyperedge goes straight to the final
+    # re-check.  Its first set holds the adjacent labels 1 and 2, so it is
+    # not 3-stable, while the quotas and leftovers hold
+    monkeypatch.setattr(kneser, "_mono_edge_search",
+                        lambda *a, **kw: ((1, 2), (4, 7), (5, 8)))
+    part = VertexPartition([tuple(range(1, 9))], 8)
+    with pytest.raises(ContractError,
+                       match="^pipeline output fails its certificate: ") as err:
+        splitting_from_coloring(8, part, 3)
+    assert "'stability_ok': [False, True, True]" in str(err.value)
+    assert "'quota_ok': True" in str(err.value)
+    assert main(["kneser-split", "--n", "8", "--blocks", "8", "--q", "3"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("falsification: pipeline output fails its certificate: ")
 
 
 def test_rebalance_removes_successor_blocked_vertex():
