@@ -162,6 +162,11 @@ def cmd_geometry(args):
         sets = _sets_arg(args.sets or "")
         if not sets:
             raise InputError("--op hulls needs --sets")
+        n = len(config.points)
+        outside = sorted(v for s in sets for v in s if not 1 <= v <= n)
+        if outside:
+            raise InputError("--sets label %d is not a point label 1..%d"
+                             % (outside[0], n))
         verdict = hulls_intersect([config.subset(s) for s in sets])
         return (0 if verdict else 1), {"schema": "predicate/1",
                                        "op": "hulls", "value": verdict}

@@ -9,6 +9,15 @@ column and den the previous pivot, and that division is always exact.  The
 integer tableau is always den times the rational one, so Bland's rule reads
 the same signs and ratios and takes the same pivots as a Fraction simplex
 would.  Fractions appear only in results.  No floating point anywhere.
+
+convex_hulls_common_point builds that system for the convex weights of
+several point sets.  Before it pivots, it refutes a family whose bounding
+boxes miss: a common point lies in every set's box, so when along one axis
+some set's lowest coordinate exceeds another set's highest, the hulls share
+no point, and that axis with those two sets is the certificate.  Boxes that
+touch still go to the simplex.  A common point it finds is summed in
+integers: the first set's weights over one common denominator, dotted with
+its scaled integer coordinates, and divided once per coordinate.
 """
 
 from __future__ import annotations
@@ -92,7 +101,11 @@ def convex_hulls_common_point(point_sets):
     point sets, as (point, weights per set), or None.
 
     Unknowns are the convex weights of every set; the equations force each
-    weight block to sum to 1 and all barycenters to coincide.
+    weight block to sum to 1 and all barycenters to coincide.  Returns None
+    without pivoting when along some axis the sets' coordinate intervals
+    share no point; intervals that only touch are left to the simplex.  The
+    point is the first set's barycenter, summed in integers and divided once
+    per coordinate.
     """
     if not point_sets or any(not ps for ps in point_sets):
         raise InputError("need nonempty point sets")
@@ -103,7 +116,14 @@ def convex_hulls_common_point(point_sets):
 
     # Every equation is multiplied by one common denominator of the coordinates.
     scale = lcm(*(c.denominator for ps in sets for p in ps for c in p))
-    int_sets = [[_scaled(p, scale) for p in ps] for ps in sets]
+    # Per set, its scaled integer coordinates axis by axis.
+    axes = [list(zip(*(_scaled(p, scale) for p in ps))) for ps in sets]
+    # A common point lies in every set's bounding box: when the sets'
+    # intervals along some axis share no point, there is none.
+    for c in range(dim):
+        cols = [a[c] for a in axes]
+        if max(map(min, cols)) > min(map(max, cols)):
+            return None
     offsets, total = [], 0
     for ps in sets:
         offsets.append(total)
@@ -115,9 +135,9 @@ def convex_hulls_common_point(point_sets):
         row[offsets[s]:offsets[s] + len(ps)] = [scale] * len(ps)
         rows.append(row)
         rhs.append(scale)
-    first = list(zip(*int_sets[0]))
+    first = axes[0]
     for s in range(1, len(sets)):
-        for c, other in enumerate(zip(*int_sets[s])):
+        for c, other in enumerate(axes[s]):
             row = [0] * total
             row[:len(first[c])] = first[c]
             row[offsets[s]:offsets[s] + len(other)] = [-v for v in other]
@@ -128,6 +148,10 @@ def convex_hulls_common_point(point_sets):
     if x is None:
         return None
     weights = [x[offsets[s]:offsets[s] + len(ps)] for s, ps in enumerate(sets)]
-    point = tuple(sum(w * p[c] for w, p in zip(weights[0], sets[0]))
-                  for c in range(dim))
+    # The first set's barycenter in integers: weights times one common
+    # denominator, dotted with the scaled coordinates, divided once.
+    den = lcm(*(w.denominator for w in weights[0]))
+    ints = _scaled(weights[0], den)
+    point = tuple(Fraction(sum(w * v for w, v in zip(ints, col)), den * scale)
+                  for col in first)
     return point, weights

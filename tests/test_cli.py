@@ -294,6 +294,17 @@ def test_geometry_gale_and_hulls_agree(capsys, tmp_path):
     assert code == 1 and doc["value"] is False
 
 
+@pytest.mark.parametrize("sets, label", [("0,1;2", 0), ("1,2;9", 9)])
+def test_geometry_hulls_rejects_labels_outside_the_points(capsys, tmp_path, sets, label):
+    _, doc, _ = run(capsys, "geometry", "--op", "moment",
+                    "--params", "1,2,3,4,5,6,7", "--dim", "2")
+    pts = write(tmp_path, "m.json", doc)
+    code, doc, err = run(capsys, "geometry", "--op", "hulls",
+                         "--points", pts, "--sets", sets)
+    assert code == 2 and doc is None
+    assert err.startswith("input error: --sets label %d " % label), err
+
+
 def test_geometry_moment_and_stretched(capsys):
     code, doc, _ = run(capsys, "geometry", "--op", "moment",
                        "--params", "1,2,3", "--d", "1")

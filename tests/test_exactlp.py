@@ -260,8 +260,9 @@ def test_hulls_match_fraction_reference(point_sets):
                          for c in range(len(point))) == point
 
 
-def test_gale_pairs_match_fraction_reference():
-    pairs = 0
+def _gale_pairs():
+    """Disjoint (d+1)-subsets of moment points on d = 1, 2 and at most 8
+    parameters, each unordered pair once, as point-set pairs."""
     for d in (1, 2):
         r = d + 1
         for ground in range(2 * r, 9):
@@ -272,7 +273,37 @@ def test_gale_pairs_match_fraction_reference():
                 for b in itertools.combinations(rest, r):
                     if b < a:
                         continue
-                    sets = [config.subset(a), config.subset(b)]
-                    assert convex_hulls_common_point(sets) == _fraction_hulls_reference(sets)
-                    pairs += 1
+                    yield [config.subset(a), config.subset(b)]
+
+
+def test_gale_pairs_match_fraction_reference():
+    pairs = 0
+    for sets in _gale_pairs():
+        assert convex_hulls_common_point(sets) == _fraction_hulls_reference(sets)
+        pairs += 1
     assert pairs == 738
+
+
+def test_touching_boxes_still_solve():
+    # the boxes share only the point (1, 1), which both hulls contain
+    got = convex_hulls_common_point([[(0, 0), (1, 1)], [(1, 1), (2, 0)]])
+    assert got == ((Fraction(1), Fraction(1)), [[0, 1], [1, 0]])
+
+
+def test_separated_boxes_never_pivot(monkeypatch):
+    def no_pivoting(*args):
+        raise AssertionError("a box-separated family reached the simplex")
+    monkeypatch.setattr(exactlp, "_phase1", no_pivoting)
+    assert convex_hulls_common_point([[(0, 0), (1, 1)], [(Fraction(3, 2), 1), (2, 0)]]) is None
+
+
+def test_gale_pairs_refuted_by_boxes(monkeypatch):
+    # 162 of the 738 pairs have boxes that miss along some axis
+    phase1, calls = exactlp._phase1, []
+    def counted(*args):
+        calls.append(None)
+        return phase1(*args)
+    monkeypatch.setattr(exactlp, "_phase1", counted)
+    for sets in _gale_pairs():
+        convex_hulls_common_point(sets)
+    assert len(calls) == 576
