@@ -159,9 +159,9 @@ def cmd_geometry(args):
     if config is None:
         raise InputError("--op %s needs --points FILE" % args.op)
     if args.op == "hulls":
-        sets = _sets_arg(args.sets or "")
-        if not sets:
+        if args.sets is None:
             raise InputError("--op hulls needs --sets")
+        sets = _sets_arg(args.sets)
         n = len(config.points)
         outside = sorted(v for s in sets for v in s if not 1 <= v <= n)
         if outside:

@@ -31,16 +31,15 @@ from .splitting import Splitting, SplittingSpec, check_splitting
 from .solver import DEFAULT_NODE_BUDGET, SearchProblem, find_splitting
 
 
-def _split(big, partition, q, stability, budget):
-    """The solver's first almost fair splitting of `big`, read as a path in
-    traversal order, into q stability-stable sets, in the path's labels;
-    its search spends its nodes from the Budget `budget`."""
+def _split(big, partition, spec, budget):
+    """The solver's first splitting of `big`, read as a path in traversal
+    order, by the inner SplittingSpec `spec`, in the path's labels; its
+    search spends its nodes from the Budget `budget`."""
     ordered = sorted(big)
     pos = {v: i + 1 for i, v in enumerate(ordered)}
     sub_partition = VertexPartition(
         [[pos[v] for v in b if v in pos] for b in partition.blocks],
         len(ordered))
-    spec = SplittingSpec(q=q, flavor="almost_fair", stability=stability)
     out = find_splitting(SearchProblem(partition=sub_partition, spec=spec,
                                        graph=Graph(len(ordered), ()),
                                        budget=budget.left))
@@ -48,11 +47,11 @@ def _split(big, partition, q, stability, budget):
         raise ResourceBudget(
             "splitter (q=%d, s=%d) ran out of the %d nodes left of the "
             "construction's budget on the path on %d vertices"
-            % (q, stability, budget.left, len(ordered)))
+            % (spec.q, spec.stability, budget.left, len(ordered)))
     if out.status != "found":
         raise ContractError(
             "splitter (q=%d, s=%d) could not split the path on %d vertices: "
-            "%s" % (q, stability, len(ordered), out.status))
+            "%s" % (spec.q, spec.stability, len(ordered), out.status))
     budget.spend(out.nodes)
     return [tuple(ordered[i - 1] for i in piece) for piece in out.splitting.sets]
 
@@ -62,20 +61,25 @@ def compose(n, partition, levels, budget=DEFAULT_NODE_BUDGET):
     list of (q_i, s_i), build, and the certificate of its last level; all
     the solver runs together visit at most `budget` nodes, each drawing on
     what the runs before it left.  Its q is the product of the q_i and its
-    stability that of the s_i."""
+    stability that of the s_i.  Every level's specs are built, and so
+    checked, before the first search."""
     q = prod(qi for qi, _ in levels)
     if any(len(b) < q - 1 for b in partition.blocks):
         raise InputError("every block needs at least %d vertices, one fewer "
                          "than the %d sets" % (q - 1, q))
-    budget = Budget(budget, "construction node budget exceeded")
-    sets, q, stability = [range(1, n + 1)], 1, 1
-    for level, (qi, si) in enumerate(levels, 1):
-        if level == 1 or qi != 1:
-            sets = [piece for big in sets
-                    for piece in _split(big, partition, qi, si, budget)]
+    specs, q, stability = [], 1, 1
+    for qi, si in levels:
         q, stability = q * qi, stability * si
-        spec = SplittingSpec(q=q, flavor="almost_fair", stability=stability)
-        cert = check_splitting(Graph(n, ()), partition, Splitting(sets), spec)
+        specs.append((
+            SplittingSpec(q=qi, flavor="almost_fair", stability=si),
+            SplittingSpec(q=q, flavor="almost_fair", stability=stability)))
+    budget = Budget(budget, "construction node budget exceeded")
+    sets = [range(1, n + 1)]
+    for level, (inner, claim) in enumerate(specs, 1):
+        if level == 1 or inner.q != 1:
+            sets = [piece for big in sets
+                    for piece in _split(big, partition, inner, budget)]
+        cert = check_splitting(Graph(n, ()), partition, Splitting(sets), claim)
         if not cert.ok:
             raise ContractError("level %d violated its contract: %s"
                                 % (level, cert.to_json()))

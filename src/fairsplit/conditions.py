@@ -27,7 +27,10 @@ The six conditions:
 Each rule is coded once: neighborhood_values gives 2|N(v)| + |N2(v)| per
 vertex of an adjacency map, for worst_neighborhood and for path deletion
 (on the graph minus the path), and _is_disjoint_cliques is the clique test
-of both clique shapes, q = 2 included.
+of both clique shapes, q = 2 included.  The two path conditions are their
+gates and one predicate on the adjacency map left after deleting a path's
+edges; _path_condition evaluates both, testing a given path or searching
+for one.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ def is_prime_power(n):
         while n % p == 0:
             n //= p
         return n == 1
-    return False
 
 
 def neighborhood_values(adj):
@@ -149,41 +151,37 @@ def _search_simple_path(g: Graph, accept, budget):
     return None
 
 
-def _path_budget(budget):
-    """`budget`, a node count or a Budget that searches share, as a Budget."""
-    return (budget if isinstance(budget, Budget)
-            else Budget(budget, "simple-path search budget exceeded"))
-
-
-def _path_witness(g: Graph, accept, path, budget):
-    """The given path when deleting its edges satisfies `accept`, or with no
-    path given the first one the search finds, spending from `budget`;
-    None when there is none."""
-    if path is not None:
-        return list(path) if accept(_path_edge_set(g, list(path))) else None
-    return _search_simple_path(g, accept, _path_budget(budget))
-
-
-def path_deletion(g: Graph, partition: VertexPartition, q, path=None,
-                  budget=PATH_SEARCH_BUDGET):
-    """The fragment; its path search spends from `budget` (_path_budget)."""
-    gates = {
-        "prime_power": is_prime_power(q),
-        "blocks_ok": all(len(b) >= q - 1 for b in partition.blocks),
-        "size_ok": g.n >= (q - 1) * (partition.m + 2) + 1,
-    }
+def _path_condition(g: Graph, gates, holds, path, budget):
+    """{"ok", "path", **gates}; ok, once every gate passes, with the given
+    path or else the first one _search_simple_path finds from the Budget
+    `budget`, when deleting its edges leaves an adjacency map that holds."""
     out = {"ok": False, "path": None, **gates}
     if not all(gates.values()):
         return out
 
     def accept(removed):
-        return all(val < q for val, _ in
-                   neighborhood_values(_adjacency_minus(g, removed)))
+        return holds(_adjacency_minus(g, removed))
 
-    found = _path_witness(g, accept, path, budget)
+    if path is not None:
+        found = list(path) if accept(_path_edge_set(g, path)) else None
+    else:
+        found = _search_simple_path(g, accept, budget)
     if found is not None:
         out.update(ok=True, path=found)
     return out
+
+
+def path_deletion(g: Graph, partition: VertexPartition, q, path, budget):
+    """The fragment; see _path_condition for `path` and `budget`."""
+    gates = {
+        "prime_power": is_prime_power(q),
+        "blocks_ok": all(len(b) >= q - 1 for b in partition.blocks),
+        "size_ok": g.n >= (q - 1) * (partition.m + 2) + 1,
+    }
+    return _path_condition(g, gates,
+                           lambda adj: all(val < q for val, _ in
+                                           neighborhood_values(adj)),
+                           path, budget)
 
 
 def _components(adj):
@@ -217,7 +215,7 @@ def _is_disjoint_cliques(adj, size):
 def cliques_plus_isolated_shape(g: Graph, q):
     """Disjoint union of n >= 1 cliques of size q-1 and one isolated vertex."""
     out = {"ok": False, "n": None, "prime": is_prime(q)}
-    n, rem = divmod(g.n - 1, q - 1) if q >= 2 else (0, 1)
+    n, rem = divmod(g.n - 1, q - 1)
     # n cliques of size q-1 hold n * C(q-1, 2) edges, which leaves exactly
     # one vertex isolated (for q = 2 the cliques are isolated vertices too)
     if (rem == 0 and n >= 1 and len(g.edges) == n * (q - 1) * (q - 2) // 2
@@ -243,26 +241,20 @@ def long_path_shape(g: Graph, q, n):
 
 
 def path_union_cliques_shape(g: Graph, partition: VertexPartition, q,
-                             path=None, budget=PATH_SEARCH_BUDGET):
+                             path, budget):
     """Edge-disjoint union of a simple path and pairwise vertex-disjoint
     cliques of size q-1, on (q-1)n + 1 vertices with n >= m+1; prime q;
-    blocks of size >= q-1.  The path search spends as in path_deletion."""
-    n, rem = divmod(g.n - 1, q - 1) if q >= 2 else (0, 1)
+    blocks of size >= q-1.  `path` and `budget` as in path_deletion."""
+    n, rem = divmod(g.n - 1, q - 1)
     gates = {
         "prime": is_prime(q),
         "blocks_ok": all(len(b) >= q - 1 for b in partition.blocks),
         "count_ok": rem == 0 and n >= partition.m + 1,
     }
-    out = {"ok": False, "path": None, "n": n if rem == 0 else None, **gates}
-    if not all(gates.values()):
-        return out
-
-    def accept(removed):
-        return _is_disjoint_cliques(_adjacency_minus(g, removed), q - 1)
-
-    found = _path_witness(g, accept, path, budget)
-    if found is not None:
-        out.update(ok=True, path=found)
+    out = _path_condition(g, gates,
+                          lambda adj: _is_disjoint_cliques(adj, q - 1),
+                          path, budget)
+    out["n"] = n if rem == 0 else None
     return out
 
 
@@ -315,7 +307,7 @@ def check_conditions(g: Graph, partition: VertexPartition, q, n=None,
         if not all(1 <= v <= g.n for v in path):
             raise InputError("path vertices must lie in 1..%d" % g.n)
         _path_edge_set(g, path)  # a bad path is refused whatever the gates
-    budget = _path_budget(budget)
+    budget = Budget(budget, "simple-path search budget exceeded")
     deletion = path_deletion(g, partition, q, path, budget)
     union = path_union_cliques_shape(g, partition, q, path, budget)
     frags = {

@@ -111,9 +111,8 @@ class ConstraintMapInstance:
             raise InputError("need 1 <= t <= q")
         if self.k < min(self.t, 2):
             raise InputError("need k >= min(t, 2)")
+        # so n = qk - t >= 1: at least q - 1 for t = 1, and q for k >= 2
         n = self.n
-        if n < 1:
-            raise InputError("ground set would be empty")
         if self.vertex_order is None:
             object.__setattr__(self, "vertex_order", tuple(range(n)))
         else:

@@ -4,7 +4,8 @@ No command of the package needs them, so they live with the tests: complex
 constructions (simplices, skeleta, joins, cones), their face enumeration and
 the face test, the scalar constraint-map rule the vectorised one is checked
 against, the parameter triples and vertex orders the constraint-map tests
-sweep, and small graph and splitting helpers.
+sweep, and small graph and splitting helpers, the path conditions' default
+Budget among them.
 """
 
 import itertools
@@ -12,7 +13,8 @@ import random
 from itertools import combinations
 
 from fairsplit.complexes import FACE_BUDGET, SimplicialComplex
-from fairsplit.errors import InputError, ResourceBudget
+from fairsplit.conditions import PATH_SEARCH_BUDGET
+from fairsplit.errors import Budget, InputError, ResourceBudget
 from fairsplit.graphs import Graph
 
 # ---------------------------------------------------------------------------
@@ -168,6 +170,11 @@ def second_neighborhood(g: Graph, v):
     out.discard(v)
     out -= g.adj[v]
     return out
+
+
+def path_budget():
+    """The Budget check_conditions gives the path conditions by default."""
+    return Budget(PATH_SEARCH_BUDGET, "simple-path search budget exceeded")
 
 
 def covered(s):

@@ -35,7 +35,7 @@ from fairsplit.splitting import SplittingSpec, check_splitting
 from fairsplit.suite import run_suite, six_cycle_instance, two_triangles_instance
 
 from brute import brute_verdict
-from shared import random_vertex_orders, valid_parameter_triples
+from shared import path_budget, random_vertex_orders, valid_parameter_triples
 
 
 @contextlib.contextmanager
@@ -216,34 +216,37 @@ def test_07_sparseness_hypotheses_imply_splittings(capsys):
                 if min(sizes) < 1:
                     continue
                 part = consecutive_partition(sizes)
-                if path_deletion(path_graph(n), part, 2)["ok"]:
+                if path_deletion(path_graph(n), part, 2, None,
+                                 path_budget())["ok"]:
                     split_cases.append((path_graph(n), part, 2))
 
         # q = 3: a cycle minus a spanning path is a single edge
         for n in range(9, 15):
             for sizes in ([n], [4, n - 4]):
                 part = consecutive_partition(sizes)
-                if path_deletion(cycle_graph(n), part, 3)["ok"]:
+                if path_deletion(cycle_graph(n), part, 3, None,
+                                 path_budget())["ok"]:
                     split_cases.append((cycle_graph(n), part, 3))
 
         # q = 3: matchings pass with nothing deleted
         for n in range(11, 15):
             part = consecutive_partition([5, n - 5])
-            if path_deletion(matching_graph(n), part, 3)["ok"]:
+            if path_deletion(matching_graph(n), part, 3, None,
+                             path_budget())["ok"]:
                 split_cases.append((matching_graph(n), part, 3))
 
         # q = 4 needs 13+ vertices for two blocks
         for n in (13, 14):
             for g in (path_graph(n), cycle_graph(n), matching_graph(n)):
                 part = consecutive_partition([6, n - 6])
-                if path_deletion(g, part, 4)["ok"]:
+                if path_deletion(g, part, 4, None, path_budget())["ok"]:
                     split_cases.append((g, part, 4))
 
         # path plus vertex-disjoint edges, q = 3 prime
         for cliques in (3, 4, 5, 6):
             g = path_union_cliques(cliques, 3)
             part = consecutive_partition([g.n])
-            if path_union_cliques_shape(g, part, 3)["ok"]:
+            if path_union_cliques_shape(g, part, 3, None, path_budget())["ok"]:
                 split_cases.append((g, part, 3))
 
         transversal_cases = []

@@ -305,6 +305,24 @@ def test_geometry_hulls_rejects_labels_outside_the_points(capsys, tmp_path, sets
     assert err.startswith("input error: --sets label %d " % label), err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--family", "path", "--n", "2", "--blocks", "1,x"],
+     "cannot parse --blocks '1,x'; want comma-separated integers"),
+    (["geometry", "--op", "moment"], "--op moment needs --params"),
+    (["geometry", "--op", "stretched"], "--op stretched needs --n"),
+    (["geometry", "--op", "gale", "--sets", "1,3"],
+     "--op gale needs --sets with exactly two sets"),
+    (["geometry", "--op", "sgp"], "--op sgp needs --points FILE"),
+    (["geometry", "--op", "hulls", "--points", "POINTS"],
+     "--op hulls needs --sets")])
+def test_missing_or_malformed_flags_are_input_errors(capsys, tmp_path, argv,
+                                                     message):
+    pts = line_points(tmp_path, "p3.json", [1, 2, 3])
+    code, doc, err = run(capsys, *[pts if a == "POINTS" else a for a in argv])
+    assert code == 2 and doc is None
+    assert err == "input error: %s\n" % message
+
+
 def test_geometry_moment_and_stretched(capsys):
     code, doc, _ = run(capsys, "geometry", "--op", "moment",
                        "--params", "1,2,3", "--d", "1")
@@ -661,6 +679,23 @@ def test_compose_zero_stability_is_an_input_error(capsys, flags):
                          "--q2", "2", *flags)
     assert code == 2 and doc is None
     assert "stability must be >= 1" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--q1", "2", "--q2", "0", "--s1", "3"], "q must be positive"),
+    (["--q1", "2", "--q2", "0"], "q must be positive"),
+    (["--q1", "2", "--q2", "-1", "--s1", "3"], "q must be positive"),
+    (["--q1", "2", "--q2", "2", "--s1", "3", "--s2", "0"],
+     "stability must be >= 1")])
+def test_compose_checks_every_level_before_the_first_search(capsys, argv,
+                                                            message):
+    # level 1 of (2, 3) cannot split the path on 6 vertices and (2, 2) can;
+    # a bad later level is an input error either way, and no search runs
+    with mock.patch.object(compose_module, "find_splitting",
+                           side_effect=AssertionError("searched")):
+        code, doc, err = run(capsys, "compose", "--n", "6", *argv)
+    assert code == 2 and doc is None
+    assert err == "input error: %s\n" % message
 
 
 def test_compose_omitted_stability_defaults_to_q(capsys):

@@ -15,7 +15,7 @@ from fairsplit.graphs import (Graph, VertexPartition, cliques_plus_isolated,
                               matching_graph, path_graph, path_union_cliques,
                               power_path)
 
-from shared import relabel, second_neighborhood
+from shared import path_budget, relabel, second_neighborhood
 
 
 def relabel_partition(part, perm):
@@ -137,7 +137,7 @@ def test_path_deletion_on_path():
     # deleting the whole 13-path leaves an edgeless graph: bound holds for q=4
     g = path_graph(13)
     part = consecutive_partition([6, 7])
-    got = path_deletion(g, part, 4)
+    got = path_deletion(g, part, 4, None, path_budget())
     assert got["ok"]
     # deleting 1..12 leaves the lone edge (12, 13), whose ends see 2 < 4
     assert got["path"] == list(range(1, 13))
@@ -146,42 +146,46 @@ def test_path_deletion_on_path():
 def test_path_deletion_empty_path_when_bound_already_holds():
     g = matching_graph(13)
     part = consecutive_partition([6, 7])
-    got = path_deletion(g, part, 4)
+    got = path_deletion(g, part, 4, None, path_budget())
     assert got["ok"] and got["path"] == []
 
 
 def test_path_deletion_gates():
     g = path_graph(13)
     # q = 6 is not a prime power
-    got = path_deletion(g, consecutive_partition([6, 7]), 6)
+    got = path_deletion(g, consecutive_partition([6, 7]), 6, None,
+                        path_budget())
     assert not got["ok"] and not got["prime_power"]
     # a block smaller than q - 1
-    got = path_deletion(g, consecutive_partition([2, 11]), 4)
+    got = path_deletion(g, consecutive_partition([2, 11]), 4, None,
+                        path_budget())
     assert not got["ok"] and not got["blocks_ok"]
     # too few vertices: need (q-1)(m+2) + 1 = 13
-    got = path_deletion(path_graph(9), consecutive_partition([9]), 4)
+    got = path_deletion(path_graph(9), consecutive_partition([9]), 4, None,
+                        path_budget())
     assert not got["ok"] and not got["size_ok"]
 
 
 def test_path_deletion_supplied_path():
     g = path_graph(13)
     part = consecutive_partition([6, 7])
-    got = path_deletion(g, part, 4, path=list(range(1, 14)))
+    got = path_deletion(g, part, 4, list(range(1, 14)), path_budget())
     assert got["ok"]
     # a path that deletes too little
-    got = path_deletion(g, part, 4, path=[1, 2])
+    got = path_deletion(g, part, 4, [1, 2], path_budget())
     assert not got["ok"]
     with pytest.raises(InputError):
-        path_deletion(g, part, 4, path=[1, 3])  # non-edge
+        path_deletion(g, part, 4, [1, 3], path_budget())  # non-edge
     with pytest.raises(InputError):
-        path_deletion(g, part, 4, path=[1, 2, 1])  # repeat
+        path_deletion(g, part, 4, [1, 2, 1], path_budget())  # repeat
 
 
 def test_path_deletion_budget():
     g = cycle_graph(13)
     part = consecutive_partition([6, 7])
     with pytest.raises(ResourceBudget):
-        path_deletion(g, part, 4, budget=3)
+        path_deletion(g, part, 4, None,
+                      Budget(3, "simple-path search budget exceeded"))
 
 
 def _search_simple_path_recursive(g, accept):
@@ -276,7 +280,7 @@ def test_long_path_shape():
 def test_path_union_cliques_shape():
     g = path_union_cliques(3, 3)  # 7 vertices, path + three 2-cliques
     part = consecutive_partition([3, 4])
-    got = path_union_cliques_shape(g, part, 3)
+    got = path_union_cliques_shape(g, part, 3, None, path_budget())
     assert got["ok"]
     removed = set()
     path = got["path"]
@@ -290,20 +294,23 @@ def test_path_union_cliques_shape():
 def test_path_union_cliques_q2_is_hamiltonicity():
     g = path_graph(5)
     part = consecutive_partition([5])
-    got = path_union_cliques_shape(g, part, 2)
+    got = path_union_cliques_shape(g, part, 2, None, path_budget())
     assert got["ok"] and got["path"] == [1, 2, 3, 4, 5]
-    assert not path_union_cliques_shape(cycle_graph(5), part, 2)["ok"]
+    assert not path_union_cliques_shape(cycle_graph(5), part, 2, None,
+                                        path_budget())["ok"]
 
 
 def test_path_union_cliques_gates():
     g = path_union_cliques(3, 3)
     part = consecutive_partition([3, 4])
-    got = path_union_cliques_shape(g, part, 4)
+    got = path_union_cliques_shape(g, part, 4, None, path_budget())
     assert not got["ok"] and not got["count_ok"]  # 6 % 3 != 0
-    got = path_union_cliques_shape(g, consecutive_partition([1, 6]), 3)
+    got = path_union_cliques_shape(g, consecutive_partition([1, 6]), 3, None,
+                                   path_budget())
     assert not got["blocks_ok"]
     # n >= m + 1 fails when the partition has too many blocks
-    got = path_union_cliques_shape(g, consecutive_partition([3, 2, 2]), 3)
+    got = path_union_cliques_shape(g, consecutive_partition([3, 2, 2]), 3,
+                                   None, path_budget())
     assert not got["count_ok"]
 
 
@@ -361,7 +368,8 @@ def test_shape_checks_are_label_invariant():
         rng.shuffle(images)
         perm = {v: images[v - 1] for v in range(1, g.n + 1)}
         hp = relabel_partition(part, perm)
-        assert path_union_cliques_shape(relabel(g, perm), hp, 3)["ok"]
+        assert path_union_cliques_shape(relabel(g, perm), hp, 3, None,
+                                        path_budget())["ok"]
         assert cliques_plus_isolated_shape(
             relabel(cliques_plus_isolated(3, 3), perm), 3)["ok"]
         assert long_path_shape(relabel(path_graph(7), perm), 4, 2)["ok"]

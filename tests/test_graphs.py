@@ -1,11 +1,14 @@
 import pytest
 
+from fairsplit.complexes import SimplicialComplex
 from fairsplit.errors import InputError, ResourceBudget
 from fairsplit.graphs import (Graph, VertexPartition, cliques_plus_isolated,
                               consecutive_partition, cycle_graph,
                               generate_family, is_independent,
                               matching_graph, path_graph, path_union_cliques,
                               power_path, single_block_partition)
+
+from fairsplit.serial import complex_load
 
 from shared import relabel, second_neighborhood
 
@@ -149,3 +152,17 @@ def test_is_independent():
     assert is_independent(g, [1, 3])
     assert not is_independent(g, [1, 2])
     assert is_independent(g, [])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Graph(-1, []), "vertex count must be nonnegative"),
+    (lambda: consecutive_partition([2, 0]), "block sizes must be positive"),
+    (lambda: power_path(3, -1), "radius must be nonnegative"),
+    (lambda: cliques_plus_isolated(0, 3), "need n >= 1 and q >= 2"),
+    (lambda: SimplicialComplex([(1, 2)], vertices=[1]),
+     "facets mention vertices outside the vertex set"),
+    (lambda: complex_load({"schema": "complex/1", "facets": {"1": [1]}}),
+     "complex needs a list of facets")])
+def test_malformed_constructions_are_input_errors(build, message):
+    with pytest.raises(InputError, match="^%s$" % message):
+        build()
