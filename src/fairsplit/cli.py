@@ -17,7 +17,7 @@ from .complexes import FACE_BUDGET
 from .conditions import PATH_SEARCH_BUDGET, check_conditions
 from .constraint_map import ConstraintMapInstance, verify_both
 from .errors import ContractError, InputError, ResourceBudget, check_size
-from .geometry import (TVERBERG_BUDGET, gale_alternating, hulls_intersect,
+from .geometry import (GEOMETRY_BUDGET, gale_alternating, hulls_intersect,
                        moment_points, stretched_moment_points,
                        strong_general_position_check, tverberg_search)
 from .graphs import (FAMILIES, consecutive_partition, generate_family,
@@ -177,16 +177,15 @@ def cmd_geometry(args):
                "witness": None if witness is None else
                [sorted(s) for s in witness]}
         return (0 if ok else 1), doc
-    if args.op == "tverberg":
-        got = tverberg_search(config, args.q, target_dim=args.target_dim,
-                              budget=args.budget)
-        if got is None:
-            return 1, {"schema": "tverberg/1", "parts": None, "point": None}
-        parts, point = got
-        return 0, {"schema": "tverberg/1",
-                   "parts": [sorted(p) for p in parts],
-                   "point": [[c.numerator, c.denominator] for c in point]}
-    raise InputError("unknown geometry op %r" % args.op)
+    # --op tverberg, the last of the choices argparse allows
+    got = tverberg_search(config, args.q, target_dim=args.target_dim,
+                          budget=args.budget)
+    if got is None:
+        return 1, {"schema": "tverberg/1", "parts": None, "point": None}
+    parts, point = got
+    return 0, {"schema": "tverberg/1",
+               "parts": [sorted(p) for p in parts],
+               "point": [[c.numerator, c.denominator] for c in point]}
 
 
 def cmd_phi_check(args):
@@ -306,7 +305,7 @@ def build_parser():
     ge.add_argument("--sets", help="semicolon-separated label sets: 1,3;2,4")
     ge.add_argument("--q", type=int, default=2)
     ge.add_argument("--target-dim", type=int, dest="target_dim")
-    _add_budget_flag(ge, TVERBERG_BUDGET)
+    _add_budget_flag(ge, GEOMETRY_BUDGET)
     ge.set_defaults(fn=cmd_geometry)
 
     ph = sub.add_parser("phi-check", help="verify the constraint map's zero "

@@ -30,7 +30,8 @@ vertex of an adjacency map, for worst_neighborhood and for path deletion
 of both clique shapes, q = 2 included.  The two path conditions are their
 gates and one predicate on the adjacency map left after deleting a path's
 edges; _path_condition evaluates both, testing a given path or searching
-for one.
+for one.  It copies the graph's adjacency map once, and the search deletes
+and restores one edge of that copy as its DFS extends and backtracks.
 """
 
 from __future__ import annotations
@@ -95,15 +96,6 @@ def neighborhood_bound(g: Graph, q, n):
             "worst_vertex": arg, "degree_ok": degree_ok, "size_ok": size_ok}
 
 
-def _adjacency_minus(g: Graph, removed):
-    """g's adjacency sets with the edge set `removed` deleted."""
-    adj = {v: set(g.adj[v]) for v in g.vertices}
-    for u, w in removed:
-        adj[u].discard(w)
-        adj[w].discard(u)
-    return adj
-
-
 def _path_edge_set(g: Graph, path):
     """Validate a vertex sequence as a simple path of g; return its edges."""
     if len(set(path)) != len(path):
@@ -116,21 +108,24 @@ def _path_edge_set(g: Graph, path):
     return edges
 
 
-def _search_simple_path(g: Graph, accept, budget):
+def _search_simple_path(adj, holds, budget):
     """First simple path (as a vertex list, [] = delete nothing) whose edge
-    deletion satisfies `accept`, None if none exists.  Deterministic order:
-    empty path, then DFS by ascending labels; reversals are skipped.  The
-    DFS keeps one neighbour iterator per path vertex on an explicit stack,
-    and each path it goes on to extend spends one node of `budget`."""
-    if accept(set()):
+    deletion leaves the adjacency map `adj` satisfying `holds`, None if none
+    exists.  Deterministic order: empty path, then DFS by ascending labels;
+    reversals are skipped.  The DFS keeps one neighbour iterator per path
+    vertex on an explicit stack, and each path it goes on to extend spends
+    one node of `budget`.  It deletes edge (last, w) from `adj` as it extends
+    the path to w and restores it as it backtracks, so `holds` only reads the
+    map; on return the map is left edited."""
+    if holds(adj):
         return []
 
     def neighbours(v):
         budget.spend()
-        return iter(sorted(g.adj[v]))
+        return iter(sorted(adj[v]))
 
-    for v in sorted(g.vertices):
-        path, used, edges = [v], {v}, set()
+    for v in sorted(adj):
+        path, used = [v], {v}
         stack = [neighbours(v)]
         while stack:
             w = next((w for w in stack[-1] if w not in used), None)
@@ -140,12 +135,14 @@ def _search_simple_path(g: Graph, accept, budget):
                 path.pop()
                 if path:
                     used.discard(last)
-                    edges.discard((min(path[-1], last), max(path[-1], last)))
+                    adj[path[-1]].add(last)
+                    adj[last].add(path[-1])
                 continue
             path.append(w)
             used.add(w)
-            edges.add((min(last, w), max(last, w)))
-            if path[0] < w and accept(edges):
+            adj[last].discard(w)
+            adj[w].discard(last)
+            if path[0] < w and holds(adj):
                 return list(path)
             stack.append(neighbours(w))
     return None
@@ -158,14 +155,14 @@ def _path_condition(g: Graph, gates, holds, path, budget):
     out = {"ok": False, "path": None, **gates}
     if not all(gates.values()):
         return out
-
-    def accept(removed):
-        return holds(_adjacency_minus(g, removed))
-
+    adj = {v: set(nb) for v, nb in g.adj.items()}
     if path is not None:
-        found = list(path) if accept(_path_edge_set(g, path)) else None
+        for u, w in _path_edge_set(g, path):
+            adj[u].discard(w)
+            adj[w].discard(u)
+        found = list(path) if holds(adj) else None
     else:
-        found = _search_simple_path(g, accept, budget)
+        found = _search_simple_path(adj, holds, budget)
     if found is not None:
         out.update(ok=True, path=found)
     return out

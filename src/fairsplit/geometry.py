@@ -14,8 +14,7 @@ from math import comb
 from .errors import Budget, InputError, ResourceBudget, check_size
 from .exactlp import convex_hulls_common_point
 
-SGP_FAMILY_BUDGET = 200_000
-TVERBERG_BUDGET = 500_000
+GEOMETRY_BUDGET = 500_000
 
 
 @dataclass
@@ -183,7 +182,7 @@ def _disjoint_families(n_points, q, max_total, min_total=0):
         i += 1
 
 
-def strong_general_position_check(config, q, budget=SGP_FAMILY_BUDGET):
+def strong_general_position_check(config, q, budget=GEOMETRY_BUDGET):
     """True iff every family of q pairwise disjoint nonempty subsets with at
     most (q-1)(D+1) points in total has empty common hull intersection.
 
@@ -206,7 +205,7 @@ def strong_general_position_check(config, q, budget=SGP_FAMILY_BUDGET):
     return True, None
 
 
-def tverberg_search(config, q, target_dim=None, budget=TVERBERG_BUDGET):
+def tverberg_search(config, q, target_dim=None, budget=GEOMETRY_BUDGET):
     """First partition of all the labels into q nonempty parts whose convex
     hulls share a point, as (parts, common_point); None when no partition
     works, at once when there are fewer labels than parts."""

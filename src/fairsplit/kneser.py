@@ -291,9 +291,8 @@ def chromatic_number(h: Hypergraph, budget=CHI_NODE_BUDGET):
         lb = 2
         precolored = [(h.edges[0][0], 1)]
     budget = Budget(budget, "coloring node budget exceeded")
-    for c in range(lb, nv + 1):
-        pre = [(v, col) for v, col in precolored if col <= c]
-        witness = _colorable(h, c, pre, budget)
+    for c in range(lb, nv + 1):  # every precolored color is at most lb
+        witness = _colorable(h, c, precolored, budget)
         if witness is not None:
             if not is_proper(h, witness):  # a fault of the search, not a verdict
                 raise AssertionError("witness coloring is not proper")

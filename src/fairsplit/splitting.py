@@ -74,9 +74,7 @@ def required_min(flavor, block_size, q):
         return fair_quota(block_size, q)
     if flavor == "almost_fair":
         return almost_fair_quota(block_size, q)
-    if flavor == "transversal":
-        return 1
-    raise InputError("unknown flavor %r" % (flavor,))
+    return 1  # transversal; SplittingSpec allows no other flavor
 
 
 def leftover_cap(flavor, q):

@@ -9,6 +9,7 @@ import tempfile
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
 from pathlib import Path
 from unittest import mock
 
@@ -25,7 +26,7 @@ import fairsplit.serial as serial
 from fairsplit.cli import build_parser, main
 from fairsplit.complexes import FACE_BUDGET, independence_complex
 from fairsplit.errors import INSTANCE_VERTEX_LIMIT, MEMORY_LIMIT
-from fairsplit.graphs import VertexPartition, cycle_graph
+from fairsplit.graphs import FAMILIES, VertexPartition, cycle_graph
 from fairsplit.splitting import Splitting, SplittingSpec, check_splitting
 from fairsplit.suite import _entry_constraint_map
 
@@ -225,9 +226,9 @@ def test_check_conditions_searches_share_one_budget(capsys, tmp_path):
     nodes = []
     search = conditions._search_simple_path
 
-    def counted(g, accept, budget):
+    def counted(adj, holds, budget):
         left = budget.left
-        found = search(g, accept, budget)
+        found = search(adj, holds, budget)
         nodes.append(left - budget.left)
         return found
 
@@ -292,6 +293,39 @@ def test_geometry_gale_and_hulls_agree(capsys, tmp_path):
     code, doc, _ = run(capsys, "geometry", "--op", "hulls",
                        "--points", pts, "--sets", "1,2;3,4")
     assert code == 1 and doc["value"] is False
+
+
+@pytest.mark.parametrize("argv, code, want", [
+    # moment points 1..4 in R^1: five nonempty disjoint parts do not exist
+    (["geometry", "--op", "sgp", "--q", "5"], 0,
+     {"value": True, "witness": None}),
+    (["geometry", "--op", "tverberg", "--q", "5"], 1, {"parts": None}),
+    (["geometry", "--op", "hulls", "--sets", "1,2;"], 2,
+     "input error: need nonempty point sets"),
+    (["geometry", "--op", "gale", "--sets", ";"], 1, {"value": False}),
+    # the 1-vertex path: the geometric leaf refuses the empty set
+    (["solve", "--q", "2", "--points"], 1,
+     {"status": "exhausted_none", "nodes": 2}),
+    (["check-conditions", "--q", "5"], 1,
+     {"conditions/long_path_shape/is_path": True}),
+])
+def test_small_edge_cases_exit_as_documented(capsys, tmp_path, argv, code, want):
+    # want: the start of stderr, or values at "/"-separated document paths
+    if argv[0] != "geometry":
+        single = write(tmp_path, "p1.json", {
+            "schema": "instance/1", "n": 1, "edges": [], "partition": [[1]]})
+        argv = argv[:1] + ["--input", single] + argv[1:]
+        if argv[-1] == "--points":
+            argv.append(line_points(tmp_path, "one.json", [1]))
+    elif argv[2] != "gale":
+        argv = argv + ["--points", line_points(tmp_path, "line.json", [1, 2, 3, 4])]
+    got, doc, err = run(capsys, *argv)
+    assert got == code, err
+    if isinstance(want, str):
+        assert doc is None and err.startswith(want), err
+    else:
+        assert {k: reduce(dict.__getitem__, k.split("/"), doc)
+                for k in want} == want
 
 
 @pytest.mark.parametrize("sets, label", [("0,1;2", 0), ("1,2;9", 9)])
@@ -1178,11 +1212,58 @@ def _points_text(rng, n):
     return json.dumps({"schema": "points/1", "dim": dim, "points": pts})
 
 
-def _cli_run(rng):
-    """(n or None, {file name: contents}, argv naming those files)."""
+def _budget(rng, top):
+    """--budget, small enough that every drawn search ends quickly."""
+    return ["--budget", str(_mostly(rng, rng.randint(0, top), 20))]
+
+
+def _int_flag(rng, flag, low, high):
+    return [flag, str(_mostly(rng, rng.randint(low, high), 20))]
+
+
+def _sets_text(rng, n):
+    """Mostly two semicolon-separated label lists, labels just around 1..n."""
+    def label():
+        return rng.randint(1, max(n, 1)) if rng.randrange(10) else n + 1
+
+    return ";".join(",".join(str(label()) for _ in range(rng.randint(0, 3)))
+                    for _ in range(rng.choice([1, 2, 2, 2, 3])))
+
+
+def _blocks_flag(rng, n):
+    """Consecutive block sizes, mostly summing to n."""
+    if rng.random() < 0.5:
+        return []
+    sizes, left = [], n
+    while left > 0:
+        sizes.append(rng.randint(1, left))
+        left -= sizes[-1]
+    if rng.randrange(8) == 0 or not sizes:
+        sizes.append(rng.randint(-1, 2))
+    return ["--blocks", ",".join(map(str, sizes))]
+
+
+def _dimension_flags(rng):
+    """Mostly exactly one of --d and --dim."""
+    both = _int_flag(rng, "--d", 1, 2) + _int_flag(rng, "--dim", 1, 3)
+    return rng.choice([[], both[:2], both[:2], both[2:], both[2:], both])
+
+
+def _complex_text(rng):
+    facets = [sorted(rng.sample(range(1, 7), rng.randint(0, 4)))
+              for _ in range(rng.randint(0, 5))]
+    if facets and rng.randrange(10) == 0:
+        facets[0] = rng.choice([[1, 1], ["a", 2], [True], 3, [2.5]])
+    doc = {"schema": _mostly(rng, "complex/1"), "facets": _mostly(rng, facets)}
+    if rng.randrange(4) == 0:
+        doc["vertices"] = _mostly(rng, list(range(1, rng.randint(1, 8))))
+    return json.dumps(doc)
+
+
+def _spec_run(rng, command):
+    """solve or verify on a drawn instance, with the splitting spec flags."""
     n, m, text = _instance(rng)
     files = {"instance.json": text}
-    command = rng.choice(["solve", "verify"])
     argv = [command, "--input", "instance.json"]
     if command == "solve":
         argv += ["--q", str(_mostly(rng, rng.choice([1, 2, 2, 3, 3, 4]), 20)),
@@ -1204,7 +1285,138 @@ def _cli_run(rng):
     return n, files, argv
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+def _check_conditions_run(rng):
+    n, _, text = _instance(rng)
+    argv = (["check-conditions", "--input", "instance.json"]
+            + _int_flag(rng, "--q", 2, 5) + _budget(rng, 3000))
+    if rng.random() < 0.3:
+        argv += _int_flag(rng, "--n", 1, 6)
+    if rng.random() < 0.25:
+        argv.append("--path=" + ",".join(str(rng.randint(0, (n or 0) + 1))
+                                         for _ in range(rng.randint(0, 4))))
+    return n, {"instance.json": text}, argv
+
+
+def _geometry_run(rng):
+    op = _mostly(rng, rng.choice(["moment", "stretched", "hulls", "gale",
+                                  "sgp", "tverberg"]))
+    argv, files = ["geometry", "--op", str(op)], {}
+    if op == "moment":
+        params = sorted(rng.sample(range(-4, 9), rng.randint(0, 6)))
+        if rng.randrange(6) == 0:
+            rng.shuffle(params)
+        argv += ["--params=" + ",".join(map(str, params))] + _dimension_flags(rng)
+    elif op == "stretched":
+        argv += (_int_flag(rng, "--n", 1, 6) + _int_flag(rng, "--base", 2, 4)
+                 + _dimension_flags(rng))
+    elif op == "gale":
+        argv += ["--sets=" + _sets_text(rng, 8)]
+    elif op in ("hulls", "sgp", "tverberg"):
+        n = rng.randint(0, 7)
+        if rng.randrange(10):
+            files["points.json"] = _points_text(rng, n)
+            argv += ["--points", "points.json"]
+        if op == "hulls":
+            if rng.randrange(10):
+                argv += ["--sets=" + _sets_text(rng, n)]
+        else:
+            argv += _int_flag(rng, "--q", 1, 4) + _budget(rng, 200)
+            if op == "tverberg" and rng.random() < 0.3:
+                argv += _int_flag(rng, "--target-dim", 0, 3)
+    return None, files, argv
+
+
+def _phi_check_run(rng):
+    q = rng.randint(2, 4)
+    t = rng.randint(1, q)
+    k = rng.randint(min(t, 2), 3)
+    argv = ["phi-check", "--q", str(_mostly(rng, q)), "--k", str(_mostly(rng, k)),
+            "--t", str(_mostly(rng, t))] + _budget(rng, 5000)
+    if rng.random() < 0.3:
+        order = list(range(max(q * k - t, 0)))
+        rng.shuffle(order)
+        if order and rng.randrange(4) == 0:
+            order[0] = rng.choice([order[-1], len(order), -1])
+        argv.append("--order=" + ",".join(map(str, order)))
+    return None, {}, argv
+
+
+def _compose_run(rng):
+    n = rng.randint(0, 16)
+    argv = ["compose", "--n", str(_mostly(rng, n))] + _blocks_flag(rng, n)
+    form = rng.choice(["t", "t", "levels", "levels", "levels", "none"])
+    if form == "t":
+        argv += _int_flag(rng, "--t", 1, 3)
+    elif form == "levels":
+        argv += _int_flag(rng, "--q1", 1, 3) + _int_flag(rng, "--q2", 1, 3)
+        for flag in ("--s1", "--s2"):
+            if rng.random() < 0.5:
+                argv += _int_flag(rng, flag, 1, 3)
+    return None, {}, argv + _budget(rng, 20_000)
+
+
+def _kneser_chi_run(rng):
+    argv = (["kneser-chi"] + _int_flag(rng, "--n", 1, 9) + _int_flag(rng, "--k", 0, 3)
+            + _int_flag(rng, "--q", 2, 4) + _budget(rng, 20_000))
+    if rng.random() < 0.6:
+        argv += ["--stability", _mostly(rng, rng.choice(["none", "path", "cycle"]))]
+    return None, {}, [str(a) for a in argv]
+
+
+def _kneser_split_run(rng):
+    n = rng.randint(0, 12)
+    argv = (["kneser-split", "--n", str(_mostly(rng, n))] + _blocks_flag(rng, n)
+            + _int_flag(rng, "--q", 2, 4) + _budget(rng, 20_000))
+    return None, {}, argv
+
+
+def _generate_run(rng):
+    n = rng.choice([rng.randint(0, 40), INSTANCE_VERTEX_LIMIT + 1])
+    argv = ["generate", "--family", _mostly(rng, rng.choice(sorted(FAMILIES))),
+            "--n", str(_mostly(rng, n))] + _blocks_flag(rng, n)
+    for flag in ("--q", "--r"):
+        if rng.random() < 0.5:
+            argv += _int_flag(rng, flag, 0, 4)
+    return None, {}, [str(a) for a in argv]
+
+
+def _homology_run(rng):
+    argv = ["homology", "--input", "complex.json"]
+    if rng.random() < 0.3:
+        argv += _int_flag(rng, "--max-dim", -1, 3)
+    return None, {"complex.json": _complex_text(rng)}, argv
+
+
+def _suite_run(rng):
+    return None, {}, ["suite"] + (["--budget", "3"] if rng.randrange(8) == 0 else [])
+
+
+# every subcommand with its drawing weight; the suite takes no input, so a
+# few draws of it are enough
+_CLI_RUNS = {
+    "generate": (2, _generate_run),
+    "solve": (4, lambda rng: _spec_run(rng, "solve")),
+    "verify": (3, lambda rng: _spec_run(rng, "verify")),
+    "check-conditions": (3, _check_conditions_run),
+    "geometry": (3, _geometry_run),
+    "phi-check": (2, _phi_check_run),
+    "compose": (2, _compose_run),
+    "kneser-chi": (2, _kneser_chi_run),
+    "kneser-split": (2, _kneser_split_run),
+    "homology": (2, _homology_run),
+    "suite": (1, _suite_run),
+}
+
+
+def _cli_run(rng):
+    """(n or None, {file name: contents}, argv naming those files); n is the
+    vertex count of a drawn instance file."""
+    names = list(_CLI_RUNS)
+    command, = rng.choices(names, [_CLI_RUNS[c][0] for c in names])
+    return _CLI_RUNS[command][1](rng)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_cli_fuzz_exits_0_to_3(seed):
     # one drawn seed drives every choice, so the malformed cases stay rare
@@ -1233,11 +1445,28 @@ def test_cli_fuzz_exits_0_to_3(seed):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == ""
+    elif err.getvalue().startswith("falsification: "):
+        # a construction that broke its contract (compose) prints no document
+        assert code == 1 and out.getvalue() == ""
     elif code != 3 or out.getvalue():  # a search cut by its budget reports it
         assert json.loads(out.getvalue())
     if n is not None and n > INSTANCE_VERTEX_LIMIT:
         # the instance is read first, so only a flag argparse refuses comes earlier
         assert code == 3 or "error: argument" in err.getvalue()
+
+
+def test_cli_fuzz_draws_every_subcommand(monkeypatch):
+    # the fuzzer's own draws, each answered at once by a stand-in for main
+    drawn = set()
+
+    def record(argv):
+        drawn.add(argv[0])
+        return 3
+
+    monkeypatch.setattr(sys.modules[__name__], "main", record)
+    test_cli_fuzz_exits_0_to_3()
+    parser = build_parser()
+    assert drawn == set(parser._subparsers._group_actions[0].choices)
 
 
 def test_every_spec_flag_combination_exits_0_to_3(capsys, tmp_path, cycle6):

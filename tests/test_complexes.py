@@ -188,6 +188,10 @@ def test_void_vs_empty():
     assert faces(empty) == {frozenset()}
 
 
+def test_independence_complex_of_the_empty_graph_is_the_empty_complex():
+    assert independence_complex(Graph(0, [])) == SimplicialComplex([()])
+
+
 def test_faces_and_f_vector():
     k = full_simplex([1, 2, 3])
     assert face_count(k) == 8  # includes the empty face

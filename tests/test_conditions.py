@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from fairsplit.conditions import (_adjacency_minus, _is_disjoint_cliques,
-                                  _search_simple_path, check_conditions,
+from fairsplit.conditions import (_is_disjoint_cliques, _search_simple_path,
+                                  check_conditions,
                                   cliques_plus_isolated_shape,
                                   is_prime, is_prime_power, long_path_shape,
                                   neighborhood_bound, neighborhood_values,
@@ -56,7 +56,7 @@ def test_neighborhood_values_match_second_neighborhood_reference():
         rest = Graph(g.n, g.edges - removed)
         want = [(2 * rest.degree(v) + len(second_neighborhood(rest, v)), v)
                 for v in rest.vertices]
-        assert list(neighborhood_values(_adjacency_minus(g, removed))) == want
+        assert list(neighborhood_values(rest.adj)) == want
         # the first vertex of largest value, as the loop it replaced chose
         worst, arg = -1, None
         for val, v in want:
@@ -222,6 +222,10 @@ def _search_simple_path_recursive(g, accept):
     return None, counter[0]
 
 
+def _copy_adj(g):
+    return {v: set(nb) for v, nb in g.adj.items()}
+
+
 def test_simple_path_search_matches_recursive_reference():
     rng = random.Random(6)
     for trial in range(60):
@@ -237,16 +241,21 @@ def test_simple_path_search_matches_recursive_reference():
             log.append(frozenset(removed))
             return removed and hash((salt, tuple(sorted(removed)))) % 7 == 0
 
+        def holds(adj, g=g, accept=accept):
+            # the edge set the edited map lacks, as the reference passes it
+            return accept({e for e in g.edges if e[1] not in adj[e[0]]})
+
         want, nodes = _search_simple_path_recursive(g, accept)
         calls = list(seen)
         seen.clear()
         budget = Budget(max(nodes, 1), "path")
-        got = _search_simple_path(g, accept, budget)
+        got = _search_simple_path(_copy_adj(g), holds, budget)
         assert (got, max(nodes, 1) - budget.left) == (want, nodes), trial
         assert seen == calls, trial  # same edge sets, in the same order
         if nodes:
             with pytest.raises(ResourceBudget, match="^path$"):
-                _search_simple_path(g, accept, Budget(nodes - 1, "path"))
+                _search_simple_path(_copy_adj(g), holds,
+                                    Budget(nodes - 1, "path"))
 
 
 def test_cliques_plus_isolated_shape():
