@@ -77,8 +77,7 @@ def _spec_from_args(args, q):
     flavor = {"fair": "fair", "almost": "almost_fair",
               "transversal": "transversal"}[args.flavor]
     return SplittingSpec(q=q, flavor=flavor, balanced=args.balanced,
-                         stability=args.stability,
-                         weak_stability=q if args.weak else None)
+                         stability=args.stability, weak=args.weak)
 
 
 def _add_spec_flags(p):

@@ -44,30 +44,29 @@ from .graphs import Graph, VertexPartition
 PATH_SEARCH_BUDGET = 2_000_000
 
 
-def is_prime(n):
-    if n < 2:
-        return False
+def _least_prime_factor(n):
+    """The least prime factor of n >= 2, by trial division."""
     if n % 2 == 0:
-        return n == 2
+        return 2
     f = 3
     while f * f <= n:
         if n % f == 0:
-            return False
+            return f
         f += 2
-    return True
+    return n
+
+
+def is_prime(n):
+    return n >= 2 and _least_prime_factor(n) == n
 
 
 def is_prime_power(n):
     if n < 2:
         return False
-    for p in range(2, n + 1):
-        if p * p > n:
-            return is_prime(n)
-        if n % p:
-            continue
-        while n % p == 0:
-            n //= p
-        return n == 1
+    p = _least_prime_factor(n)
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 def neighborhood_values(adj):
@@ -225,13 +224,11 @@ def long_path_shape(g: Graph, q, n):
     """A simple path on exactly (q-1)n + 1 vertices; prime power q >= 4."""
     out = {"ok": False, "prime_power_ge4": q >= 4 and is_prime_power(q),
            "size_ok": n >= 1 and g.n == (q - 1) * n + 1}
-    degs = sorted(g.degree(v) for v in g.vertices)
-    if g.n == 1:
-        shape = not g.edges
-    else:
-        shape = (len(g.edges) == g.n - 1
-                 and degs[:2] == [1, 1] and all(d == 2 for d in degs[2:])
-                 and len(_components(g.adj)) == 1)
+    # a connected graph with n - 1 edges is a tree, and a tree whose degrees
+    # are at most 2 is a path
+    shape = (len(g.edges) == g.n - 1
+             and all(len(nb) <= 2 for nb in g.adj.values())
+             and len(_components(g.adj)) == 1)
     out["is_path"] = shape
     out["ok"] = shape and out["prime_power_ge4"] and out["size_ok"]
     return out

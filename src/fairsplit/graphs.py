@@ -39,9 +39,6 @@ class Graph:
     def has_edge(self, u, v):
         return (min(u, v), max(u, v)) in self.edges
 
-    def degree(self, v):
-        return len(self.adj[v])
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 

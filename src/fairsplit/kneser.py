@@ -34,7 +34,8 @@ from itertools import accumulate, combinations
 from .errors import (Budget, ContractError, InputError, ResourceBudget,
                      check_size)
 from .graphs import Graph, VertexPartition
-from .splitting import Splitting, SplittingSpec, check_splitting, is_q_stable
+from .splitting import (Splitting, SplittingSpec, almost_fair_quota,
+                        check_splitting, is_q_stable)
 from .solver import DEFAULT_NODE_BUDGET, SearchProblem, find_splitting
 
 VERTEX_BUDGET = 200000
@@ -317,7 +318,7 @@ def _mono_edge_search(padded_partition, q, budget):
     the padded block V'_j has q*k_j - 1 vertices.  The search runs on the
     edgeless graph: q-stability already keeps apart every pair that the
     (q-1)-th power of the path joins."""
-    caps = [(len(b) + 1) // q - 1 for b in padded_partition.blocks]
+    caps = [almost_fair_quota(len(b), q) for b in padded_partition.blocks]
     if not any(caps):
         return [tuple() for _ in range(q)]
     g = Graph(len(padded_partition.ground), ())

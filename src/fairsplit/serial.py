@@ -3,7 +3,7 @@ point configurations.
 
 Every document carries a "schema" field.  Output is canonical: keys sorted,
 two-space indents, no timestamps, so identical inputs produce byte-identical
-bytes across runs and thread counts.  canonical_dumps writes those bytes with
+bytes across runs.  canonical_dumps writes those bytes with
 its own small encoder; they equal json.dumps(obj, sort_keys=True, indent=2)
 plus a newline.
 """

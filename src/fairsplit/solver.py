@@ -145,7 +145,7 @@ class _Ctx:
         self.unused_cap = leftover_cap(spec.flavor, q)
         self.caps = p.caps
         self.balanced = spec.balanced
-        self.weak = spec.weak_stability
+        self.weak = spec.weak
         self.points = p.points
         # kill[d]: the later positions a set holding position d must skip;
         # touch[d]: the blocks of those positions, where that step can starve a set
@@ -189,7 +189,7 @@ def _leaf(ctx, choice):
     sets = [tuple(m) for m in members]
     if ctx.balanced and max(map(len, sets)) - min(map(len, sets)) > 1:
         return None
-    if ctx.weak is not None and is_weakly_q_stable(sets, ctx.weak) is not True:
+    if ctx.weak and is_weakly_q_stable(sets, ctx.q) is not True:
         return None
     hull = None
     if ctx.points is not None:
@@ -202,9 +202,9 @@ def _leaf(ctx, choice):
 
 
 def _search(problem, limit):
-    """Returns (status, solutions, nodes): status is found | none | budget,
-    solutions the first `limit` (or fewer) in search order, and nodes the
-    visited nodes, root included, never more than the budget."""
+    """Returns (status, solutions, nodes): status is found | exhausted_none |
+    budget_exceeded, solutions the first `limit` (or fewer) in search order,
+    and nodes the visited nodes, root included, never more than the budget."""
     ctx = _Ctx(problem)
     q, n = ctx.q, ctx.n
     mins, caps, block_of, block_mask = ctx.mins, ctx.caps, ctx.block_of, ctx.block_mask
@@ -223,7 +223,7 @@ def _search(problem, limit):
     saved_cand = [0] * n     # candidate mask of the set extended at each depth
     solutions = []
     if budget < 1:
-        return "budget", solutions, 0
+        return "budget_exceeded", solutions, 0
     nodes, d = 1, 0
     while True:
         if d == n:
@@ -321,10 +321,10 @@ def _search(problem, limit):
             if starved:
                 continue
         if nodes == budget:
-            return "budget", solutions, nodes
+            return "budget_exceeded", solutions, nodes
         nodes += 1
         d += 1
-    return ("found" if solutions else "none"), solutions, nodes
+    return ("found" if solutions else "exhausted_none"), solutions, nodes
 
 
 def _certified(problem, sets, hull, nodes):
@@ -333,29 +333,28 @@ def _certified(problem, sets, hull, nodes):
     within its cap, and each set's weights are nonnegative, sum to 1 and
     average its points to the point, exactly.  A failure is a fault of the
     search, not a verdict."""
-    cert = check_splitting(problem.graph, problem.partition, sets, problem.spec)
+    splitting = Splitting(sets)
+    cert = check_splitting(problem.graph, problem.partition, splitting, problem.spec)
     ok = cert.ok and (problem.caps is None or all(
         c <= cap for row in cert.counts for c, cap in zip(row, problem.caps)))
     point = None
     if hull is not None:
         point, weights = hull
-        for s, w in zip(sets, weights):
+        for s, w in zip(splitting.sets, weights):
             pts = problem.points.subset(s)
             ok = ok and min(w) >= 0 and sum(w) == 1 and all(
                 sum(x * p[c] for x, p in zip(w, pts)) == y for c, y in enumerate(point))
     if not ok:
         # the CLI reports it as internal (exit 4)
         raise AssertionError("search produced a splitting its own certificate rejects")
-    return SearchOutcome("found", Splitting(sets), cert, nodes, point)
+    return SearchOutcome("found", splitting, cert, nodes, point)
 
 
 def find_splitting(problem: SearchProblem) -> SearchOutcome:
     status, solutions, nodes = _search(problem, 1)
     if status == "found":
         return _certified(problem, *solutions[0], nodes)
-    if status == "budget":
-        return SearchOutcome("budget_exceeded", None, None, nodes)
-    return SearchOutcome("exhausted_none", None, None, nodes)
+    return SearchOutcome(status, None, None, nodes)
 
 
 def enumerate_splittings(problem: SearchProblem, limit) -> list:
@@ -364,6 +363,6 @@ def enumerate_splittings(problem: SearchProblem, limit) -> list:
     if limit == 0:
         return []
     status, solutions, nodes = _search(problem, limit)
-    if status == "budget":
+    if status == "budget_exceeded":
         raise ResourceBudget("node budget hit after %d splittings" % len(solutions))
     return [_certified(problem, sets, hull, nodes) for sets, hull in solutions]

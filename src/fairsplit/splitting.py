@@ -14,7 +14,9 @@ subsets of a path's vertex order are exactly its independent sets).  A family
 is weakly w-stable when, after order-preserving relabeling of its union onto
 1..(w-1)N+1, every window of w consecutive labels starting at 1 mod (w-1)
 meets every member exactly once; the test is three-valued because the union
-size can rule the relabeling out before anything is checked.
+size can rule the relabeling out before anything is checked.  Each window
+holds w labels of the union, one per member, so a weakly w-stable family of
+disjoint sets has exactly w members: the spec's `weak` flag tests at w = q.
 
 The certificate (`check_splitting`) costs time linear in the members of the
 family: one pass through the partition's label -> block map gives the
@@ -35,7 +37,7 @@ class SplittingSpec:
     flavor: str = "almost_fair"  # "fair" | "almost_fair" | "transversal"
     balanced: bool = False
     stability: int = 1
-    weak_stability: int | None = None
+    weak: bool = False
 
     def __post_init__(self):
         if self.q < 1:
@@ -44,7 +46,7 @@ class SplittingSpec:
             raise InputError("unknown flavor %r" % (self.flavor,))
         if self.stability < 1:
             raise InputError("stability must be >= 1")
-        if self.weak_stability is not None and self.weak_stability < 2:
+        if self.weak and self.q < 2:
             raise InputError("weak stability parameter must be >= 2")
 
 
@@ -151,11 +153,11 @@ def check_splitting(g, partition, splitting, spec):
     only on structurally impossible input (wrong q, vertices outside 1..n).
     One pass over the members gives the counts, leftovers and disjointness
     (see the module docstring)."""
-    sets = splitting.sets if isinstance(splitting, Splitting) else [tuple(s) for s in splitting]
+    sets = splitting.sets
     n = g.n
-    for s in sets:
-        if s and (min(s) < 1 or max(s) > n):
-            v = next(v for v in sorted(s) if not 1 <= v <= n)
+    for s in sets:  # sorted, so the ends bound the labels
+        if s and (s[0] < 1 or s[-1] > n):
+            v = next(v for v in s if not 1 <= v <= n)
             raise InputError("vertex %d outside 1..%d" % (v, n))
     q = spec.q
     if len(sets) != q:
@@ -166,24 +168,17 @@ def check_splitting(g, partition, splitting, spec):
     m = len(sizes_of_blocks)
     counts = []
     hit = [0] * m          # distinct covered labels per block
-    holder = {}            # label -> the last set seen holding it
-    disjoint_ok = True
-    for i, s in enumerate(sets):
+    seen = set()           # the labels of the sets before this one
+    for s in sets:
         row = [0] * m
         for v in s:
-            last = holder.get(v)
-            if last == i:
-                disjoint_ok = False  # repeated inside this set: counted once
-                continue
-            holder[v] = i
             j = index.get(v)
-            if last is not None:
-                disjoint_ok = False  # shared with an earlier set
-            elif j is not None:
-                hit[j] += 1
             if j is not None:
                 row[j] += 1
+                if v not in seen:
+                    hit[j] += 1
         counts.append(row)
+        seen.update(s)
 
     mins = [required_min(spec.flavor, size, q) for size in sizes_of_blocks]
     leftover = [size - h for size, h in zip(sizes_of_blocks, hit)]
@@ -193,16 +188,15 @@ def check_splitting(g, partition, splitting, spec):
         q=q, flavor=spec.flavor, counts=counts, mins=mins,
         quota_ok=all(c >= lo for row in counts for c, lo in zip(row, mins)),
         independence_ok=[is_independent(g, s) for s in sets],
-        disjoint_ok=disjoint_ok,
+        disjoint_ok=len(seen) == sum(sizes),
         leftover=leftover,
         leftover_ok=cap is None or all(x <= cap for x in leftover),
         sizes=sizes,
         balanced_ok=(max(sizes) - min(sizes) <= 1) if spec.balanced else None,
         stability_ok=[is_q_stable(s, spec.stability) for s in sets],
-        weak_verdict=(None if spec.weak_stability is None
-                      else is_weakly_q_stable(sets, spec.weak_stability)))
+        weak_verdict=is_weakly_q_stable(sets, q) if spec.weak else None)
     cert.ok = (cert.disjoint_ok and all(cert.independence_ok) and cert.quota_ok
                and cert.leftover_ok and all(cert.stability_ok)
                and (cert.balanced_ok is not False)
-               and (spec.weak_stability is None or cert.weak_verdict is True))
+               and (not spec.weak or cert.weak_verdict is True))
     return cert

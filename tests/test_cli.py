@@ -30,7 +30,8 @@ from fairsplit.graphs import FAMILIES, VertexPartition, cycle_graph
 from fairsplit.splitting import Splitting, SplittingSpec, check_splitting
 from fairsplit.suite import _entry_constraint_map
 
-from shared import all_faces, is_constrained_face
+from brute import brute_verdict
+from shared import all_faces, fraction_hulls_reference, is_constrained_face
 
 
 def run(capsys, *argv):
@@ -98,6 +99,17 @@ def test_transversal_solve_honours_spec_flags(capsys, tmp_path):
         code, doc, _ = run(capsys, *solve, "--weak", *caps)
         assert code == 0 and doc["certificate"]["ok"] is True
         assert doc["certificate"]["weak_verdict"] is True
+
+
+def test_weak_needs_q_at_least_2(capsys, tmp_path):
+    # --weak tests weak q-stability at the spec's own q, which one set cannot have
+    inst = write(tmp_path, "p3.json", {"schema": "instance/1", "n": 3,
+                                       "edges": [[1, 2], [2, 3]], "partition": [[1, 2, 3]]})
+    one = write(tmp_path, "one.json", {"schema": "splitting/1", "sets": [[1, 3]]})
+    for argv in (["solve", "--input", inst, "--q", "1", "--weak"],
+                 ["verify", "--input", inst, "--splitting", one, "--weak"]):
+        assert run(capsys, *argv) == (
+            2, None, "input error: weak stability parameter must be >= 2\n")
 
 
 def test_solve_refuted(capsys, tmp_path):
@@ -1129,10 +1141,12 @@ def test_json_booleans_are_not_integers(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# fuzzing: whatever the documents and flags, solve and verify exit 0-3
+# fuzzing: whatever the documents and flags, every command exits 0-3, and
+# an exit 1 that a reference can re-check is a refutation there too
 
 
 _JUNK = [-1, 0, True, False, None, "7", 2.5, [], {}]
+BRUTE_VERTEX_LIMIT = 8  # the largest instance an exit 1 of solve is re-checked on
 
 
 def _mostly(rng, good, one_in=30):
@@ -1140,8 +1154,9 @@ def _mostly(rng, good, one_in=30):
     return rng.choice(_JUNK) if rng.randrange(one_in) == 0 else good
 
 
-def _instance(rng):
-    """(n or None, the number of blocks, the instance file's text or bytes)."""
+def _instance(rng, top=30):
+    """(n or None, the number of blocks, the instance file's text or bytes);
+    a drawn document has at most `top` vertices."""
     kind = rng.choice(["doc"] * 16 + ["huge", "text", "bytes", "deep"])
     if kind == "text":
         # cut off, a wrong top level, or a number too long to convert
@@ -1157,7 +1172,7 @@ def _instance(rng):
         n = INSTANCE_VERTEX_LIMIT + rng.randint(1, 3)
         return n, 1, json.dumps({"schema": "instance/1", "n": n, "edges": [[1, 2]],
                                  "partition": [[1, 2]]})
-    n = rng.randint(0, 30)
+    n = rng.randint(0, top)
     p = rng.uniform(0, 0.3)
     edges = [[u, v] for u in range(1, n + 1) for v in range(u + 1, n + 1)
              if rng.random() < p]
@@ -1261,14 +1276,17 @@ def _complex_text(rng):
 
 
 def _spec_run(rng, command):
-    """solve or verify on a drawn instance, with the splitting spec flags."""
-    n, m, text = _instance(rng)
+    """solve or verify on a drawn instance, with the splitting spec flags;
+    half the solves are small and plain (no --points or --caps), so that the
+    brute-force oracle can re-check their exit 1."""
+    small = command == "solve" and rng.random() < 0.5
+    n, m, text = _instance(rng, BRUTE_VERTEX_LIMIT if small else 30)
     files = {"instance.json": text}
     argv = [command, "--input", "instance.json"]
     if command == "solve":
         argv += ["--q", str(_mostly(rng, rng.choice([1, 2, 2, 3, 3, 4]), 20)),
                  "--budget", str(_mostly(rng, rng.randint(0, 10_000), 20))]
-        if rng.randrange(8) == 0:
+        if not small and rng.randrange(8) == 0:
             if rng.randrange(5):
                 files["points.json"] = _points_text(rng, n or 0)
                 argv += ["--points", "points.json"]
@@ -1278,7 +1296,7 @@ def _spec_run(rng, command):
     argv += ["--flavor", rng.choice(["fair", "almost", "transversal"]),
              "--stability", str(_mostly(rng, rng.randint(1, 3), 20))]
     argv += [flag for flag in ("--balanced", "--weak") if rng.random() < 0.5]
-    if command == "solve" and rng.random() < 0.5:
+    if command == "solve" and not small and rng.random() < 0.5:
         caps = [rng.randint(0, 4) if rng.randrange(20) else -1
                 for _ in range(m if rng.randrange(6) else rng.randint(1, 4))]
         argv.append("--caps=" + ",".join(map(str, caps)))
@@ -1298,7 +1316,8 @@ def _check_conditions_run(rng):
 
 
 def _geometry_run(rng):
-    op = _mostly(rng, rng.choice(["moment", "stretched", "hulls", "gale",
+    # hulls twice: the Fraction-row reference re-checks its exit 1
+    op = _mostly(rng, rng.choice(["moment", "stretched", "hulls", "hulls", "gale",
                                   "sgp", "tverberg"]))
     argv, files = ["geometry", "--op", str(op)], {}
     if op == "moment":
@@ -1317,7 +1336,14 @@ def _geometry_run(rng):
             files["points.json"] = _points_text(rng, n)
             argv += ["--points", "points.json"]
         if op == "hulls":
-            if rng.randrange(10):
+            if n >= 2 and rng.random() < 0.5:
+                # two disjoint sets: their hulls miss often enough that the
+                # reference re-checks exit 1
+                labels = rng.sample(range(1, n + 1), rng.randint(2, n))
+                cut = rng.randint(1, len(labels) - 1)
+                argv.append("--sets=%s;%s" % (",".join(map(str, labels[:cut])),
+                                              ",".join(map(str, labels[cut:]))))
+            elif rng.randrange(10):
                 argv += ["--sets=" + _sets_text(rng, n)]
         else:
             argv += _int_flag(rng, "--q", 1, 4) + _budget(rng, 200)
@@ -1416,6 +1442,26 @@ def _cli_run(rng):
     return _CLI_RUNS[command][1](rng)
 
 
+def _assert_reference_refutes(files, argv):
+    """An exit 1 re-checked by code that shares no search with the command:
+    solve without --points or --caps on at most BRUTE_VERTEX_LIMIT vertices
+    by the brute-force oracle, and geometry --op hulls by the Fraction-row
+    LP reference."""
+    args = build_parser().parse_args(argv)
+    if args.command == "solve" and args.points is None and args.caps is None:
+        g, part = serial.instance_load(files["instance.json"])
+        if g.n <= BRUTE_VERTEX_LIMIT:
+            flavor = {"almost": "almost_fair"}.get(args.flavor, args.flavor)
+            spec = SplittingSpec(q=args.q, flavor=flavor, balanced=args.balanced,
+                                 stability=args.stability, weak=args.weak)
+            assert not brute_verdict(g, part, spec), argv
+    elif args.command == "geometry" and args.op == "hulls":
+        config = serial.points_load(files["points.json"])
+        sets = [sorted({int(v) for v in part.split(",") if v.strip()})
+                for part in args.sets.split(";")]
+        assert fraction_hulls_reference([config.subset(s) for s in sets]) is None, argv
+
+
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_cli_fuzz_exits_0_to_3(seed):
@@ -1453,6 +1499,8 @@ def test_cli_fuzz_exits_0_to_3(seed):
     if n is not None and n > INSTANCE_VERTEX_LIMIT:
         # the instance is read first, so only a flag argparse refuses comes earlier
         assert code == 3 or "error: argument" in err.getvalue()
+    if code == 1:
+        _assert_reference_refutes(files, argv)
 
 
 def test_cli_fuzz_draws_every_subcommand(monkeypatch):

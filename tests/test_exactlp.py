@@ -6,123 +6,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairsplit import exactlp, geometry, solver
-from fairsplit.errors import InputError
 from fairsplit.exactlp import convex_hulls_common_point
 from fairsplit.geometry import moment_points
 
-
-def _frac_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+from shared import frac_rows, fraction_hulls_reference, fraction_simplex_reference
 
 
 def feasible_nonneg_solution(a_rows, b):
     """Some x >= 0 with Ax = b, or None: exactlp's phase 1 on the system
     scaled to integers by one common denominator (needs a row)."""
-    a_rows = _frac_rows(a_rows)
+    a_rows = frac_rows(a_rows)
     b = [Fraction(x) for x in b]
     scale = lcm(*(x.denominator for row in a_rows for x in row),
                 *(x.denominator for x in b))
     return exactlp._phase1([exactlp._scaled(row, scale) for row in a_rows],
                            exactlp._scaled(b, scale), scale)
-
-
-def _fraction_simplex_reference(a_rows, b):
-    """Some x >= 0 with Ax = b, or None if the system is infeasible."""
-    a_rows = _frac_rows(a_rows)
-    b = [Fraction(x) for x in b]
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    if any(len(r) != n for r in a_rows):
-        raise InputError("ragged constraint matrix")
-    if len(b) != m:
-        raise InputError("rhs length mismatch")
-    if m == 0:
-        return [Fraction(0)] * n
-
-    # Tableau rows: original columns, artificial identity, rhs; b >= 0.
-    rows = []
-    for i in range(m):
-        row = list(a_rows[i]) + [Fraction(0)] * m + [b[i]]
-        if b[i] < 0:
-            row = [-x for x in row]
-        row[n + i] = Fraction(1)
-        rows.append(row)
-    basis = [n + i for i in range(m)]
-
-    # Reduced costs for minimizing the artificial sum; artificials start at 0.
-    cost = [Fraction(0)] * (n + m + 1)
-    for row in rows:
-        for j in range(n + m + 1):
-            cost[j] -= row[j]
-    for i in range(m):
-        cost[n + i] = Fraction(0)
-
-    while True:
-        enter = next((j for j in range(n + m) if cost[j] < 0), None)
-        if enter is None:
-            break
-        leave, best = None, None
-        for i in range(m):
-            if rows[i][enter] > 0:
-                ratio = rows[i][-1] / rows[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
-        if leave is None:
-            raise AssertionError("phase-1 objective cannot be unbounded")
-        piv = rows[leave][enter]
-        rows[leave] = [x / piv for x in rows[leave]]
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, rows[leave])]
-        basis[leave] = enter
-
-    if -cost[-1] != 0:  # optimal artificial sum is -cost[-1]
-        return None
-    x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = rows[i][-1]
-    return x
-
-
-def _fraction_hulls_reference(point_sets):
-    """The Fraction-row construction of convex_hulls_common_point, solved by
-    the reference simplex."""
-    sets = [[tuple(Fraction(c) for c in p) for p in ps] for ps in point_sets]
-    dim = len(sets[0][0])
-    offsets, total = [], 0
-    for ps in sets:
-        offsets.append(total)
-        total += len(ps)
-
-    rows, rhs = [], []
-    for s, ps in enumerate(sets):
-        row = [Fraction(0)] * total
-        for i in range(len(ps)):
-            row[offsets[s] + i] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1))
-    for s in range(1, len(sets)):
-        for c in range(dim):
-            row = [Fraction(0)] * total
-            for i, p in enumerate(sets[0]):
-                row[offsets[0] + i] += p[c]
-            for i, p in enumerate(sets[s]):
-                row[offsets[s] + i] -= p[c]
-            rows.append(row)
-            rhs.append(Fraction(0))
-
-    x = _fraction_simplex_reference(rows, rhs)
-    if x is None:
-        return None
-    weights = [x[offsets[s]:offsets[s] + len(ps)] for s, ps in enumerate(sets)]
-    point = tuple(sum(w * p[c] for w, p in zip(weights[0], sets[0]))
-                  for c in range(dim))
-    return point, weights
 
 
 def test_simple_feasible_system():
@@ -233,7 +131,7 @@ def _systems(draw):
 def test_matches_fraction_reference(system):
     rows, b = system
     x = feasible_nonneg_solution(rows, b)
-    assert x == _fraction_simplex_reference(rows, b)
+    assert x == fraction_simplex_reference(rows, b)
     if x is not None:
         assert all(type(v) is Fraction and v >= 0 for v in x)
         assert all(sum(a * v for a, v in zip(row, x)) == bi for row, bi in zip(rows, b))
@@ -251,7 +149,7 @@ def _point_sets(draw):
 @given(_point_sets())
 def test_hulls_match_fraction_reference(point_sets):
     got = convex_hulls_common_point(point_sets)
-    assert got == _fraction_hulls_reference(point_sets)
+    assert got == fraction_hulls_reference(point_sets)
     if got is not None:
         point, weights = got
         for ps, w in zip(point_sets, weights):
@@ -279,7 +177,7 @@ def _gale_pairs():
 def test_gale_pairs_match_fraction_reference():
     pairs = 0
     for sets in _gale_pairs():
-        assert convex_hulls_common_point(sets) == _fraction_hulls_reference(sets)
+        assert convex_hulls_common_point(sets) == fraction_hulls_reference(sets)
         pairs += 1
     assert pairs == 738
 

@@ -19,7 +19,7 @@ def neighbors(g, v):
 
 def degree_profile(g):
     """Per vertex: (|N(v)|, |N^2(v)|) with N^2 the distance-two neighborhood."""
-    return {v: (g.degree(v), len(second_neighborhood(g, v))) for v in g.vertices}
+    return {v: (len(g.adj[v]), len(second_neighborhood(g, v))) for v in g.vertices}
 
 
 def test_graph_basics():
@@ -27,7 +27,7 @@ def test_graph_basics():
     assert g.n == 4
     assert g.has_edge(2, 1)
     assert not g.has_edge(1, 3)
-    assert g.degree(2) == 2
+    assert len(g.adj[2]) == 2
     assert neighbors(g, 4) == set()
 
 
@@ -72,7 +72,7 @@ def test_cliques_plus_isolated_shape():
     g = cliques_plus_isolated(2, 4)  # two triangles + isolated = 7 vertices
     assert g.n == 7
     assert len(g.edges) == 6
-    assert g.degree(7) == 0
+    assert len(g.adj[7]) == 0
 
 
 def test_path_union_cliques_counts():

@@ -14,7 +14,7 @@ from fairsplit.graphs import (Graph, VertexPartition, cycle_graph, is_independen
                               matching_graph, path_graph, single_block_partition)
 from fairsplit.solver import (SearchProblem, _Ctx, _leaf, _search,
                              enumerate_splittings, find_splitting)
-from fairsplit.splitting import SplittingSpec, check_splitting
+from fairsplit.splitting import Splitting, SplittingSpec, check_splitting
 
 # ---------------------------------------------------------------------------
 # brute-force oracle: enumerate every family of q disjoint candidate sets by
@@ -44,7 +44,7 @@ def _brute_families(g, partition, spec, caps=None, first_only=False):
                 for j, block in enumerate(partition.blocks):
                     if len([v for v in s if v in block]) > caps[j]:
                         return False
-        if not check_splitting(g, partition, list(sets), spec).ok:
+        if not check_splitting(g, partition, Splitting(sets), spec).ok:
             return False
         found.add(tuple(sorted(sets)))
         return True
@@ -231,7 +231,7 @@ def test_witness_survives_set_reordering():
     spec = SplittingSpec(q=2, flavor="almost_fair", balanced=True)
     out = find_splitting(SearchProblem(partition=part, spec=spec, graph=g))
     swapped = list(reversed(out.splitting.sets))
-    assert check_splitting(g, part, swapped, spec).ok
+    assert check_splitting(g, part, Splitting(swapped), spec).ok
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +498,8 @@ def _reference_starved(cand, counts, blocks, mins, block_mask):
 def _search_reference(problem, limit):
     """The search loop as it was before the per-node work was inlined.
 
-    Returns (status, solutions, nodes): status is found | none | budget,
-    solutions the first `limit` (or fewer) in search order, and nodes the
+    Returns (status, solutions, nodes): status is found | exhausted_none |
+    budget_exceeded, solutions the first `limit` (or fewer) in search order, and nodes the
     visited nodes, root included, never more than the budget."""
     ctx = _Ctx(problem)
     q, n = ctx.q, ctx.n
@@ -518,7 +518,7 @@ def _search_reference(problem, limit):
     saved = [None] * n       # candidate mask of the set extended at each depth
     solutions = []
     if problem.budget < 1:
-        return "budget", solutions, 0
+        return "budget_exceeded", solutions, 0
     nodes, d = 1, 0
     while True:
         if d == n:
@@ -590,21 +590,22 @@ def _search_reference(problem, limit):
             if deficit[j] > rem_after[d] or _reference_starved(cand[c], cnt, touch[d], mins, block_mask):
                 continue  # pruned: the next pass undoes choice[d] and tries the one after
         if nodes == problem.budget:
-            return "budget", solutions, nodes
+            return "budget_exceeded", solutions, nodes
         nodes += 1
         d += 1
-    return ("found" if solutions else "none"), solutions, nodes
+    return ("found" if solutions else "exhausted_none"), solutions, nodes
 
 
 def _random_search_problem(rng):
     n = max(rng.randint(1, 12), rng.randint(1, 12))  # most cases near the top
     g = _random_graph(n, rng.uniform(0, 0.5), rng)
     part = _random_partition(n, rng.randint(1, min(4, n)), rng)
-    spec = SplittingSpec(q=rng.choice([1, 2, 2, 3, 3, 4]),
+    q = rng.choice([1, 2, 2, 3, 3, 4])
+    spec = SplittingSpec(q=q,
                          flavor=rng.choice(["fair", "almost_fair", "transversal"]),
                          balanced=rng.random() < 0.4,
                          stability=rng.choice([1, 1, 2, 3]),
-                         weak_stability=rng.choice([None, None, None, 2, 3]))
+                         weak=rng.random() < 0.4 and q >= 2)
     caps = None
     if rng.random() < 0.3:
         caps = [rng.randint(0, 3) for _ in part.blocks]
@@ -632,4 +633,4 @@ def test_two_short_sets_cut_the_branch_at_once():
     part = VertexPartition([(1, 2), (3, 4, 5)], 5)
     problem = SearchProblem(partition=part, spec=SplittingSpec(q=2, flavor="fair"),
                             graph=g)
-    assert _search(problem, 1) == _search_reference(problem, 1) == ("none", [], 3)
+    assert _search(problem, 1) == _search_reference(problem, 1) == ("exhausted_none", [], 3)

@@ -1,7 +1,7 @@
 """Quota arithmetic, stability predicates, and the splitting certificate."""
 
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -61,18 +61,18 @@ def _reference_certificate_for(face_ok, partition, sets, spec):
     if spec.balanced:
         cert.balanced_ok = max(cert.sizes) - min(cert.sizes) <= 1
     cert.stability_ok = [is_q_stable(s, spec.stability) for s in sets]
-    if spec.weak_stability is not None:
-        cert.weak_verdict = is_weakly_q_stable(sets, spec.weak_stability)
+    if spec.weak:
+        cert.weak_verdict = is_weakly_q_stable(sets, spec.q)
 
     cert.ok = (cert.disjoint_ok and all(cert.independence_ok) and cert.quota_ok
                and cert.leftover_ok and all(cert.stability_ok)
                and (cert.balanced_ok is not False)
-               and (spec.weak_stability is None or cert.weak_verdict is True))
+               and (not spec.weak or cert.weak_verdict is True))
     return cert
 
 
 def _reference_check_splitting(g, partition, splitting, spec):
-    sets = splitting.sets if isinstance(splitting, Splitting) else [tuple(sorted(s)) for s in splitting]
+    sets = splitting.sets
     for s in sets:
         for v in s:
             if not (1 <= v <= g.n):
@@ -143,6 +143,21 @@ def test_weakly_stable_q3():
     assert is_weakly_q_stable([(1, 2), (4, 5), (3,)], 3) is False
 
 
+def test_weak_stability_holds_only_at_the_number_of_members():
+    # each window holds w labels of the union, one per member, so a weakly
+    # w-stable family has w members and the spec's weak flag tests at w = q;
+    # checked over every family of 1-4 disjoint subsets of 1..6
+    held = set()
+    for k in range(1, 5):
+        for assign in product(range(k + 1), repeat=6):
+            sets = [[v for v, a in enumerate(assign, 1) if a == i] for i in range(k)]
+            for w in range(2, 6):
+                if is_weakly_q_stable(sets, w) is True:
+                    assert w == k, (sets, w)
+                    held.add(k)
+    assert held == {2, 3, 4}
+
+
 def test_splitting_normalizes():
     s = Splitting([[3, 1], [2]])
     assert s.sets == [(1, 3), (2,)]
@@ -156,7 +171,7 @@ def test_spec_validation():
     with pytest.raises(InputError):
         SplittingSpec(q=2, flavor="best_effort")
     with pytest.raises(InputError):
-        SplittingSpec(q=2, weak_stability=1)
+        SplittingSpec(q=1, weak=True)
 
 
 def test_certificate_happy_path():
@@ -200,8 +215,7 @@ def test_certificate_catches_violations():
 def test_certificate_stability_and_weak():
     g = path_graph(7)
     partition = consecutive_partition([7])
-    spec = SplittingSpec(q=2, flavor="almost_fair", stability=2,
-                         weak_stability=2)
+    spec = SplittingSpec(q=2, flavor="almost_fair", stability=2, weak=True)
     cert = check_splitting(g, partition, Splitting([(1, 3, 5), (2, 4, 6)]),
                            spec)
     assert cert.ok and cert.weak_verdict is True
@@ -234,8 +248,7 @@ def test_transversal_flavor_has_no_leftover_cap():
 @st.composite
 def _certificate_cases(draw):
     """A random graph, a partition of some of its labels (plus labels it
-    lacks), a family with repeated and shared labels, and a spec with every
-    flag drawn."""
+    lacks), a family with shared labels, and a spec with every flag drawn."""
     n = draw(st.integers(1, 12))
     pool = list(range(1, n + 3))
     inside = pool[:n]  # labels the graph has
@@ -248,16 +261,15 @@ def _certificate_cases(draw):
     blocks = [[v for v, j in zip(pool, slot) if j == b] for b in range(m)]
     partition = VertexPartition([b for b in blocks if b])
     q = draw(st.integers(1, 4))
-    sets = draw(st.lists(st.lists(st.sampled_from(inside), max_size=6),
-                         min_size=q, max_size=q))
-    if draw(st.booleans()):
-        sets = Splitting(sets)
+    sets = Splitting(draw(st.lists(st.lists(st.sampled_from(inside), max_size=6),
+                                   min_size=q, max_size=q)))
+    spec_q = q if draw(st.integers(0, 9)) else q + 1  # sometimes the wrong q
     spec = SplittingSpec(
-        q=q if draw(st.integers(0, 9)) else q + 1,  # sometimes the wrong q
+        q=spec_q,
         flavor=draw(st.sampled_from(["fair", "almost_fair", "transversal"])),
         balanced=draw(st.booleans()),
         stability=draw(st.integers(1, 3)),
-        weak_stability=draw(st.sampled_from([None, 2, 3])))
+        weak=spec_q >= 2 and draw(st.booleans()))
     return graph, partition, sets, spec
 
 
@@ -267,8 +279,7 @@ def test_certificate_matches_reference(case):
     graph, partition, sets, spec = case
     got = _outcome(check_splitting, graph, partition, sets, spec)
     assert got == _outcome(_reference_check_splitting, graph, partition, sets, spec)
-    family = sets.sets if isinstance(sets, Splitting) else sets
-    for s in family:
+    for s in sets.sets:
         assert is_independent(graph, s) == _pairwise_is_independent(graph, s)
 
 
