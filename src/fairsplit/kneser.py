@@ -123,10 +123,6 @@ def build_hypergraph(inst: KneserInstance):
         raise ResourceBudget("more stable k-subsets than the vertex budget "
                              "of %d" % VERTEX_BUDGET)
     verts = stable_subsets(inst.n, inst.k, inst.q, inst.stability)
-    if inst.k == 0:
-        # the empty set is disjoint from itself only vacuously; a hyperedge
-        # needs q distinct vertices, and there is just one 0-subset
-        return Hypergraph(verts, [])
     masks = [sum(1 << v for v in c) for c in verts]
     edges = []
     spend = Budget(EDGE_BUDGET, "edge budget exceeded").spend

@@ -47,7 +47,7 @@ class SplittingSpec:
         if self.stability < 1:
             raise InputError("stability must be >= 1")
         if self.weak and self.q < 2:
-            raise InputError("weak stability parameter must be >= 2")
+            raise InputError("weak stability needs q >= 2")
 
 
 class Splitting:

@@ -36,6 +36,7 @@ from fairsplit.suite import run_suite, six_cycle_instance, two_triangles_instanc
 
 from brute import brute_verdict
 from shared import path_budget, random_vertex_orders, valid_parameter_triples
+from test_pinned_bytes import PINNED_SHA256
 
 
 @contextlib.contextmanager
@@ -453,15 +454,12 @@ def test_11_solver_agrees_with_brute_force(capsys):
         assert statuses["found"] >= 3 and statuses["exhausted_none"] >= 3
 
 
-SUITE_SHA256 = "8e76f32e865ee6a772cc7cbf96a51e9dd9ba5cef906a328483bc82e90b500c2b"
-
-
 def test_12_suite_byte_identical_across_runs(capsys):
     with _stopwatch(capsys, 12, "suite byte-identical across runs", 600):
         direct = canonical_dumps(run_suite())
-        # the bytes of the suite document, pinned: any verdict or field that
-        # moves shows here
-        assert hashlib.sha256(direct.encode()).hexdigest() == SUITE_SHA256
+        # the bytes of the suite document, pinned with every command's bytes:
+        # any verdict or field that moves shows here
+        assert hashlib.sha256(direct.encode()).hexdigest() == PINNED_SHA256["suite"]
         # the CLI prints the same bytes, run after run
         for _ in range(2):
             assert main(["suite"]) == 0

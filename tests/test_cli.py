@@ -109,7 +109,7 @@ def test_weak_needs_q_at_least_2(capsys, tmp_path):
     for argv in (["solve", "--input", inst, "--q", "1", "--weak"],
                  ["verify", "--input", inst, "--splitting", one, "--weak"]):
         assert run(capsys, *argv) == (
-            2, None, "input error: weak stability parameter must be >= 2\n")
+            2, None, "input error: weak stability needs q >= 2\n")
 
 
 def test_solve_refuted(capsys, tmp_path):
@@ -463,6 +463,10 @@ SIZE_REFUSALS = [
      "moment coordinates"),
     # no condition certifies q > n, so a --q past the limit is never searched
     (["check-conditions", "--input", "PATH6", "--q", "100001"], "--q"),
+    # a square of at least 4L bits, L the int digit limit, is refused on bit
+    # lengths alone
+    (["geometry", "--op", "moment", "--params", str(2 ** 9000), "--dim", "2"],
+     "parameter 1's coordinates have too many digits to print"),
 ]
 
 
@@ -1154,9 +1158,22 @@ def _mostly(rng, good, one_in=30):
     return rng.choice(_JUNK) if rng.randrange(one_in) == 0 else good
 
 
-def _instance(rng, top=30):
+def _graph(rng, n):
+    """(edges, blocks): a random graph on 1..n, its labels shuffled into one
+    to four blocks."""
+    p = rng.uniform(0, 0.3)
+    edges = [[u, v] for u in range(1, n + 1) for v in range(u + 1, n + 1)
+             if rng.random() < p]
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 3)))) if n > 1 else []
+    bounds = [0] + cuts + [n]
+    return edges, [labels[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _instance(rng):
     """(n or None, the number of blocks, the instance file's text or bytes);
-    a drawn document has at most `top` vertices."""
+    a drawn document has at most 30 vertices."""
     kind = rng.choice(["doc"] * 16 + ["huge", "text", "bytes", "deep"])
     if kind == "text":
         # cut off, a wrong top level, or a number too long to convert
@@ -1172,22 +1189,15 @@ def _instance(rng, top=30):
         n = INSTANCE_VERTEX_LIMIT + rng.randint(1, 3)
         return n, 1, json.dumps({"schema": "instance/1", "n": n, "edges": [[1, 2]],
                                  "partition": [[1, 2]]})
-    n = rng.randint(0, top)
-    p = rng.uniform(0, 0.3)
-    edges = [[u, v] for u in range(1, n + 1) for v in range(u + 1, n + 1)
-             if rng.random() < p]
+    n = rng.randint(0, 30)
+    edges, blocks = _graph(rng, n)
     if rng.randrange(10) == 0:
         edges.append(rng.choice([[0, 1], [n, n + 1], [1, 1], [1, 2, 3], [True, 1]]))
-    labels = list(range(1, n + 1))
-    rng.shuffle(labels)
-    cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 3)))) if n > 1 else []
-    bounds = [0] + cuts + [n]
-    blocks = [labels[a:b] for a, b in zip(bounds, bounds[1:])]
     if rng.randrange(8) == 0:
         # overlapping, incomplete, empty or out-of-range partitions
         change = rng.choice(["overlap", "drop", "empty", "outside"])
         if change == "overlap" and n:
-            blocks.append([labels[0]])
+            blocks.append([blocks[0][0]])
         elif change == "drop" and n:
             blocks[-1] = blocks[-1][1:]
         elif change == "empty":
@@ -1277,15 +1287,27 @@ def _complex_text(rng):
 
 def _spec_run(rng, command):
     """solve or verify on a drawn instance, with the splitting spec flags;
-    half the solves are small and plain (no --points or --caps), so that the
-    brute-force oracle can re-check their exit 1."""
+    half the solves are small, plain (no --points or --caps) and well formed,
+    so that most reach the search and the brute-force oracle can re-check
+    their exit 1."""
     small = command == "solve" and rng.random() < 0.5
-    n, m, text = _instance(rng, BRUTE_VERTEX_LIMIT if small else 30)
+    if small:
+        n = rng.randint(1, BRUTE_VERTEX_LIMIT)
+        edges, blocks = _graph(rng, n)
+        m = len(blocks)
+        text = json.dumps({"schema": "instance/1", "n": n, "edges": edges,
+                           "partition": blocks})
+    else:
+        n, m, text = _instance(rng)
     files = {"instance.json": text}
     argv = [command, "--input", "instance.json"]
+
+    def draw(good):
+        return good if small else _mostly(rng, good, 20)
+
     if command == "solve":
-        argv += ["--q", str(_mostly(rng, rng.choice([1, 2, 2, 3, 3, 4]), 20)),
-                 "--budget", str(_mostly(rng, rng.randint(0, 10_000), 20))]
+        argv += ["--q", str(draw(rng.choice([1, 2, 2, 3, 3, 4]))),
+                 "--budget", str(draw(rng.randint(0, 10_000)))]
         if not small and rng.randrange(8) == 0:
             if rng.randrange(5):
                 files["points.json"] = _points_text(rng, n or 0)
@@ -1294,7 +1316,7 @@ def _spec_run(rng, command):
         files["splitting.json"] = _splitting_text(rng, n or 0, rng.randint(1, 4))
         argv += ["--splitting", "splitting.json"]
     argv += ["--flavor", rng.choice(["fair", "almost", "transversal"]),
-             "--stability", str(_mostly(rng, rng.randint(1, 3), 20))]
+             "--stability", str(draw(rng.randint(1, 3)))]
     argv += [flag for flag in ("--balanced", "--weak") if rng.random() < 0.5]
     if command == "solve" and not small and rng.random() < 0.5:
         caps = [rng.randint(0, 4) if rng.randrange(20) else -1

@@ -2,10 +2,12 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairsplit import exactlp, geometry, solver
+from fairsplit.errors import InputError
 from fairsplit.exactlp import convex_hulls_common_point
 from fairsplit.geometry import moment_points
 
@@ -91,6 +93,11 @@ def test_three_hulls():
             [(Fraction(-1), Fraction(-1)), (Fraction(1), Fraction(1))]]
     got = convex_hulls_common_point(segs)
     assert got is not None and got[0] == (Fraction(0), Fraction(0))
+
+
+def test_points_of_mixed_dimension_are_refused():
+    with pytest.raises(InputError, match="points of mixed dimension"):
+        convex_hulls_common_point([[(1, 2)], [(1, 2, 3)]])
 
 
 def test_callers_share_the_one_hull_function():
