@@ -31,17 +31,19 @@ distance.  Admitting a vertex is one bit test.  Pruning:
     prune as soon as a block overspends.
 
 Below the leaves, a node calls no Python function and builds no list or
-tuple: it is a handful of list reads and bit operations.  At the first
-arrival at a position, each of the q sets below its minimum in the
-position's block costs one AND and one popcount against the block's later
-positions; a set at or above the minimum has no shortfall and a popcount is
-never negative, so its popcount is skipped, and the scan stops at the second
-short set (two sets that both need the vertex kill the branch).  Admitting
-the vertex to a set is one bit test, plus a cap test and a max/min over the
-q set sizes when balance is required.
-After a set takes the vertex, each touched block where that set is still
-below its minimum costs one more AND and popcount.  The mask a step
-replaces is kept in one flat per-depth list.
+tuple: it is a handful of list reads and bit operations.  Each candidate
+choice is tested against every prune before it is committed, so a failing
+one changes no state, and each node costs one pass down and one pass back.
+At the first arrival at a position, each of the q sets below its minimum in
+the position's block costs one AND and one popcount against the block's
+later positions; a set at or above the minimum has no shortfall and a
+popcount is never negative, so its popcount is skipped, and the scan stops
+at the second short set (two sets that both need the vertex kill the
+branch).  Testing a set is one bit test, a cap test and a deficit test, plus
+a max/min over the q set sizes when balance is required; then each touched
+block where the set, with the vertex, is still below its minimum costs one
+AND and popcount.  Leaving the vertex unused is a deficit test.  The mask a
+committed step replaces is kept in one flat per-depth list.
 
 Complete assignments are checked for balance, weak stability and, in
 geometric mode, a common point of the hulls; not for quotas, since the
@@ -237,13 +239,14 @@ def _search(problem, limit):
             d -= 1
             continue
         j = block_of[d]
+        need, room = mins[j], rem_after[d]
         c = choice[d]
         if c == q:
             unused[j] -= 1
         elif c >= 0:
             cnt = counts[c]
             cnt[j] -= 1
-            if cnt[j] < mins[j]:
+            if cnt[j] < need:
                 deficit[j] += 1
             sizes[c] -= 1
             if not sizes[c]:
@@ -254,7 +257,7 @@ def _search(problem, limit):
             # A set already at the block's minimum has no shortfall, and a
             # popcount is never negative, so its popcount is skipped.
             must = None
-            need, rest = mins[j], after_in_block[d]
+            rest = after_in_block[d]
             for x in range(q):
                 short = need - counts[x][j]
                 if short > 0 and (cand[x] & rest).bit_count() < short:
@@ -271,55 +274,52 @@ def _search(problem, limit):
                 c = must
             if hi > must + 1:
                 hi = must + 1
+        # each candidate meets every prune before any state changes; the
+        # first that passes them all is committed
         while c < hi:
-            if cand[c] >> d & 1 and (caps is None or counts[c][j] < caps[j]):
-                if not balanced:
-                    break
-                # balance: can the size spread still end within 1 once set c grows?
-                sizes[c] += 1
-                spread = max(sizes) - min(sizes)
-                sizes[c] -= 1
-                if spread - (n - d - 1) <= 1:
+            cnt = counts[c]
+            k = cnt[j]
+            if (cand[c] >> d & 1 and (caps is None or k < caps[j])
+                    and deficit[j] - (k < need) <= room):
+                if balanced:
+                    # can the size spread still end within 1 once set c grows?
+                    sizes[c] += 1
+                    fits = max(sizes) - min(sizes) <= n - d
+                    sizes[c] -= 1
+                    if not fits:
+                        c += 1
+                        continue
+                # forward checking on the blocks this step touches, with the
+                # vertex counted in block j (kept there if set c takes it)
+                m = cand[c] & keep[d]
+                cnt[j] = k + 1
+                for t in touch[d]:
+                    short = mins[t] - cnt[t]
+                    if short > 0 and (m & block_mask[t]).bit_count() < short:
+                        cnt[j] = k
+                        break
+                else:
+                    if k < need:
+                        deficit[j] -= 1
+                    if not sizes[c]:
+                        used += 1
+                    sizes[c] += 1
+                    saved_cand[d] = cand[c]
+                    cand[c] = m
                     break
             c += 1
         else:
-            if c <= q and must is None and (unused_cap is None or unused[j] < unused_cap):
+            if (c <= q and must is None and deficit[j] <= room
+                    and (unused_cap is None or unused[j] < unused_cap)):
                 c = q
+                unused[j] += 1
             else:
-                c = q + 1
-        if c > q:
-            choice[d] = -1
-            if d == 0:
-                break
-            d -= 1
-            continue
-        choice[d] = c
-        if c == q:
-            unused[j] += 1
-            if deficit[j] > rem_after[d]:
-                continue
-        else:
-            cnt = counts[c]
-            if cnt[j] < mins[j]:
-                deficit[j] -= 1
-            cnt[j] += 1
-            if not sizes[c]:
-                used += 1
-            sizes[c] += 1
-            saved_cand[d] = m = cand[c]
-            m &= keep[d]
-            cand[c] = m
-            if deficit[j] > rem_after[d]:
-                continue  # pruned: the next pass undoes choice[d] and tries the one after
-            # forward checking on the blocks this step touched
-            starved = False
-            for t in touch[d]:
-                short = mins[t] - cnt[t]
-                if short > 0 and (m & block_mask[t]).bit_count() < short:
-                    starved = True
+                choice[d] = -1
+                if d == 0:
                     break
-            if starved:
+                d -= 1
                 continue
+        choice[d] = c
         if nodes == budget:
             return "budget_exceeded", solutions, nodes
         nodes += 1

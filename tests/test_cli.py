@@ -27,6 +27,7 @@ from fairsplit.cli import build_parser, main
 from fairsplit.complexes import FACE_BUDGET, independence_complex
 from fairsplit.errors import INSTANCE_VERTEX_LIMIT, MEMORY_LIMIT
 from fairsplit.graphs import FAMILIES, VertexPartition, cycle_graph
+from fairsplit.kneser import chromatic_formula
 from fairsplit.splitting import Splitting, SplittingSpec, check_splitting
 from fairsplit.suite import _entry_constraint_map
 
@@ -1484,6 +1485,14 @@ def _assert_reference_refutes(files, argv):
         assert fraction_hulls_reference([config.subset(s) for s in sets]) is None, argv
 
 
+def _assert_chi_matches_formula(argv, doc):
+    """An exit 0 of kneser-chi without stability, for k >= 1 and n >= qk,
+    against the Alon-Frankl-Lovasz value, which is exact there."""
+    args = build_parser().parse_args(argv)
+    if args.stability == "none" and args.k >= 1 and args.n >= args.q * args.k:
+        assert doc["chi"] == chromatic_formula(args.n, args.k, args.q), argv
+
+
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_cli_fuzz_exits_0_to_3(seed):
@@ -1523,6 +1532,8 @@ def test_cli_fuzz_exits_0_to_3(seed):
         assert code == 3 or "error: argument" in err.getvalue()
     if code == 1:
         _assert_reference_refutes(files, argv)
+    elif code == 0 and argv[0] == "kneser-chi":
+        _assert_chi_matches_formula(argv, json.loads(out.getvalue()))
 
 
 def test_cli_fuzz_draws_every_subcommand(monkeypatch):

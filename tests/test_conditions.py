@@ -14,6 +14,8 @@ from fairsplit.graphs import (Graph, VertexPartition, cliques_plus_isolated,
                               consecutive_partition, cycle_graph,
                               matching_graph, path_graph, path_union_cliques,
                               power_path)
+from fairsplit.solver import SearchProblem, find_splitting
+from fairsplit.splitting import SplittingSpec
 
 from shared import path_budget, relabel, second_neighborhood
 
@@ -391,3 +393,63 @@ def test_power_path_instances_pass_neighborhood_gate():
         pad = Graph((q - 1) * n + 1, g.edges)
         got = neighborhood_bound(pad, q, n)
         assert got["ok"], (q, r, n)
+
+
+# ---------------------------------------------------------------------------
+# the paper's sufficient conditions imply splittings, on random sparse graphs
+
+SPARSE_DRAWS = 1500
+# the path searches' budget: at the default of 2,000,000 nodes the draws
+# listed below would take about 5 s
+SPARSE_PATH_BUDGET = 20_000
+# the draws this budget cuts (exit 3 in the CLI), skipped; at the default
+# budget each ends within 3 s, and no condition holds on any
+SPARSE_PATH_CUT = [65, 925, 1084, 1130, 1245, 1292]
+
+
+def _sparse_instance(rng):
+    """(graph, partition, q): on 4-14 vertices, a random path, then disjoint
+    (q - 1)-cliques or a random matching, then up to two more edges; 1-3
+    blocks, consecutive or shuffled."""
+    n = rng.randint(4, 14)
+    q = rng.choice([2, 3, 4, 5, 7])
+    order = rng.sample(range(1, n + 1), n)
+    edges = set(zip(order, order[1:rng.randint(2, n)]))
+    rest = rng.sample(range(1, n + 1), n)
+    size = q - 1 if rng.random() < 0.5 else 2
+    for c in range(rng.randint(0, n // size)):
+        group = rest[c * size:(c + 1) * size]
+        edges.update((a, b) for a in group for b in group if a < b)
+    for _ in range(rng.randint(0, 2)):
+        edges.add(tuple(rng.sample(range(1, n + 1), 2)))
+    labels = list(range(1, n + 1))
+    if rng.random() < 0.5:
+        rng.shuffle(labels)
+    bounds = [0] + sorted(rng.sample(range(1, n), rng.randint(0, 2))) + [n]
+    part = VertexPartition([labels[a:b] for a, b in zip(bounds, bounds[1:])], n)
+    return Graph(n, edges), part, q
+
+
+def test_sufficient_conditions_imply_splittings():
+    # every condition check_conditions reports must be confirmed by the
+    # search in its flavour, as in test_07.  This catches a recognizer that
+    # accepts an instance with no splitting; the gates are not tight at these
+    # sizes, so it does not test them
+    rng = random.Random(0)
+    held, cut = 0, []
+    for i in range(SPARSE_DRAWS):
+        g, part, q = _sparse_instance(rng)
+        try:
+            report = check_conditions(g, part, q, budget=SPARSE_PATH_BUDGET)
+        except ResourceBudget:
+            cut.append(i)
+            continue
+        for name, fragment in report.fragments.items():
+            if fragment["ok"]:
+                held += 1
+                flavor = "transversal" if name == "transversal_size" else "almost_fair"
+                out = find_splitting(SearchProblem(
+                    partition=part, spec=SplittingSpec(q=q, flavor=flavor), graph=g))
+                assert out.status == "found", (i, name, q, sorted(g.edges), part.blocks)
+    assert cut == SPARSE_PATH_CUT
+    assert held >= 500

@@ -625,6 +625,24 @@ def test_search_matches_reference_loop(seed):
     assert _search(problem, limit) == _search_reference(problem, limit)
 
 
+def test_search_matches_reference_loop_on_deep_searches():
+    # the drawn cases above stop within 200 nodes on at most 12 vertices;
+    # these run to a verdict at the default budget on 16-22 vertices, and
+    # the fair draws among them include refutations that exhaust the tree
+    rng = random.Random(0)
+    refuted = 0
+    for i in range(40):
+        n = rng.randint(16, 22)
+        g = _random_graph(n, 0.25, rng)
+        part = _random_partition(n, 3, rng)
+        spec = SplittingSpec(q=3, flavor=("fair", "almost_fair")[i % 2])
+        problem = SearchProblem(partition=part, spec=spec, graph=g)
+        got = _search(problem, 1)
+        assert got == _search_reference(problem, 1), (i, got[0], got[2])
+        refuted += got[0] == "exhausted_none"
+    assert refuted >= 5
+
+
 def test_two_short_sets_cut_the_branch_at_once():
     # 1 and 2 go to different sets and rule out 4 and 5, so at vertex 3
     # both sets still need a vertex of the second block that only 3 can give:
